@@ -12,9 +12,15 @@ so the fluctuation is Delta G2 = sqrt(<S^2> - G2^2) and SNR = G2 / Delta G2.
 Averaging over N independently generated pairs divides the fluctuation by
 sqrt(N) and multiplies the SNR by sqrt(N).
 
-All integrals are tensor-product trapezoid sums on the setup's grids; the
-amplitude supports both the direct double sum and the precomputed
-inner-integral (separable) evaluation, which agree to roundoff.
+All integrals are tensor-product trapezoid sums on the setup's grids.  The
+inner integral u(x') = int dx phi(x, x') h_t(x_t, x) is the state's banded
+row reduction (:meth:`ghostsim.source.TwoPhotonState.reduce`): only rows
+where the test arm is nonzero are evaluated, for the Gaussian source only
+the columns of its ridge (kernel entries dropped outside it are below
+``RIDGE_EPS`` = 1e-18 of the kernel peak), and the state's scalar
+``c_norm`` is applied once to the reduced vector.  The amplitude supports
+both that separable evaluation and the direct dense double sum, which agree
+to roundoff.
 """
 
 from __future__ import annotations
@@ -109,23 +115,16 @@ class CorrelatorSetup:
         """u(x') = int dx phi(x, x') h_t(x_t, x), sampled on gxp.
 
         Only the grid rows where the test-arm samples are nonzero
-        contribute, which makes compact objects cheap.  Memoized per x_t
-        (the expensive factor of every scan point shares it).
+        contribute, which makes compact objects cheap, and a Gaussian source
+        only within its ridge band.  Memoized per x_t (the expensive factor
+        of every scan point shares it).
         """
         key = float(x_t)
         with self._inner_lock:
             cached = self._inner_cache.get(key)
         if cached is not None:
             return cached
-        left = self._left_vector(x_t)
-        x = self.gx.samples()
-        xp = self.gxp.samples()[np.newaxis, :]
-        nz = np.flatnonzero(left)
-        u = np.zeros(self.gxp.n_points, dtype=complex)
-        for i0 in range(0, nz.size, _PHI_CHUNK):
-            idx = nz[i0 : i0 + _PHI_CHUNK]
-            block = self.state.evaluate(x[idx, np.newaxis], xp)
-            u += left[idx] @ block
+        u = self.state.reduce(self._left_vector(x_t), self.gx, self.gxp)
         with self._inner_lock:
             self._inner_cache[key] = u
         return u

@@ -80,6 +80,11 @@ class ScanConfig:
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for name in ("x_t", "xr_min", "xr_max"):
+            if not np.isfinite(getattr(self, name)):
+                raise InvalidArgumentError(
+                    f"scan {name} must be finite, got {getattr(self, name)}"
+                )
         if not (self.xr_max > self.xr_min):
             raise InvalidArgumentError(
                 f"degenerate x_r range [{self.xr_min}, {self.xr_max}]"

@@ -1,9 +1,11 @@
 """Uniform 1-D grids, complex sampled fields and composite trapezoid quadrature.
 
 Every integral in the package (state normalization, arm energies, the
-coincidence amplitude) is reduced to these primitives.  Grids are closed
-intervals that contain both endpoints; the step is defined by ``n_points - 1``
-panels so that symmetric windows place their endpoints exactly.
+coincidence amplitude) is reduced to these primitives; the integrals over
+the two-photon kernel go through the banded row reduction
+:func:`reduce_rows`.  Grids are closed intervals that contain both
+endpoints; the step is defined by ``n_points - 1`` panels so that symmetric
+windows place their endpoints exactly.
 """
 
 from __future__ import annotations
@@ -21,8 +23,12 @@ __all__ = [
     "make_grid",
     "integrate",
     "integrate2d",
+    "reduce_rows",
     "Table2D",
 ]
+
+# most kernel rows evaluated per block; bounds the block's memory
+_ROW_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -143,6 +149,45 @@ def integrate2d(
             )
         total += complex(wx[i0 : i0 + chunk] @ block @ wxp)
     return total
+
+
+def reduce_rows(
+    kernel: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    left: np.ndarray,
+    gx: Grid1D,
+    gxp: Grid1D,
+    band: float = np.inf,
+) -> np.ndarray:
+    """v(x'_j) = sum_i left_i kernel(x_i, x'_j) on gxp.
+
+    Only rows where ``left`` is nonzero are evaluated, and for a block of
+    them only the columns within ``band`` of some row in it: the caller
+    vouches that the kernel is negligible for |x - x'| > band (``inf``
+    evaluates every column).  A block holds at most _ROW_CHUNK consecutive
+    nonzero rows spanning at most ``band`` in x, so its column window is at
+    most three band widths wide.
+
+    A complex ``left`` is reduced as a stacked (re, im) pair, so a real
+    kernel block is never cast to complex.  The result is complex.
+    """
+    left = np.asarray(left)
+    parts = np.stack([left.real, left.imag]) if np.iscomplexobj(left) else left[np.newaxis]
+    x = gx.samples()
+    xp = gxp.samples()
+    nz = np.flatnonzero(left)
+    xs = x[nz]
+    acc = np.zeros((parts.shape[0], gxp.n_points), dtype=complex)
+    i = 0
+    while i < nz.size:
+        end = min(i + _ROW_CHUNK, int(np.searchsorted(xs, xs[i] + band, side="right")))
+        j0 = int(np.searchsorted(xp, xs[i] - band, side="left"))
+        j1 = int(np.searchsorted(xp, xs[end - 1] + band, side="right"))
+        if j0 < j1:
+            idx = nz[i:end]
+            block = kernel(x[idx, np.newaxis], xp[np.newaxis, j0:j1])
+            acc[:, j0:j1] += parts[:, idx] @ block
+        i = end
+    return acc[0] + 1j * acc[1] if acc.shape[0] == 2 else acc[0]
 
 
 class Table2D:

@@ -6,21 +6,35 @@ The Gaussian source
 
 is the default model: ``a`` sets the source size, ``b`` the entanglement
 width.  Arbitrary externally computed wavefunctions can be supplied as
-bilinear-interpolated tables.  Normalization is always performed by
-quadrature, so the Gaussian and tabulated paths share one code path; the
-closed-form Gaussian norm lives in :mod:`ghostsim.analytic` and is used only
-for validation.
+bilinear-interpolated tables.
+
+A state is an unnormalized kernel times one scalar amplitude ``c_norm``.
+:func:`normalize` computes the quadrature of |kernel|^2 and sets ``c_norm``;
+:meth:`TwoPhotonState.reduce` applies ``c_norm`` once to the reduced vector,
+so no evaluator is ever wrapped.  Both integrals go through the banded row
+reduction :func:`ghostsim.grid.reduce_rows`.  The Gaussian kernel is real
+and a ridge of width ``b`` about x = x': since its envelope
+exp(-(x^2 + x'^2) / a^2) is at most 1, every entry with
+
+    |x - x'| > b * sqrt(ln(1 / RIDGE_EPS))   (about 6.44 b)
+
+is below RIDGE_EPS times the kernel peak and is not evaluated; |phi|^2 is a
+ridge of width b / sqrt(2).  Tabulated and matched states have no ridge
+(``ridge_width`` is infinite) and take the same reduction over every
+column.  The closed-form Gaussian norm lives in :mod:`ghostsim.analytic` and
+is used only for validation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from math import inf, log, sqrt
 from typing import Callable
 
 import numpy as np
 
 from .errors import InvalidArgumentError, TruncationError
-from .grid import Grid1D, Table2D, make_grid
+from .grid import Grid1D, Table2D, make_grid, reduce_rows
 
 __all__ = [
     "TwoPhotonState",
@@ -37,27 +51,45 @@ EDGE_FRACTION = 1e-8
 
 NORM_TOL = 1e-6
 
+# kernel entries below this fraction of the kernel peak are dropped from the
+# banded reduction; see the module docstring for the band it implies
+RIDGE_EPS = 1e-18
+
+
+def _band(ridge_width: float) -> float:
+    """Half-width in |x - x'| outside which a kernel bounded by
+    peak * exp(-(x - x')^2 / ridge_width^2) is below RIDGE_EPS * peak."""
+    return ridge_width * sqrt(log(1.0 / RIDGE_EPS))
+
 
 @dataclass(frozen=True)
 class TwoPhotonState:
-    """Evaluator of the entangled-pair wavefunction phi(x, x').
+    """The entangled-pair wavefunction phi(x, x') = c_norm * kernel(x, x').
 
-    ``evaluate`` broadcasts over numpy arrays.  ``norm_certified`` records
-    that the squared modulus integrates to 1 (within ``NORM_TOL``) on the
-    certification grids stored in the descriptor.
+    ``kernel`` broadcasts over numpy arrays.  ``ridge_width`` w states that
+    |kernel(x, x')| <= peak * exp(-(x - x')^2 / w^2), with ``inf`` for a
+    kernel without a ridge.  ``norm_certified`` records that |phi|^2
+    integrates to 1 (within ``NORM_TOL``) on the certification grids stored
+    in the descriptor.
     """
 
-    evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    kernel: Callable[[np.ndarray, np.ndarray], np.ndarray]
     norm_certified: bool
     descriptor: dict
+    c_norm: complex = 1.0
+    ridge_width: float = inf
+
+    def evaluate(self, x, xp) -> np.ndarray:
+        """phi(x, x'), broadcast over numpy arrays."""
+        return self.c_norm * self.kernel(x, xp)
+
+    def reduce(self, left: np.ndarray, gx: Grid1D, gxp: Grid1D) -> np.ndarray:
+        """sum_x left(x) phi(x, x') on gxp, over the nonzero entries of left."""
+        rows = reduce_rows(self.kernel, left, gx, gxp, _band(self.ridge_width))
+        return self.c_norm * rows
 
     def scaled(self, factor: complex) -> "TwoPhotonState":
-        ev = self.evaluate
-        return replace(
-            self,
-            evaluate=lambda x, xp: factor * ev(x, xp),
-            norm_certified=False,
-        )
+        return replace(self, c_norm=factor * self.c_norm, norm_certified=False)
 
 
 def gaussian_wavefunction(a: float, b: float) -> TwoPhotonState:
@@ -67,15 +99,22 @@ def gaussian_wavefunction(a: float, b: float) -> TwoPhotonState:
     if not (b > 0.0):
         raise InvalidArgumentError(f"entanglement width b must be > 0, got {b}")
 
-    def evaluate(x, xp):
+    def kernel(x, xp):
         x = np.asarray(x, dtype=float)
         xp = np.asarray(xp, dtype=float)
-        return np.exp(-(x**2 + xp**2) / a**2 - (x - xp) ** 2 / b**2).astype(complex)
+        # the exponent is built in place on its one block-sized temporary
+        e = x - xp
+        e *= e
+        e /= -(b**2)
+        e -= x**2 / a**2
+        e -= xp**2 / a**2
+        return np.exp(e)
 
     return TwoPhotonState(
-        evaluate=evaluate,
+        kernel=kernel,
         norm_certified=False,
-        descriptor={"kind": "gaussian", "a_mm": float(a), "b_mm": float(b), "c_norm": 1.0},
+        descriptor={"kind": "gaussian", "a_mm": float(a), "b_mm": float(b)},
+        ridge_width=float(b),
     )
 
 
@@ -87,16 +126,13 @@ def default_certification_grid(a: float, b: float) -> Grid1D:
     return make_grid(0.0, half_width, max(n, 257))
 
 
-def _norm_integral(state: TwoPhotonState, gx: Grid1D, gxp: Grid1D, chunk: int = 512) -> float:
-    x = gx.samples()
-    xp = gxp.samples()[np.newaxis, :]
-    wx = gx.trapezoid_weights()
-    wxp = gxp.trapezoid_weights()
-    total = 0.0
-    for i0 in range(0, gx.n_points, chunk):
-        block = np.abs(state.evaluate(x[i0 : i0 + chunk, np.newaxis], xp)) ** 2
-        total += float(wx[i0 : i0 + chunk] @ block @ wxp)
-    return total
+def _norm_integral(state: TwoPhotonState, gx: Grid1D, gxp: Grid1D) -> float:
+    def abs2(x, xp):
+        return np.abs(state.kernel(x, xp)) ** 2
+
+    band = _band(state.ridge_width / sqrt(2.0))
+    rows = reduce_rows(abs2, gx.trapezoid_weights(), gx, gxp, band)
+    return abs(state.c_norm) ** 2 * float((rows @ gxp.trapezoid_weights()).real)
 
 
 def _check_support_coverage(state: TwoPhotonState, gx: Grid1D, gxp: Grid1D) -> None:
@@ -124,26 +160,22 @@ def _check_support_coverage(state: TwoPhotonState, gx: Grid1D, gxp: Grid1D) -> N
 def normalize(state: TwoPhotonState, gx: Grid1D, gxp: Grid1D) -> TwoPhotonState:
     """Rescale so that the quadrature of |phi|^2 over (gx, gxp) equals 1.
 
-    The returned state carries ``norm_certified=True`` and records the
-    certification grids and, for Gaussian sources, the amplitude ``c_norm``.
+    The returned state carries ``norm_certified=True`` and the rescaled
+    amplitude ``c_norm``, which its descriptor records next to the
+    certification grids.
     """
     _check_support_coverage(state, gx, gxp)
     norm = _norm_integral(state, gx, gxp)
     if norm <= 0.0:
         raise InvalidArgumentError("wavefunction has zero norm on the given grids")
-    scale = 1.0 / np.sqrt(norm)
-    ev = state.evaluate
+    c_norm = state.c_norm / sqrt(norm)
     descriptor = dict(state.descriptor)
-    descriptor["c_norm"] = float(descriptor.get("c_norm", 1.0) * scale)
+    descriptor["c_norm"] = c_norm
     descriptor["certification"] = {
         "gx": (gx.center, gx.half_width, gx.n_points),
         "gxp": (gxp.center, gxp.half_width, gxp.n_points),
     }
-    return TwoPhotonState(
-        evaluate=lambda x, xp: scale * ev(x, xp),
-        norm_certified=True,
-        descriptor=descriptor,
-    )
+    return replace(state, c_norm=c_norm, norm_certified=True, descriptor=descriptor)
 
 
 def tabulated_wavefunction(gx: Grid1D, gxp: Grid1D, values: np.ndarray) -> TwoPhotonState:
@@ -154,13 +186,9 @@ def tabulated_wavefunction(gx: Grid1D, gxp: Grid1D, values: np.ndarray) -> TwoPh
     """
     table = Table2D(gx, gxp, values)
     return TwoPhotonState(
-        evaluate=table,
+        kernel=table,
         norm_certified=False,
-        descriptor={
-            "kind": "tabulated",
-            "shape": (gx.n_points, gxp.n_points),
-            "c_norm": 1.0,
-        },
+        descriptor={"kind": "tabulated", "shape": (gx.n_points, gxp.n_points)},
     )
 
 

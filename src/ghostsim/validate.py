@@ -7,9 +7,9 @@ bound on the variance radicand.  Each check reports pass/fail; the suite is
 what the ``validate`` CLI command executes.
 
 ``corrupt_norm_factor`` is a fault-injection hook for exercising the
-failure path: it multiplies the amplitude of every state after
-normalization while keeping the certificate, which a correct build must
-detect.
+failure path: it multiplies the scalar amplitude ``c_norm`` of every state
+after normalization while keeping the certificate, which a correct build
+must detect.
 """
 
 from __future__ import annotations
@@ -54,8 +54,7 @@ class CheckResult:
 def _certify(state, gx, gxp, corrupt: float):
     out = normalize(state, gx, gxp)
     if corrupt != 1.0:
-        ev = out.evaluate
-        out = replace(out, evaluate=lambda x, xp: corrupt * ev(x, xp))
+        out = replace(out.scaled(corrupt), norm_certified=True)
     return out
 
 
@@ -147,12 +146,12 @@ def _check_all_gaussian_amplitude(corrupt: float) -> CheckResult:
 def _matched_state(h_t, h_r, x_t: float, x_r: float, gx, gxp, corrupt: float):
     """State proportional to conj(h_t h_r): the Cauchy-Schwarz equality case."""
 
-    def evaluate(x, xp):
+    def kernel(x, xp):
         x = np.asarray(x, dtype=float)
         xp = np.asarray(xp, dtype=float)
         return np.conj(h_t.evaluate(x_t, x) * h_r.evaluate(x_r, xp))
 
-    raw = TwoPhotonState(evaluate=evaluate, norm_certified=False, descriptor={"kind": "matched"})
+    raw = TwoPhotonState(kernel=kernel, norm_certified=False, descriptor={"kind": "matched"})
     return _certify(raw, gx, gxp, corrupt)
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ import pytest
 from ghostsim import ConfigError
 from ghostsim.cli import CSV_HEADER, main, preset_path
 from ghostsim.config import build_scan_config, load_config, resolve_config
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
 BASE = {
     "source": {"a_mm": 2.0, "b_mm": 0.05},
@@ -154,6 +157,18 @@ def test_cli_scan_invalid_parameter_exits_2(tmp_path):
     assert main(["scan", "--config", str(path)]) == 2
 
 
+def test_cli_scan_nan_test_position_exits_2(tmp_path):
+    # a NaN x_t must end in exit 2, not an all-NaN CSV
+    data = json.loads(json.dumps(BASE))
+    data["scan"] = {"xt_mm": float("nan")}
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(data))
+    assert "NaN" in path.read_text()
+    out = tmp_path / "never.csv"
+    assert main(["scan", "--config", str(path), "--output", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_cli_sweep_singleton(tmp_path):
     out = tmp_path / "sweep.json"
     code = main(
@@ -195,3 +210,24 @@ def test_console_entry_point_smoke(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert out.read_text().startswith(CSV_HEADER)
+
+
+@pytest.mark.parametrize("preset", ["fig2", "fig3"])
+def test_preset_scan_matches_reference_figure(tmp_path, preset):
+    out = tmp_path / f"{preset}.csv"
+    assert main(["scan", "--preset", preset, "--output", str(out)]) == 0
+    lines = out.read_text().strip().splitlines()
+    ref_lines = (REFERENCE / f"{preset}.csv").read_text().strip().splitlines()
+    assert lines[0] == ref_lines[0] == CSV_HEADER
+    assert len(lines) == len(ref_lines)
+    names = CSV_HEADER.split(",")
+    got = [line.split(",") for line in lines[1:]]
+    ref = [line.split(",") for line in ref_lines[1:]]
+    for k, name in enumerate(names):
+        if name == "flags":
+            assert [r[k] for r in got] == [r[k] for r in ref]
+            continue
+        g = np.array([float(r[k]) for r in got])
+        r = np.array([float(r[k]) for r in ref])
+        assert np.all(np.isfinite(g)), name
+        assert np.abs(g - r).max() <= 1e-12 * np.abs(r).max(), name

@@ -34,6 +34,7 @@ from ghostsim.analytic import all_gaussian_amplitude, gaussian_norm_constant
 from ghostsim.correlator import noise_from_moments, snr_from_moments
 from ghostsim.optics import Transmission, scaled_arm
 from ghostsim.source import default_certification_grid
+from ghostsim.validate import _certify, run_validation_suite
 
 LAM = 650e-6
 F = 100.0
@@ -71,12 +72,12 @@ def test_opaque_object_gives_zero_signal():
 def test_separable_state_amplitude_factorizes():
     g = make_grid(0.0, 4.0, 1025)
 
-    def evaluate(x, xp):
+    def kernel(x, xp):
         return np.exp(-np.asarray(x, dtype=float) ** 2) * np.exp(
             -np.asarray(xp, dtype=float) ** 2 / 2.0
         ) + 0j
 
-    state = TwoPhotonState(evaluate=evaluate, norm_certified=True, descriptor={})
+    state = TwoPhotonState(kernel=kernel, norm_certified=True, descriptor={})
     h_t = fourier_arm(LAM, F, gaussian_transmission(1.0))
     h_r = two_f_arm(LAM, F, gaussian_pupil(1.0))
     setup = CorrelatorSetup(state=state, h_t=h_t, h_r=h_r, gx=g, gxp=g)
@@ -159,7 +160,7 @@ def test_matched_state_saturates_the_bound():
     x_t, x_r = 0.0, 0.1
 
     raw = TwoPhotonState(
-        evaluate=lambda x, xp: np.conj(h_t.evaluate(x_t, x) * h_r.evaluate(x_r, xp)),
+        kernel=lambda x, xp: np.conj(h_t.evaluate(x_t, x) * h_r.evaluate(x_r, xp)),
         norm_certified=False,
         descriptor={"kind": "matched"},
     )
@@ -245,3 +246,28 @@ def test_arm_energy_warns_on_truncated_window():
     h = fourier_arm(LAM, F, gaussian_transmission(2.0))
     with pytest.warns(SupportCoverageWarning):
         arm_energy(h, 0.0, make_grid(0.0, 2.0, 257))
+
+
+def test_corrupted_certified_state_scales_the_inner_integral():
+    # validate --corrupt-norm keeps the certificate and scales c_norm; the
+    # banded reduction must carry that factor through
+    a, b = 2.0, 0.2
+    cert = default_certification_grid(a, b)
+    clean = _certify(gaussian_wavefunction(a, b), cert, cert, 1.0)
+    corrupt = _certify(gaussian_wavefunction(a, b), cert, cert, 2.0)
+    assert corrupt.norm_certified
+    assert corrupt.c_norm == 2.0 * clean.c_norm
+    h_t = fourier_arm(LAM, F, double_slit(0.05, 1.0))
+    h_r = two_f_arm(LAM, F, rect_pupil(10.0))
+    g, gp = make_grid(0.0, 8.0, 8193), make_grid(0.0, 8.0, 2049)
+    u_clean = CorrelatorSetup(state=clean, h_t=h_t, h_r=h_r, gx=g, gxp=gp).inner_integral(0.0)
+    u_corrupt = CorrelatorSetup(state=corrupt, h_t=h_t, h_r=h_r, gx=g, gxp=gp).inner_integral(0.0)
+    assert np.abs(u_clean).max() > 0.0
+    np.testing.assert_allclose(u_corrupt, 2.0 * u_clean, rtol=1e-15, atol=0.0)
+
+
+def test_validation_suite_fails_under_corrupted_normalization():
+    results = {r.name: r.passed for r in run_validation_suite(corrupt_norm_factor=2.0)}
+    assert not results["gaussian_normalization"]
+    assert not results["all_gaussian_amplitude"]
+    assert not results["cauchy_schwarz_radicand"]

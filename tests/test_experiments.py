@@ -89,6 +89,10 @@ def test_scan_config_validation():
         replace(config, n_xr=1)
     with pytest.raises(InvalidArgumentError):
         replace(config, n_pairs=0)
+    for field in ("x_t", "xr_min", "xr_max"):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(InvalidArgumentError):
+                replace(config, **{field: bad})
 
 
 def test_scan_is_deterministic():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from ghostsim import (
     tabulated_wavefunction,
 )
 from ghostsim.analytic import gaussian_norm_constant
-from ghostsim.source import default_certification_grid
+from ghostsim.source import RIDGE_EPS, _norm_integral, default_certification_grid
 
 
 def test_gaussian_origin_value_and_symmetry():
@@ -141,3 +143,84 @@ def test_certification_grid_resolves_entanglement_ridge():
     assert g.half_width == 8.0
     assert g.step <= 0.05 / 6.0
     assert default_certification_grid(0.1, 10.0).n_points >= 257
+
+
+def _counting(state):
+    """Copy of state whose kernel counts the entries it evaluates."""
+    seen = [0]
+
+    def kernel(x, xp):
+        block = state.kernel(x, xp)
+        seen[0] += np.size(block)
+        return block
+
+    return replace(state, kernel=kernel), seen
+
+
+def test_banded_reduction_matches_dense_sum():
+    rng = np.random.default_rng(7)
+    for trial in range(12):
+        a = rng.uniform(0.5, 3.0)
+        b = float(np.exp(rng.uniform(np.log(0.02), np.log(0.5))))
+        gx = make_grid(rng.uniform(-0.5, 0.5), rng.uniform(2.0, 4.0), int(rng.integers(600, 2000)))
+        gxp = make_grid(rng.uniform(-0.5, 0.5), rng.uniform(2.0, 4.0), int(rng.integers(600, 2000)))
+        left = np.zeros(gx.n_points, dtype=complex)
+        if trial % 3 == 0:
+            # every row nonzero, like a smooth object
+            left[:] = rng.normal(size=gx.n_points) + 1j * rng.normal(size=gx.n_points)
+        else:
+            # two disjoint clusters of consecutive rows, like a double slit
+            for _ in range(2):
+                i0 = int(rng.integers(0, gx.n_points - 80))
+                n = int(rng.integers(1, 80))
+                left[i0 : i0 + n] = rng.normal(size=n) + 1j * rng.normal(size=n)
+        state = gaussian_wavefunction(a, b).scaled(0.3 - 0.7j)
+        counted, seen = _counting(state)
+        banded = counted.reduce(left, gx, gxp)
+        dense = left @ state.evaluate(gx.samples()[:, np.newaxis], gxp.samples()[np.newaxis, :])
+        scale = np.abs(dense).max()
+        assert scale > 0.0
+        assert np.abs(banded - dense).max() <= 1e-13 * scale
+        # each nonzero row costs at most a three-band-wide column window
+        band = b * np.sqrt(np.log(1.0 / RIDGE_EPS))
+        per_row = min(gxp.n_points, 3.0 * band / gxp.step + 2.0)
+        assert seen[0] <= np.count_nonzero(left) * per_row
+
+
+def test_dense_kernel_reduction_evaluates_every_column():
+    g = make_grid(0.0, 1.0, 65)
+    rng = np.random.default_rng(3)
+    values = rng.normal(size=(65, 65)) + 1j * rng.normal(size=(65, 65))
+    counted, seen = _counting(tabulated_wavefunction(g, g, values).scaled(2.0))
+    left = np.zeros(65, dtype=complex)
+    left[[3, 4, 40]] = [1.0, 2.0j, -0.5]
+    got = counted.reduce(left, g, g)
+    np.testing.assert_allclose(got, 2.0 * (left @ values), rtol=0, atol=1e-13 * np.abs(got).max())
+    assert seen[0] == 3 * 65
+
+
+def test_banded_norm_integral_matches_dense_and_analytic():
+    rng = np.random.default_rng(11)
+    for _ in range(6):
+        a = rng.uniform(0.5, 5.0)
+        b = float(np.exp(rng.uniform(np.log(0.02), np.log(1.0))))
+        grid = default_certification_grid(a, b)
+        state = gaussian_wavefunction(a, b)
+        banded = _norm_integral(state, grid, grid)
+        x = grid.samples()
+        w = grid.trapezoid_weights()
+        dense = float(w @ np.abs(state.evaluate(x[:, np.newaxis], x[np.newaxis, :])) ** 2 @ w)
+        assert banded == pytest.approx(dense, rel=1e-13)
+        assert banded == pytest.approx(gaussian_norm_constant(a, b) ** -2, rel=1e-9)
+
+
+def test_scaled_state_normalizes_to_the_same_c_norm():
+    a, b = 2.0, 0.05
+    grid = default_certification_grid(a, b)
+    state = gaussian_wavefunction(a, b)
+    clean = normalize(state, grid, grid)
+    doubled = normalize(state.scaled(2.0), grid, grid)
+    assert doubled.c_norm == pytest.approx(clean.c_norm, rel=1e-14)
+    assert clean.c_norm == pytest.approx(gaussian_norm_constant(a, b), rel=1e-9)
+    # the kernel is shared; only the scalar differs
+    assert doubled.kernel is clean.kernel
