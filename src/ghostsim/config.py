@@ -9,6 +9,7 @@ round-tripped through :meth:`RunConfig.to_dict`.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -77,11 +78,35 @@ def _no_unknown(section: dict, where: str, allowed):
             raise ConfigError(f"unknown field {where}.{key}")
 
 
-def _positive(value, where: str) -> float:
+def _number(value) -> float:
+    """float(value); NaN for anything that is not a number, booleans too."""
+    if isinstance(value, bool):
+        return float("nan")
     try:
-        value = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where} must be a number, got {value!r}")
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        return float("nan")
+
+
+def _finite(value, where: str) -> float:
+    number = _number(value)
+    if not math.isfinite(number):
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
+    return number
+
+
+def _integer(value, where: str, minimum: int) -> int:
+    """An integral number >= minimum: 10000 and 1e4 pass, 1.7 and "abc" do not."""
+    number = _number(value)
+    if not number.is_integer():
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    if number < minimum:
+        raise ConfigError(f"{where} must be >= {minimum}, got {value!r}")
+    return int(number)
+
+
+def _positive(value, where: str) -> float:
+    value = _finite(value, where)
     if not (value > 0.0):
         raise ConfigError(f"{where} must be > 0, got {value}")
     return value
@@ -154,33 +179,25 @@ def resolve_config(data: dict) -> RunConfig:
     scan_in = data.get("scan", {})
     _no_unknown(scan_in, "scan", set(scan))
     scan.update(scan_in)
-    scan["xr_min_mm"] = float(scan["xr_min_mm"])
-    scan["xr_max_mm"] = float(scan["xr_max_mm"])
-    scan["xt_mm"] = float(scan["xt_mm"])
-    scan["n_points"] = int(scan["n_points"])
+    for key in ("xr_min_mm", "xr_max_mm", "xt_mm"):
+        scan[key] = _finite(scan[key], f"scan.{key}")
+    scan["n_points"] = _integer(scan["n_points"], "scan.n_points", 2)
     if not (scan["xr_max_mm"] > scan["xr_min_mm"]):
         raise ConfigError("scan.xr_max_mm must exceed scan.xr_min_mm")
-    if scan["n_points"] < 2:
-        raise ConfigError(f"scan.n_points must be >= 2, got {scan['n_points']}")
 
     pairs = dict(_DEFAULTS["pairs"])
     pairs_in = data.get("pairs", {})
     _no_unknown(pairs_in, "pairs", {"N"})
     pairs.update(pairs_in)
-    pairs["N"] = int(pairs["N"])
-    if pairs["N"] < 1:
-        raise ConfigError(f"pairs.N must be >= 1, got {pairs['N']}")
+    pairs["N"] = _integer(pairs["N"], "pairs.N", 1)
 
     numerics = dict(_DEFAULTS["numerics"])
     numerics_in = data.get("numerics", {})
     _no_unknown(numerics_in, "numerics", set(numerics))
     numerics.update(numerics_in)
-    numerics["n_x"] = int(numerics["n_x"])
-    numerics["n_xp"] = int(numerics["n_xp"])
-    numerics["window_mm"] = _positive(numerics["window_mm"], "numerics.window_mm")
     for key in ("n_x", "n_xp"):
-        if numerics[key] < 2:
-            raise ConfigError(f"numerics.{key} must be >= 2, got {numerics[key]}")
+        numerics[key] = _integer(numerics[key], f"numerics.{key}", 2)
+    numerics["window_mm"] = _positive(numerics["window_mm"], "numerics.window_mm")
 
     output = dict(_DEFAULTS["output"])
     output_in = data.get("output", {})

@@ -94,22 +94,9 @@ class CorrelatorSetup:
                         "quadrature grids must cover the state's certification domain"
                     )
 
-    def _test_chirp(self) -> float:
-        """Quadratic-phase coefficient applied on x when an arm uses the
-        literal quadratic-phase reading."""
-        return float(self.h_t.descriptor.get("extra_test_chirp", 0.0)) + float(
-            self.h_r.descriptor.get("extra_test_chirp", 0.0)
-        )
-
     def _left_vector(self, x_t: float) -> np.ndarray:
-        """Trapezoid-weighted test-arm samples over gx, including any
-        literal-phase chirp."""
-        x = self.gx.samples()
-        v = self.gx.trapezoid_weights() * self.h_t.sample_in(x_t, self.gx)
-        c = self._test_chirp()
-        if c != 0.0:
-            v = v * np.exp(1j * c * x**2)
-        return v
+        """Trapezoid-weighted test-arm samples over gx."""
+        return self.gx.trapezoid_weights() * self.h_t.sample_in(x_t, self.gx)
 
     def inner_integral(self, x_t: float) -> np.ndarray:
         """u(x') = int dx phi(x, x') h_t(x_t, x), sampled on gxp.

@@ -22,6 +22,7 @@ import numpy as np
 from .correlator import (
     CorrelatorSetup,
     PointStatistics,
+    amplitude,
     arm_energy,
     noise_from_moments,
     snr_from_moments,
@@ -234,12 +235,11 @@ def scan_reference(config: ScanConfig, threads: int | None = None) -> Correlatio
                 f"shift-invariant enough to cache"
             )
 
-    u = setup.inner_integral(config.x_t)
-    wxp = setup.gxp.trapezoid_weights()
+    # fill the inner-integral cache before any worker thread reads it
+    setup.inner_integral(config.x_t)
 
     def evaluate(x_r: float) -> PointStatistics:
-        right = wxp * setup.h_r.sample_in(x_r, setup.gxp)
-        a = complex(np.dot(u, right))
+        a = amplitude(setup, config.x_t, x_r)
         g2 = abs(a) ** 2
         m2 = g2 * i_t * i_r
         dg2 = noise_from_moments(g2, m2)
@@ -326,9 +326,7 @@ def _rebuild_with_aperture(setup: CorrelatorSetup, D: float) -> CorrelatorSetup:
         raise InvalidArgumentError(
             "aperture sweep requires a 2f reference arm with a rect pupil"
         )
-    h_r = two_f_arm(
-        desc["lambda_mm"], desc["f_mm"], rect_pupil(D), quad_phase=desc["quad_phase"]
-    )
+    h_r = two_f_arm(desc["lambda_mm"], desc["f_mm"], rect_pupil(D))
     return replace(setup, h_r=h_r)
 
 

@@ -19,10 +19,19 @@ cell-averaged samplers: a trapezoid rule applied to raw indicator samples
 converges only at first order and is unstable against grid refinement, while
 averaging the transmission over each grid cell integrates the slits exactly.
 Pointwise ``evaluate`` keeps the sharp-edged definition.
+
+The reference arm samples h_r over a uniform x' grid, where the pupil
+argument is itself uniform: u_j = u0 + j du with u0 = (x_r + x'_0)/(2 lam f)
+and du = step/(2 lam f).  Its grid sampler splits the chirp into the scalar
+exp(i pi x_r^2/(2 lam f)) and a per-grid vector built once, and asks the
+pupil for P on that grid (:meth:`Pupil.ft_grid`).  A tabulated pupil
+evaluates it by a two-level factorization of its quadrature kernel; the arm
+energy needs |P|^2 only, with no chirp.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -50,6 +59,24 @@ __all__ = [
     "scaled_arm",
     "eval_h",
 ]
+
+
+# rows of the x_r-independent factor of a tabulated pupil's grid transform
+_FT_BLOCK = 128
+
+
+def _memo_last(fn):
+    """fn memoized for its most recent argument only, filled under a lock."""
+    lock = threading.Lock()
+    last = []
+
+    def cached(key):
+        with lock:
+            if not last or last[0] != key:
+                last[:] = [key, fn(key)]
+            return last[1]
+
+    return cached
 
 
 def _overlap(lo, hi, a, b):
@@ -137,15 +164,47 @@ def tabulated_transmission(grid: Grid1D, values: np.ndarray) -> Transmission:
     )
 
 
-def load_transmission_csv(path) -> Transmission:
-    """CSV columns x_mm, value on a uniform grid."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[1] != 2:
+# largest relative spread of a table's x steps accepted as a uniform grid
+_TABLE_STEP_RTOL = 1e-9
+
+
+def _load_table(path, what: str, layouts: dict) -> tuple:
+    """Rows of a CSV table whose column count is a key of ``layouts``, and
+    the uniform grid its first column lies on.
+
+    Unparsable, non-finite, unsorted and non-uniform tables are rejected:
+    the quadratures place the values on a uniform grid, so a table that is
+    not on one would be silently distorted."""
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise InvalidArgumentError(f"{what} CSV {path} does not parse: {exc}") from exc
+    if data.shape[1] not in layouts:
         raise InvalidArgumentError(
-            f"transmission CSV needs columns x_mm,value; got {data.shape[1]} columns"
+            f"{what} CSV needs columns {' or '.join(layouts.values())}; "
+            f"got {data.shape[1]} columns"
+        )
+    if not np.all(np.isfinite(data)):
+        row = int(np.flatnonzero(~np.isfinite(data).all(axis=1))[0]) + 1
+        raise InvalidArgumentError(f"{what} CSV {path}: non-finite value in data row {row}")
+    steps = np.diff(data[:, 0])
+    if steps.size == 0 or steps.min() <= 0.0:
+        raise InvalidArgumentError(
+            f"{what} CSV {path}: x_mm must increase strictly over at least two rows"
+        )
+    spread = (steps.max() - steps.min()) / steps.mean()
+    if spread > _TABLE_STEP_RTOL:
+        raise InvalidArgumentError(
+            f"{what} CSV {path}: x_mm is not uniform (relative step spread "
+            f"{spread:.2e} > {_TABLE_STEP_RTOL:.0e})"
         )
     x = data[:, 0]
-    grid = make_grid((x[0] + x[-1]) / 2, (x[-1] - x[0]) / 2, x.size)
+    return data, make_grid((x[0] + x[-1]) / 2, (x[-1] - x[0]) / 2, x.size)
+
+
+def load_transmission_csv(path) -> Transmission:
+    """CSV columns x_mm, value on a uniform grid."""
+    data, grid = _load_table(path, "transmission", {2: "x_mm,value"})
     return tabulated_transmission(grid, data[:, 1])
 
 
@@ -157,6 +216,21 @@ class Pupil:
     evaluate: Callable[[np.ndarray], np.ndarray]
     ft: Callable[[np.ndarray], np.ndarray]
     descriptor: dict
+    _ft_grid: Optional[Callable[[Grid1D, float, float], np.ndarray]] = field(
+        default=None, repr=False
+    )
+
+    def ft_grid(self, grid: Grid1D, offset: float, scale: float) -> np.ndarray:
+        """P((offset + x_j) / scale) on the nodes x_j of a uniform grid.
+
+        The argument is formed from the grid samples as the pointwise path
+        forms it: near P's peak offset + x_j cancels exactly, whereas
+        u0 + j du would carry the rounding of u0 (up to 3e-13 of max |P|
+        for a 10 mm rect pupil on the default x' grid).
+        """
+        if self._ft_grid is not None:
+            return self._ft_grid(grid, offset, scale)
+        return np.asarray(self.ft((offset + grid.samples()) / scale), dtype=complex)
 
 
 def rect_pupil(D: float) -> Pupil:
@@ -218,22 +292,33 @@ def tabulated_pupil(grid: Grid1D, values: np.ndarray) -> Pupil:
             return complex(out[0])
         return out.reshape(u.shape)
 
+    # With j = J m + r (m = _FT_BLOCK) the quadrature kernel factorizes
+    # exactly: exp(-2 pi i u_j x) = exp(-2 pi i (u0 + J m du) x)
+    # * exp(-2 pi i r du x).  The second factor does not depend on u0, so it
+    # is built once per du; each call exponentiates ceil(n/m) rows instead
+    # of n.  Only the rounding of the two phases differs from ``ft``.
+    block = _memo_last(
+        lambda du: np.exp(-2j * np.pi * (du * np.arange(_FT_BLOCK))[:, np.newaxis] * xs)
+    )
+
+    def ft_grid(g, offset, scale):
+        du = g.step / scale
+        blocks = np.arange(-(-g.n_points // _FT_BLOCK))
+        starts = (offset + g.lo) / scale + du * _FT_BLOCK * blocks
+        a = np.exp(-2j * np.pi * starts[:, np.newaxis] * xs) * wv
+        return (a @ block(du).T).ravel()[: g.n_points]
+
     return Pupil(
         evaluate=evaluate,
         ft=ft,
         descriptor={"kind": "tabulated", "n_points": grid.n_points},
+        _ft_grid=ft_grid,
     )
 
 
 def load_pupil_csv(path) -> Pupil:
     """CSV columns x_mm,value (real) or x_mm,re,im on a uniform grid."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[1] not in (2, 3):
-        raise InvalidArgumentError(
-            f"pupil CSV needs columns x_mm,value or x_mm,re,im; got {data.shape[1]} columns"
-        )
-    x = data[:, 0]
-    grid = make_grid((x[0] + x[-1]) / 2, (x[-1] - x[0]) / 2, x.size)
+    data, grid = _load_table(path, "pupil", {2: "x_mm,value", 3: "x_mm,re,im"})
     values = data[:, 1] if data.shape[1] == 2 else data[:, 1] + 1j * data[:, 2]
     return tabulated_pupil(grid, values)
 
@@ -306,24 +391,17 @@ def fourier_arm(lam: float, f: float, t: Transmission) -> ImpulseResponse:
     )
 
 
-def two_f_arm(
-    lam: float, f: float, p: Pupil, quad_phase: str = "source"
-) -> ImpulseResponse:
+def two_f_arm(lam: float, f: float, p: Pupil) -> ImpulseResponse:
     """Reference-arm kernel: lens of pupil p at 2f from source and detector.
 
-    ``quad_phase`` selects the coordinate carrying the input-plane quadratic
-    phase.  The default "source" uses the arm's own input coordinate x'.
-    "literal" drops that factor from the kernel and flags it in the
-    descriptor so the correlator applies exp(i pi x^2 / (2 lam f)) with the
-    test-arm source coordinate instead; the kernel modulus (hence the arm
-    energy) is identical either way.
+    On a grid the kernel is sampled as exp(i pi x_r^2 / (2 lam f)) times
+    the grid's amp exp(i pi x'^2 / (2 lam f)) vector (built once per grid)
+    times P on the uniform u grid; its squared modulus is amp^2 |P|^2.
     """
     if not (lam > 0.0):
         raise InvalidArgumentError(f"wavelength must be > 0, got {lam}")
     if not (f > 0.0):
         raise InvalidArgumentError(f"focal length must be > 0, got {f}")
-    if quad_phase not in ("source", "literal"):
-        raise InvalidArgumentError(f"quad_phase must be 'source' or 'literal', got {quad_phase!r}")
     lf = lam * f
     amp = 1.0 / (4.0 * lf**2)
     chirp = np.pi / (2.0 * lf)
@@ -331,8 +409,15 @@ def two_f_arm(
     def evaluate(x_r, xp):
         x_r = np.asarray(x_r, dtype=float)
         xp = np.asarray(xp, dtype=float)
-        phase = chirp * (x_r**2 + xp**2) if quad_phase == "source" else chirp * x_r**2
-        return amp * p.ft((x_r + xp) / (2.0 * lf)) * np.exp(1j * phase)
+        return amp * p.ft((x_r + xp) / (2.0 * lf)) * np.exp(1j * chirp * (x_r**2 + xp**2))
+
+    input_chirp = _memo_last(lambda grid: amp * np.exp(1j * chirp * grid.samples() ** 2))
+
+    def sample_in(x_r, grid):
+        return np.exp(1j * chirp * x_r**2) * input_chirp(grid) * p.ft_grid(grid, x_r, 2.0 * lf)
+
+    def sample_abs2_in(x_r, grid):
+        return amp**2 * np.abs(p.ft_grid(grid, x_r, 2.0 * lf)) ** 2
 
     return ImpulseResponse(
         evaluate=evaluate,
@@ -341,11 +426,9 @@ def two_f_arm(
             "lambda_mm": float(lam),
             "f_mm": float(f),
             "pupil": p.descriptor,
-            "quad_phase": quad_phase,
-            # chirp coefficient the correlator must apply on the test-arm
-            # coordinate when the literal reading is selected
-            "extra_test_chirp": chirp if quad_phase == "literal" else 0.0,
         },
+        _sample_in=sample_in,
+        _sample_abs2_in=sample_abs2_in,
     )
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -14,7 +15,8 @@ from ghostsim import ConfigError
 from ghostsim.cli import CSV_HEADER, main, preset_path
 from ghostsim.config import build_scan_config, load_config, resolve_config
 
-REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+REFERENCE = PERFBENCH / "reference"
 
 BASE = {
     "source": {"a_mm": 2.0, "b_mm": 0.05},
@@ -212,12 +214,10 @@ def test_console_entry_point_smoke(tmp_path):
     assert out.read_text().startswith(CSV_HEADER)
 
 
-@pytest.mark.parametrize("preset", ["fig2", "fig3"])
-def test_preset_scan_matches_reference_figure(tmp_path, preset):
-    out = tmp_path / f"{preset}.csv"
-    assert main(["scan", "--preset", preset, "--output", str(out)]) == 0
+def _assert_matches_reference(out: Path, reference: Path) -> None:
+    """Every column within 1e-12 of its maximum in the reference CSV."""
     lines = out.read_text().strip().splitlines()
-    ref_lines = (REFERENCE / f"{preset}.csv").read_text().strip().splitlines()
+    ref_lines = reference.read_text().strip().splitlines()
     assert lines[0] == ref_lines[0] == CSV_HEADER
     assert len(lines) == len(ref_lines)
     names = CSV_HEADER.split(",")
@@ -231,3 +231,21 @@ def test_preset_scan_matches_reference_figure(tmp_path, preset):
         r = np.array([float(r[k]) for r in ref])
         assert np.all(np.isfinite(g)), name
         assert np.abs(g - r).max() <= 1e-12 * np.abs(r).max(), name
+
+
+@pytest.mark.parametrize("preset", ["fig2", "fig3"])
+def test_preset_scan_matches_reference_figure(tmp_path, preset):
+    out = tmp_path / f"{preset}.csv"
+    assert main(["scan", "--preset", preset, "--output", str(out)]) == 0
+    _assert_matches_reference(out, REFERENCE / f"{preset}.csv")
+
+
+def test_tabulated_scan_matches_reference(tmp_path):
+    # seeded object and chirped pupil tables, as the benchmark generates them
+    spec = importlib.util.spec_from_file_location("tabulated_inputs", PERFBENCH / "tabulated.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    config = inputs.generate(0, tmp_path)
+    out = tmp_path / "tabulated.csv"
+    assert main(["scan", "--config", str(config), "--output", str(out)]) == 0
+    _assert_matches_reference(out, REFERENCE / "tabulated_seed0.csv")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 from math import sqrt
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from ghostsim import (
+    ConfigError,
     CorrelationResult,
     InvalidArgumentError,
     ScanConfig,
@@ -24,6 +26,8 @@ from ghostsim import (
     scan_reference,
     two_f_arm,
 )
+from ghostsim.cli import main
+from ghostsim.config import resolve_config
 from ghostsim.correlator import PointStatistics
 from ghostsim.experiments import find_peaks, summarize
 from ghostsim.source import tabulated_wavefunction
@@ -81,7 +85,44 @@ def test_build_setup_rejects_uncertified_table():
         build_setup(tab, h_t, h_r, n_x=257, n_xp=257)
 
 
-def test_scan_config_validation():
+RUN = {
+    "source": {"a_mm": 2.0, "b_mm": 0.05},
+    "test_arm": {
+        "lambda_nm": 650.0,
+        "f_mm": 100.0,
+        "object": {"double_slit": {"w_mm": 0.05, "d_mm": 1.0}},
+    },
+    "reference_arm": {"lambda_nm": 650.0, "f_mm": 100.0, "pupil": {"rect": {"D_mm": 10.0}}},
+    "scan": {"xr_min_mm": -1.0, "xr_max_mm": 1.0, "n_points": 5},
+    "numerics": {"n_x": 4097, "n_xp": 1025},
+}
+
+
+def _run_scan(tmp_path, capsys, data) -> int:
+    """Exit code of a CLI scan of data; asserts that a failing scan writes
+    no CSV and reports one line."""
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "scan.csv"
+    out.unlink(missing_ok=True)
+    capsys.readouterr()
+    code = main(["scan", "--config", str(path), "--output", str(out)])
+    if code != 0:
+        assert not out.exists()
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    return code
+
+
+def _pupil_table(tmp_path, x, values) -> dict:
+    path = tmp_path / "pupil.csv"
+    table = np.column_stack([x, values])
+    np.savetxt(path, table, fmt="%.17g", delimiter=",", header="x_mm,value", comments="")
+    data = json.loads(json.dumps(RUN))
+    data["reference_arm"]["pupil"] = {"tabulated": {"path": str(path)}}
+    return data
+
+
+def test_scan_config_validation(tmp_path, capsys):
     config = slit_scan_config(n_x=4097, n_xp=2049)
     with pytest.raises(InvalidArgumentError):
         replace(config, xr_min=1.0, xr_max=1.0)
@@ -93,6 +134,36 @@ def test_scan_config_validation():
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(InvalidArgumentError):
                 replace(config, **{field: bad})
+
+    # integer fields: non-numbers and fractions are config errors (exit 2),
+    # never truncated; integral floats are accepted
+    assert _run_scan(tmp_path, capsys, RUN) == 0
+    integer_fields = (("scan", "n_points"), ("pairs", "N"), ("numerics", "n_x"), ("numerics", "n_xp"))
+    for section, key in integer_fields:
+        for bad in ("abc", 1.7, True, None, [3]):
+            data = json.loads(json.dumps(RUN))
+            data.setdefault(section, {})[key] = bad
+            with pytest.raises(ConfigError, match=f"{section}.{key} must be an integer"):
+                resolve_config(data)
+            assert _run_scan(tmp_path, capsys, data) == 2
+        data = json.loads(json.dumps(RUN))
+        data.setdefault(section, {})[key] = 4097.0
+        assert resolve_config(data).to_dict()[section][key] == 4097
+
+    # tabulated inputs: a NaN entry or a non-uniform x exits 2 without a CSV
+    x = np.linspace(-1.0, 1.0, 201)
+    soft = np.exp(-(x**2) / 0.1)
+    assert _run_scan(tmp_path, capsys, _pupil_table(tmp_path, x, soft)) == 0
+    nan = soft.copy()
+    nan[50] = np.nan
+    assert _run_scan(tmp_path, capsys, _pupil_table(tmp_path, x, nan)) == 2
+    quadratic = np.sign(x) * x**2
+    assert _run_scan(tmp_path, capsys, _pupil_table(tmp_path, quadratic, soft)) == 2
+    # a finite table whose transform overflows fails the per-point
+    # amplitude guard: exit 3, not a NaN CSV
+    huge = _pupil_table(tmp_path, x, np.full(x.size, 1e308))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _run_scan(tmp_path, capsys, huge) == 3
 
 
 def test_scan_is_deterministic():

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -156,20 +159,74 @@ def test_two_f_arm_kernel_values():
     assert xp[np.argmax(mags)] == pytest.approx(-x_r, abs=2e-3)
 
 
-def test_two_f_arm_literal_phase_switch():
-    p = rect_pupil(4.0)
-    h_src = two_f_arm(LAM, F, p, quad_phase="source")
-    h_lit = two_f_arm(LAM, F, p, quad_phase="literal")
-    chirp = np.pi / (2.0 * LF)
-    assert h_src.descriptor["extra_test_chirp"] == 0.0
-    assert h_lit.descriptor["extra_test_chirp"] == pytest.approx(chirp)
-    x_r, xp = 0.3, -0.2
-    # the kernels differ only by the x'^2 chirp factor; moduli are identical
-    ratio = eval_h(h_src, x_r, xp) / eval_h(h_lit, x_r, xp)
-    assert ratio == pytest.approx(np.exp(1j * chirp * xp**2), rel=1e-12)
-    assert abs(eval_h(h_src, x_r, xp)) == pytest.approx(abs(eval_h(h_lit, x_r, xp)), rel=1e-12)
-    with pytest.raises(InvalidArgumentError):
-        two_f_arm(LAM, F, p, quad_phase="detector")
+def _chirped_table_pupil():
+    # soft-edged aperture times a chirp, resolved by its table
+    g = make_grid(0.0, 1.0, 301)
+    x = g.samples()
+    edge = 0.5 * (np.tanh((x + 0.75) / 0.05) - np.tanh((x - 0.75) / 0.05))
+    return tabulated_pupil(g, edge * np.exp(7.3j * x**2))
+
+
+SAMPLER_PUPILS = {
+    "rect": lambda: rect_pupil(10.0),
+    "gaussian": lambda: gaussian_pupil(1.5),
+    "tabulated": _chirped_table_pupil,
+}
+# fewer nodes than one factorization block, a count that is not a multiple
+# of it, an off-centre window, and the default x' grid
+SAMPLER_GRIDS = [
+    make_grid(0.3, 2.5, 100),
+    make_grid(-0.2, 2.6, 301),
+    make_grid(0.0, 8.0, 16385),
+]
+
+
+@pytest.mark.parametrize("kind", sorted(SAMPLER_PUPILS))
+def test_two_f_arm_grid_sampler_matches_pointwise_kernel(kind):
+    h = two_f_arm(LAM, F, SAMPLER_PUPILS[kind]())
+    for g in SAMPLER_GRIDS:
+        for x_r in (-2.0, 0.0, 0.7, 2.0):
+            ref = h.evaluate(x_r, g.samples())
+            got = h.sample_in(x_r, g)
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+            ref2 = np.abs(ref) ** 2
+            assert np.abs(h.sample_abs2_in(x_r, g) - ref2).max() <= 1e-13 * ref2.max()
+
+
+def test_pupil_grid_transform_matches_pointwise_transform():
+    p = _chirped_table_pupil()
+    for g in SAMPLER_GRIDS:
+        for offset in (-2.0, 0.0, 2.0):
+            ref = p.ft((offset + g.samples()) / (2.0 * LF))
+            got = p.ft_grid(g, offset, 2.0 * LF)
+            assert got.shape == (g.n_points,)
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+    # the analytic kinds evaluate the pointwise transform on the grid nodes
+    g = SAMPLER_GRIDS[1]
+    rect = rect_pupil(10.0)
+    np.testing.assert_array_equal(
+        rect.ft_grid(g, 0.4, 2.0 * LF), rect.ft((0.4 + g.samples()) / (2.0 * LF))
+    )
+
+
+def test_two_f_arm_grid_sampler_is_thread_safe():
+    # threads alternate between two grids, so the per-grid caches are
+    # refilled under contention; a stale or torn cache entry changes a sample
+    grids = SAMPLER_GRIDS[:2]
+    jobs = [(x_r, grids[k % 2]) for k, x_r in enumerate(np.linspace(-2.0, 2.0, 64))]
+    ref = two_f_arm(LAM, F, _chirped_table_pupil())
+    expected = [ref.sample_in(x_r, g) for x_r, g in jobs]
+    h = two_f_arm(LAM, F, _chirped_table_pupil())
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(h.sample_in, x_r, g) for x_r, g in jobs]
+            got = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for a, b in zip(got, expected):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_eval_h_argument_checks():
