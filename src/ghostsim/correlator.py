@@ -153,6 +153,11 @@ def amplitude(setup: CorrelatorSetup, x_t: float, x_r: float, method: str = "sep
             a += complex(term.sum())
     else:
         raise InvalidArgumentError(f"unknown amplitude method {method!r}")
+    return _finite_amplitude(a, x_t, x_r)
+
+
+def _finite_amplitude(a, x_t: float, x_r: float) -> complex:
+    """a as a complex number; a non-finite amplitude is a numeric error."""
     a = complex(a)
     if not np.isfinite(a.real) or not np.isfinite(a.imag):
         raise NumericDomainError(f"non-finite amplitude at (x_t={x_t}, x_r={x_r})")

@@ -22,7 +22,7 @@ import numpy as np
 from .correlator import (
     CorrelatorSetup,
     PointStatistics,
-    amplitude,
+    _finite_amplitude,
     arm_energy,
     noise_from_moments,
     snr_from_moments,
@@ -235,11 +235,12 @@ def scan_reference(config: ScanConfig, threads: int | None = None) -> Correlatio
                 f"shift-invariant enough to cache"
             )
 
-    # fill the inner-integral cache before any worker thread reads it
-    setup.inner_integral(config.x_t)
+    u = setup.inner_integral(config.x_t)
+    wxp = setup.gxp.trapezoid_weights()
 
     def evaluate(x_r: float) -> PointStatistics:
-        a = amplitude(setup, config.x_t, x_r)
+        right = wxp * setup.h_r.sample_in(x_r, setup.gxp)
+        a = _finite_amplitude(np.dot(u, right), config.x_t, x_r)
         g2 = abs(a) ** 2
         m2 = g2 * i_t * i_r
         dg2 = noise_from_moments(g2, m2)
