@@ -31,6 +31,7 @@ energy needs |P|^2 only, with no chirp.
 
 from __future__ import annotations
 
+import mmap
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -66,14 +67,27 @@ _FT_BLOCK = 128
 
 
 def _memo_last(fn):
-    """fn memoized for its most recent argument only, filled under a lock."""
+    """Array-valued fn memoized for its most recent argument only, filled
+    under a lock.
+
+    The kept array is a read-only copy in its own anonymous memory map.
+    Allocated from malloc's heap, a long-lived array lands between the large
+    transient blocks of the quadratures and keeps the heap from shrinking
+    after them: the validate suite's peak RSS rose from 149 to 163 MB.  The
+    mapping is returned to the system when the array is freed.
+    """
     lock = threading.Lock()
     last = []
 
     def cached(key):
         with lock:
             if not last or last[0] != key:
-                last[:] = [key, fn(key)]
+                value = fn(key)
+                kept = np.frombuffer(mmap.mmap(-1, value.nbytes), dtype=value.dtype)
+                kept = kept.reshape(value.shape)
+                kept[...] = value
+                kept.flags.writeable = False
+                last[:] = [key, kept]
             return last[1]
 
     return cached
