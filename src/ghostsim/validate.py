@@ -149,7 +149,9 @@ def _matched_state(h_t, h_r, x_t: float, x_r: float, gx, gxp, corrupt: float):
     def kernel(x, xp):
         x = np.asarray(x, dtype=float)
         xp = np.asarray(xp, dtype=float)
-        return np.conj(h_t.evaluate(x_t, x) * h_r.evaluate(x_r, xp))
+        # conjugate the factors before the outer product: identical values,
+        # one rows x columns complex temporary fewer
+        return np.conj(h_t.evaluate(x_t, x)) * np.conj(h_r.evaluate(x_r, xp))
 
     raw = TwoPhotonState(kernel=kernel, norm_certified=False, descriptor={"kind": "matched"})
     return _certify(raw, gx, gxp, corrupt)
