@@ -21,14 +21,21 @@ the columns of its ridge (kernel entries dropped outside it are below
 ``c_norm`` is applied once to the reduced vector.  The amplitude supports
 both that separable evaluation and the direct dense double sum, which agree
 to roundoff.
+
+The separable amplitude A = sum_j w_j u_j h_r(x_r, x'_j) has no term where
+u_j = 0, so the reference arm is sampled only on the reference window: the
+smallest run of x' nodes holding every nonzero of u, which for a compact
+object is the ridge band about its support.  Skipping the other nodes drops
+exact zeros, not small values.  Arm energies still integrate over all of
+gxp.
 """
 
 from __future__ import annotations
 
 import threading
 import warnings
-from dataclasses import dataclass
-from math import sqrt
+from dataclasses import dataclass, replace
+from math import isfinite, sqrt
 
 import numpy as np
 
@@ -94,6 +101,27 @@ class CorrelatorSetup:
                         "quadrature grids must cover the state's certification domain"
                     )
 
+    def with_reference_arm(self, h_r: ImpulseResponse) -> "CorrelatorSetup":
+        """This setup with reference arm h_r.
+
+        u(x') depends only on the state, h_t, gx and gxp, so the new setup
+        shares this one's memoized inner integrals and reference windows.
+        """
+        other = replace(self, h_r=h_r)
+        object.__setattr__(other, "_inner_cache", self._inner_cache)
+        object.__setattr__(other, "_inner_lock", self._inner_lock)
+        return other
+
+    def _memoized(self, kind: str, x_t: float, compute):
+        key = (kind, float(x_t))
+        with self._inner_lock:
+            cached = self._inner_cache.get(key)
+        if cached is None:
+            cached = compute()
+            with self._inner_lock:
+                cached = self._inner_cache.setdefault(key, cached)
+        return cached
+
     def _left_vector(self, x_t: float) -> np.ndarray:
         """Trapezoid-weighted test-arm samples over gx."""
         return self.gx.trapezoid_weights() * self.h_t.sample_in(x_t, self.gx)
@@ -106,15 +134,33 @@ class CorrelatorSetup:
         only within its ridge band.  Memoized per x_t (the expensive factor
         of every scan point shares it).
         """
-        key = float(x_t)
-        with self._inner_lock:
-            cached = self._inner_cache.get(key)
-        if cached is not None:
-            return cached
-        u = self.state.reduce(self._left_vector(x_t), self.gx, self.gxp)
-        with self._inner_lock:
-            self._inner_cache[key] = u
-        return u
+        return self._memoized(
+            "u", x_t, lambda: self.state.reduce(self._left_vector(x_t), self.gx, self.gxp)
+        )
+
+    def reference_window(self, x_t: float) -> tuple:
+        """(window, v): the gxp nodes j0..j1-1 that hold every nonzero of
+        u(x') as a Grid1D, and v = (gxp trapezoid weights * u)[j0:j1].
+
+        The window's own trapezoid weights would halve its end nodes, where
+        u is nonzero, so v carries gxp's.  A single nonzero is widened by a
+        neighbour (a grid needs two nodes; there u = 0).  An all-zero u
+        gives window None and an empty v.  Memoized per x_t.
+        """
+        return self._memoized("window", x_t, lambda: self._window(self.inner_integral(x_t)))
+
+    def _window(self, u: np.ndarray) -> tuple:
+        nz = np.flatnonzero(u)
+        if nz.size == 0:
+            return None, u[:0]
+        j0, j1 = int(nz[0]), int(nz[-1]) + 1
+        if j1 - j0 == 1:
+            j0, j1 = (j0, j1 + 1) if j1 < self.gxp.n_points else (j0 - 1, j1)
+        v = (self.gxp.trapezoid_weights() * u)[j0:j1]
+        if j1 - j0 == self.gxp.n_points:
+            return self.gxp, v
+        lo, hi = self.gxp.sample(j0), self.gxp.sample(j1 - 1)
+        return Grid1D(0.5 * (lo + hi), 0.5 * (hi - lo), j1 - j0), v
 
 
 @dataclass(frozen=True)
@@ -135,25 +181,33 @@ class PointStatistics:
 def amplitude(setup: CorrelatorSetup, x_t: float, x_r: float, method: str = "separable") -> complex:
     """Coincidence amplitude A(x_r, x_t) by tensor-product quadrature.
 
-    "separable" precomputes the inner x' integral; "direct" accumulates the
-    full 2-D sum.  Both use identical kernel samples and agree to roundoff.
+    "separable" precomputes the inner x' integral and sums over the
+    reference window; "direct" accumulates the full 2-D sum.  Both use
+    identical kernel samples and agree to roundoff.
     """
-    right = setup.gxp.trapezoid_weights() * setup.h_r.sample_in(x_r, setup.gxp)
     if method == "separable":
-        # inner_integral already carries the weighted test-arm samples
-        a = np.dot(setup.inner_integral(x_t), right)
-    elif method == "direct":
-        left = setup._left_vector(x_t)
-        x = setup.gx.samples()
-        xp = setup.gxp.samples()[np.newaxis, :]
-        a = 0.0 + 0.0j
-        for i0 in range(0, setup.gx.n_points, _PHI_CHUNK):
-            block = setup.state.evaluate(x[i0 : i0 + _PHI_CHUNK, np.newaxis], xp)
-            term = left[i0 : i0 + _PHI_CHUNK, np.newaxis] * block * right[np.newaxis, :]
-            a += complex(term.sum())
-    else:
+        return _separable_amplitude(setup, x_t, x_r)
+    if method != "direct":
         raise InvalidArgumentError(f"unknown amplitude method {method!r}")
+    right = setup.gxp.trapezoid_weights() * setup.h_r.sample_in(x_r, setup.gxp)
+    left = setup._left_vector(x_t)
+    x = setup.gx.samples()
+    xp = setup.gxp.samples()[np.newaxis, :]
+    a = 0.0 + 0.0j
+    for i0 in range(0, setup.gx.n_points, _PHI_CHUNK):
+        block = setup.state.evaluate(x[i0 : i0 + _PHI_CHUNK, np.newaxis], xp)
+        term = left[i0 : i0 + _PHI_CHUNK, np.newaxis] * block * right[np.newaxis, :]
+        a += complex(term.sum())
     return _finite_amplitude(a, x_t, x_r)
+
+
+def _separable_amplitude(setup: CorrelatorSetup, x_t: float, x_r: float) -> complex:
+    """A = v . h_r(x_r, window) over the reference window; exactly 0, with
+    no sampling, where u(x') vanishes everywhere."""
+    window, v = setup.reference_window(x_t)
+    if window is None:
+        return 0j
+    return _finite_amplitude(np.dot(v, setup.h_r.sample_in(x_r, window)), x_t, x_r)
 
 
 def _finite_amplitude(a, x_t: float, x_r: float) -> complex:
@@ -271,13 +325,26 @@ def point_statistics(
     """Evaluate every per-point quantity, reusing precomputed arm energies
     when the caller has them cached."""
     a = amplitude(setup, x_t, x_r)
-    g2 = abs(a) ** 2
     if i_t is None:
         i_t = arm_energy(setup.h_t, x_t, setup.gx)
     if i_r is None:
         i_r = arm_energy(setup.h_r, x_r, setup.gxp)
+    return _statistics(x_t, x_r, a, i_t, i_r)
+
+
+def _statistics(x_t: float, x_r: float, a: complex, i_t: float, i_r: float) -> PointStatistics:
+    """Every per-point quantity from the amplitude and the arm energies.
+
+    A non-finite G2, I_t, I_r, <S^2> or Delta G2 is a numeric error: an
+    overflowing arm or state must not reach the output as inf or NaN.
+    """
+    m = abs(a)
+    g2 = m * m  # not m ** 2: a float power raises OverflowError past 1.3e154
     m2 = g2 * i_t * i_r
     dg2 = noise_from_moments(g2, m2)
+    for name, value in (("G2", g2), ("I_t", i_t), ("I_r", i_r), ("<S^2>", m2), ("Delta G2", dg2)):
+        if not isfinite(value):
+            raise NumericDomainError(f"non-finite {name} = {value} at (x_t={x_t}, x_r={x_r})")
     return PointStatistics(
         x_t=float(x_t),
         x_r=float(x_r),

@@ -11,22 +11,13 @@ the normalized averaged noise.
 
 from __future__ import annotations
 
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from math import sqrt
 
 import numpy as np
 
-from .correlator import (
-    CorrelatorSetup,
-    PointStatistics,
-    _finite_amplitude,
-    arm_energy,
-    noise_from_moments,
-    snr_from_moments,
-)
+from .correlator import CorrelatorSetup, _separable_amplitude, _statistics, arm_energy
 from .errors import InvalidArgumentError, SupportCoverageWarning, UndefinedContrastError
 from .grid import Grid1D, make_grid
 from .optics import ImpulseResponse, rect_pupil, two_f_arm
@@ -193,27 +184,13 @@ def build_setup(
     return CorrelatorSetup(state=state, h_t=h_t, h_r=h_r, gx=gx, gxp=gxp)
 
 
-def _thread_count(threads: int | None) -> int:
-    if threads is None:
-        env = os.environ.get("GHOSTSIM_THREADS", "")
-        try:
-            threads = int(env) if env else 1
-        except ValueError:
-            raise InvalidArgumentError(f"GHOSTSIM_THREADS must be an integer, got {env!r}")
-    if threads < 1:
-        raise InvalidArgumentError(f"thread count must be >= 1, got {threads}")
-    return threads
-
-
-def scan_reference(config: ScanConfig, threads: int | None = None) -> CorrelationResult:
+def scan_reference(config: ScanConfig) -> CorrelationResult:
     """Evaluate every per-point statistic along the x_r scan.
 
     The arm energies are grid integrals independent of the detector
     positions for the standard arms, so they are computed once and the cache
     is spot-checked against direct evaluation at three scan points.  Scan
-    points are evaluated from a precomputed inner integral and may run on a
-    thread pool; records are emitted in x_r order and match the sequential
-    results exactly.
+    points share the memoized inner integral and its reference window.
     """
     setup = config.setup
     xr = np.linspace(config.xr_min, config.xr_max, config.n_xr)
@@ -235,33 +212,10 @@ def scan_reference(config: ScanConfig, threads: int | None = None) -> Correlatio
                 f"shift-invariant enough to cache"
             )
 
-    u = setup.inner_integral(config.x_t)
-    wxp = setup.gxp.trapezoid_weights()
-
-    def evaluate(x_r: float) -> PointStatistics:
-        right = wxp * setup.h_r.sample_in(x_r, setup.gxp)
-        a = _finite_amplitude(np.dot(u, right), config.x_t, x_r)
-        g2 = abs(a) ** 2
-        m2 = g2 * i_t * i_r
-        dg2 = noise_from_moments(g2, m2)
-        return PointStatistics(
-            x_t=config.x_t,
-            x_r=float(x_r),
-            amplitude=a,
-            g2=g2,
-            i_t=i_t,
-            i_r=i_r,
-            second_moment=m2,
-            noise=dg2,
-            snr=snr_from_moments(g2, dg2),
-        )
-
-    n_threads = _thread_count(threads)
-    if n_threads == 1:
-        records = [evaluate(v) for v in xr]
-    else:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            records = list(pool.map(evaluate, xr))
+    records = [
+        _statistics(config.x_t, x_r, _separable_amplitude(setup, config.x_t, x_r), i_t, i_r)
+        for x_r in map(float, xr)
+    ]
 
     flags = tuple("zero_g2" if r.g2 == 0.0 else "" for r in records)
     g2_max = max(r.g2 for r in records)
@@ -327,14 +281,15 @@ def _rebuild_with_aperture(setup: CorrelatorSetup, D: float) -> CorrelatorSetup:
         raise InvalidArgumentError(
             "aperture sweep requires a 2f reference arm with a rect pupil"
         )
-    h_r = two_f_arm(desc["lambda_mm"], desc["f_mm"], rect_pupil(D))
-    return replace(setup, h_r=h_r)
+    return setup.with_reference_arm(two_f_arm(desc["lambda_mm"], desc["f_mm"], rect_pupil(D)))
 
 
-def aperture_sweep(
-    base: ScanConfig, apertures, threads: int | None = None
-) -> list[SweepSummary]:
-    """Rerun the reference scan for each aperture size D and summarize."""
+def aperture_sweep(base: ScanConfig, apertures) -> list[SweepSummary]:
+    """Rerun the reference scan for each aperture size D and summarize.
+
+    Every aperture's setup shares the base setup's inner integral u(x'),
+    which does not depend on the reference arm.
+    """
     apertures = list(apertures)
     if not apertures:
         raise InvalidArgumentError("aperture sweep needs at least one aperture")
@@ -344,7 +299,7 @@ def aperture_sweep(
     summaries = []
     for D in apertures:
         config = replace(base, setup=_rebuild_with_aperture(base.setup, float(D)))
-        result = scan_reference(config, threads=threads)
+        result = scan_reference(config)
         summaries.append(summarize(result, float(D)))
     return summaries
 

@@ -186,11 +186,22 @@ def _load_table(path, what: str, layouts: dict) -> tuple:
     """Rows of a CSV table whose column count is a key of ``layouts``, and
     the uniform grid its first column lies on.
 
-    Unparsable, non-finite, unsorted and non-uniform tables are rejected:
-    the quadratures place the values on a uniform grid, so a table that is
-    not on one would be silently distorted."""
+    The first line is a header row; a first line of numbers is rejected
+    rather than dropped.  Unparsable, non-finite, unsorted and non-uniform
+    tables are rejected: the quadratures place the values on a uniform
+    grid, so a table that is not on one would be silently distorted."""
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        header, *rows = fh.read().splitlines() or [""]
     try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        [float(v) for v in header.split(",")]
+    except ValueError:
+        pass
+    else:
+        raise InvalidArgumentError(
+            f"{what} CSV {path}: missing header row (first line {header!r} is data)"
+        )
+    try:
+        data = np.loadtxt(rows, delimiter=",", ndmin=2)
     except ValueError as exc:
         raise InvalidArgumentError(f"{what} CSV {path} does not parse: {exc}") from exc
     if data.shape[1] not in layouts:

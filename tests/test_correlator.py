@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from math import sqrt
 
 import numpy as np
@@ -11,6 +12,7 @@ from ghostsim import (
     CorrelatorSetup,
     InvalidArgumentError,
     NormalizationViolationError,
+    ScanConfig,
     SupportCoverageWarning,
     TwoPhotonState,
     amplitude,
@@ -27,7 +29,10 @@ from ghostsim import (
     normalize,
     point_statistics,
     rect_pupil,
+    scan_reference,
     snr,
+    tabulated_pupil,
+    tabulated_transmission,
     two_f_arm,
 )
 from ghostsim.analytic import all_gaussian_amplitude, gaussian_norm_constant
@@ -271,3 +276,123 @@ def test_validation_suite_fails_under_corrupted_normalization():
     assert not results["gaussian_normalization"]
     assert not results["all_gaussian_amplitude"]
     assert not results["cauchy_schwarz_radicand"]
+
+
+def slit_setup(gxp):
+    cert = default_certification_grid(2.0, 0.05)
+    state = normalize(gaussian_wavefunction(2.0, 0.05), cert, cert)
+    return CorrelatorSetup(
+        state=state,
+        h_t=fourier_arm(LAM, F, double_slit(0.05, 1.0)),
+        h_r=two_f_arm(LAM, F, rect_pupil(10.0)),
+        gx=make_grid(0.0, 8.0, 8193),
+        gxp=gxp,
+    )
+
+
+def tabulated_object_setup():
+    # raised-cosine object on [-0.15, 0.65] and a chirped soft pupil table
+    g = make_grid(0.25, 0.4, 81)
+    bump = 0.5 * (1.0 + np.cos(np.pi * (g.samples() - 0.25) / 0.4))
+    gp = make_grid(0.0, 5.0, 201)
+    xp = gp.samples()
+    pupil = tabulated_pupil(gp, np.exp(-(xp**2) / 4.0 + 0.3j * xp**2))
+    cert = default_certification_grid(2.0, 0.05)
+    return CorrelatorSetup(
+        state=normalize(gaussian_wavefunction(2.0, 0.05), cert, cert),
+        h_t=fourier_arm(LAM, F, tabulated_transmission(g, bump)),
+        h_r=two_f_arm(LAM, F, pupil),
+        gx=make_grid(0.0, 8.0, 8193),
+        gxp=make_grid(0.0, 8.0, 4097),
+    )
+
+
+def _nonzero_run(u):
+    nz = np.flatnonzero(u)
+    return int(nz[0]), int(nz[-1]) + 1
+
+
+def _assert_window_matches_full_grid(setup, x_t, xr):
+    """Amplitudes over the reference window against the sum over every gxp
+    node, to 1e-13 of their maximum."""
+    wu = setup.gxp.trapezoid_weights() * setup.inner_integral(x_t)
+    full = np.array([np.dot(wu, setup.h_r.sample_in(x, setup.gxp)) for x in xr])
+    got = np.array([amplitude(setup, x_t, float(x)) for x in xr])
+    assert np.abs(full).max() > 0.0
+    assert np.abs(got - full).max() <= 1e-13 * np.abs(full).max()
+
+
+# the default x' grid (dyadic step), and an off-centre grid whose step is not
+@pytest.mark.parametrize("gxp", [make_grid(0.0, 8.0, 16385), make_grid(0.13, 8.2, 3001)])
+def test_reference_window_is_the_nonzero_run_of_u(gxp):
+    setup = slit_setup(gxp)
+    u = setup.inner_integral(0.0)
+    j0, j1 = _nonzero_run(u)
+    # the slits' ridge band, |x'| <= 0.85 mm, not the whole 16 mm window
+    assert 0 < j0 and j1 < gxp.n_points and (j1 - j0) * gxp.step < 1.8
+    window, v = setup.reference_window(0.0)
+    x = gxp.samples()
+    assert window.n_points == j1 - j0
+    assert np.abs(window.samples() - x[j0:j1]).max() <= 4 * np.finfo(float).eps * np.abs(x).max()
+    if gxp.n_points == 16385:
+        np.testing.assert_array_equal(window.samples(), x[j0:j1])
+    # gxp's weights, not the window's, which would halve the end nodes
+    np.testing.assert_array_equal(v, (gxp.trapezoid_weights() * u)[j0:j1])
+    assert setup.reference_window(0.0)[0] is window
+
+
+@pytest.mark.parametrize("case", ["slit", "tabulated_object", "dense_gaussian"])
+def test_windowed_amplitude_matches_full_grid(case):
+    if case == "slit":
+        setup = slit_setup(make_grid(0.0, 8.0, 4097))
+    elif case == "tabulated_object":
+        setup = tabulated_object_setup()
+    else:
+        setup = small_gaussian_setup(n_x=1025, n_xp=2049)
+    window, _ = setup.reference_window(0.0)
+    assert (window == setup.gxp) == (case == "dense_gaussian")
+    _assert_window_matches_full_grid(setup, 0.0, np.linspace(-2.0, 2.0, 41))
+
+
+def test_all_zero_inner_integral_scans_without_sampling():
+    setup = small_gaussian_setup(n_x=257)
+    dark = Transmission(evaluate=lambda x: np.zeros_like(np.asarray(x, dtype=float)), descriptor={"kind": "dark"})
+
+    def never(x_r, grid):
+        raise AssertionError("reference arm sampled for an all-zero u")
+
+    setup = CorrelatorSetup(
+        state=setup.state,
+        h_t=fourier_arm(LAM, F, dark),
+        h_r=replace(setup.h_r, _sample_in=never),
+        gx=setup.gx,
+        gxp=setup.gxp,
+    )
+    window, v = setup.reference_window(0.0)
+    assert window is None and v.size == 0
+    result = scan_reference(ScanConfig(setup=setup, n_xr=11))
+    assert result.flags == ("zero_g2",) * 11
+    assert np.all(result.g2 == 0.0) and np.all(result.snr == 0.0)
+
+
+@pytest.mark.parametrize("node", [100, 256])
+def test_single_nonzero_inner_integral_widens_the_window(node):
+    # a state supported on one x' node; the last node widens downward
+    g = make_grid(0.0, 4.0, 257)
+    xp0 = g.sample(node)
+
+    def kernel(x, xp):
+        x, xp = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(xp, dtype=float))
+        return np.where(xp == xp0, np.exp(-(x**2)), 0.0)
+
+    state = TwoPhotonState(kernel=kernel, norm_certified=True, descriptor={})
+    h_t = fourier_arm(LAM, F, gaussian_transmission(1.0))
+    # a narrow pupil: P stays far from underflow across the whole window
+    h_r = two_f_arm(LAM, F, gaussian_pupil(0.02))
+    setup = CorrelatorSetup(state=state, h_t=h_t, h_r=h_r, gx=g, gxp=g)
+    assert _nonzero_run(setup.inner_integral(0.0)) == (node, node + 1)
+    window, v = setup.reference_window(0.0)
+    j0 = node if node + 1 < g.n_points else node - 1
+    np.testing.assert_array_equal(window.samples(), g.samples()[j0 : j0 + 2])
+    assert np.count_nonzero(v) == 1 and v[node - j0] != 0.0
+    _assert_window_matches_full_grid(setup, 0.0, np.linspace(-1.0, 1.0, 5))

@@ -30,8 +30,9 @@ from ghostsim.cli import main
 from ghostsim.config import resolve_config
 from ghostsim.correlator import PointStatistics
 from ghostsim.experiments import find_peaks, summarize
-from ghostsim.source import tabulated_wavefunction
 from ghostsim.grid import make_grid
+from ghostsim.optics import load_transmission_csv
+from ghostsim.source import TwoPhotonState, tabulated_wavefunction
 
 LAM = 650e-6
 F = 100.0
@@ -164,6 +165,23 @@ def test_scan_config_validation(tmp_path, capsys):
     huge = _pupil_table(tmp_path, x, np.full(x.size, 1e308))
     with np.errstate(over="ignore", invalid="ignore"):
         assert _run_scan(tmp_path, capsys, huge) == 3
+    # finite amplitudes whose G2, I_r or <S^2> overflow are numeric errors
+    # too: at 1e150 <S^2> is inf (was NaN columns with exit 0), at 1e160 G2
+    # overflows (was a traceback)
+    for scale in (1e150, 1e160):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _run_scan(tmp_path, capsys, _pupil_table(tmp_path, x, scale * soft)) == 3
+
+    # a table without a header row would lose its first data row
+    headerless = tmp_path / "transmission.csv"
+    headerless.write_text("0,1\n1,0.5\n2,0.25\n")
+    with pytest.raises(InvalidArgumentError, match="missing header row"):
+        load_transmission_csv(headerless)
+    data = json.loads(json.dumps(RUN))
+    data["test_arm"]["object"] = {"tabulated": {"path": str(headerless)}}
+    assert _run_scan(tmp_path, capsys, data) == 2
+    headerless.write_text("x_mm,value\n0,1\n1,0.5\n2,0.25\n")
+    assert load_transmission_csv(headerless).evaluate(0.0) == 1.0
 
 
 def test_scan_is_deterministic():
@@ -173,29 +191,6 @@ def test_scan_is_deterministic():
     np.testing.assert_array_equal(r1.g2, r2.g2)
     np.testing.assert_array_equal(r1.noise, r2.noise)
     np.testing.assert_array_equal(r1.snr, r2.snr)
-
-
-def test_parallel_scan_matches_sequential():
-    config = slit_scan_config(n_x=8193, n_xp=2049, n_xr=41)
-    seq = scan_reference(config, threads=1)
-    par = scan_reference(config, threads=4)
-    np.testing.assert_allclose(par.g2, seq.g2, rtol=1e-12)
-    np.testing.assert_allclose(par.noise, seq.noise, rtol=1e-12)
-    np.testing.assert_allclose(par.snr, seq.snr, rtol=1e-12)
-
-
-def test_thread_count_from_environment(monkeypatch):
-    config = slit_scan_config(n_x=8193, n_xp=2049, n_xr=11)
-    monkeypatch.setenv("GHOSTSIM_THREADS", "2")
-    env_result = scan_reference(config)
-    direct = scan_reference(config, threads=1)
-    np.testing.assert_allclose(env_result.g2, direct.g2, rtol=1e-12)
-    monkeypatch.setenv("GHOSTSIM_THREADS", "many")
-    with pytest.raises(InvalidArgumentError):
-        scan_reference(config)
-    monkeypatch.setenv("GHOSTSIM_THREADS", "0")
-    with pytest.raises(InvalidArgumentError):
-        scan_reference(config)
 
 
 def test_scan_columns_and_normalization():
@@ -257,6 +252,30 @@ def test_aperture_sweep_singleton():
     assert s.noise_amplitude > 0.0
     d = s.to_dict()
     assert set(d) == {"aperture_mm", "peak_snr", "peak_positions_mm", "contrast", "noise_amplitude"}
+
+
+def test_aperture_sweep_shares_the_inner_integral(monkeypatch):
+    config = slit_scan_config(n_xr=161)
+    apertures = [2.0, 4.0, 6.0, 8.0, 10.0]
+    fresh = []
+    for D in apertures:
+        setup = replace(config.setup, h_r=two_f_arm(LAM, F, rect_pupil(D)))
+        fresh.append(summarize(scan_reference(replace(config, setup=setup)), D))
+
+    reduce = TwoPhotonState.reduce
+    calls = []
+
+    def counted(self, *args):
+        calls.append(args)
+        return reduce(self, *args)
+
+    monkeypatch.setattr(TwoPhotonState, "reduce", counted)
+    swept = aperture_sweep(config, apertures)
+    assert len(calls) == 1
+    for s, f in zip(swept, fresh):
+        assert s.peak_positions_mm == f.peak_positions_mm
+        for name in ("peak_snr", "contrast", "noise_amplitude"):
+            assert getattr(s, name) == pytest.approx(getattr(f, name), rel=1e-12, abs=0.0)
 
 
 def test_aperture_sweep_input_validation():
