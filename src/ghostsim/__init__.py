@@ -6,13 +6,7 @@ from .correlator import (
     PointStatistics,
     amplitude,
     arm_energy,
-    averaged_noise,
-    averaged_snr,
-    coincidence_rate,
-    noise,
     point_statistics,
-    second_moment,
-    snr,
 )
 from .errors import (
     ConfigError,
@@ -33,20 +27,17 @@ from .experiments import (
     contrast_metric,
     scan_reference,
 )
-from .grid import ComplexField1D, Grid1D, integrate, integrate2d, make_grid
+from .grid import Grid1D, make_grid
 from .optics import (
     ImpulseResponse,
     Pupil,
     Transmission,
     double_slit,
-    eval_h,
     fourier_arm,
     gaussian_pupil,
     gaussian_transmission,
-    pupil_ft,
     rect_pupil,
     scaled_arm,
-    tabulated_arm,
     tabulated_pupil,
     tabulated_transmission,
     two_f_arm,

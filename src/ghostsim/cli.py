@@ -12,6 +12,8 @@ import json
 import sys
 from importlib import resources
 
+import numpy as np
+
 from .config import build_scan_config, load_config
 from .errors import ConfigError, GhostSimError, InvalidArgumentError
 from .experiments import CorrelationResult, aperture_sweep, scan_reference, summarize
@@ -37,7 +39,7 @@ def write_scan_csv(result: CorrelationResult, path: str) -> None:
     names = CSV_HEADER.split(",")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(CSV_HEADER + "\n")
-        for i in range(len(result.records)):
+        for i in range(result.x_r.size):
             row = []
             for name in names:
                 v = cols[name][i]
@@ -143,7 +145,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # non-finite results are errors where they arise (amplitude, arm
+        # energies, statistics); numpy's overflow warnings on the way there
+        # would only put extra lines ahead of the one-line message
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except (ConfigError, InvalidArgumentError) as exc:
         print(f"ghostsim: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -18,16 +18,14 @@ row reduction (:meth:`ghostsim.source.TwoPhotonState.reduce`): only rows
 where the test arm is nonzero are evaluated, for the Gaussian source only
 the columns of its ridge (kernel entries dropped outside it are below
 ``RIDGE_EPS`` = 1e-18 of the kernel peak), and the state's scalar
-``c_norm`` is applied once to the reduced vector.  The amplitude supports
-both that separable evaluation and the direct dense double sum, which agree
-to roundoff.
+``c_norm`` is applied once to the reduced vector.
 
-The separable amplitude A = sum_j w_j u_j h_r(x_r, x'_j) has no term where
+The amplitude A = sum_j w_j u_j h_r(x_r, x'_j) has no term where
 u_j = 0, so the reference arm is sampled only on the reference window: the
 smallest run of x' nodes holding every nonzero of u, which for a compact
 object is the ridge band about its support.  Skipping the other nodes drops
 exact zeros, not small values.  Arm energies still integrate over all of
-gxp.
+gxp.  The statistics are computed for every x_r of a scan at once.
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ from __future__ import annotations
 import threading
 import warnings
 from dataclasses import dataclass, replace
-from math import isfinite, sqrt
 
 import numpy as np
 
@@ -53,23 +50,15 @@ __all__ = [
     "CorrelatorSetup",
     "PointStatistics",
     "amplitude",
-    "coincidence_rate",
     "arm_energy",
-    "second_moment",
-    "noise",
     "noise_from_moments",
-    "snr",
     "snr_from_moments",
-    "averaged_noise",
-    "averaged_snr",
     "point_statistics",
 ]
 
 # radicand more negative than this fraction of its scale signals a broken
 # normalization rather than roundoff
 RADICAND_CLAMP = 1e-12
-
-_PHI_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -178,48 +167,18 @@ class PointStatistics:
     snr: float
 
 
-def amplitude(setup: CorrelatorSetup, x_t: float, x_r: float, method: str = "separable") -> complex:
-    """Coincidence amplitude A(x_r, x_t) by tensor-product quadrature.
-
-    "separable" precomputes the inner x' integral and sums over the
-    reference window; "direct" accumulates the full 2-D sum.  Both use
-    identical kernel samples and agree to roundoff.
+def amplitude(setup: CorrelatorSetup, x_t: float, x_r: float) -> complex:
+    """Coincidence amplitude A(x_r, x_t) = v . h_r(x_r, window) over the
+    reference window; exactly 0, with no sampling, where u(x') vanishes
+    everywhere.  A non-finite amplitude is a numeric error.
     """
-    if method == "separable":
-        return _separable_amplitude(setup, x_t, x_r)
-    if method != "direct":
-        raise InvalidArgumentError(f"unknown amplitude method {method!r}")
-    right = setup.gxp.trapezoid_weights() * setup.h_r.sample_in(x_r, setup.gxp)
-    left = setup._left_vector(x_t)
-    x = setup.gx.samples()
-    xp = setup.gxp.samples()[np.newaxis, :]
-    a = 0.0 + 0.0j
-    for i0 in range(0, setup.gx.n_points, _PHI_CHUNK):
-        block = setup.state.evaluate(x[i0 : i0 + _PHI_CHUNK, np.newaxis], xp)
-        term = left[i0 : i0 + _PHI_CHUNK, np.newaxis] * block * right[np.newaxis, :]
-        a += complex(term.sum())
-    return _finite_amplitude(a, x_t, x_r)
-
-
-def _separable_amplitude(setup: CorrelatorSetup, x_t: float, x_r: float) -> complex:
-    """A = v . h_r(x_r, window) over the reference window; exactly 0, with
-    no sampling, where u(x') vanishes everywhere."""
     window, v = setup.reference_window(x_t)
     if window is None:
         return 0j
-    return _finite_amplitude(np.dot(v, setup.h_r.sample_in(x_r, window)), x_t, x_r)
-
-
-def _finite_amplitude(a, x_t: float, x_r: float) -> complex:
-    """a as a complex number; a non-finite amplitude is a numeric error."""
-    a = complex(a)
+    a = complex(np.dot(v, setup.h_r.sample_in(x_r, window)))
     if not np.isfinite(a.real) or not np.isfinite(a.imag):
         raise NumericDomainError(f"non-finite amplitude at (x_t={x_t}, x_r={x_r})")
     return a
-
-
-def coincidence_rate(setup: CorrelatorSetup, x_t: float, x_r: float) -> float:
-    return abs(amplitude(setup, x_t, x_r)) ** 2
 
 
 def arm_energy(h: ImpulseResponse, x_out: float, g: Grid1D) -> float:
@@ -240,79 +199,31 @@ def arm_energy(h: ImpulseResponse, x_out: float, g: Grid1D) -> float:
     return float(np.dot(g.trapezoid_weights(), a2))
 
 
-def second_moment(
-    setup: CorrelatorSetup,
-    x_t: float,
-    x_r: float,
-    g2: float | None = None,
-    i_t: float | None = None,
-    i_r: float | None = None,
-) -> float:
-    """<S^2> = G2 * I_t * I_r for a unit-norm state."""
-    if g2 is None:
-        g2 = coincidence_rate(setup, x_t, x_r)
-    if i_t is None:
-        i_t = arm_energy(setup.h_t, x_t, setup.gx)
-    if i_r is None:
-        i_r = arm_energy(setup.h_r, x_r, setup.gxp)
-    return g2 * i_t * i_r
-
-
-def noise_from_moments(g2: float, moment2: float) -> float:
-    """Delta G2 = sqrt(<S^2> - G2^2) with a roundoff clamp.
+def noise_from_moments(g2, moment2):
+    """Delta G2 = sqrt(<S^2> - G2^2) with a roundoff clamp, elementwise.
 
     A radicand below -RADICAND_CLAMP times its scale is a normalization or
-    truncation failure, not noise."""
+    truncation failure, not noise; the first such entry is reported."""
+    g2 = np.asarray(g2, dtype=float)
     radicand = moment2 - g2 * g2
-    if radicand < 0.0:
-        scale = moment2 + g2 * g2
-        if radicand >= -RADICAND_CLAMP * scale:
-            return 0.0
+    scale = moment2 + g2 * g2
+    broken = np.flatnonzero(radicand < -RADICAND_CLAMP * scale)
+    if broken.size:
+        k = broken[0]
         raise NormalizationViolationError(
-            f"variance radicand {radicand:.6e} below the clamp window "
-            f"(-{RADICAND_CLAMP:.0e} * {scale:.6e}); the state is not unit-norm "
-            f"or the quadrature window truncates it"
+            f"variance radicand {np.ravel(radicand)[k]:.6e} below the clamp window "
+            f"(-{RADICAND_CLAMP:.0e} * {np.ravel(scale)[k]:.6e}); the state is not "
+            f"unit-norm or the quadrature window truncates it"
         )
-    return sqrt(radicand)
+    return np.sqrt(np.maximum(radicand, 0.0))
 
 
-def noise(setup: CorrelatorSetup, x_t: float, x_r: float) -> float:
-    g2 = coincidence_rate(setup, x_t, x_r)
-    return noise_from_moments(g2, second_moment(setup, x_t, x_r, g2=g2))
-
-
-def snr_from_moments(g2: float, dg2: float) -> float:
-    """SNR = G2 / Delta G2; 0 where there is no signal, +inf where the
-    fluctuation vanishes with signal present."""
-    if g2 == 0.0:
-        return 0.0
-    if dg2 == 0.0:
-        return float("inf")
-    return g2 / dg2
-
-
-def snr(setup: CorrelatorSetup, x_t: float, x_r: float) -> float:
-    g2 = coincidence_rate(setup, x_t, x_r)
-    dg2 = noise_from_moments(g2, second_moment(setup, x_t, x_r, g2=g2))
-    return snr_from_moments(g2, dg2)
-
-
-def _check_pairs(n_pairs: int) -> None:
-    if int(n_pairs) != n_pairs or n_pairs < 1:
-        raise InvalidArgumentError(f"n_pairs must be an integer >= 1, got {n_pairs}")
-
-
-def averaged_noise(dg2: float, n_pairs: int) -> float:
-    """Fluctuation of the rate averaged over n independently generated
-    pairs: sqrt(N) times smaller."""
-    _check_pairs(n_pairs)
-    return dg2 / sqrt(n_pairs)
-
-
-def averaged_snr(value: float, n_pairs: int) -> float:
-    """SNR after averaging n independent pairs: sqrt(N) times larger."""
-    _check_pairs(n_pairs)
-    return value * sqrt(n_pairs)
+def snr_from_moments(g2, dg2):
+    """SNR = G2 / Delta G2, elementwise; 0 where there is no signal, +inf
+    where the fluctuation vanishes with signal present (G2 >= 0)."""
+    g2 = np.asarray(g2, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(g2 == 0.0, 0.0, g2 / dg2)[()]
 
 
 def point_statistics(
@@ -329,22 +240,7 @@ def point_statistics(
         i_t = arm_energy(setup.h_t, x_t, setup.gx)
     if i_r is None:
         i_r = arm_energy(setup.h_r, x_r, setup.gxp)
-    return _statistics(x_t, x_r, a, i_t, i_r)
-
-
-def _statistics(x_t: float, x_r: float, a: complex, i_t: float, i_r: float) -> PointStatistics:
-    """Every per-point quantity from the amplitude and the arm energies.
-
-    A non-finite G2, I_t, I_r, <S^2> or Delta G2 is a numeric error: an
-    overflowing arm or state must not reach the output as inf or NaN.
-    """
-    m = abs(a)
-    g2 = m * m  # not m ** 2: a float power raises OverflowError past 1.3e154
-    m2 = g2 * i_t * i_r
-    dg2 = noise_from_moments(g2, m2)
-    for name, value in (("G2", g2), ("I_t", i_t), ("I_r", i_r), ("<S^2>", m2), ("Delta G2", dg2)):
-        if not isfinite(value):
-            raise NumericDomainError(f"non-finite {name} = {value} at (x_t={x_t}, x_r={x_r})")
+    g2, m2, dg2, snr = (float(c[0]) for c in _statistics(x_t, x_r, a, i_t, i_r))
     return PointStatistics(
         x_t=float(x_t),
         x_r=float(x_r),
@@ -354,5 +250,30 @@ def _statistics(x_t: float, x_r: float, a: complex, i_t: float, i_r: float) -> P
         i_r=i_r,
         second_moment=m2,
         noise=dg2,
-        snr=snr_from_moments(g2, dg2),
+        snr=snr,
     )
+
+
+def _statistics(x_t: float, x_r, a, i_t: float, i_r: float) -> tuple:
+    """(G2, <S^2>, Delta G2, SNR) as arrays over x_r, from the amplitudes
+    at those points and the arm energies.
+
+    A non-finite G2, I_t, I_r, <S^2> or Delta G2 is a numeric error naming
+    the first x_r where one occurs: an overflowing arm or state must not
+    reach the output as inf or NaN.
+    """
+    x_r, a = np.atleast_1d(x_r, a)
+    # hypot rounds as abs(complex) does; np.abs differs in the last bit
+    g2 = np.hypot(a.real, a.imag) ** 2
+    m2 = g2 * i_t * i_r
+    dg2 = noise_from_moments(g2, m2)
+    names = ("G2", "I_t", "I_r", "<S^2>", "Delta G2")
+    values = np.broadcast_arrays(g2, i_t, i_r, m2, dg2)
+    finite = np.isfinite(values)
+    if not finite.all():
+        k = int(np.argmin(finite.all(axis=0)))
+        q = int(np.argmin(finite[:, k]))
+        raise NumericDomainError(
+            f"non-finite {names[q]} = {values[q][k]} at (x_t={x_t}, x_r={x_r[k]})"
+        )
+    return g2, m2, dg2, snr_from_moments(g2, dg2)

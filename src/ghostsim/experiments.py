@@ -17,7 +17,7 @@ from math import sqrt
 
 import numpy as np
 
-from .correlator import CorrelatorSetup, _separable_amplitude, _statistics, arm_energy
+from .correlator import CorrelatorSetup, _statistics, amplitude, arm_energy
 from .errors import InvalidArgumentError, SupportCoverageWarning, UndefinedContrastError
 from .grid import Grid1D, make_grid
 from .optics import ImpulseResponse, rect_pupil, two_f_arm
@@ -89,29 +89,17 @@ class ScanConfig:
 
 @dataclass(frozen=True)
 class CorrelationResult:
-    """Per-point records of a reference scan plus normalized columns."""
+    """A reference scan as arrays over its x_r points, plus the values that
+    normalize its columns."""
 
-    records: tuple
+    x_r: np.ndarray
+    g2: np.ndarray
+    noise: np.ndarray
+    snr: np.ndarray
     flags: tuple
     g2_max: float
     n_pairs: int
     provenance: dict
-
-    @property
-    def x_r(self) -> np.ndarray:
-        return np.array([r.x_r for r in self.records])
-
-    @property
-    def g2(self) -> np.ndarray:
-        return np.array([r.g2 for r in self.records])
-
-    @property
-    def noise(self) -> np.ndarray:
-        return np.array([r.noise for r in self.records])
-
-    @property
-    def snr(self) -> np.ndarray:
-        return np.array([r.snr for r in self.records])
 
     def columns(self) -> dict:
         """All emitted columns keyed by the CSV header names."""
@@ -207,22 +195,21 @@ def scan_reference(config: ScanConfig) -> CorrelationResult:
             direct = arm_energy(setup.h_r, float(xr[k]), setup.gxp)
         if abs(direct - i_r) > _CACHE_RTOL * max(abs(direct), abs(i_r)):
             raise InvalidArgumentError(
-                f"cached reference-arm energy invalid at x_r={xr[k]}: "
-                f"{i_r} cached vs {direct} direct; the kernel is not "
-                f"shift-invariant enough to cache"
+                f"reference-arm energy {i_r} cached vs {direct} direct at "
+                f"x_r={xr[k]}: the x' grid (step {setup.gxp.step:.4g} mm, window "
+                f"+/-{setup.gxp.half_width:g} mm) does not resolve the reference "
+                f"arm; raise numerics.n_xp or adjust numerics.window_mm"
             )
 
-    records = [
-        _statistics(config.x_t, x_r, _separable_amplitude(setup, config.x_t, x_r), i_t, i_r)
-        for x_r in map(float, xr)
-    ]
-
-    flags = tuple("zero_g2" if r.g2 == 0.0 else "" for r in records)
-    g2_max = max(r.g2 for r in records)
+    a = np.array([amplitude(setup, config.x_t, x_r) for x_r in map(float, xr)])
+    g2, _, dg2, snr = _statistics(config.x_t, xr, a, i_t, i_r)
     return CorrelationResult(
-        records=tuple(records),
-        flags=flags,
-        g2_max=g2_max,
+        x_r=xr,
+        g2=g2,
+        noise=dg2,
+        snr=snr,
+        flags=tuple("zero_g2" if g == 0.0 else "" for g in g2),
+        g2_max=float(g2.max()),
         n_pairs=config.n_pairs,
         provenance=dict(config.provenance),
     )
@@ -259,7 +246,7 @@ def contrast_metric(result: CorrelationResult) -> float:
     peak is the mean of the two largest local maxima, valley the G2 value
     closest to the midpoint of their positions.
     """
-    if len(result.records) < 3:
+    if result.x_r.size < 3:
         raise UndefinedContrastError("contrast needs at least 3 scan points")
     x = result.x_r
     g2 = result.g2

@@ -1,28 +1,25 @@
-"""Uniform 1-D grids, complex sampled fields and composite trapezoid quadrature.
+"""Uniform 1-D grids, composite trapezoid weights and the banded row reduction.
 
 Every integral in the package (state normalization, arm energies, the
-coincidence amplitude) is reduced to these primitives; the integrals over
-the two-photon kernel go through the banded row reduction
-:func:`reduce_rows`.  Grids are closed intervals that contain both
+coincidence amplitude) is a dot product with a grid's trapezoid weights;
+the one 2-D quadrature, over the two-photon kernel, is the banded row
+reduction :func:`reduce_rows`.  Grids are closed intervals that contain both
 endpoints; the step is defined by ``n_points - 1`` panels so that symmetric
 windows place their endpoints exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NumericDomainError
+from .errors import InvalidArgumentError
 
 __all__ = [
     "Grid1D",
-    "ComplexField1D",
     "make_grid",
-    "integrate",
-    "integrate2d",
     "reduce_rows",
     "Table2D",
 ]
@@ -71,10 +68,6 @@ class Grid1D:
         w[-1] *= 0.5
         return w
 
-    def refined(self) -> "Grid1D":
-        """Same interval with every panel halved (nodes nest)."""
-        return Grid1D(self.center, self.half_width, 2 * self.n_points - 1)
-
 
 def make_grid(center: float, half_width: float, n_points: int) -> Grid1D:
     if not np.isfinite(center):
@@ -84,71 +77,6 @@ def make_grid(center: float, half_width: float, n_points: int) -> Grid1D:
     if int(n_points) != n_points or n_points < 2:
         raise InvalidArgumentError(f"n_points must be an integer >= 2, got {n_points}")
     return Grid1D(float(center), float(half_width), int(n_points))
-
-
-@dataclass(frozen=True)
-class ComplexField1D:
-    """Complex-valued function sampled on a Grid1D."""
-
-    grid: Grid1D
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=complex)
-        if values.shape != (self.grid.n_points,):
-            raise InvalidArgumentError(
-                f"values shape {values.shape} does not match grid "
-                f"({self.grid.n_points} points)"
-            )
-        if not np.all(np.isfinite(values.real)) or not np.all(np.isfinite(values.imag)):
-            bad = int(np.flatnonzero(~np.isfinite(values))[0])
-            raise NumericDomainError(
-                f"non-finite field value at x={self.grid.sample(bad)}",
-                where=(self.grid.sample(bad),),
-            )
-        object.__setattr__(self, "values", values)
-
-    @classmethod
-    def sample(cls, f: Callable[[np.ndarray], np.ndarray], grid: Grid1D) -> "ComplexField1D":
-        return cls(grid, np.asarray(f(grid.samples()), dtype=complex))
-
-
-def integrate(f: ComplexField1D) -> complex:
-    """Composite trapezoid estimate of the integral over the grid interval.
-
-    Linear in the samples and exact for affine integrands.
-    """
-    return complex(np.dot(f.grid.trapezoid_weights(), f.values))
-
-
-def integrate2d(
-    kernel: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    gx: Grid1D,
-    gxp: Grid1D,
-    chunk: int = 256,
-) -> complex:
-    """Tensor-product trapezoid estimate of a 2-D integral.
-
-    ``kernel`` must broadcast over arrays: it is called with column/row
-    vectors of x and x' and returns the full block.  Evaluation is chunked
-    over x to bound memory.  A non-finite kernel value aborts the integral.
-    """
-    x = gx.samples()
-    xp = gxp.samples()[np.newaxis, :]
-    wx = gx.trapezoid_weights()
-    wxp = gxp.trapezoid_weights()
-    total = 0.0 + 0.0j
-    for i0 in range(0, gx.n_points, chunk):
-        xs = x[i0 : i0 + chunk, np.newaxis]
-        block = np.asarray(kernel(xs, xp), dtype=complex)
-        if not np.all(np.isfinite(block.real)) or not np.all(np.isfinite(block.imag)):
-            bi, bj = np.argwhere(~np.isfinite(block))[0]
-            raise NumericDomainError(
-                f"non-finite kernel value at (x={x[i0 + bi]}, xp={xp[0, bj]})",
-                where=(float(x[i0 + bi]), float(xp[0, bj])),
-            )
-        total += complex(wx[i0 : i0 + chunk] @ block @ wxp)
-    return total
 
 
 def reduce_rows(

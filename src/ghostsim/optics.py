@@ -1,4 +1,5 @@
-"""Impulse responses of the two optical arms, pupils and object transmissions.
+"""Impulse responses of the two optical arms, pupil transforms and object
+transmissions.
 
 Test arm: object at focal distance f from an unapertured lens, detector in
 the focal plane behind it, so the kernel is a scaled Fourier phase times the
@@ -18,7 +19,8 @@ Discontinuous (slit-type) transmissions are additionally exposed through
 cell-averaged samplers: a trapezoid rule applied to raw indicator samples
 converges only at first order and is unstable against grid refinement, while
 averaging the transmission over each grid cell integrates the slits exactly.
-Pointwise ``evaluate`` keeps the sharp-edged definition.
+Pointwise ``evaluate`` keeps the sharp-edged definition.  Every arm carries
+both grid samplers, and the quadratures sample arms only through them.
 
 The reference arm samples h_r over a uniform x' grid, where the pupil
 argument is itself uniform: u_j = u0 + j du with u0 = (x_r + x'_0)/(2 lam f)
@@ -38,8 +40,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NumericDomainError
-from .grid import Grid1D, Table2D, make_grid
+from .errors import InvalidArgumentError
+from .grid import Grid1D, make_grid
 
 __all__ = [
     "Transmission",
@@ -53,12 +55,9 @@ __all__ = [
     "gaussian_pupil",
     "tabulated_pupil",
     "load_pupil_csv",
-    "pupil_ft",
     "fourier_arm",
     "two_f_arm",
-    "tabulated_arm",
     "scaled_arm",
-    "eval_h",
 ]
 
 
@@ -235,10 +234,9 @@ def load_transmission_csv(path) -> Transmission:
 
 @dataclass(frozen=True)
 class Pupil:
-    """Aperture pupil p(x) and its Fourier transform P(u) with kernel
+    """Fourier transform P(u) of an aperture pupil p(x) with kernel
     exp(-2 pi i u x)."""
 
-    evaluate: Callable[[np.ndarray], np.ndarray]
     ft: Callable[[np.ndarray], np.ndarray]
     descriptor: dict
     _ft_grid: Optional[Callable[[Grid1D, float, float], np.ndarray]] = field(
@@ -263,13 +261,10 @@ def rect_pupil(D: float) -> Pupil:
     if not (D > 0.0):
         raise InvalidArgumentError(f"aperture size D must be > 0, got {D}")
 
-    def evaluate(x):
-        return (np.abs(np.asarray(x, dtype=float)) <= 0.5 * D).astype(complex)
-
     def ft(u):
         return (D * np.sinc(D * np.asarray(u, dtype=float))).astype(complex)
 
-    return Pupil(evaluate=evaluate, ft=ft, descriptor={"kind": "rect", "D_mm": float(D)})
+    return Pupil(ft=ft, descriptor={"kind": "rect", "D_mm": float(D)})
 
 
 def gaussian_pupil(sigma: float) -> Pupil:
@@ -278,16 +273,11 @@ def gaussian_pupil(sigma: float) -> Pupil:
     if not (sigma > 0.0):
         raise InvalidArgumentError(f"gaussian pupil width must be > 0, got {sigma}")
 
-    def evaluate(x):
-        return np.exp(-np.asarray(x, dtype=float) ** 2 / sigma**2).astype(complex)
-
     def ft(u):
         u = np.asarray(u, dtype=float)
         return (sigma * np.sqrt(np.pi) * np.exp(-np.pi**2 * sigma**2 * u**2)).astype(complex)
 
-    return Pupil(
-        evaluate=evaluate, ft=ft, descriptor={"kind": "gaussian", "sigma_mm": float(sigma)}
-    )
+    return Pupil(ft=ft, descriptor={"kind": "gaussian", "sigma_mm": float(sigma)})
 
 
 def tabulated_pupil(grid: Grid1D, values: np.ndarray) -> Pupil:
@@ -296,15 +286,7 @@ def tabulated_pupil(grid: Grid1D, values: np.ndarray) -> Pupil:
     if values.shape != (grid.n_points,):
         raise InvalidArgumentError(f"pupil table length {values.shape} does not match grid")
     xs = grid.samples()
-    w = grid.trapezoid_weights()
-
-    def evaluate(x):
-        x = np.asarray(x, dtype=float)
-        re = np.interp(x, xs, values.real, left=0.0, right=0.0)
-        im = np.interp(x, xs, values.imag, left=0.0, right=0.0)
-        return re + 1j * im
-
-    wv = w * values
+    wv = grid.trapezoid_weights() * values
 
     def ft(u):
         u = np.asarray(u, dtype=float)
@@ -334,7 +316,6 @@ def tabulated_pupil(grid: Grid1D, values: np.ndarray) -> Pupil:
         return (a @ block(du).T).ravel()[: g.n_points]
 
     return Pupil(
-        evaluate=evaluate,
         ft=ft,
         descriptor={"kind": "tabulated", "n_points": grid.n_points},
         _ft_grid=ft_grid,
@@ -348,37 +329,25 @@ def load_pupil_csv(path) -> Pupil:
     return tabulated_pupil(grid, values)
 
 
-def pupil_ft(p: Pupil, u) -> complex:
-    """Fourier transform of the pupil; analytic when the kind has one."""
-    out = p.ft(u)
-    return complex(out) if np.ndim(out) == 0 else np.asarray(out)
-
-
 @dataclass(frozen=True)
 class ImpulseResponse:
     """Complex kernel h(x_out, x_in) of one optical arm.
 
     ``sample_in`` / ``sample_abs2_in`` return kernel samples (resp. squared
     moduli) over an input-plane grid for quadrature, applying cell-averaging
-    for sharp-edged components; they default to pointwise evaluation.
+    for sharp-edged components.  ``evaluate`` is the pointwise kernel.
     """
 
     evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
     descriptor: dict
-    _sample_in: Optional[Callable[[float, Grid1D], np.ndarray]] = field(default=None, repr=False)
-    _sample_abs2_in: Optional[Callable[[float, Grid1D], np.ndarray]] = field(
-        default=None, repr=False
-    )
+    _sample_in: Callable[[float, Grid1D], np.ndarray] = field(repr=False)
+    _sample_abs2_in: Callable[[float, Grid1D], np.ndarray] = field(repr=False)
 
     def sample_in(self, x_out: float, grid: Grid1D) -> np.ndarray:
-        if self._sample_in is not None:
-            return self._sample_in(x_out, grid)
-        return np.asarray(self.evaluate(x_out, grid.samples()), dtype=complex)
+        return self._sample_in(x_out, grid)
 
     def sample_abs2_in(self, x_out: float, grid: Grid1D) -> np.ndarray:
-        if self._sample_abs2_in is not None:
-            return self._sample_abs2_in(x_out, grid)
-        return np.abs(self.evaluate(x_out, grid.samples())) ** 2
+        return self._sample_abs2_in(x_out, grid)
 
 
 def fourier_arm(lam: float, f: float, t: Transmission) -> ImpulseResponse:
@@ -457,16 +426,6 @@ def two_f_arm(lam: float, f: float, p: Pupil) -> ImpulseResponse:
     )
 
 
-def tabulated_arm(grid_out: Grid1D, grid_in: Grid1D, values: np.ndarray) -> ImpulseResponse:
-    """Kernel from samples on (output grid) x (input grid); bilinear inside,
-    zero outside."""
-    table = Table2D(grid_out, grid_in, values)
-    return ImpulseResponse(
-        evaluate=table,
-        descriptor={"kind": "tabulated", "shape": (grid_out.n_points, grid_in.n_points)},
-    )
-
-
 def scaled_arm(h: ImpulseResponse, c: complex) -> ImpulseResponse:
     """The kernel multiplied by a complex constant (gain/attenuation)."""
     c = complex(c)
@@ -478,16 +437,3 @@ def scaled_arm(h: ImpulseResponse, c: complex) -> ImpulseResponse:
         _sample_in=lambda x_out, grid: c * base_sample(x_out, grid),
         _sample_abs2_in=lambda x_out, grid: abs(c) ** 2 * base_abs2(x_out, grid),
     )
-
-
-def eval_h(h: ImpulseResponse, x_out: float, x_in: float) -> complex:
-    """Evaluate an arm kernel at one point, checking finiteness."""
-    if not np.isfinite(x_out) or not np.isfinite(x_in):
-        raise InvalidArgumentError(f"kernel arguments must be finite, got ({x_out}, {x_in})")
-    v = complex(h.evaluate(x_out, x_in))
-    if not np.isfinite(v.real) or not np.isfinite(v.imag):
-        raise NumericDomainError(
-            f"kernel produced non-finite value at ({x_out}, {x_in})",
-            where=(float(x_out), float(x_in)),
-        )
-    return v

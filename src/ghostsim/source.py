@@ -28,12 +28,12 @@ is used only for validation.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import inf, log, sqrt
+from math import inf, isfinite, log, sqrt
 from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidArgumentError, TruncationError
+from .errors import InvalidArgumentError, NumericDomainError, TruncationError
 from .grid import Grid1D, Table2D, make_grid, reduce_rows
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "gaussian_wavefunction",
     "normalize",
     "tabulated_wavefunction",
-    "load_wavefunction_csv",
     "default_certification_grid",
 ]
 
@@ -160,12 +159,16 @@ def _check_support_coverage(state: TwoPhotonState, gx: Grid1D, gxp: Grid1D) -> N
 def normalize(state: TwoPhotonState, gx: Grid1D, gxp: Grid1D) -> TwoPhotonState:
     """Rescale so that the quadrature of |phi|^2 over (gx, gxp) equals 1.
 
-    The returned state carries ``norm_certified=True`` and the rescaled
+    A non-finite norm (a NaN or inf kernel value, or an overflowing
+    quadrature) is a numeric error.  The returned state carries
+    ``norm_certified=True`` and the rescaled
     amplitude ``c_norm``, which its descriptor records next to the
     certification grids.
     """
     _check_support_coverage(state, gx, gxp)
     norm = _norm_integral(state, gx, gxp)
+    if not isfinite(norm):
+        raise NumericDomainError(f"wavefunction norm {norm} on the given grids is not finite")
     if norm <= 0.0:
         raise InvalidArgumentError("wavefunction has zero norm on the given grids")
     c_norm = state.c_norm / sqrt(norm)
@@ -190,23 +193,3 @@ def tabulated_wavefunction(gx: Grid1D, gxp: Grid1D, values: np.ndarray) -> TwoPh
         norm_certified=False,
         descriptor={"kind": "tabulated", "shape": (gx.n_points, gxp.n_points)},
     )
-
-
-def load_wavefunction_csv(path) -> TwoPhotonState:
-    """Load a tabulated wavefunction from CSV columns x_mm, xp_mm, re, im.
-
-    Rows must enumerate the grid cross-product row-major in x then x'.
-    """
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[1] != 4:
-        raise InvalidArgumentError(
-            f"wavefunction CSV needs columns x_mm,xp_mm,re,im; got {data.shape[1]} columns"
-        )
-    x = np.unique(data[:, 0])
-    xp = np.unique(data[:, 1])
-    if x.size * xp.size != data.shape[0]:
-        raise InvalidArgumentError("wavefunction CSV rows do not form a grid cross-product")
-    gx = make_grid((x[0] + x[-1]) / 2, (x[-1] - x[0]) / 2, x.size)
-    gxp = make_grid((xp[0] + xp[-1]) / 2, (xp[-1] - xp[0]) / 2, xp.size)
-    values = (data[:, 2] + 1j * data[:, 3]).reshape(x.size, xp.size)
-    return tabulated_wavefunction(gx, gxp, values)

@@ -23,14 +23,13 @@ from ghostsim import (
     gaussian_pupil,
     gaussian_transmission,
     gaussian_wavefunction,
+    point_statistics,
     rect_pupil,
     scan_reference,
-    snr,
     two_f_arm,
 )
 from ghostsim.cli import preset_path
 from ghostsim.config import build_scan_config, load_config
-from ghostsim.correlator import averaged_noise, averaged_snr
 from ghostsim.experiments import contrast_metric, find_peaks
 from ghostsim.optics import scaled_arm
 from ghostsim.source import default_certification_grid, normalize
@@ -135,13 +134,13 @@ def test_criterion_4_analytic_oracles(capsys):
     assert ok
 
 
-def test_criterion_5_exact_laws(capsys):
+def test_criterion_5_exact_laws(fig2_scan, capsys):
     cert = default_certification_grid(2.0, 0.2)
     state = normalize(gaussian_wavefunction(2.0, 0.2), cert, cert)
     h_t = fourier_arm(LAM, F, gaussian_transmission(0.5))
     h_r = two_f_arm(LAM, F, gaussian_pupil(2.0))
     setup = build_setup(state, h_t, h_r, n_x=2049, n_xp=4097)
-    base = snr(setup, 0.0, 0.3)
+    base = point_statistics(setup, 0.0, 0.3).snr
     rng = np.random.default_rng(20240503)
     drift = 0.0
     for _ in range(20):
@@ -154,11 +153,13 @@ def test_criterion_5_exact_laws(capsys):
             gx=setup.gx,
             gxp=setup.gxp,
         )
-        drift = max(drift, abs(snr(rescaled, 0.0, 0.3) - base) / base)
-    averaging_exact = all(
-        averaged_noise(0.8125, n) == 0.8125 / sqrt(n)
-        and averaged_snr(2.25, n) == 2.25 * sqrt(n)
-        for n in (1, 4, 10000)
+        drift = max(drift, abs(point_statistics(rescaled, 0.0, 0.3).snr - base) / base)
+    # averaging N independent pairs: the emitted columns of the fig2 scan
+    result, _ = fig2_scan
+    cols = result.columns()
+    rootn = sqrt(result.n_pairs)
+    averaging_exact = np.array_equal(cols["snr_avg"], cols["snr"] * rootn) and np.array_equal(
+        cols["dg2_avg_norm"], cols["dg2"] / (rootn * result.g2_max)
     )
     ok = drift <= 1e-10 and averaging_exact
     report(
@@ -166,7 +167,7 @@ def test_criterion_5_exact_laws(capsys):
         5,
         ok,
         f"SNR drift over 20 arm rescalings {drift:.3e} (tol 1e-10); "
-        f"averaging laws exact for N in (1, 4, 10000): {averaging_exact}",
+        f"averaging laws exact in the fig2 columns (N = {result.n_pairs}): {averaging_exact}",
     )
     assert ok
 

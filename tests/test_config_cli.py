@@ -214,6 +214,29 @@ def test_console_entry_point_smoke(tmp_path):
     assert out.read_text().startswith(CSV_HEADER)
 
 
+@pytest.mark.parametrize("table", ["soft_x1e160", "constant_1e308"])
+def test_cli_overflow_reports_one_stderr_line(tmp_path, table):
+    # numpy's overflow warnings reach stderr only in a fresh process; the
+    # in-process tests cannot see them
+    x = np.linspace(-1.0, 1.0, 201)
+    values = 1e160 * np.exp(-(x**2) / 0.1) if table == "soft_x1e160" else np.full(x.size, 1e308)
+    pupil = tmp_path / "pupil.csv"
+    table = np.column_stack([x, values])
+    np.savetxt(pupil, table, fmt="%.17g", delimiter=",", header="x_mm,value", comments="")
+    arm = {"lambda_nm": 650.0, "f_mm": 100.0, "pupil": {"tabulated": {"path": str(pupil)}}}
+    cfg = small_config(tmp_path, reference_arm=arm)
+    out = tmp_path / "scan.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "ghostsim.cli", "scan", "--config", cfg, "--output", str(out)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 3
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("ghostsim: numeric error: ")
+    assert not out.exists()
+
+
 def _assert_matches_reference(out: Path, reference: Path) -> None:
     """Every column within 1e-12 of its maximum in the reference CSV."""
     lines = out.read_text().strip().splitlines()

@@ -12,14 +12,12 @@ from ghostsim import (
     CorrelatorSetup,
     InvalidArgumentError,
     NormalizationViolationError,
+    NumericDomainError,
     ScanConfig,
     SupportCoverageWarning,
     TwoPhotonState,
     amplitude,
     arm_energy,
-    averaged_noise,
-    averaged_snr,
-    coincidence_rate,
     double_slit,
     fourier_arm,
     gaussian_pupil,
@@ -30,13 +28,12 @@ from ghostsim import (
     point_statistics,
     rect_pupil,
     scan_reference,
-    snr,
     tabulated_pupil,
     tabulated_transmission,
     two_f_arm,
 )
 from ghostsim.analytic import all_gaussian_amplitude, gaussian_norm_constant
-from ghostsim.correlator import noise_from_moments, snr_from_moments
+from ghostsim.correlator import _statistics, noise_from_moments, snr_from_moments
 from ghostsim.optics import Transmission, scaled_arm
 from ghostsim.source import default_certification_grid
 from ghostsim.validate import _certify, run_validation_suite
@@ -70,8 +67,9 @@ def test_opaque_object_gives_zero_signal():
         gxp=setup.gxp,
     )
     assert amplitude(setup, 0.0, 0.3) == 0.0
-    assert coincidence_rate(setup, 0.0, 0.3) == 0.0
-    assert snr(setup, 0.0, 0.3) == 0.0
+    stats = point_statistics(setup, 0.0, 0.3)
+    assert stats.g2 == 0.0
+    assert stats.snr == 0.0
 
 
 def test_separable_state_amplitude_factorizes():
@@ -115,19 +113,22 @@ def test_scan_parity_for_symmetric_setup():
         gxp=make_grid(0.0, 8.0, 8193),
     )
     for x_r in (0.2, 0.5, 1.1):
-        plus = coincidence_rate(setup, 0.0, x_r)
-        minus = coincidence_rate(setup, 0.0, -x_r)
+        plus = abs(amplitude(setup, 0.0, x_r)) ** 2
+        minus = abs(amplitude(setup, 0.0, -x_r)) ** 2
         assert plus == pytest.approx(minus, rel=1e-8)
 
 
 def test_separable_and_direct_methods_agree():
+    # reference: the dense double sum of w_i h_t(x_t, x_i) phi(x_i, x'_j)
+    # w'_j h_r(x_r, x'_j) over every node pair, with no band and no window
     setup = small_gaussian_setup(n_x=513, n_xp=1025)
+    x, xp = setup.gx.samples(), setup.gxp.samples()
+    phi = setup.state.evaluate(x[:, np.newaxis], xp[np.newaxis, :])
+    left = setup.gx.trapezoid_weights() * setup.h_t.sample_in(0.1, setup.gx)
     for x_r in (-0.4, 0.0, 0.7):
-        sep = amplitude(setup, 0.1, x_r, method="separable")
-        direct = amplitude(setup, 0.1, x_r, method="direct")
-        assert sep == pytest.approx(direct, rel=1e-10)
-    with pytest.raises(InvalidArgumentError):
-        amplitude(setup, 0.0, 0.0, method="montecarlo")
+        right = setup.gxp.trapezoid_weights() * setup.h_r.sample_in(x_r, setup.gxp)
+        direct = complex((left[:, np.newaxis] * phi * right[np.newaxis, :]).sum())
+        assert amplitude(setup, 0.1, x_r) == pytest.approx(direct, rel=1e-10)
 
 
 def test_second_moment_factorization():
@@ -142,7 +143,7 @@ def test_second_moment_factorization():
 
 def test_snr_invariant_under_arm_rescaling():
     setup = small_gaussian_setup(n_x=1025, n_xp=2049)
-    base = snr(setup, 0.0, 0.3)
+    base = point_statistics(setup, 0.0, 0.3).snr
     rng = np.random.default_rng(13)
     for _ in range(20):
         c_t = rng.uniform(0.1, 10.0) * np.exp(2j * np.pi * rng.uniform())
@@ -154,7 +155,7 @@ def test_snr_invariant_under_arm_rescaling():
             gx=setup.gx,
             gxp=setup.gxp,
         )
-        assert snr(scaled, 0.0, 0.3) == pytest.approx(base, rel=1e-10)
+        assert point_statistics(scaled, 0.0, 0.3).snr == pytest.approx(base, rel=1e-10)
 
 
 def test_matched_state_saturates_the_bound():
@@ -198,6 +199,10 @@ def test_noise_from_moments_clamp_and_violation():
     assert noise_from_moments(1.0, 1.0 - 1e-14) == 0.0
     with pytest.raises(NormalizationViolationError):
         noise_from_moments(2.0, 1.0)
+    # elementwise over arrays; the first broken entry is reported
+    np.testing.assert_array_equal(noise_from_moments([1.0, 3.0], [1.0 - 1e-14, 25.0]), [0.0, 4.0])
+    with pytest.raises(NormalizationViolationError, match="-3.0"):
+        noise_from_moments([1.0, 2.0, 3.0], [1.0, 1.0, 1.0])
 
 
 def test_snr_edge_cases():
@@ -207,17 +212,29 @@ def test_snr_edge_cases():
     g2 = 3.7
     dg2 = noise_from_moments(g2, 2.0 * g2**2)
     assert snr_from_moments(g2, dg2) == pytest.approx(1.0, rel=1e-12)
+    np.testing.assert_array_equal(snr_from_moments([0.0, 1.0, 3.0], [0.0, 0.0, 2.0]), [0.0, np.inf, 1.5])
 
 
-def test_averaging_laws_are_exact():
-    dg2, s = 0.8125, 2.25
-    for n in (1, 4, 10000):
-        assert averaged_noise(dg2, n) == dg2 / sqrt(n)
-        assert averaged_snr(s, n) == s * sqrt(n)
-    with pytest.raises(InvalidArgumentError):
-        averaged_noise(dg2, 0)
-    with pytest.raises(InvalidArgumentError):
-        averaged_snr(s, 2.5)
+def test_scan_statistics_match_point_statistics():
+    # the scan's columns come from one array evaluation over every x_r
+    setup = slit_setup(make_grid(0.0, 8.0, 4097))
+    result = scan_reference(ScanConfig(setup=setup, xr_min=-1.0, xr_max=1.0, n_xr=21))
+    i_t = arm_energy(setup.h_t, 0.0, setup.gx)
+    i_r = arm_energy(setup.h_r, 0.0, setup.gxp)
+    points = [point_statistics(setup, 0.0, float(x), i_t, i_r) for x in result.x_r]
+    np.testing.assert_array_equal(result.g2, [p.g2 for p in points])
+    np.testing.assert_array_equal(result.noise, [p.noise for p in points])
+    np.testing.assert_array_equal(result.snr, [p.snr for p in points])
+
+
+def test_statistics_name_the_first_non_finite_point():
+    x_r = np.array([0.0, 0.5, 1.0, 1.5])
+    with np.errstate(over="ignore", invalid="ignore"):
+        # G2 overflows at x_r = 1.0, <S^2> at x_r = 0.5
+        with pytest.raises(NumericDomainError, match=r"<S\^2> = inf at \(x_t=0.0, x_r=0.5\)"):
+            _statistics(0.0, x_r, np.array([1.0, 1e100, 1e200, 0.0]), 1e150, 1.0)
+        with pytest.raises(NumericDomainError, match=r"I_r = nan at \(x_t=0.0, x_r=0.0\)"):
+            _statistics(0.0, x_r, np.ones(4), 1.0, np.nan)
 
 
 def test_setup_requires_certified_state():

@@ -27,8 +27,7 @@ from ghostsim import (
     two_f_arm,
 )
 from ghostsim.cli import main
-from ghostsim.config import resolve_config
-from ghostsim.correlator import PointStatistics
+from ghostsim.config import build_scan_config, resolve_config
 from ghostsim.experiments import find_peaks, summarize
 from ghostsim.grid import make_grid
 from ghostsim.optics import load_transmission_csv
@@ -47,24 +46,15 @@ def slit_scan_config(D=10.0, n_x=16385, n_xp=4097, n_xr=81, n_pairs=10000):
 
 
 def fake_result(x, g2, n_pairs=100):
-    records = tuple(
-        PointStatistics(
-            x_t=0.0,
-            x_r=float(xi),
-            amplitude=complex(np.sqrt(gi)),
-            g2=float(gi),
-            i_t=1.0,
-            i_r=1.0,
-            second_moment=float(gi),
-            noise=0.0,
-            snr=0.0,
-        )
-        for xi, gi in zip(x, g2)
-    )
+    x = np.asarray(x, dtype=float)
+    g2 = np.asarray(g2, dtype=float)
     return CorrelationResult(
-        records=records,
-        flags=tuple("" for _ in records),
-        g2_max=float(max(g2)),
+        x_r=x,
+        g2=g2,
+        noise=np.zeros_like(g2),
+        snr=np.zeros_like(g2),
+        flags=("",) * x.size,
+        g2_max=float(g2.max()),
         n_pairs=n_pairs,
         provenance={},
     )
@@ -163,14 +153,23 @@ def test_scan_config_validation(tmp_path, capsys):
     # a finite table whose transform overflows fails the per-point
     # amplitude guard: exit 3, not a NaN CSV
     huge = _pupil_table(tmp_path, x, np.full(x.size, 1e308))
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert _run_scan(tmp_path, capsys, huge) == 3
+    assert _run_scan(tmp_path, capsys, huge) == 3
     # finite amplitudes whose G2, I_r or <S^2> overflow are numeric errors
     # too: at 1e150 <S^2> is inf (was NaN columns with exit 0), at 1e160 G2
     # overflows (was a traceback)
     for scale in (1e150, 1e160):
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert _run_scan(tmp_path, capsys, _pupil_table(tmp_path, x, scale * soft)) == 3
+        assert _run_scan(tmp_path, capsys, _pupil_table(tmp_path, x, scale * soft)) == 3
+
+    # an x' grid too coarse for the reference arm (a 2 mm Gaussian pupil's
+    # transform is ~0.02 mm wide; the 257-node step is 0.0625 mm) makes I_r
+    # vary with x_r: a config error that names the step
+    data = json.loads(json.dumps(RUN))
+    data["reference_arm"]["pupil"] = {"gaussian": {"sigma_mm": 2.0}}
+    data["numerics"]["n_xp"] = 257
+    data["scan"]["n_points"] = 11  # x_r off the grid's nodes, where I_r differs
+    with pytest.raises(InvalidArgumentError, match=r"step 0\.0625 mm.*numerics\.n_xp"):
+        scan_reference(build_scan_config(resolve_config(data)))
+    assert _run_scan(tmp_path, capsys, data) == 2
 
     # a table without a header row would lose its first data row
     headerless = tmp_path / "transmission.csv"

@@ -1,19 +1,13 @@
-"""Grid construction, trapezoid quadrature and the 2-D tensor-product rule."""
+"""Grid construction, trapezoid quadrature, the 2-D rule through the row
+reduction, and bilinear tables."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from ghostsim import (
-    ComplexField1D,
-    InvalidArgumentError,
-    NumericDomainError,
-    integrate,
-    integrate2d,
-    make_grid,
-)
-from ghostsim.grid import Table2D
+from ghostsim import InvalidArgumentError, make_grid
+from ghostsim.grid import Table2D, reduce_rows
 
 
 def test_grid_basic_layout():
@@ -66,43 +60,41 @@ def test_trapezoid_weights_sum_to_interval_length():
 
 
 def test_refined_grid_nests():
+    # 2n - 1 nodes on the same interval halve every panel (the grid-doubling
+    # check refines this way)
     g = make_grid(0.0, 1.0, 5)
-    r = g.refined()
+    r = make_grid(g.center, g.half_width, 2 * g.n_points - 1)
     assert r.n_points == 9
     np.testing.assert_allclose(r.samples()[::2], g.samples(), atol=1e-15)
 
 
 def test_integrate_constant_exact():
     g = make_grid(0.0, 3.0, 10)
-    f = ComplexField1D.sample(lambda x: np.full_like(x, 2.0, dtype=complex), g)
-    assert integrate(f) == pytest.approx(12.0, abs=1e-14)
+    assert g.trapezoid_weights() @ np.full(g.n_points, 2.0) == pytest.approx(12.0, abs=1e-14)
 
 
 def test_integrate_full_period_oscillation_cancels():
     g = make_grid(0.5, 0.5, 2001)
-    f = ComplexField1D.sample(lambda x: np.exp(2j * np.pi * x), g)
-    assert abs(integrate(f)) < 1e-9
+    assert abs(g.trapezoid_weights() @ np.exp(2j * np.pi * g.samples())) < 1e-9
 
 
 def test_integrate_gaussian():
     g = make_grid(0.0, 10.0, 4001)
-    f = ComplexField1D.sample(lambda x: np.exp(-(x**2)).astype(complex), g)
-    assert integrate(f).real == pytest.approx(np.sqrt(np.pi), rel=1e-10)
+    total = g.trapezoid_weights() @ np.exp(-(g.samples() ** 2))
+    assert total == pytest.approx(np.sqrt(np.pi), rel=1e-10)
 
 
 def test_integrate_is_linear():
     g = make_grid(0.0, 1.0, 101)
-    f1 = ComplexField1D.sample(lambda x: np.sin(x).astype(complex), g)
-    f2 = ComplexField1D.sample(lambda x: (x**2).astype(complex), g)
-    combo = ComplexField1D(g, 2.0 * f1.values + 3.0 * f2.values)
-    assert integrate(combo) == pytest.approx(2.0 * integrate(f1) + 3.0 * integrate(f2), abs=1e-14)
+    w, x = g.trapezoid_weights(), g.samples()
+    f1, f2 = np.sin(x), x**2
+    assert w @ (2.0 * f1 + 3.0 * f2) == pytest.approx(2.0 * (w @ f1) + 3.0 * (w @ f2), abs=1e-14)
 
 
 def test_integrate_second_order_convergence():
     def run(n):
         g = make_grid(0.0, 1.0, n)
-        f = ComplexField1D.sample(lambda x: np.cos(3.0 * x).astype(complex), g)
-        return integrate(f).real
+        return g.trapezoid_weights() @ np.cos(3.0 * g.samples())
 
     exact = 2.0 * np.sin(3.0) / 3.0
     e1 = abs(run(41) - exact)
@@ -111,48 +103,31 @@ def test_integrate_second_order_convergence():
     assert e1 / e2 == pytest.approx(4.0, rel=0.2)
 
 
-def test_field_shape_and_finiteness_checks():
-    g = make_grid(0.0, 1.0, 5)
-    with pytest.raises(InvalidArgumentError):
-        ComplexField1D(g, np.zeros(4, dtype=complex))
-    bad = np.zeros(5, dtype=complex)
-    bad[2] = np.nan
-    with pytest.raises(NumericDomainError):
-        ComplexField1D(g, bad)
+def integrate2d(kernel, gx, gxp):
+    """Tensor-product trapezoid rule: the row reduction weighted over x'."""
+    return reduce_rows(kernel, gx.trapezoid_weights(), gx, gxp) @ gxp.trapezoid_weights()
 
 
 def test_integrate2d_area():
     gx = make_grid(0.0, 1.0, 11)
     gxp = make_grid(0.0, 0.5, 7)
-    total = integrate2d(lambda x, xp: np.ones(np.broadcast(x, xp).shape, dtype=complex), gx, gxp)
+    total = integrate2d(lambda x, xp: np.ones(np.broadcast(x, xp).shape), gx, gxp)
     assert total.real == pytest.approx(2.0, abs=1e-14)
 
 
 def test_integrate2d_separable_factorizes():
     gx = make_grid(0.0, 2.0, 401)
     gxp = make_grid(0.0, 2.0, 301)
-    fx = ComplexField1D.sample(lambda x: np.exp(-(x**2)).astype(complex), gx)
-    fxp = ComplexField1D.sample(lambda x: np.cos(x).astype(complex), gxp)
-    product = integrate2d(lambda x, xp: np.exp(-(x**2)) * np.cos(xp) + 0j, gx, gxp)
-    assert product == pytest.approx(integrate(fx) * integrate(fxp), rel=1e-12)
+    fx = gx.trapezoid_weights() @ np.exp(-(gx.samples() ** 2))
+    fxp = gxp.trapezoid_weights() @ np.cos(gxp.samples())
+    product = integrate2d(lambda x, xp: np.exp(-(x**2)) * np.cos(xp), gx, gxp)
+    assert product == pytest.approx(fx * fxp, rel=1e-12)
 
 
 def test_integrate2d_gaussian():
     g = make_grid(0.0, 8.0, 1601)
-    total = integrate2d(lambda x, xp: np.exp(-(x**2) - xp**2) + 0j, g, g)
+    total = integrate2d(lambda x, xp: np.exp(-(x**2) - xp**2), g, g)
     assert total.real == pytest.approx(np.pi, rel=1e-9)
-
-
-def test_integrate2d_reports_bad_point():
-    g = make_grid(0.0, 1.0, 5)
-
-    def kernel(x, xp):
-        block = np.ones(np.broadcast(x, xp).shape, dtype=complex)
-        return np.where((x > 0.4) & (xp > 0.4), np.nan, block)
-
-    with pytest.raises(NumericDomainError) as exc:
-        integrate2d(kernel, g, g)
-    assert exc.value.where == (0.5, 0.5)
 
 
 def test_table2d_interpolates_and_zero_extends():

@@ -10,15 +10,12 @@ import pytest
 
 from ghostsim import (
     InvalidArgumentError,
-    NumericDomainError,
     arm_energy,
     double_slit,
-    eval_h,
     fourier_arm,
     gaussian_pupil,
     gaussian_transmission,
     make_grid,
-    pupil_ft,
     rect_pupil,
     scaled_arm,
     tabulated_pupil,
@@ -28,6 +25,7 @@ from ghostsim import (
 from ghostsim.analytic import (
     double_slit_arm_energy,
     gaussian_object_arm_energy,
+    gaussian_two_f_arm_energy,
     rect_two_f_arm_energy,
 )
 from ghostsim.validate import rect_energy_grid
@@ -95,9 +93,9 @@ def test_tabulated_transmission_range_check():
 
 def test_rect_pupil_transform():
     p = rect_pupil(10.0)
-    assert pupil_ft(p, 0.0) == pytest.approx(10.0)
-    assert abs(pupil_ft(p, 0.1)) < 1e-12
-    assert pupil_ft(p, 0.05) == pytest.approx(20.0 / np.pi, rel=1e-12)
+    assert p.ft(0.0) == pytest.approx(10.0)
+    assert abs(p.ft(0.1)) < 1e-12
+    assert p.ft(0.05) == pytest.approx(20.0 / np.pi, rel=1e-12)
     u = np.linspace(-1.0, 1.0, 2001)
     assert np.max(np.abs(p.ft(u))) <= 10.0 + 1e-12
 
@@ -110,15 +108,15 @@ def test_gaussian_pupil_transform_matches_quadrature():
     w = g.trapezoid_weights()
     rng = np.random.default_rng(7)
     for u in rng.uniform(-1.0, 1.0, size=20):
-        direct = complex(np.dot(w, p.evaluate(x) * np.exp(-2j * np.pi * u * x)))
-        assert pupil_ft(p, u) == pytest.approx(direct, rel=1e-10)
+        direct = complex(np.dot(w, np.exp(-(x**2) / sigma**2 - 2j * np.pi * u * x)))
+        assert p.ft(u) == pytest.approx(direct, rel=1e-10)
 
 
 def test_tabulated_pupil_matches_analytic_transform():
     sigma = 1.0
     ref = gaussian_pupil(sigma)
     g = make_grid(0.0, 5.0 * sigma, 2001)
-    tab = tabulated_pupil(g, ref.evaluate(g.samples()))
+    tab = tabulated_pupil(g, np.exp(-(g.samples() ** 2) / sigma**2))
     rng = np.random.default_rng(11)
     u = rng.uniform(-1.0, 1.0, size=100)
     np.testing.assert_allclose(tab.ft(u), ref.ft(u), rtol=1e-6, atol=1e-9)
@@ -131,25 +129,25 @@ def test_tabulated_pupil_matches_analytic_transform():
 def test_fourier_arm_kernel_values():
     h = fourier_arm(LAM, F, double_slit(0.05, 1.0))
     # inside a slit at x_t = 0 the kernel is -i / (lam f)
-    v = eval_h(h, 0.0, 0.5)
+    v = h.evaluate(0.0, 0.5)
     assert v == pytest.approx(-1j / LF, rel=1e-12)
     assert abs(v) == pytest.approx(15.3846, rel=1e-4)
     # outside the slits it vanishes
-    assert eval_h(h, 0.3, 0.0) == 0.0
+    assert h.evaluate(0.3, 0.0) == 0.0
     # the modulus does not depend on the detector position
-    assert abs(eval_h(h, 1.7, 0.5)) == pytest.approx(abs(v), rel=1e-12)
+    assert abs(h.evaluate(1.7, 0.5)) == pytest.approx(abs(v), rel=1e-12)
 
 
 def test_fourier_arm_phase_is_linear_in_detector_position():
     h = fourier_arm(LAM, F, gaussian_transmission(1.0))
     x = 0.3
-    ratio = eval_h(h, 0.2, x) / eval_h(h, 0.1, x)
+    ratio = h.evaluate(0.2, x) / h.evaluate(0.1, x)
     assert ratio == pytest.approx(np.exp(-2j * np.pi * 0.1 * x / LF), rel=1e-12)
 
 
 def test_two_f_arm_kernel_values():
     h = two_f_arm(LAM, F, rect_pupil(10.0))
-    v = eval_h(h, 0.0, 0.0)
+    v = h.evaluate(0.0, 0.0)
     assert v == pytest.approx(10.0 / (4.0 * LF**2), rel=1e-12)
     assert abs(v) == pytest.approx(591.716, rel=1e-4)
     # the modulus peaks along x' = -x_r where the pupil transform is at dc
@@ -229,15 +227,6 @@ def test_two_f_arm_grid_sampler_is_thread_safe():
         np.testing.assert_array_equal(a, b)
 
 
-def test_eval_h_argument_checks():
-    h = fourier_arm(LAM, F, gaussian_transmission(1.0))
-    with pytest.raises(InvalidArgumentError):
-        eval_h(h, np.inf, 0.0)
-    bad = scaled_arm(h, np.nan)
-    with pytest.raises(NumericDomainError):
-        eval_h(bad, 0.0, 0.0)
-
-
 def test_scaled_arm_scales_samples():
     h = fourier_arm(LAM, F, gaussian_transmission(1.0))
     g = make_grid(0.0, 2.0, 65)
@@ -270,3 +259,12 @@ def test_rect_two_f_arm_energy_matches_closed_form():
     h = two_f_arm(LAM, F, rect_pupil(D))
     e = arm_energy(h, 0.0, rect_energy_grid(D))
     assert e == pytest.approx(rect_two_f_arm_energy(D, LAM, F), rel=1e-4)
+
+
+def test_gaussian_two_f_arm_energy_matches_closed_form():
+    # amp^2 |P|^2 on the default x' grid against the closed form
+    g = make_grid(0.0, 8.0, 16385)
+    for sigma in (0.5, 2.0, 4.0):
+        h = two_f_arm(LAM, F, gaussian_pupil(sigma))
+        e = arm_energy(h, 0.0, g)
+        assert e == pytest.approx(gaussian_two_f_arm_energy(sigma, LAM, F), rel=1e-14)

@@ -9,6 +9,7 @@ import pytest
 
 from ghostsim import (
     InvalidArgumentError,
+    NumericDomainError,
     TruncationError,
     gaussian_wavefunction,
     make_grid,
@@ -136,6 +137,20 @@ def test_normalize_rejects_zero_table():
     tab = tabulated_wavefunction(g, g, np.zeros((33, 33)))
     with pytest.raises(InvalidArgumentError):
         normalize(tab, g, g)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_normalize_rejects_non_finite_table(bad):
+    # a compact bump with one non-finite interior entry: the norm is not
+    # finite, so the state must not be certified
+    g = make_grid(0.0, 1.0, 33)
+    x = g.samples()
+    values = np.exp(-(x[:, np.newaxis] ** 2 + x[np.newaxis, :] ** 2) / 0.05)
+    values[10, 20] = bad
+    tab = tabulated_wavefunction(g, g, values)
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(NumericDomainError, match="not finite"):
+            normalize(tab, g, g)
 
 
 def test_certification_grid_resolves_entanglement_ridge():
