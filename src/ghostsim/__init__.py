@@ -47,7 +47,6 @@ from .source import (
     default_certification_grid,
     gaussian_wavefunction,
     normalize,
-    tabulated_wavefunction,
 )
 
 __version__ = "0.1.0"

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from . import experiments, optics, source
 from .errors import ConfigError
 from .experiments import ScanConfig, build_setup
+from .grid import MAX_NODES
 
 __all__ = ["RunConfig", "load_config", "resolve_config", "build_scan_config"]
 
@@ -95,13 +96,15 @@ def _finite(value, where: str) -> float:
     return number
 
 
-def _integer(value, where: str, minimum: int) -> int:
-    """An integral number >= minimum: 10000 and 1e4 pass, 1.7 and "abc" do not."""
+def _integer(value, where: str, minimum: int, maximum: float = math.inf) -> int:
+    """An integral number in [minimum, maximum]: 1e4 passes, 1.7 and "abc" do not."""
     number = _number(value)
     if not number.is_integer():
         raise ConfigError(f"{where} must be an integer, got {value!r}")
     if number < minimum:
         raise ConfigError(f"{where} must be >= {minimum}, got {value!r}")
+    if number > maximum:
+        raise ConfigError(f"{where} must be <= {maximum}, the node budget, got {value!r}")
     return int(number)
 
 
@@ -196,7 +199,7 @@ def resolve_config(data: dict) -> RunConfig:
     _no_unknown(numerics_in, "numerics", set(numerics))
     numerics.update(numerics_in)
     for key in ("n_x", "n_xp"):
-        numerics[key] = _integer(numerics[key], f"numerics.{key}", 2)
+        numerics[key] = _integer(numerics[key], f"numerics.{key}", 2, MAX_NODES)
     numerics["window_mm"] = _positive(numerics["window_mm"], "numerics.window_mm")
 
     output = dict(_DEFAULTS["output"])

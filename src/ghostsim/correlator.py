@@ -13,12 +13,11 @@ Averaging over N independently generated pairs divides the fluctuation by
 sqrt(N) and multiplies the SNR by sqrt(N).
 
 All integrals are tensor-product trapezoid sums on the setup's grids.  The
-inner integral u(x') = int dx phi(x, x') h_t(x_t, x) is the state's banded
-row reduction (:meth:`ghostsim.source.TwoPhotonState.reduce`): only rows
-where the test arm is nonzero are evaluated, for the Gaussian source only
-the columns of its ridge (kernel entries dropped outside it are below
-``RIDGE_EPS`` = 1e-18 of the kernel peak), and the state's scalar
-``c_norm`` is applied once to the reduced vector.
+inner integral u(x') = int dx phi(x, x') h_t(x_t, x) is the state's row
+reduction (:meth:`ghostsim.source.TwoPhotonState.reduce`) of phi = c_norm
+f(x) g(x') R(x - x'): f is folded into the test-arm vector, R reduced over
+its nonzero rows (for the Gaussian only within its ridge band, sampled once
+per node of each block's difference lattice), then g and ``c_norm`` applied.
 
 The amplitude A = sum_j w_j u_j h_r(x_r, x'_j) has no term where
 u_j = 0, so the reference arm is sampled only on the reference window: the
@@ -30,7 +29,6 @@ gxp.  The statistics are computed for every x_r of a scan at once.
 
 from __future__ import annotations
 
-import threading
 import warnings
 from dataclasses import dataclass, replace
 
@@ -77,7 +75,6 @@ class CorrelatorSetup:
 
     def __post_init__(self):
         object.__setattr__(self, "_inner_cache", {})
-        object.__setattr__(self, "_inner_lock", threading.Lock())
         if not self.state.norm_certified:
             raise InvalidArgumentError(
                 "correlator requires a norm-certified two-photon state"
@@ -98,18 +95,13 @@ class CorrelatorSetup:
         """
         other = replace(self, h_r=h_r)
         object.__setattr__(other, "_inner_cache", self._inner_cache)
-        object.__setattr__(other, "_inner_lock", self._inner_lock)
         return other
 
     def _memoized(self, kind: str, x_t: float, compute):
         key = (kind, float(x_t))
-        with self._inner_lock:
-            cached = self._inner_cache.get(key)
-        if cached is None:
-            cached = compute()
-            with self._inner_lock:
-                cached = self._inner_cache.setdefault(key, cached)
-        return cached
+        if key not in self._inner_cache:
+            self._inner_cache[key] = compute()
+        return self._inner_cache[key]
 
     def _left_vector(self, x_t: float) -> np.ndarray:
         """Trapezoid-weighted test-arm samples over gx."""

@@ -176,27 +176,28 @@ def scan_reference(config: ScanConfig) -> CorrelationResult:
     """Evaluate every per-point statistic along the x_r scan.
 
     The arm energies are grid integrals independent of the detector
-    positions for the standard arms, so they are computed once and the cache
-    is spot-checked against direct evaluation at three scan points.  Scan
-    points share the memoized inner integral and its reference window.
+    positions for the standard arms, so they are computed once, I_r at the
+    middle x_r and checked at xr_min, xr_max and half an x' step off the
+    middle: on an x' grid that does not resolve the reference arm it depends
+    on where x_r falls.  Scan points share the memoized inner integral.
     """
     setup = config.setup
     xr = np.linspace(config.xr_min, config.xr_max, config.n_xr)
+    x_mid = float(xr[config.n_xr // 2])
 
     i_t = arm_energy(setup.h_t, config.x_t, setup.gx)
-    i_r = arm_energy(setup.h_r, float(xr[config.n_xr // 2]), setup.gxp)
+    i_r = arm_energy(setup.h_r, x_mid, setup.gxp)
 
-    rng = np.random.default_rng(0)
-    for k in rng.choice(config.n_xr, size=min(3, config.n_xr), replace=False):
+    for x_probe in (config.xr_min, config.xr_max, x_mid + 0.5 * setup.gxp.step):
         with warnings.catch_warnings():
             # the reference computation above already reported any window
-            # truncation; the spot-check only probes cache validity
+            # truncation; the probes only check the cache
             warnings.simplefilter("ignore", SupportCoverageWarning)
-            direct = arm_energy(setup.h_r, float(xr[k]), setup.gxp)
+            direct = arm_energy(setup.h_r, x_probe, setup.gxp)
         if abs(direct - i_r) > _CACHE_RTOL * max(abs(direct), abs(i_r)):
             raise InvalidArgumentError(
                 f"reference-arm energy {i_r} cached vs {direct} direct at "
-                f"x_r={xr[k]}: the x' grid (step {setup.gxp.step:.4g} mm, window "
+                f"x_r={x_probe}: the x' grid (step {setup.gxp.step:.4g} mm, window "
                 f"+/-{setup.gxp.half_width:g} mm) does not resolve the reference "
                 f"arm; raise numerics.n_xp or adjust numerics.window_mm"
             )

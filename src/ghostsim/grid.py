@@ -2,30 +2,44 @@
 
 Every integral in the package (state normalization, arm energies, the
 coincidence amplitude) is a dot product with a grid's trapezoid weights;
-the one 2-D quadrature, over the two-photon kernel, is the banded row
-reduction :func:`reduce_rows`.  Grids are closed intervals that contain both
-endpoints; the step is defined by ``n_points - 1`` panels so that symmetric
-windows place their endpoints exactly.
+the one 2-D quadrature, over the ridge R(x - x') of the two-photon state, is
+the banded row reduction :func:`reduce_rows`.  Grids are closed intervals
+that contain both endpoints; the step is defined by ``n_points - 1`` panels
+so that symmetric windows place their endpoints exactly.
+
+When the steps are in a small integer ratio, dx = p h and dx' = q h, the
+differences x_i - x'_j of a block lie on one lattice d0 + h k of at most
+p * rows + q * columns nodes: R is sampled once on it and the block read as
+a strided view; on other grids R is evaluated entry by entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import InvalidArgumentError
 
 __all__ = [
     "Grid1D",
+    "MAX_NODES",
     "make_grid",
     "reduce_rows",
-    "Table2D",
 ]
 
-# most kernel rows evaluated per block; bounds the block's memory
+# most rows reduced per block; bounds the block's memory
 _ROW_CHUNK = 512
+
+# dx / dx' is written as p / q with q <= _MAX_RATIO_TERM, up to _RATIO_RTOL
+_MAX_RATIO_TERM = 64
+_RATIO_RTOL = 1e-13
+
+# most nodes a grid may hold; bounds its samples, weights and reductions
+MAX_NODES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -70,6 +84,9 @@ class Grid1D:
 
 
 def make_grid(center: float, half_width: float, n_points: int) -> Grid1D:
+    """A grid over MAX_NODES nodes is refused before anything is allocated."""
+    if not (n_points <= MAX_NODES):
+        raise InvalidArgumentError(f"{n_points} grid nodes exceed the budget of {MAX_NODES}")
     if not np.isfinite(center):
         raise InvalidArgumentError(f"grid center must be finite, got {center}")
     if not (half_width > 0.0) or not np.isfinite(half_width):
@@ -79,29 +96,55 @@ def make_grid(center: float, half_width: float, n_points: int) -> Grid1D:
     return Grid1D(float(center), float(half_width), int(n_points))
 
 
+def _lattice(gx: Grid1D, gxp: Grid1D):
+    """(p, q, h) with gx.step = p h and gxp.step = q h, or None."""
+    pq = Fraction(gx.step / gxp.step).limit_denominator(_MAX_RATIO_TERM)
+    p, q = pq.numerator, pq.denominator
+    if p and abs(q * gx.step / p - gxp.step) <= _RATIO_RTOL * gxp.step:
+        return p, q, gx.step / p
+    return None
+
+
+def _block(ridge, x, xp, idx, j0: int, j1: int, lattice) -> np.ndarray:
+    """R(x_i - x'_j) on the rows idx (ascending) and columns j0..j1-1: on a
+    lattice (p, q, h), R(x[idx[0]] - x'[j1-1] + h k) at k = p (i - idx[0]) +
+    q (j1-1 - j), when that takes fewer samples than the block has entries."""
+    cols = j1 - j0
+    if lattice is not None:
+        p, q, h = lattice
+        rows = int(idx[-1] - idx[0]) + 1
+        n = p * (rows - 1) + q * (cols - 1) + 1
+        if n < idx.size * cols:
+            r = np.asarray(ridge(x[idx[0]] - xp[j1 - 1] + h * np.arange(n)))
+            s = r.strides[0]
+            view = as_strided(r[q * (cols - 1) :], (rows, cols), (p * s, -q * s))
+            return view[idx - idx[0]]
+    return ridge(x[idx, np.newaxis] - xp[np.newaxis, j0:j1])
+
+
 def reduce_rows(
-    kernel: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    ridge: Callable[[np.ndarray], np.ndarray],
     left: np.ndarray,
     gx: Grid1D,
     gxp: Grid1D,
     band: float = np.inf,
 ) -> np.ndarray:
-    """v(x'_j) = sum_i left_i kernel(x_i, x'_j) on gxp.
+    """v(x'_j) = sum_i left_i R(x_i - x'_j) on gxp, for a difference kernel R.
 
-    Only rows where ``left`` is nonzero are evaluated, and for a block of
-    them only the columns within ``band`` of some row in it: the caller
-    vouches that the kernel is negligible for |x - x'| > band (``inf``
-    evaluates every column).  A block holds at most _ROW_CHUNK consecutive
-    nonzero rows spanning at most ``band`` in x, so its column window is at
-    most three band widths wide.
+    Only rows where ``left`` is nonzero are reduced, and for a block of them
+    only the columns within ``band`` of some row in it: the caller vouches
+    that R is negligible for |d| > band (``inf`` takes every column).  A
+    block holds at most _ROW_CHUNK consecutive nonzero rows spanning at most
+    ``band`` in x, so its column window is at most three band widths wide.
 
     A complex ``left`` is reduced as a stacked (re, im) pair, so a real
-    kernel block is never cast to complex.  The result is complex.
+    ridge block is never cast to complex.  The result is complex.
     """
     left = np.asarray(left)
     parts = np.stack([left.real, left.imag]) if np.iscomplexobj(left) else left[np.newaxis]
     x = gx.samples()
     xp = gxp.samples()
+    lattice = _lattice(gx, gxp)
     nz = np.flatnonzero(left)
     xs = x[nz]
     acc = np.zeros((parts.shape[0], gxp.n_points), dtype=complex)
@@ -112,44 +155,6 @@ def reduce_rows(
         j1 = int(np.searchsorted(xp, xs[end - 1] + band, side="right"))
         if j0 < j1:
             idx = nz[i:end]
-            block = kernel(x[idx, np.newaxis], xp[np.newaxis, j0:j1])
-            acc[:, j0:j1] += parts[:, idx] @ block
+            acc[:, j0:j1] += parts[:, idx] @ _block(ridge, x, xp, idx, j0, j1, lattice)
         i = end
     return acc[0] + 1j * acc[1] if acc.shape[0] == 2 else acc[0]
-
-
-class Table2D:
-    """Bilinear interpolation of a complex table on a grid cross-product,
-    with zero extension outside the domain."""
-
-    def __init__(self, gx: Grid1D, gxp: Grid1D, values: np.ndarray):
-        values = np.asarray(values, dtype=complex)
-        if values.shape != (gx.n_points, gxp.n_points):
-            raise InvalidArgumentError(
-                f"table shape {values.shape} does not match grids "
-                f"({gx.n_points}, {gxp.n_points})"
-            )
-        self.gx = gx
-        self.gxp = gxp
-        self.values = values
-
-    def __call__(self, x, xp) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        xp = np.asarray(xp, dtype=float)
-        x, xp = np.broadcast_arrays(x, xp)
-        fx = (x - self.gx.lo) / self.gx.step
-        fy = (xp - self.gxp.lo) / self.gxp.step
-        inside = (fx >= 0) & (fx <= self.gx.n_points - 1) & (fy >= 0) & (fy <= self.gxp.n_points - 1)
-        fx = np.clip(fx, 0.0, self.gx.n_points - 1)
-        fy = np.clip(fy, 0.0, self.gxp.n_points - 1)
-        i = np.minimum(fx.astype(int), self.gx.n_points - 2)
-        j = np.minimum(fy.astype(int), self.gxp.n_points - 2)
-        tx = fx - i
-        ty = fy - j
-        v = (
-            self.values[i, j] * (1 - tx) * (1 - ty)
-            + self.values[i + 1, j] * tx * (1 - ty)
-            + self.values[i, j + 1] * (1 - tx) * ty
-            + self.values[i + 1, j + 1] * tx * ty
-        )
-        return np.where(inside, v, 0.0 + 0.0j)

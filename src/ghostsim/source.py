@@ -1,46 +1,39 @@
 """Two-photon wavefunction models.
 
-The Gaussian source
+A state is phi(x, x') = c_norm * f(x) * g(x') * R(x - x'): two envelopes, a
+ridge that depends only on x - x' and one scalar amplitude ``c_norm``.  The
+Gaussian source, the default model, has f = g = exp(-x^2 / a^2) and
+R(d) = exp(-d^2 / b^2): ``a`` sets the source size, ``b`` the entanglement
+width.  A separable state, such as the validation suite's matched state, has
+R = 1 (``ridge`` is None).
 
-    phi(x, x') = C * exp(-(x^2 + x'^2) / a^2) * exp(-(x - x')^2 / b^2)
-
-is the default model: ``a`` sets the source size, ``b`` the entanglement
-width.  Arbitrary externally computed wavefunctions can be supplied as
-bilinear-interpolated tables.
-
-A state is an unnormalized kernel times one scalar amplitude ``c_norm``.
-:func:`normalize` computes the quadrature of |kernel|^2 and sets ``c_norm``;
-:meth:`TwoPhotonState.reduce` applies ``c_norm`` once to the reduced vector,
-so no evaluator is ever wrapped.  Both integrals go through the banded row
-reduction :func:`ghostsim.grid.reduce_rows`.  The Gaussian kernel is real
-and a ridge of width ``b`` about x = x': since its envelope
-exp(-(x^2 + x'^2) / a^2) is at most 1, every entry with
-
-    |x - x'| > b * sqrt(ln(1 / RIDGE_EPS))   (about 6.44 b)
-
-is below RIDGE_EPS times the kernel peak and is not evaluated; |phi|^2 is a
-ridge of width b / sqrt(2).  Tabulated and matched states have no ridge
-(``ridge_width`` is infinite) and take the same reduction over every
-column.  The closed-form Gaussian norm lives in :mod:`ghostsim.analytic` and
-is used only for validation.
+:func:`normalize` sets ``c_norm`` from the quadrature of |phi|^2, and
+:meth:`TwoPhotonState.reduce` applies it once to the reduced vector.  Both
+fold f into the left vector, reduce R with :func:`ghostsim.grid.reduce_rows`
+(a plain sum when R = 1) and multiply the result by g.  That reduction
+samples R once per block on the lattice of differences x_i - x'_j when the
+grid steps are in a small integer ratio, as on every grid the package
+builds.  R values with |d| > b * sqrt(ln(1 / RIDGE_EPS)) (about 6.44 b) are
+below RIDGE_EPS times its peak and are not evaluated; |R|^2 has width
+b / sqrt(2).  The closed-form Gaussian norm in :mod:`ghostsim.analytic` is
+used only for validation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from math import inf, isfinite, log, sqrt
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericDomainError, TruncationError
-from .grid import Grid1D, Table2D, make_grid, reduce_rows
+from .grid import MAX_NODES, Grid1D, make_grid, reduce_rows
 
 __all__ = [
     "TwoPhotonState",
     "gaussian_wavefunction",
     "normalize",
-    "tabulated_wavefunction",
     "default_certification_grid",
 ]
 
@@ -50,42 +43,58 @@ EDGE_FRACTION = 1e-8
 
 NORM_TOL = 1e-6
 
-# kernel entries below this fraction of the kernel peak are dropped from the
+# ridge values below this fraction of the ridge peak are dropped from the
 # banded reduction; see the module docstring for the band it implies
 RIDGE_EPS = 1e-18
 
 
 def _band(ridge_width: float) -> float:
-    """Half-width in |x - x'| outside which a kernel bounded by
-    peak * exp(-(x - x')^2 / ridge_width^2) is below RIDGE_EPS * peak."""
+    """|d| beyond which R <= peak * exp(-d^2 / ridge_width^2) is below RIDGE_EPS * peak."""
     return ridge_width * sqrt(log(1.0 / RIDGE_EPS))
+
+
+def _times(envelope: Callable, values: np.ndarray, grid: Grid1D) -> np.ndarray:
+    """values * envelope(grid nodes), evaluated only where values is nonzero."""
+    nz = np.flatnonzero(values)
+    e = envelope(grid.samples()[nz])
+    out = np.zeros(values.shape, dtype=np.result_type(values, e))
+    out[nz] = values[nz] * e
+    return out
 
 
 @dataclass(frozen=True)
 class TwoPhotonState:
-    """The entangled-pair wavefunction phi(x, x') = c_norm * kernel(x, x').
+    """The entangled-pair wavefunction phi(x, x') = c_norm * f(x) * g(x') * R(x - x').
 
-    ``kernel`` broadcasts over numpy arrays.  ``ridge_width`` w states that
-    |kernel(x, x')| <= peak * exp(-(x - x')^2 / w^2), with ``inf`` for a
-    kernel without a ridge.  ``norm_certified`` records that |phi|^2
-    integrates to 1 (within ``NORM_TOL``) on the certification grids stored
-    in the descriptor.
+    ``f``, ``g`` and ``ridge`` (R, or None for R = 1) broadcast over numpy
+    arrays; |R(d)| <= peak * exp(-d^2 / ridge_width^2) (``inf``: no bound).
+    ``norm_certified`` records that |phi|^2 integrates to 1 (within
+    ``NORM_TOL``) on the certification grids stored in the descriptor.
     """
 
-    kernel: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    f: Callable
+    g: Callable
     norm_certified: bool
     descriptor: dict
     c_norm: complex = 1.0
+    ridge: Optional[Callable] = None
     ridge_width: float = inf
 
     def evaluate(self, x, xp) -> np.ndarray:
         """phi(x, x'), broadcast over numpy arrays."""
-        return self.c_norm * self.kernel(x, xp)
+        x, xp = np.asarray(x, dtype=float), np.asarray(xp, dtype=float)
+        phi = self.c_norm * self.f(x) * self.g(xp)
+        return phi if self.ridge is None else phi * self.ridge(x - xp)
 
     def reduce(self, left: np.ndarray, gx: Grid1D, gxp: Grid1D) -> np.ndarray:
-        """sum_x left(x) phi(x, x') on gxp, over the nonzero entries of left."""
-        rows = reduce_rows(self.kernel, left, gx, gxp, _band(self.ridge_width))
-        return self.c_norm * rows
+        """sum_x left(x) phi(x, x') on gxp: f folded into left, R reduced over
+        its nonzero entries (a plain sum when R = 1), then times g."""
+        left = _times(self.f, left, gx)
+        if self.ridge is None:
+            rows = np.full(gxp.n_points, left.sum())
+        else:
+            rows = reduce_rows(self.ridge, left, gx, gxp, _band(self.ridge_width))
+        return self.c_norm * _times(self.g, rows, gxp)
 
     def scaled(self, factor: complex) -> "TwoPhotonState":
         return replace(self, c_norm=factor * self.c_norm, norm_certified=False)
@@ -98,40 +107,45 @@ def gaussian_wavefunction(a: float, b: float) -> TwoPhotonState:
     if not (b > 0.0):
         raise InvalidArgumentError(f"entanglement width b must be > 0, got {b}")
 
-    def kernel(x, xp):
-        x = np.asarray(x, dtype=float)
-        xp = np.asarray(xp, dtype=float)
-        # the exponent is built in place on its one block-sized temporary
-        e = x - xp
-        e *= e
-        e /= -(b**2)
-        e -= x**2 / a**2
-        e -= xp**2 / a**2
-        return np.exp(e)
+    def envelope(x):
+        return np.exp(np.square(x) / -(a * a))
+
+    def ridge(d):
+        return np.exp(np.square(d) / -(b * b))
 
     return TwoPhotonState(
-        kernel=kernel,
+        f=envelope,
+        g=envelope,
         norm_certified=False,
         descriptor={"kind": "gaussian", "a_mm": float(a), "b_mm": float(b)},
+        ridge=ridge,
         ridge_width=float(b),
     )
 
 
 def default_certification_grid(a: float, b: float) -> Grid1D:
     """Window [-4a, 4a] with a step fine enough to resolve the (x - x')
-    entanglement ridge of width ~b."""
+    entanglement ridge of width ~b, refused over MAX_NODES nodes."""
     half_width = 4.0 * a
-    n = int(np.ceil(2.0 * half_width / (b / 6.0))) + 1
-    return make_grid(0.0, half_width, max(n, 257))
+    n = np.ceil(2.0 * half_width / (b / 6.0)) + 1.0
+    if not (n <= MAX_NODES):
+        raise InvalidArgumentError(
+            f"the certification grid for source.a_mm = {a:g}, source.b_mm = {b:g} needs "
+            f"{n:.3g} nodes, over the budget of {MAX_NODES}; lower a_mm or raise b_mm"
+        )
+    return make_grid(0.0, half_width, max(int(n), 257))
 
 
 def _norm_integral(state: TwoPhotonState, gx: Grid1D, gxp: Grid1D) -> float:
-    def abs2(x, xp):
-        return np.abs(state.kernel(x, xp)) ** 2
+    def abs2(fn):
+        return None if fn is None else lambda s: np.abs(fn(s)) ** 2
 
-    band = _band(state.ridge_width / sqrt(2.0))
-    rows = reduce_rows(abs2, gx.trapezoid_weights(), gx, gxp, band)
-    return abs(state.c_norm) ** 2 * float((rows @ gxp.trapezoid_weights()).real)
+    density = replace(
+        state, f=abs2(state.f), g=abs2(state.g), ridge=abs2(state.ridge),
+        ridge_width=state.ridge_width / sqrt(2.0), c_norm=abs(state.c_norm) ** 2,
+    )
+    rows = density.reduce(gx.trapezoid_weights(), gx, gxp)
+    return float((rows @ gxp.trapezoid_weights()).real)
 
 
 def _check_support_coverage(state: TwoPhotonState, gx: Grid1D, gxp: Grid1D) -> None:
@@ -159,8 +173,8 @@ def _check_support_coverage(state: TwoPhotonState, gx: Grid1D, gxp: Grid1D) -> N
 def normalize(state: TwoPhotonState, gx: Grid1D, gxp: Grid1D) -> TwoPhotonState:
     """Rescale so that the quadrature of |phi|^2 over (gx, gxp) equals 1.
 
-    A non-finite norm (a NaN or inf kernel value, or an overflowing
-    quadrature) is a numeric error.  The returned state carries
+    A non-finite norm (a NaN or inf envelope or ridge value, or an
+    overflowing quadrature) is a numeric error.  The returned state carries
     ``norm_certified=True`` and the rescaled
     amplitude ``c_norm``, which its descriptor records next to the
     certification grids.
@@ -179,17 +193,3 @@ def normalize(state: TwoPhotonState, gx: Grid1D, gxp: Grid1D) -> TwoPhotonState:
         "gxp": (gxp.center, gxp.half_width, gxp.n_points),
     }
     return replace(state, c_norm=c_norm, norm_certified=True, descriptor=descriptor)
-
-
-def tabulated_wavefunction(gx: Grid1D, gxp: Grid1D, values: np.ndarray) -> TwoPhotonState:
-    """Wavefunction given by samples on a grid cross-product.
-
-    Bilinear interpolation inside the domain, zero outside.  Not
-    norm-certified until :func:`normalize` is applied.
-    """
-    table = Table2D(gx, gxp, values)
-    return TwoPhotonState(
-        kernel=table,
-        norm_certified=False,
-        descriptor={"kind": "tabulated", "shape": (gx.n_points, gxp.n_points)},
-    )

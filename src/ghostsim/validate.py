@@ -144,16 +144,14 @@ def _check_all_gaussian_amplitude(corrupt: float) -> CheckResult:
 
 
 def _matched_state(h_t, h_r, x_t: float, x_r: float, gx, gxp, corrupt: float):
-    """State proportional to conj(h_t h_r): the Cauchy-Schwarz equality case."""
-
-    def kernel(x, xp):
-        x = np.asarray(x, dtype=float)
-        xp = np.asarray(xp, dtype=float)
-        # conjugate the factors before the outer product: identical values,
-        # one rows x columns complex temporary fewer
-        return np.conj(h_t.evaluate(x_t, x)) * np.conj(h_r.evaluate(x_r, xp))
-
-    raw = TwoPhotonState(kernel=kernel, norm_certified=False, descriptor={"kind": "matched"})
+    """State proportional to conj(h_t h_r): the Cauchy-Schwarz equality case,
+    separable with f = conj h_t(x_t, .), g = conj h_r(x_r, .) and R = 1."""
+    raw = TwoPhotonState(
+        f=lambda x: np.conj(h_t.evaluate(x_t, x)),
+        g=lambda xp: np.conj(h_r.evaluate(x_r, xp)),
+        norm_certified=False,
+        descriptor={"kind": "matched"},
+    )
     return _certify(raw, gx, gxp, corrupt)
 
 

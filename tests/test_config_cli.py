@@ -14,6 +14,7 @@ import pytest
 from ghostsim import ConfigError
 from ghostsim.cli import CSV_HEADER, main, preset_path
 from ghostsim.config import build_scan_config, load_config, resolve_config
+from ghostsim.grid import MAX_NODES
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 REFERENCE = PERFBENCH / "reference"
@@ -234,6 +235,47 @@ def test_cli_overflow_reports_one_stderr_line(tmp_path, table):
     assert proc.returncode == 3
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert proc.stderr.startswith("ghostsim: numeric error: ")
+    assert not out.exists()
+
+
+# a scan in a fresh process under a 1 GiB address-space limit: a grid that
+# slips past the node budget fails the test with a MemoryError instead of
+# exhausting the machine's memory
+_LIMITED_SCAN = (
+    "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+    "from ghostsim.cli import main; sys.exit(main(sys.argv[1:]))"
+)
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("source", "a_mm", 1e6),
+        ("source", "a_mm", 1e300),
+        ("source", "b_mm", 1e-9),
+        ("source", "b_mm", 1e-300),
+        ("numerics", "n_x", 1e300),
+        ("numerics", "n_xp", MAX_NODES + 1),
+    ],
+)
+def test_node_budget_names_the_config_key(tmp_path, section, key, value):
+    data = {
+        "source": {"a_mm": 2.0, "b_mm": 0.05},
+        "numerics": {"n_x": 8193, "n_xp": 2049, "window_mm": 8.0},
+    }
+    data[section][key] = value
+    cfg = small_config(tmp_path, **data)
+    out = tmp_path / "scan.csv"
+    proc = subprocess.run(
+        [sys.executable, "-c", _LIMITED_SCAN, "scan", "--config", cfg, "--output", str(out)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert f"{section}.{key}" in proc.stderr
+    assert "budget" in proc.stderr
     assert not out.exists()
 
 

@@ -75,12 +75,12 @@ def test_opaque_object_gives_zero_signal():
 def test_separable_state_amplitude_factorizes():
     g = make_grid(0.0, 4.0, 1025)
 
-    def kernel(x, xp):
-        return np.exp(-np.asarray(x, dtype=float) ** 2) * np.exp(
-            -np.asarray(xp, dtype=float) ** 2 / 2.0
-        ) + 0j
-
-    state = TwoPhotonState(kernel=kernel, norm_certified=True, descriptor={})
+    state = TwoPhotonState(
+        f=lambda x: np.exp(-(x**2)) + 0j,
+        g=lambda xp: np.exp(-(xp**2) / 2.0),
+        norm_certified=True,
+        descriptor={},
+    )
     h_t = fourier_arm(LAM, F, gaussian_transmission(1.0))
     h_r = two_f_arm(LAM, F, gaussian_pupil(1.0))
     setup = CorrelatorSetup(state=state, h_t=h_t, h_r=h_r, gx=g, gxp=g)
@@ -166,7 +166,8 @@ def test_matched_state_saturates_the_bound():
     x_t, x_r = 0.0, 0.1
 
     raw = TwoPhotonState(
-        kernel=lambda x, xp: np.conj(h_t.evaluate(x_t, x) * h_r.evaluate(x_r, xp)),
+        f=lambda x: np.conj(h_t.evaluate(x_t, x)),
+        g=lambda xp: np.conj(h_r.evaluate(x_r, xp)),
         norm_certified=False,
         descriptor={"kind": "matched"},
     )
@@ -398,11 +399,12 @@ def test_single_nonzero_inner_integral_widens_the_window(node):
     g = make_grid(0.0, 4.0, 257)
     xp0 = g.sample(node)
 
-    def kernel(x, xp):
-        x, xp = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(xp, dtype=float))
-        return np.where(xp == xp0, np.exp(-(x**2)), 0.0)
-
-    state = TwoPhotonState(kernel=kernel, norm_certified=True, descriptor={})
+    state = TwoPhotonState(
+        f=lambda x: np.exp(-(x**2)),
+        g=lambda xp: np.where(xp == xp0, 1.0, 0.0),
+        norm_certified=True,
+        descriptor={},
+    )
     h_t = fourier_arm(LAM, F, gaussian_transmission(1.0))
     # a narrow pupil: P stays far from underflow across the whole window
     h_r = two_f_arm(LAM, F, gaussian_pupil(0.02))

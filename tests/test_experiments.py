@@ -31,7 +31,7 @@ from ghostsim.config import build_scan_config, resolve_config
 from ghostsim.experiments import find_peaks, summarize
 from ghostsim.grid import make_grid
 from ghostsim.optics import load_transmission_csv
-from ghostsim.source import TwoPhotonState, tabulated_wavefunction
+from ghostsim.source import TwoPhotonState
 
 LAM = 650e-6
 F = 100.0
@@ -69,7 +69,11 @@ def test_build_setup_normalizes_gaussian_state():
 
 def test_build_setup_rejects_uncertified_table():
     g = make_grid(0.0, 1.0, 33)
-    tab = tabulated_wavefunction(g, g, np.ones((33, 33)))
+
+    def box(s):
+        return np.interp(s, g.samples(), np.ones(33), left=0.0, right=0.0)
+
+    tab = TwoPhotonState(f=box, g=box, norm_certified=False, descriptor={"kind": "separable"})
     h_t = fourier_arm(LAM, F, double_slit(0.05, 1.0))
     h_r = two_f_arm(LAM, F, rect_pupil(10.0))
     with pytest.raises(InvalidArgumentError):
@@ -85,7 +89,9 @@ RUN = {
     },
     "reference_arm": {"lambda_nm": 650.0, "f_mm": 100.0, "pupil": {"rect": {"D_mm": 10.0}}},
     "scan": {"xr_min_mm": -1.0, "xr_max_mm": 1.0, "n_points": 5},
-    "numerics": {"n_x": 4097, "n_xp": 1025},
+    # n_xp = 2049 resolves the 10 mm aperture's 0.013 mm transform lobes; at 1025
+    # nodes I_r is 34% off and depends on where x_r falls on the grid
+    "numerics": {"n_x": 4097, "n_xp": 2049},
 }
 
 
@@ -167,6 +173,12 @@ def test_scan_config_validation(tmp_path, capsys):
     data["reference_arm"]["pupil"] = {"gaussian": {"sigma_mm": 2.0}}
     data["numerics"]["n_xp"] = 257
     data["scan"]["n_points"] = 11  # x_r off the grid's nodes, where I_r differs
+    with pytest.raises(InvalidArgumentError, match=r"step 0\.0625 mm.*numerics\.n_xp"):
+        scan_reference(build_scan_config(resolve_config(data)))
+    assert _run_scan(tmp_path, capsys, data) == 2
+    # with 5 points every x_r lies on the grid's nodes, where I_r is 2.4
+    # times the closed form; the probe half a step off the middle catches it
+    data["scan"]["n_points"] = 5
     with pytest.raises(InvalidArgumentError, match=r"step 0\.0625 mm.*numerics\.n_xp"):
         scan_reference(build_scan_config(resolve_config(data)))
     assert _run_scan(tmp_path, capsys, data) == 2

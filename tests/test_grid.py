@@ -1,13 +1,13 @@
-"""Grid construction, trapezoid quadrature, the 2-D rule through the row
-reduction, and bilinear tables."""
+"""Grid construction, trapezoid quadrature and the 2-D rule through the row
+reduction."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from ghostsim import InvalidArgumentError, make_grid
-from ghostsim.grid import Table2D, reduce_rows
+from ghostsim import InvalidArgumentError, TwoPhotonState, make_grid
+from ghostsim.grid import MAX_NODES
 
 
 def test_grid_basic_layout():
@@ -103,15 +103,19 @@ def test_integrate_second_order_convergence():
     assert e1 / e2 == pytest.approx(4.0, rel=0.2)
 
 
-def integrate2d(kernel, gx, gxp):
-    """Tensor-product trapezoid rule: the row reduction weighted over x'."""
-    return reduce_rows(kernel, gx.trapezoid_weights(), gx, gxp) @ gxp.trapezoid_weights()
+def integrate2d(f, g, gx, gxp):
+    """Tensor-product trapezoid rule of f(x) g(x') through the row reduction
+    of a state whose ridge is 1 everywhere, weighted over x'."""
+    state = TwoPhotonState(
+        f=f, g=g, norm_certified=False, descriptor={}, ridge=np.ones_like
+    )
+    return state.reduce(gx.trapezoid_weights(), gx, gxp) @ gxp.trapezoid_weights()
 
 
 def test_integrate2d_area():
     gx = make_grid(0.0, 1.0, 11)
     gxp = make_grid(0.0, 0.5, 7)
-    total = integrate2d(lambda x, xp: np.ones(np.broadcast(x, xp).shape), gx, gxp)
+    total = integrate2d(np.ones_like, np.ones_like, gx, gxp)
     assert total.real == pytest.approx(2.0, abs=1e-14)
 
 
@@ -120,21 +124,19 @@ def test_integrate2d_separable_factorizes():
     gxp = make_grid(0.0, 2.0, 301)
     fx = gx.trapezoid_weights() @ np.exp(-(gx.samples() ** 2))
     fxp = gxp.trapezoid_weights() @ np.cos(gxp.samples())
-    product = integrate2d(lambda x, xp: np.exp(-(x**2)) * np.cos(xp), gx, gxp)
+    product = integrate2d(lambda x: np.exp(-(x**2)), np.cos, gx, gxp)
     assert product == pytest.approx(fx * fxp, rel=1e-12)
 
 
 def test_integrate2d_gaussian():
     g = make_grid(0.0, 8.0, 1601)
-    total = integrate2d(lambda x, xp: np.exp(-(x**2) - xp**2), g, g)
+    total = integrate2d(lambda x: np.exp(-(x**2)), lambda x: np.exp(-(x**2)), g, g)
     assert total.real == pytest.approx(np.pi, rel=1e-9)
 
 
-def test_table2d_interpolates_and_zero_extends():
-    g = make_grid(0.0, 1.0, 5)
-    values = np.outer(g.samples(), np.ones(5)).astype(complex)
-    table = Table2D(g, g, values)
-    # bilinear interpolation reproduces a bilinear function exactly
-    assert table(0.25, 0.1) == pytest.approx(0.25, abs=1e-14)
-    assert table(2.0, 0.0) == 0.0
-    assert table(0.0, -1.5) == 0.0
+def test_grid_node_budget():
+    # a grid over MAX_NODES is refused before anything is allocated
+    assert make_grid(0.0, 1.0, MAX_NODES).n_points == MAX_NODES
+    for n in (MAX_NODES + 1, 1e300, np.inf, np.nan):
+        with pytest.raises(InvalidArgumentError, match="budget"):
+            make_grid(0.0, 1.0, n)

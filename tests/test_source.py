@@ -1,4 +1,5 @@
-"""Gaussian and tabulated two-photon wavefunctions and their normalization."""
+"""Gaussian and separable two-photon wavefunctions, their normalization and
+the ridge reduction over the difference lattice."""
 
 from __future__ import annotations
 
@@ -11,13 +12,14 @@ from ghostsim import (
     InvalidArgumentError,
     NumericDomainError,
     TruncationError,
+    TwoPhotonState,
     gaussian_wavefunction,
     make_grid,
     normalize,
-    tabulated_wavefunction,
 )
 from ghostsim.analytic import gaussian_norm_constant
-from ghostsim.source import RIDGE_EPS, _norm_integral, default_certification_grid
+from ghostsim.grid import _ROW_CHUNK, reduce_rows
+from ghostsim.source import RIDGE_EPS, _band, _norm_integral, default_certification_grid
 
 
 def test_gaussian_origin_value_and_symmetry():
@@ -110,47 +112,80 @@ def test_truncation_error_on_narrow_window():
         normalize(state, small, small)
 
 
-def test_tabulated_state_interpolates():
-    a, b = 0.5, 0.05
-    base = gaussian_wavefunction(a, b)
-    g = make_grid(0.0, 0.06, 4097)
+def tabulated(g, values):
+    """Envelope interpolating values on the grid g linearly, zero outside it."""
+    values = np.asarray(values)
     x = g.samples()
-    values = base.evaluate(x[:, np.newaxis], x[np.newaxis, :])
-    tab = tabulated_wavefunction(g, g, values)
-    # node values are exact, cell midpoints agree to interpolation accuracy
-    assert tab.evaluate(x[100], x[200]) == pytest.approx(
-        complex(base.evaluate(x[100], x[200])), rel=1e-12
+
+    def envelope(s):
+        s = np.asarray(s, dtype=float)
+        return np.interp(s, x, values.real, left=0.0, right=0.0) + 1j * np.interp(
+            s, x, values.imag, left=0.0, right=0.0
+        )
+
+    return envelope
+
+
+def separable(f, g, ridge=None, ridge_width=np.inf):
+    return TwoPhotonState(
+        f=f, g=g, norm_certified=False, descriptor={"kind": "separable"}, ridge=ridge,
+        ridge_width=ridge_width,
     )
+
+
+def random_table(rng, n):
+    return rng.normal(size=n) + 1j * rng.normal(size=n)
+
+
+def test_tabulated_state_interpolates():
+    # a separable state of random tabulated envelopes: phi = f(x) g(x')
+    rng = np.random.default_rng(5)
+    g = make_grid(0.0, 0.06, 4097)
+    fv, gv = random_table(rng, 4097), random_table(rng, 4097)
+    tab = separable(tabulated(g, fv), tabulated(g, gv)).scaled(0.5j)
+    x = g.samples()
+    # node values are exact, cell midpoints are the mean of their nodes
+    assert tab.evaluate(x[100], x[200]) == pytest.approx(0.5j * fv[100] * gv[200], rel=1e-14)
     mid = 0.5 * (x[100] + x[101])
-    assert abs(tab.evaluate(mid, 0.0) - base.evaluate(mid, 0.0)) < 1e-6
+    expected = 0.5j * 0.5 * (fv[100] + fv[101]) * gv[2048]
+    assert tab.evaluate(mid, x[2048]) == pytest.approx(expected, rel=1e-12)
+    outer = tab.evaluate(x[:, np.newaxis], x[np.newaxis, :])
+    np.testing.assert_allclose(outer, 0.5j * np.outer(fv, gv), rtol=1e-14)
 
 
 def test_tabulated_state_zero_outside_domain():
     g = make_grid(0.0, 1.0, 33)
-    tab = tabulated_wavefunction(g, g, np.ones((33, 33)))
+    ones = tabulated(g, np.ones(33))
+    tab = separable(ones, ones)
     assert tab.evaluate(2.0, 0.0) == 0.0
     assert tab.evaluate(0.0, -1.5) == 0.0
+    assert tab.evaluate(0.5, -0.5) == 1.0
 
 
 def test_normalize_rejects_zero_table():
     g = make_grid(0.0, 1.0, 33)
-    tab = tabulated_wavefunction(g, g, np.zeros((33, 33)))
+    tab = separable(tabulated(g, np.zeros(33)), tabulated(g, np.ones(33)))
     with pytest.raises(InvalidArgumentError):
         normalize(tab, g, g)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_normalize_rejects_non_finite_table(bad):
-    # a compact bump with one non-finite interior entry: the norm is not
-    # finite, so the state must not be certified
+    # a compact bump with one non-finite interior envelope entry: the norm is
+    # not finite, so the state must not be certified
     g = make_grid(0.0, 1.0, 33)
     x = g.samples()
-    values = np.exp(-(x[:, np.newaxis] ** 2 + x[np.newaxis, :] ** 2) / 0.05)
-    values[10, 20] = bad
-    tab = tabulated_wavefunction(g, g, values)
-    with np.errstate(invalid="ignore", over="ignore"):
-        with pytest.raises(NumericDomainError, match="not finite"):
-            normalize(tab, g, g)
+    values = np.exp(-(x**2) / 0.05)
+    bump = tabulated(g, values)
+    values[10] = bad
+    for state in (
+        separable(tabulated(g, values), bump),
+        separable(bump, tabulated(g, values)),
+        separable(tabulated(g, values), bump, ridge=lambda d: np.exp(-(d**2)), ridge_width=1.0),
+    ):
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(NumericDomainError, match="not finite"):
+                normalize(state, g, g)
 
 
 def test_certification_grid_resolves_entanglement_ridge():
@@ -161,15 +196,20 @@ def test_certification_grid_resolves_entanglement_ridge():
 
 
 def _counting(state):
-    """Copy of state whose kernel counts the entries it evaluates."""
-    seen = [0]
+    """Copy of state whose ridge records the shape of every array of
+    differences it is evaluated on: 1-D for a difference lattice, 2-D for a
+    block evaluated entry by entry."""
+    shapes = []
 
-    def kernel(x, xp):
-        block = state.kernel(x, xp)
-        seen[0] += np.size(block)
-        return block
+    def ridge(d):
+        shapes.append(np.shape(d))
+        return state.ridge(d)
 
-    return replace(state, kernel=kernel), seen
+    return replace(state, ridge=ridge), shapes
+
+
+def _samples(shapes):
+    return sum(int(np.prod(s)) for s in shapes)
 
 
 def test_banded_reduction_matches_dense_sum():
@@ -190,7 +230,7 @@ def test_banded_reduction_matches_dense_sum():
                 n = int(rng.integers(1, 80))
                 left[i0 : i0 + n] = rng.normal(size=n) + 1j * rng.normal(size=n)
         state = gaussian_wavefunction(a, b).scaled(0.3 - 0.7j)
-        counted, seen = _counting(state)
+        counted, shapes = _counting(state)
         banded = counted.reduce(left, gx, gxp)
         dense = left @ state.evaluate(gx.samples()[:, np.newaxis], gxp.samples()[np.newaxis, :])
         scale = np.abs(dense).max()
@@ -199,19 +239,134 @@ def test_banded_reduction_matches_dense_sum():
         # each nonzero row costs at most a three-band-wide column window
         band = b * np.sqrt(np.log(1.0 / RIDGE_EPS))
         per_row = min(gxp.n_points, 3.0 * band / gxp.step + 2.0)
-        assert seen[0] <= np.count_nonzero(left) * per_row
+        assert _samples(shapes) <= np.count_nonzero(left) * per_row
 
 
 def test_dense_kernel_reduction_evaluates_every_column():
+    # random tabulated envelopes and a ridge without a width bound: every
+    # column of the block is reduced, from one sample per lattice node
     g = make_grid(0.0, 1.0, 65)
     rng = np.random.default_rng(3)
-    values = rng.normal(size=(65, 65)) + 1j * rng.normal(size=(65, 65))
-    counted, seen = _counting(tabulated_wavefunction(g, g, values).scaled(2.0))
+    fv, gv = random_table(rng, 65), random_table(rng, 65)
+
+    def ridge(d):
+        return np.cos(3.0 * d) + 0.5j * np.sin(d)
+
+    state = separable(tabulated(g, fv), tabulated(g, gv), ridge=ridge).scaled(2.0)
+    counted, shapes = _counting(state)
     left = np.zeros(65, dtype=complex)
     left[[3, 4, 40]] = [1.0, 2.0j, -0.5]
     got = counted.reduce(left, g, g)
-    np.testing.assert_allclose(got, 2.0 * (left @ values), rtol=0, atol=1e-13 * np.abs(got).max())
-    assert seen[0] == 3 * 65
+    x = g.samples()
+    dense = 2.0 * (left * fv) @ ridge(x[:, np.newaxis] - x[np.newaxis, :]) * gv
+    np.testing.assert_allclose(got, dense, rtol=0, atol=1e-13 * np.abs(dense).max())
+    assert np.count_nonzero(got) == 65
+    # one block of rows 3..40 (span 38) and 65 columns on a 1:1 lattice
+    assert shapes == [(38 + 65 - 1,)]
+
+
+def test_separable_state_reduces_to_a_sum():
+    # R = 1: sum_x left f g is (sum left f) g, with no ridge and no block
+    rng = np.random.default_rng(8)
+    gx, gxp = make_grid(0.1, 2.0, 301), make_grid(-0.2, 3.0, 211)
+    fv, gv = random_table(rng, 301), random_table(rng, 211)
+    state = separable(tabulated(gx, fv), tabulated(gxp, gv)).scaled(0.5 - 2j)
+    left = random_table(rng, 301)
+    left[::7] = 0.0
+    got = state.reduce(left, gx, gxp)
+    expected = (0.5 - 2j) * np.sum(left * fv) * gv
+    np.testing.assert_allclose(got, expected, rtol=1e-13)
+    w, wp = gx.trapezoid_weights(), gxp.trapezoid_weights()
+    assert _norm_integral(state, gx, gxp) == pytest.approx(
+        abs(0.5 - 2j) ** 2 * (w @ np.abs(fv) ** 2) * (wp @ np.abs(gv) ** 2), rel=1e-13
+    )
+
+
+def _dense_ridge_sum(ridge, left, gx, gxp):
+    return left @ ridge(gx.samples()[:, np.newaxis] - gxp.samples()[np.newaxis, :])
+
+
+def _lattice_blocks(left, gx, gxp, band):
+    """(rows, columns) of each block reduce_rows forms, for the clusters of
+    this test: consecutive nonzero rows, at most _ROW_CHUNK of them, spanning
+    at most band."""
+    x, xp = gx.samples(), gxp.samples()
+    nz = np.flatnonzero(left)
+    blocks = []
+    i = 0
+    while i < nz.size:
+        end = min(i + _ROW_CHUNK, int(np.searchsorted(x[nz], x[nz[i]] + band, side="right")))
+        j0 = int(np.searchsorted(xp, x[nz[i]] - band, side="left"))
+        j1 = int(np.searchsorted(xp, x[nz[end - 1]] + band, side="right"))
+        blocks.append((int(nz[end - 1] - nz[i]) + 1, j1 - j0))
+        i = end
+    return blocks
+
+
+@pytest.mark.parametrize(
+    "n_x, n_xp, p, q",
+    [(2049, 2049, 1, 1), (1025, 2049, 2, 1), (4097, 1025, 1, 4)],
+)
+def test_lattice_blocks_match_direct_evaluation(n_x, n_xp, p, q):
+    # grids of the package's step ratios 1:1, 2:1 and 1:4: each block samples
+    # the ridge once on its difference lattice, p * rows + q * columns at most
+    rng = np.random.default_rng(n_x + n_xp)
+    b = 0.08
+    ridge = gaussian_wavefunction(1.0, b).ridge
+    band = _band(b)
+    gx, gxp = make_grid(0.0, 2.0, n_x), make_grid(0.0, 2.0, n_xp)
+    assert gx.step * q == pytest.approx(gxp.step * p, rel=1e-15)
+    cases = {
+        "gaps": [(600, 700, 3)],
+        "left edge": [(0, 40, 1)],
+        "right edge": [(n_x - 40, n_x, 1)],
+        "two clusters": [(100, 180, 1), (n_x - 300, n_x - 250, 2)],
+        "single row": [(n_x // 2, n_x // 2 + 1, 1)],
+    }
+    for name, clusters in cases.items():
+        left = np.zeros(n_x, dtype=complex)
+        for lo, hi, stride in clusters:
+            k = np.arange(lo, hi, stride)
+            left[k] = rng.normal(size=k.size) + 1j * rng.normal(size=k.size)
+        shapes = []
+
+        def counted(d):
+            shapes.append(np.shape(d))
+            return ridge(d)
+
+        got = reduce_rows(counted, left, gx, gxp, band)
+        dense = _dense_ridge_sum(ridge, left, gx, gxp)
+        scale = np.abs(dense).max()
+        assert np.abs(got - dense).max() <= 1e-13 * scale, name
+        blocks = _lattice_blocks(left, gx, gxp, band)
+        assert len(shapes) == len(blocks), name
+        if name == "single row":
+            # a lattice of q (columns - 1) + 1 nodes is no smaller than one row
+            assert shapes == [(1, blocks[0][1])]
+            continue
+        for shape, (rows, cols) in zip(shapes, blocks):
+            assert len(shape) == 1, name
+            assert shape[0] <= p * rows + q * cols, name
+
+
+def test_incommensurate_grids_evaluate_the_ridge_directly():
+    rng = np.random.default_rng(12)
+    ridge = gaussian_wavefunction(1.0, 0.1).ridge
+    for _ in range(4):
+        gx = make_grid(rng.uniform(-0.3, 0.3), rng.uniform(1.0, 2.0), int(rng.integers(400, 900)))
+        gxp = make_grid(rng.uniform(-0.3, 0.3), rng.uniform(1.0, 2.0), int(rng.integers(400, 900)))
+        left = np.zeros(gx.n_points)
+        left[50:120] = rng.normal(size=70)
+        shapes = []
+
+        def counted(d):
+            shapes.append(np.shape(d))
+            return ridge(d)
+
+        got = reduce_rows(counted, left, gx, gxp, _band(0.1))
+        dense = _dense_ridge_sum(ridge, left, gx, gxp)
+        assert np.abs(got - dense).max() <= 1e-13 * np.abs(dense).max()
+        assert shapes and all(len(s) == 2 for s in shapes)
 
 
 def test_banded_norm_integral_matches_dense_and_analytic():
@@ -237,5 +392,5 @@ def test_scaled_state_normalizes_to_the_same_c_norm():
     doubled = normalize(state.scaled(2.0), grid, grid)
     assert doubled.c_norm == pytest.approx(clean.c_norm, rel=1e-14)
     assert clean.c_norm == pytest.approx(gaussian_norm_constant(a, b), rel=1e-9)
-    # the kernel is shared; only the scalar differs
-    assert doubled.kernel is clean.kernel
+    # the envelopes and the ridge are shared; only the scalar differs
+    assert doubled.ridge is clean.ridge and doubled.f is clean.f
