@@ -16,7 +16,6 @@ a strided view; on other grids R is evaluated entry by entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -34,7 +33,7 @@ __all__ = [
 # most rows reduced per block; bounds the block's memory
 _ROW_CHUNK = 512
 
-# dx / dx' is written as p / q with q <= _MAX_RATIO_TERM, up to _RATIO_RTOL
+# dx / dx' is matched to p / q with q <= _MAX_RATIO_TERM, up to _RATIO_RTOL
 _MAX_RATIO_TERM = 64
 _RATIO_RTOL = 1e-13
 
@@ -98,10 +97,10 @@ def make_grid(center: float, half_width: float, n_points: int) -> Grid1D:
 
 def _lattice(gx: Grid1D, gxp: Grid1D):
     """(p, q, h) with gx.step = p h and gxp.step = q h, or None."""
-    pq = Fraction(gx.step / gxp.step).limit_denominator(_MAX_RATIO_TERM)
-    p, q = pq.numerator, pq.denominator
-    if p and abs(q * gx.step / p - gxp.step) <= _RATIO_RTOL * gxp.step:
-        return p, q, gx.step / p
+    for q in range(1, _MAX_RATIO_TERM + 1):
+        p = round(q * gx.step / gxp.step)
+        if p and abs(q * gx.step / p - gxp.step) <= _RATIO_RTOL * gxp.step:
+            return p, q, gx.step / p
     return None
 
 
