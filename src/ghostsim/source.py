@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from math import inf, isfinite, log, sqrt
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -77,7 +77,7 @@ class TwoPhotonState:
     norm_certified: bool
     descriptor: dict
     c_norm: complex = 1.0
-    ridge: Optional[Callable] = None
+    ridge: Callable | None = None
     ridge_width: float = inf
 
     def evaluate(self, x, xp) -> np.ndarray:

@@ -195,17 +195,17 @@ def test_certification_grid_resolves_entanglement_ridge():
     assert default_certification_grid(0.1, 10.0).n_points >= 257
 
 
-def _counting(state):
-    """Copy of state whose ridge records the shape of every array of
-    differences it is evaluated on: 1-D for a difference lattice, 2-D for a
-    block evaluated entry by entry."""
+def _counting(ridge):
+    """ridge wrapped to record the shape of every array of differences it is
+    evaluated on: 1-D for a difference lattice, 2-D for a block evaluated
+    entry by entry."""
     shapes = []
 
-    def ridge(d):
+    def counted(d):
         shapes.append(np.shape(d))
-        return state.ridge(d)
+        return ridge(d)
 
-    return replace(state, ridge=ridge), shapes
+    return counted, shapes
 
 
 def _samples(shapes):
@@ -230,8 +230,8 @@ def test_banded_reduction_matches_dense_sum():
                 n = int(rng.integers(1, 80))
                 left[i0 : i0 + n] = rng.normal(size=n) + 1j * rng.normal(size=n)
         state = gaussian_wavefunction(a, b).scaled(0.3 - 0.7j)
-        counted, shapes = _counting(state)
-        banded = counted.reduce(left, gx, gxp)
+        ridge, shapes = _counting(state.ridge)
+        banded = replace(state, ridge=ridge).reduce(left, gx, gxp)
         dense = left @ state.evaluate(gx.samples()[:, np.newaxis], gxp.samples()[np.newaxis, :])
         scale = np.abs(dense).max()
         assert scale > 0.0
@@ -253,10 +253,10 @@ def test_dense_kernel_reduction_evaluates_every_column():
         return np.cos(3.0 * d) + 0.5j * np.sin(d)
 
     state = separable(tabulated(g, fv), tabulated(g, gv), ridge=ridge).scaled(2.0)
-    counted, shapes = _counting(state)
+    counted, shapes = _counting(ridge)
     left = np.zeros(65, dtype=complex)
     left[[3, 4, 40]] = [1.0, 2.0j, -0.5]
-    got = counted.reduce(left, g, g)
+    got = replace(state, ridge=counted).reduce(left, g, g)
     x = g.samples()
     dense = 2.0 * (left * fv) @ ridge(x[:, np.newaxis] - x[np.newaxis, :]) * gv
     np.testing.assert_allclose(got, dense, rtol=0, atol=1e-13 * np.abs(dense).max())
@@ -328,12 +328,7 @@ def test_lattice_blocks_match_direct_evaluation(n_x, n_xp, p, q):
         for lo, hi, stride in clusters:
             k = np.arange(lo, hi, stride)
             left[k] = rng.normal(size=k.size) + 1j * rng.normal(size=k.size)
-        shapes = []
-
-        def counted(d):
-            shapes.append(np.shape(d))
-            return ridge(d)
-
+        counted, shapes = _counting(ridge)
         got = reduce_rows(counted, left, gx, gxp, band)
         dense = _dense_ridge_sum(ridge, left, gx, gxp)
         scale = np.abs(dense).max()
@@ -357,12 +352,7 @@ def test_incommensurate_grids_evaluate_the_ridge_directly():
         gxp = make_grid(rng.uniform(-0.3, 0.3), rng.uniform(1.0, 2.0), int(rng.integers(400, 900)))
         left = np.zeros(gx.n_points)
         left[50:120] = rng.normal(size=70)
-        shapes = []
-
-        def counted(d):
-            shapes.append(np.shape(d))
-            return ridge(d)
-
+        counted, shapes = _counting(ridge)
         got = reduce_rows(counted, left, gx, gxp, _band(0.1))
         dense = _dense_ridge_sum(ridge, left, gx, gxp)
         assert np.abs(got - dense).max() <= 1e-13 * np.abs(dense).max()
