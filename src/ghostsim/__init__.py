@@ -37,7 +37,6 @@ from .optics import (
     gaussian_pupil,
     gaussian_transmission,
     rect_pupil,
-    scaled_arm,
     tabulated_pupil,
     tabulated_transmission,
     two_f_arm,

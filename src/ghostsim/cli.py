@@ -159,6 +159,11 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"ghostsim: i/o error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except (ArithmeticError, MemoryError) as exc:
+        # backstop: inputs are guarded where they are used, so reaching this
+        # is a missing guard, still reported in one line
+        print(f"ghostsim: numeric error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -16,8 +16,11 @@ All integrals are tensor-product trapezoid sums on the setup's grids.  The
 inner integral u(x') = int dx phi(x, x') h_t(x_t, x) is the state's row
 reduction (:meth:`ghostsim.source.TwoPhotonState.reduce`) of phi = c_norm
 f(x) g(x') R(x - x'): f is folded into the test-arm vector, R reduced over
-its nonzero rows (for the Gaussian only within its ridge band, sampled once
-per node of each block's difference lattice), then g and ``c_norm`` applied.
+its nonzero rows (for the Gaussian only within its ridge band, as one FFT
+correlation per segment of rows on the lattice of differences), then g and
+``c_norm`` applied.  Columns farther than the band from every nonzero row
+are left exactly 0, and an unbounded ridge whose kernel would need more than
+``grid.MAX_NODES`` samples is refused before it is sampled.
 
 The amplitude A = sum_j w_j u_j h_r(x_r, x'_j) has no term where
 u_j = 0, so the reference arm is sampled only on the reference window: the

@@ -7,10 +7,15 @@ the banded row reduction :func:`reduce_rows`.  Grids are closed intervals
 that contain both endpoints; the step is defined by ``n_points - 1`` panels
 so that symmetric windows place their endpoints exactly.
 
-When the steps are in a small integer ratio, dx = p h and dx' = q h, the
-differences x_i - x'_j of a block lie on one lattice d0 + h k of at most
-p * rows + q * columns nodes: R is sampled once on it and the block read as
-a strided view; on other grids R is evaluated entry by entry.
+The reduction runs over the nonzero rows in segments; a gap of more than
+twice the ridge band starts a new one, and a segment writes only the columns
+within the band of its rows, so every other column is exactly 0.  When the
+steps are in a small integer ratio, dx = p h and dx' = q h, every difference
+x_i - x'_j lies on one lattice d0 + h k and a segment is one FFT
+correlation: its rows on the fine lattice at stride p, R sampled once where
+|d| <= band, column j read at fine offset q j.  A kernel of more than
+MAX_NODES samples (an unbounded ridge on a huge grid) is refused.  On other
+grids R is evaluated entry by entry.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import InvalidArgumentError
 
@@ -30,8 +34,12 @@ __all__ = [
     "reduce_rows",
 ]
 
-# most rows reduced per block; bounds the block's memory
+# most rows of a segment evaluated entry by entry; bounds its memory
 _ROW_CHUNK = 512
+
+# most fine-lattice nodes a correlated segment spans; with the kernel length
+# it bounds the transform length
+_SEGMENT = 1 << 14
 
 # dx / dx' is matched to p / q with q <= _MAX_RATIO_TERM, up to _RATIO_RTOL
 _MAX_RATIO_TERM = 64
@@ -104,21 +112,61 @@ def _lattice(gx: Grid1D, gxp: Grid1D):
     return None
 
 
-def _block(ridge, x, xp, idx, j0: int, j1: int, lattice) -> np.ndarray:
-    """R(x_i - x'_j) on the rows idx (ascending) and columns j0..j1-1: on a
-    lattice (p, q, h), R(x[idx[0]] - x'[j1-1] + h k) at k = p (i - idx[0]) +
-    q (j1-1 - j), when that takes fewer samples than the block has entries."""
+def _segments(xs: np.ndarray, rows: int, span: float, gap: float):
+    """(start, end) index pairs into the ascending xs: runs of at most
+    ``rows`` entries spanning at most ``span``, broken where consecutive
+    entries lie more than ``gap`` apart."""
+    breaks = [*(np.flatnonzero(np.diff(xs) > gap) + 1).tolist(), xs.size]
+    i = 0
+    for stop in breaks:
+        while i < stop:
+            end = min(stop, i + rows, int(np.searchsorted(xs, xs[i] + span, side="right")))
+            yield i, end
+            i = end
+
+
+def _fft_size(n: int) -> int:
+    """Smallest 2^a, 3 * 2^a or 5 * 2^a that is >= n."""
+    return min(m << (-(-n // m) - 1).bit_length() for m in (1, 3, 5))
+
+
+def _correlate(ridge, parts, x, xp, idx, j0: int, j1: int, lattice, band: float):
+    """sum_i parts[:, i] R(x_i - x'_j) over the rows idx (ascending) for the
+    columns j0..j1-1, as one FFT correlation on the lattice (p, q, h).
+
+    With k = p (i - idx[0]) - q (j - j0), x_i - x'_j = d0 + h k and
+    d0 = x[idx[0]] - x'[j0]: the rows sit on the fine lattice at stride p,
+    R is sampled once on the k where |d0 + h k| <= band, and column j is
+    the correlation at fine offset q (j - j0)."""
+    p, q, h = lattice
     cols = j1 - j0
-    if lattice is not None:
-        p, q, h = lattice
-        rows = int(idx[-1] - idx[0]) + 1
-        n = p * (rows - 1) + q * (cols - 1) + 1
-        if n < idx.size * cols:
-            r = np.asarray(ridge(x[idx[0]] - xp[j1 - 1] + h * np.arange(n)))
-            s = r.strides[0]
-            view = as_strided(r[q * (cols - 1) :], (rows, cols), (p * s, -q * s))
-            return view[idx - idx[0]]
-    return ridge(x[idx, np.newaxis] - xp[np.newaxis, j0:j1])
+    m = p * (idx - idx[0])
+    d0 = float(x[idx[0]] - xp[j0])
+    k_lo = int(max(-q * (cols - 1), np.ceil((-band - d0) / h)))
+    k_hi = int(min(m[-1], np.floor((band - d0) / h)))
+    if k_hi - k_lo + 1 > MAX_NODES:
+        raise InvalidArgumentError(
+            f"the ridge kernel needs {k_hi - k_lo + 1} samples, over the budget of "
+            f"{MAX_NODES}; bound the ridge width or use smaller grids"
+        )
+    out = np.zeros((parts.shape[0], cols), dtype=complex)
+    if k_lo > k_hi:
+        return out
+    kernel = np.asarray(ridge(d0 + h * np.arange(k_lo, k_hi + 1)))
+    rows = np.zeros((parts.shape[0], int(m[-1]) + 1))
+    rows[:, m] = parts[:, idx]
+    # full linear convolution of the rows with the reversed kernel: entry n
+    # holds sum_m rows[m] R(d0 + h (k_hi - n + m)), column j sits at
+    # n = k_hi + q (j - j0)
+    n = rows.shape[1] + kernel.size - 1
+    size = _fft_size(n)
+    fft, ifft = (np.fft.rfft, np.fft.irfft) if np.isrealobj(kernel) else (np.fft.fft, np.fft.ifft)
+    conv = ifft(fft(rows, size) * fft(kernel[::-1], size), size)
+    c0 = max(0, -(k_hi // q))
+    c1 = min(cols, (n - 1 - k_hi) // q + 1)
+    if c0 < c1:
+        out[:, c0:c1] = conv[:, k_hi + q * c0 : k_hi + q * (c1 - 1) + 1 : q]
+    return out
 
 
 def reduce_rows(
@@ -130,14 +178,22 @@ def reduce_rows(
 ) -> np.ndarray:
     """v(x'_j) = sum_i left_i R(x_i - x'_j) on gxp, for a difference kernel R.
 
-    Only rows where ``left`` is nonzero are reduced, and for a block of them
-    only the columns within ``band`` of some row in it: the caller vouches
-    that R is negligible for |d| > band (``inf`` takes every column).  A
-    block holds at most _ROW_CHUNK consecutive nonzero rows spanning at most
-    ``band`` in x, so its column window is at most three band widths wide.
+    Only rows where ``left`` is nonzero are reduced, in segments: a gap of
+    more than 2 ``band`` between nonzero rows starts a new one.  Each
+    segment writes only the columns within ``band`` of its first and last
+    rows; the caller vouches that R is negligible for |d| > band (``inf``
+    takes every column).  Columns farther than ``band`` from every nonzero
+    row are therefore exactly 0.
+
+    On a lattice (dx = p h, dx' = q h) a segment spans at most _SEGMENT
+    fine nodes and is one FFT correlation with R sampled once where
+    |d| <= band; a kernel of more than MAX_NODES samples is refused.  On
+    other grids a segment holds at most _ROW_CHUNK rows spanning at most
+    ``band`` (at most MAX_NODES entries in all) and R is evaluated entry by
+    entry.
 
     A complex ``left`` is reduced as a stacked (re, im) pair, so a real
-    ridge block is never cast to complex.  The result is complex.
+    ridge is never cast to complex.  The result is complex.
     """
     left = np.asarray(left)
     parts = np.stack([left.real, left.imag]) if np.iscomplexobj(left) else left[np.newaxis]
@@ -147,13 +203,17 @@ def reduce_rows(
     nz = np.flatnonzero(left)
     xs = x[nz]
     acc = np.zeros((parts.shape[0], gxp.n_points), dtype=complex)
-    i = 0
-    while i < nz.size:
-        end = min(i + _ROW_CHUNK, int(np.searchsorted(xs, xs[i] + band, side="right")))
+    if lattice is None:
+        chunk, span = max(1, min(_ROW_CHUNK, MAX_NODES // gxp.n_points)), band
+    else:
+        chunk, span = nz.size, _SEGMENT * lattice[2]
+    for i, end in _segments(xs, chunk, span, 2.0 * band):
         j0 = int(np.searchsorted(xp, xs[i] - band, side="left"))
         j1 = int(np.searchsorted(xp, xs[end - 1] + band, side="right"))
         if j0 < j1:
             idx = nz[i:end]
-            acc[:, j0:j1] += parts[:, idx] @ _block(ridge, x, xp, idx, j0, j1, lattice)
-        i = end
+            if lattice is None:
+                acc[:, j0:j1] += parts[:, idx] @ ridge(x[idx, np.newaxis] - xp[np.newaxis, j0:j1])
+            else:
+                acc[:, j0:j1] += _correlate(ridge, parts, x, xp, idx, j0, j1, lattice, band)
     return acc[0] + 1j * acc[1] if acc.shape[0] == 2 else acc[0]

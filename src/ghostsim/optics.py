@@ -57,7 +57,6 @@ __all__ = [
     "load_pupil_csv",
     "fourier_arm",
     "two_f_arm",
-    "scaled_arm",
 ]
 
 
@@ -350,14 +349,38 @@ class ImpulseResponse:
         return self._sample_abs2_in(x_out, grid)
 
 
-def fourier_arm(lam: float, f: float, t: Transmission) -> ImpulseResponse:
-    """Test-arm kernel: object t, unapertured lens, detector in the focal
-    plane."""
+def _arm_scale(lam: float, f: float, arm: str) -> float:
+    """lam f, refused unless it, 1 / (4 lam^2 f^2), pi / (2 lam f) and the
+    energy scale 1 / (16 lam^4 f^4) are all finite and nonzero.
+
+    They are formed with * and / only, which round to 0 or inf where ** and
+    a zero divisor would raise; the arms' own constants are then in range.
+    """
     if not (lam > 0.0):
         raise InvalidArgumentError(f"wavelength must be > 0, got {lam}")
     if not (f > 0.0):
         raise InvalidArgumentError(f"focal length must be > 0, got {f}")
     lf = lam * f
+    amp = 0.25 / lf / lf if lf > 0.0 else np.inf
+    derived = {
+        "lambda f": lf,
+        "1 / (4 lambda^2 f^2)": amp,
+        "pi / (2 lambda f)": 0.5 * np.pi / lf if lf > 0.0 else np.inf,
+        "1 / (16 lambda^4 f^4)": amp * amp,
+    }
+    for name, value in derived.items():
+        if not (0.0 < value < np.inf):
+            raise InvalidArgumentError(
+                f"{arm}: wavelength {lam:g} mm and focal length {f:g} mm give "
+                f"{name} = {value:g}, outside the floating-point range"
+            )
+    return lf
+
+
+def fourier_arm(lam: float, f: float, t: Transmission) -> ImpulseResponse:
+    """Test-arm kernel: object t, unapertured lens, detector in the focal
+    plane."""
+    lf = _arm_scale(lam, f, "test arm")
 
     def evaluate(x_t, x):
         x_t = np.asarray(x_t, dtype=float)
@@ -392,11 +415,7 @@ def two_f_arm(lam: float, f: float, p: Pupil) -> ImpulseResponse:
     the grid's amp exp(i pi x'^2 / (2 lam f)) vector (built once per grid)
     times P on the uniform u grid; its squared modulus is amp^2 |P|^2.
     """
-    if not (lam > 0.0):
-        raise InvalidArgumentError(f"wavelength must be > 0, got {lam}")
-    if not (f > 0.0):
-        raise InvalidArgumentError(f"focal length must be > 0, got {f}")
-    lf = lam * f
+    lf = _arm_scale(lam, f, "reference arm")
     amp = 1.0 / (4.0 * lf**2)
     chirp = np.pi / (2.0 * lf)
 
@@ -423,17 +442,4 @@ def two_f_arm(lam: float, f: float, p: Pupil) -> ImpulseResponse:
         },
         _sample_in=sample_in,
         _sample_abs2_in=sample_abs2_in,
-    )
-
-
-def scaled_arm(h: ImpulseResponse, c: complex) -> ImpulseResponse:
-    """The kernel multiplied by a complex constant (gain/attenuation)."""
-    c = complex(c)
-    base_sample = h.sample_in
-    base_abs2 = h.sample_abs2_in
-    return ImpulseResponse(
-        evaluate=lambda x_out, x_in: c * h.evaluate(x_out, x_in),
-        descriptor={"kind": "scaled", "factor": c, "base": h.descriptor},
-        _sample_in=lambda x_out, grid: c * base_sample(x_out, grid),
-        _sample_abs2_in=lambda x_out, grid: abs(c) ** 2 * base_abs2(x_out, grid),
     )

@@ -10,13 +10,17 @@ R = 1 (``ridge`` is None).
 :func:`normalize` sets ``c_norm`` from the quadrature of |phi|^2, and
 :meth:`TwoPhotonState.reduce` applies it once to the reduced vector.  Both
 fold f into the left vector, reduce R with :func:`ghostsim.grid.reduce_rows`
-(a plain sum when R = 1) and multiply the result by g.  That reduction
-samples R once per block on the lattice of differences x_i - x'_j when the
-grid steps are in a small integer ratio, as on every grid the package
-builds.  R values with |d| > b * sqrt(ln(1 / RIDGE_EPS)) (about 6.44 b) are
-below RIDGE_EPS times its peak and are not evaluated; |R|^2 has width
-b / sqrt(2).  The closed-form Gaussian norm in :mod:`ghostsim.analytic` is
-used only for validation.
+(a plain sum when R = 1) and multiply the result by g.  When the grid steps
+are in a small integer ratio, as on every grid the package builds, that
+reduction is an FFT correlation on the lattice of differences x_i - x'_j,
+one per segment of nonzero rows, with R sampled once per segment (a real
+transform for the real |R|^2 and weights of the norm).  R values with
+|d| > b * sqrt(ln(1 / RIDGE_EPS)) (about 6.44 b) are below RIDGE_EPS times
+its peak and are not evaluated, and a column of the result farther than that
+from every nonzero row is exactly 0; |R|^2 has width b / sqrt(2).  A ridge
+with no width bound (``ridge_width = inf``) whose kernel would exceed
+MAX_NODES samples is refused with InvalidArgumentError.  The closed-form
+Gaussian norm in :mod:`ghostsim.analytic` is used only for validation.
 """
 
 from __future__ import annotations

@@ -31,7 +31,6 @@ from ghostsim import (
 from ghostsim.cli import preset_path
 from ghostsim.config import build_scan_config, load_config
 from ghostsim.experiments import contrast_metric, find_peaks
-from ghostsim.optics import scaled_arm
 from ghostsim.source import default_certification_grid, normalize
 from ghostsim.validate import (
     _check_all_gaussian_amplitude,
@@ -39,6 +38,7 @@ from ghostsim.validate import (
     _check_cauchy_schwarz,
     _check_gaussian_normalization,
 )
+from helpers import scaled_arm
 
 LAM = 650e-6
 F = 100.0

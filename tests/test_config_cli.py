@@ -215,6 +215,21 @@ def test_console_entry_point_smoke(tmp_path):
     assert out.read_text().startswith(CSV_HEADER)
 
 
+_FFT_MODULES = "sorted(m for m in sys.modules if m == 'numpy.fft' or m.startswith('numpy.fft.'))"
+
+
+def test_cli_import_loads_no_numpy_fft_beyond_numpy():
+    # the ridge correlation reaches np.fft at call time: importing it with
+    # the package would add its import time to every start-up
+    code = (
+        f"import sys, numpy; before = {_FFT_MODULES}; import ghostsim.cli; "
+        f"print(sorted(set({_FFT_MODULES}) - set(before)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("table", ["soft_x1e160", "constant_1e308"])
 def test_cli_overflow_reports_one_stderr_line(tmp_path, table):
     # numpy's overflow warnings reach stderr only in a fresh process; the
@@ -277,6 +292,48 @@ def test_node_budget_names_the_config_key(tmp_path, section, key, value):
     assert f"{section}.{key}" in proc.stderr
     assert "budget" in proc.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("test_arm", "lambda_nm", 1e300),
+        ("test_arm", "f_mm", 1e300),
+        ("reference_arm", "f_mm", 1e300),
+        ("reference_arm", "f_mm", 1e-300),
+    ],
+)
+def test_arm_scalars_out_of_range_exit_2(tmp_path, section, key, value):
+    # lambda f, 1 / (4 lambda^2 f^2) or pi / (2 lambda f) leaves the float
+    # range: a config error, not an OverflowError or ZeroDivisionError
+    arm = json.loads(json.dumps(BASE[section]))
+    arm[key] = value
+    cfg = small_config(tmp_path, **{section: arm})
+    out = tmp_path / "scan.csv"
+    proc = subprocess.run(
+        [sys.executable, "-c", _LIMITED_SCAN, "scan", "--config", cfg, "--output", str(out)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("ghostsim: config error: ")
+    assert "floating-point range" in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("error", [ZeroDivisionError("float division by zero"), MemoryError()])
+def test_unguarded_arithmetic_and_memory_errors_exit_3(tmp_path, monkeypatch, capsys, error):
+    def fail(config):
+        raise error
+
+    monkeypatch.setattr("ghostsim.cli.scan_reference", fail)
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--config", small_config(tmp_path), "--output", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"ghostsim: numeric error: {type(error).__name__}")
 
 
 def _assert_matches_reference(out: Path, reference: Path) -> None:

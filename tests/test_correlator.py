@@ -33,10 +33,13 @@ from ghostsim import (
     two_f_arm,
 )
 from ghostsim.analytic import all_gaussian_amplitude, gaussian_norm_constant
+from ghostsim.cli import preset_path
+from ghostsim.config import build_scan_config, load_config
 from ghostsim.correlator import _statistics, noise_from_moments, snr_from_moments
-from ghostsim.optics import Transmission, scaled_arm
+from ghostsim.optics import Transmission
 from ghostsim.source import default_certification_grid
 from ghostsim.validate import _certify, run_validation_suite
+from helpers import scaled_arm
 
 LAM = 650e-6
 F = 100.0
@@ -357,6 +360,16 @@ def test_reference_window_is_the_nonzero_run_of_u(gxp):
     # gxp's weights, not the window's, which would halve the end nodes
     np.testing.assert_array_equal(v, (gxp.trapezoid_weights() * u)[j0:j1])
     assert setup.reference_window(0.0)[0] is window
+
+
+def test_fig2_reference_window_holds_the_slits_ridge_band():
+    # u(x') is exactly 0 farther than the ridge band from both slits, so the
+    # fig2 window is nodes 7325..9059 of 16385
+    setup = build_scan_config(load_config(preset_path("fig2"))).setup
+    window, _ = setup.reference_window(0.0)
+    x = setup.gxp.samples()
+    assert window.n_points == 1735
+    assert (window.lo, window.hi) == (x[7325], x[9059])
 
 
 @pytest.mark.parametrize("case", ["slit", "tabulated_object", "dense_gaussian"])

@@ -17,7 +17,6 @@ from ghostsim import (
     gaussian_transmission,
     make_grid,
     rect_pupil,
-    scaled_arm,
     tabulated_pupil,
     tabulated_transmission,
     two_f_arm,
@@ -29,6 +28,7 @@ from ghostsim.analytic import (
     rect_two_f_arm_energy,
 )
 from ghostsim.validate import rect_energy_grid
+from helpers import scaled_arm
 
 LAM = 650e-6
 F = 100.0
@@ -225,6 +225,16 @@ def test_two_f_arm_grid_sampler_is_thread_safe():
         sys.setswitchinterval(interval)
     for a, b in zip(got, expected):
         np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("lam, f", [(1e294, F), (LAM, 1e300), (LAM, 1e-300), (LAM, 1e-80)])
+def test_arm_constants_outside_the_float_range_are_refused(lam, f):
+    # each would overflow or divide by zero in the arms' constants or in
+    # the reference arm's energy scale 1 / (16 lambda^4 f^4)
+    with pytest.raises(InvalidArgumentError, match="floating-point range"):
+        fourier_arm(lam, f, double_slit(0.05, 1.0))
+    with pytest.raises(InvalidArgumentError, match="floating-point range"):
+        two_f_arm(lam, f, rect_pupil(10.0))
 
 
 def test_scaled_arm_scales_samples():

@@ -3,6 +3,8 @@ the ridge reduction over the difference lattice."""
 
 from __future__ import annotations
 
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -17,8 +19,9 @@ from ghostsim import (
     make_grid,
     normalize,
 )
+from ghostsim import grid
 from ghostsim.analytic import gaussian_norm_constant
-from ghostsim.grid import _ROW_CHUNK, reduce_rows
+from ghostsim.grid import MAX_NODES, reduce_rows
 from ghostsim.source import RIDGE_EPS, _band, _norm_integral, default_certification_grid
 
 
@@ -196,20 +199,20 @@ def test_certification_grid_resolves_entanglement_ridge():
 
 
 def _counting(ridge):
-    """ridge wrapped to record the shape of every array of differences it is
-    evaluated on: 1-D for a difference lattice, 2-D for a block evaluated
+    """ridge wrapped to keep a copy of every array of differences it is
+    evaluated on: 1-D for a correlated segment, 2-D for a block evaluated
     entry by entry."""
-    shapes = []
+    calls = []
 
     def counted(d):
-        shapes.append(np.shape(d))
+        calls.append(np.array(d))
         return ridge(d)
 
-    return counted, shapes
+    return counted, calls
 
 
-def _samples(shapes):
-    return sum(int(np.prod(s)) for s in shapes)
+def _samples(calls):
+    return sum(d.size for d in calls)
 
 
 def test_banded_reduction_matches_dense_sum():
@@ -230,7 +233,7 @@ def test_banded_reduction_matches_dense_sum():
                 n = int(rng.integers(1, 80))
                 left[i0 : i0 + n] = rng.normal(size=n) + 1j * rng.normal(size=n)
         state = gaussian_wavefunction(a, b).scaled(0.3 - 0.7j)
-        ridge, shapes = _counting(state.ridge)
+        ridge, calls = _counting(state.ridge)
         banded = replace(state, ridge=ridge).reduce(left, gx, gxp)
         dense = left @ state.evaluate(gx.samples()[:, np.newaxis], gxp.samples()[np.newaxis, :])
         scale = np.abs(dense).max()
@@ -239,7 +242,7 @@ def test_banded_reduction_matches_dense_sum():
         # each nonzero row costs at most a three-band-wide column window
         band = b * np.sqrt(np.log(1.0 / RIDGE_EPS))
         per_row = min(gxp.n_points, 3.0 * band / gxp.step + 2.0)
-        assert _samples(shapes) <= np.count_nonzero(left) * per_row
+        assert _samples(calls) <= np.count_nonzero(left) * per_row
 
 
 def test_dense_kernel_reduction_evaluates_every_column():
@@ -253,7 +256,7 @@ def test_dense_kernel_reduction_evaluates_every_column():
         return np.cos(3.0 * d) + 0.5j * np.sin(d)
 
     state = separable(tabulated(g, fv), tabulated(g, gv), ridge=ridge).scaled(2.0)
-    counted, shapes = _counting(ridge)
+    counted, calls = _counting(ridge)
     left = np.zeros(65, dtype=complex)
     left[[3, 4, 40]] = [1.0, 2.0j, -0.5]
     got = replace(state, ridge=counted).reduce(left, g, g)
@@ -261,8 +264,8 @@ def test_dense_kernel_reduction_evaluates_every_column():
     dense = 2.0 * (left * fv) @ ridge(x[:, np.newaxis] - x[np.newaxis, :]) * gv
     np.testing.assert_allclose(got, dense, rtol=0, atol=1e-13 * np.abs(dense).max())
     assert np.count_nonzero(got) == 65
-    # one block of rows 3..40 (span 38) and 65 columns on a 1:1 lattice
-    assert shapes == [(38 + 65 - 1,)]
+    # one segment of rows 3..40 (span 38) and 65 columns on a 1:1 lattice
+    assert [d.shape for d in calls] == [(38 + 65 - 1,)]
 
 
 def test_separable_state_reduces_to_a_sum():
@@ -286,62 +289,114 @@ def _dense_ridge_sum(ridge, left, gx, gxp):
     return left @ ridge(gx.samples()[:, np.newaxis] - gxp.samples()[np.newaxis, :])
 
 
-def _lattice_blocks(left, gx, gxp, band):
-    """(rows, columns) of each block reduce_rows forms, for the clusters of
-    this test: consecutive nonzero rows, at most _ROW_CHUNK of them, spanning
-    at most band."""
-    x, xp = gx.samples(), gxp.samples()
-    nz = np.flatnonzero(left)
-    blocks = []
-    i = 0
-    while i < nz.size:
-        end = min(i + _ROW_CHUNK, int(np.searchsorted(x[nz], x[nz[i]] + band, side="right")))
-        j0 = int(np.searchsorted(xp, x[nz[i]] - band, side="left"))
-        j1 = int(np.searchsorted(xp, x[nz[end - 1]] + band, side="right"))
-        blocks.append((int(nz[end - 1] - nz[i]) + 1, j1 - j0))
-        i = end
-    return blocks
+def _distance_to_rows(left, gx, gxp):
+    """Distance from each x' node to the nearest nonzero row of left."""
+    xs = gx.samples()[np.flatnonzero(left)]
+    return np.abs(gxp.samples()[:, np.newaxis] - xs[np.newaxis, :]).min(axis=1)
 
 
 @pytest.mark.parametrize(
     "n_x, n_xp, p, q",
     [(2049, 2049, 1, 1), (1025, 2049, 2, 1), (4097, 1025, 1, 4)],
 )
-def test_lattice_blocks_match_direct_evaluation(n_x, n_xp, p, q):
-    # grids of the package's step ratios 1:1, 2:1 and 1:4: each block samples
-    # the ridge once on its difference lattice, p * rows + q * columns at most
+def test_lattice_segments_match_direct_evaluation(monkeypatch, n_x, n_xp, p, q):
+    # grids of the package's step ratios 1:1, 2:1 and 1:4: each segment is
+    # one correlation that samples the ridge once, only where |d| <= band,
+    # and leaves the columns out of band of every nonzero row exactly 0
+    monkeypatch.setattr(grid, "_SEGMENT", 1024)
     rng = np.random.default_rng(n_x + n_xp)
     b = 0.08
     ridge = gaussian_wavefunction(1.0, b).ridge
     band = _band(b)
     gx, gxp = make_grid(0.0, 2.0, n_x), make_grid(0.0, 2.0, n_xp)
     assert gx.step * q == pytest.approx(gxp.step * p, rel=1e-15)
+    h = gx.step / p
+    # (clusters as (first, stop, stride), segments): the clusters of "two
+    # clusters" lie more than 2 band apart; "dense" spans over 1024 fine
+    # nodes, so it is split for overlap-add
     cases = {
-        "gaps": [(600, 700, 3)],
-        "left edge": [(0, 40, 1)],
-        "right edge": [(n_x - 40, n_x, 1)],
-        "two clusters": [(100, 180, 1), (n_x - 300, n_x - 250, 2)],
-        "single row": [(n_x // 2, n_x // 2 + 1, 1)],
+        "gaps": ([(600, 700, 3)], 1),
+        "left edge": ([(0, 40, 1)], 1),
+        "right edge": ([(n_x - 40, n_x, 1)], 1),
+        "two clusters": ([(100, 180, 1), (n_x - 300, n_x - 250, 2)], 2),
+        "single row": ([(n_x // 2, n_x // 2 + 1, 1)], 1),
+        "dense": ([(0, n_x, 1)], None),
     }
-    for name, clusters in cases.items():
+    for name, (clusters, segments) in cases.items():
         left = np.zeros(n_x, dtype=complex)
         for lo, hi, stride in clusters:
             k = np.arange(lo, hi, stride)
             left[k] = rng.normal(size=k.size) + 1j * rng.normal(size=k.size)
-        counted, shapes = _counting(ridge)
+        counted, calls = _counting(ridge)
         got = reduce_rows(counted, left, gx, gxp, band)
         dense = _dense_ridge_sum(ridge, left, gx, gxp)
         scale = np.abs(dense).max()
         assert np.abs(got - dense).max() <= 1e-13 * scale, name
-        blocks = _lattice_blocks(left, gx, gxp, band)
-        assert len(shapes) == len(blocks), name
-        if name == "single row":
-            # a lattice of q (columns - 1) + 1 nodes is no smaller than one row
-            assert shapes == [(1, blocks[0][1])]
-            continue
-        for shape, (rows, cols) in zip(shapes, blocks):
-            assert len(shape) == 1, name
-            assert shape[0] <= p * rows + q * cols, name
+        if segments is None:
+            # span p (n_x - 1) fine nodes in segments of at most 1024
+            segments = -(-p * (n_x - 1) // 1024)
+            assert len(calls) in (segments, segments + 1), name
+        else:
+            assert len(calls) == segments, name
+        for d in calls:
+            assert d.ndim == 1 and np.abs(d).max() <= band, name
+            assert d.size <= 2.0 * band / h + 1.0, name
+            np.testing.assert_allclose(np.diff(d), h, rtol=1e-9, err_msg=name)
+        far = _distance_to_rows(left, gx, gxp)
+        assert np.all(got[far > band * (1.0 + 1e-12)] == 0.0), name
+
+
+def test_segments_keep_the_precision_of_each_cluster():
+    # two clusters 1e12 apart in magnitude and more than 2 band apart in x:
+    # each is its own segment, so the faint one is exact to its own scale,
+    # not to the bright one's
+    b = 0.05
+    ridge = gaussian_wavefunction(1.0, b).ridge
+    band = _band(b)
+    gx, gxp = make_grid(0.0, 2.0, 4097), make_grid(0.0, 2.0, 1025)
+    rng = np.random.default_rng(21)
+    left = np.zeros(gx.n_points, dtype=complex)
+    bright, faint = slice(400, 500), slice(3500, 3600)
+    left[bright] = rng.normal(size=100) + 1j * rng.normal(size=100)
+    left[faint] = 1e-12 * (rng.normal(size=100) + 1j * rng.normal(size=100))
+    assert gx.samples()[3500] - gx.samples()[499] > 2.0 * band
+    counted, calls = _counting(ridge)
+    got = reduce_rows(counted, left, gx, gxp, band)
+    assert len(calls) == 2
+    only_faint = left.copy()
+    only_faint[bright] = 0.0
+    near = _distance_to_rows(only_faint, gx, gxp) <= band
+    expected = _dense_ridge_sum(ridge, only_faint, gx, gxp)[near]
+    assert np.abs(expected).max() < 1e-10
+    assert np.abs(got[near] - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+# an unbounded ridge on a 2:(2^22 - 1) lattice in a fresh process under a
+# 1 GiB address-space limit: a kernel that slips past the node budget fails
+# the test with a MemoryError instead of exhausting the machine's memory
+_UNBOUNDED_KERNEL = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+import numpy as np
+from ghostsim import InvalidArgumentError, make_grid
+from ghostsim.grid import MAX_NODES, reduce_rows
+gx, gxp = make_grid(0.0, 1.0, 3), make_grid(0.0, 1.0, MAX_NODES)
+try:
+    reduce_rows(np.cos, np.array([0.0, 1.0, 0.0]), gx, gxp)
+except InvalidArgumentError as exc:
+    print(exc)
+"""
+
+
+def test_unbounded_ridge_kernel_over_the_node_budget_is_refused():
+    proc = subprocess.run(
+        [sys.executable, "-c", _UNBOUNDED_KERNEL],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "budget" in proc.stdout and str(MAX_NODES) in proc.stdout
 
 
 def test_incommensurate_grids_evaluate_the_ridge_directly():
@@ -352,11 +407,31 @@ def test_incommensurate_grids_evaluate_the_ridge_directly():
         gxp = make_grid(rng.uniform(-0.3, 0.3), rng.uniform(1.0, 2.0), int(rng.integers(400, 900)))
         left = np.zeros(gx.n_points)
         left[50:120] = rng.normal(size=70)
-        counted, shapes = _counting(ridge)
+        counted, calls = _counting(ridge)
         got = reduce_rows(counted, left, gx, gxp, _band(0.1))
         dense = _dense_ridge_sum(ridge, left, gx, gxp)
         assert np.abs(got - dense).max() <= 1e-13 * np.abs(dense).max()
-        assert shapes and all(len(s) == 2 for s in shapes)
+        assert calls and all(d.ndim == 2 for d in calls)
+
+
+def test_incommensurate_blocks_stay_within_the_node_budget(monkeypatch):
+    # an unbounded ridge takes every column: a block then holds as many rows
+    # as fit MAX_NODES entries, at least one
+    monkeypatch.setattr(grid, "MAX_NODES", 2000)
+    rng = np.random.default_rng(13)
+    gx, gxp = make_grid(0.0, 1.0, 301), make_grid(0.01, np.sqrt(2.0), 731)
+    assert grid._lattice(gx, gxp) is None
+    left = rng.normal(size=301)
+
+    def ridge(d):
+        return np.cos(3.0 * d)
+
+    counted, calls = _counting(ridge)
+    got = reduce_rows(counted, left, gx, gxp)
+    dense = _dense_ridge_sum(ridge, left, gx, gxp)
+    assert np.abs(got - dense).max() <= 1e-13 * np.abs(dense).max()
+    assert len(calls) == 301 // 2 + 1
+    assert all(d.shape[0] <= 2 and d.shape[1] == 731 for d in calls)
 
 
 def test_banded_norm_integral_matches_dense_and_analytic():
