@@ -87,8 +87,12 @@ def cmd_sweep(args) -> int:
         if not (v > 0.0):
             raise ConfigError(f"aperture sizes must be > 0, got {v}")
     cfg = load_config(_resolve_config_arg(args))
+    ref = cfg.reference_arm
+    (kind,) = ref["pupil"]
+    if kind != "rect":
+        raise ConfigError(f"{SWEEP_PARAM} needs a rect reference pupil, got {kind}")
     base = build_scan_config(cfg)
-    summaries = aperture_sweep(base, values)
+    summaries = aperture_sweep(base, values, ref["lambda_nm"] * 1e-6, ref["f_mm"])
     with open(args.output, "w", encoding="utf-8") as fh:
         json.dump([s.to_dict() for s in summaries], fh, indent=2)
         fh.write("\n")

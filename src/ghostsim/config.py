@@ -184,7 +184,7 @@ def resolve_config(data: dict) -> RunConfig:
     scan.update(scan_in)
     for key in ("xr_min_mm", "xr_max_mm", "xt_mm"):
         scan[key] = _finite(scan[key], f"scan.{key}")
-    scan["n_points"] = _integer(scan["n_points"], "scan.n_points", 2)
+    scan["n_points"] = _integer(scan["n_points"], "scan.n_points", 2, MAX_NODES)
     if not (scan["xr_max_mm"] > scan["xr_min_mm"]):
         raise ConfigError("scan.xr_max_mm must exceed scan.xr_min_mm")
 

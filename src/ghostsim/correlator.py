@@ -67,7 +67,8 @@ class CorrelatorSetup:
     """Immutable bundle of state, arm kernels and quadrature grids.
 
     gx discretizes the test-arm source coordinate x, gxp the reference-arm
-    source coordinate x'.
+    source coordinate x'.  The state must carry a certification (see
+    :func:`ghostsim.source.normalize`) whose grids gx and gxp cover.
     """
 
     state: TwoPhotonState
@@ -78,17 +79,15 @@ class CorrelatorSetup:
 
     def __post_init__(self):
         object.__setattr__(self, "_inner_cache", {})
-        if not self.state.norm_certified:
+        if self.state.certification is None:
             raise InvalidArgumentError(
                 "correlator requires a norm-certified two-photon state"
             )
-        cert = self.state.descriptor.get("certification")
-        if cert is not None:
-            for g, (c, hw, _n) in ((self.gx, cert["gx"]), (self.gxp, cert["gxp"])):
-                if g.lo > c - hw or g.hi < c + hw:
-                    raise InvalidArgumentError(
-                        "quadrature grids must cover the state's certification domain"
-                    )
+        for g, cert in zip((self.gx, self.gxp), self.state.certification):
+            if g.lo > cert.lo or g.hi < cert.hi:
+                raise InvalidArgumentError(
+                    "quadrature grids must cover the state's certification domain"
+                )
 
     def with_reference_arm(self, h_r: ImpulseResponse) -> "CorrelatorSetup":
         """This setup with reference arm h_r.

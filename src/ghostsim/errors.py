@@ -10,14 +10,7 @@ class InvalidArgumentError(GhostSimError, ValueError):
 
 
 class NumericDomainError(GhostSimError, ArithmeticError):
-    """A kernel or integrand produced a non-finite value.
-
-    Carries the offending coordinates when they are known.
-    """
-
-    def __init__(self, message, where=None):
-        super().__init__(message)
-        self.where = where
+    """A kernel or integrand produced a non-finite value."""
 
 
 class TruncationError(GhostSimError):

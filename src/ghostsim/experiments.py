@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
-from math import sqrt
+from math import isfinite, sqrt
 
 import numpy as np
 
 from .correlator import CorrelatorSetup, _statistics, amplitude, arm_energy
 from .errors import InvalidArgumentError, SupportCoverageWarning, UndefinedContrastError
-from .grid import Grid1D, make_grid
+from .grid import make_grid
 from .optics import ImpulseResponse, rect_pupil, two_f_arm
 from .source import TwoPhotonState, default_certification_grid, normalize
 
@@ -150,23 +150,23 @@ def build_setup(
 ) -> CorrelatorSetup:
     """Normalize the state (if needed) and assemble a correlator setup.
 
-    Gaussian states are certified on their default [-4a, 4a] window; the
-    quadrature window is widened to cover it when necessary.
+    An uncertified state with a finite ``envelope_width`` a and
+    ``ridge_width`` b, such as the Gaussian source, is certified on
+    ``default_certification_grid(a, b)``, the window [-4a, 4a]; the
+    quadrature window is widened to cover the certification grids when
+    necessary.
     """
-    if not state.norm_certified:
-        if state.descriptor.get("kind") == "gaussian":
-            cert = default_certification_grid(
-                state.descriptor["a_mm"], state.descriptor["b_mm"]
-            )
-        else:
+    if state.certification is None:
+        a, b = state.envelope_width, state.ridge_width
+        if not (isfinite(a) and isfinite(b)):
             raise InvalidArgumentError(
-                "non-Gaussian states must be normalized explicitly before building a setup"
+                "states without finite envelope and ridge widths must be normalized "
+                "explicitly before building a setup"
             )
+        cert = default_certification_grid(a, b)
         state = normalize(state, cert, cert)
-    cert = state.descriptor.get("certification")
-    if cert is not None:
-        for _, hw, _ in (cert["gx"], cert["gxp"]):
-            window_mm = max(window_mm, hw)
+    for cert in state.certification:
+        window_mm = max(window_mm, cert.half_width)
     gx = make_grid(0.0, window_mm, n_x)
     gxp = make_grid(0.0, window_mm, n_xp)
     return CorrelatorSetup(state=state, h_t=h_t, h_r=h_r, gx=gx, gxp=gxp)
@@ -263,20 +263,13 @@ def contrast_metric(result: CorrelationResult) -> float:
     return max((peak - valley) / (peak + valley), 0.0)
 
 
-def _rebuild_with_aperture(setup: CorrelatorSetup, D: float) -> CorrelatorSetup:
-    desc = setup.h_r.descriptor
-    if desc.get("kind") != "two_f_arm" or desc.get("pupil", {}).get("kind") != "rect":
-        raise InvalidArgumentError(
-            "aperture sweep requires a 2f reference arm with a rect pupil"
-        )
-    return setup.with_reference_arm(two_f_arm(desc["lambda_mm"], desc["f_mm"], rect_pupil(D)))
-
-
-def aperture_sweep(base: ScanConfig, apertures) -> list[SweepSummary]:
+def aperture_sweep(base: ScanConfig, apertures, lam: float, f: float) -> list[SweepSummary]:
     """Rerun the reference scan for each aperture size D and summarize.
 
-    Every aperture's setup shares the base setup's inner integral u(x'),
-    which does not depend on the reference arm.
+    Each scan's reference arm is ``two_f_arm(lam, f, rect_pupil(D))`` in
+    place of the base setup's.  Every aperture's setup shares the base
+    setup's inner integral u(x'), which does not depend on the reference
+    arm.
     """
     apertures = list(apertures)
     if not apertures:
@@ -286,7 +279,8 @@ def aperture_sweep(base: ScanConfig, apertures) -> list[SweepSummary]:
             raise InvalidArgumentError(f"aperture sizes must be > 0, got {D}")
     summaries = []
     for D in apertures:
-        config = replace(base, setup=_rebuild_with_aperture(base.setup, float(D)))
+        h_r = two_f_arm(lam, f, rect_pupil(float(D)))
+        config = replace(base, setup=base.setup.with_reference_arm(h_r))
         result = scan_reference(config)
         summaries.append(summarize(result, float(D)))
     return summaries

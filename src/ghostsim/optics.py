@@ -25,17 +25,17 @@ both grid samplers, and the quadratures sample arms only through them.
 The reference arm samples h_r over a uniform x' grid, where the pupil
 argument is itself uniform: u_j = u0 + j du with u0 = (x_r + x'_0)/(2 lam f)
 and du = step/(2 lam f).  Its grid sampler splits the chirp into the scalar
-exp(i pi x_r^2/(2 lam f)) and a per-grid vector built once, and asks the
-pupil for P on that grid (:meth:`Pupil.ft_grid`).  A tabulated pupil
+exp(i pi x_r^2/(2 lam f)) and a per-grid vector, kept read-only for the
+most recent grid, and asks the pupil for P on that grid
+(:meth:`Pupil.ft_grid`).  A tabulated pupil
 evaluates it by a two-level factorization of its quadrature kernel; the arm
 energy needs |P|^2 only, with no chirp.
 """
 
 from __future__ import annotations
 
-import mmap
-import threading
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -64,31 +64,10 @@ __all__ = [
 _FT_BLOCK = 128
 
 
-def _memo_last(fn):
-    """Array-valued fn memoized for its most recent argument only, filled
-    under a lock.
-
-    The kept array is a read-only copy in its own anonymous memory map.
-    Allocated from malloc's heap, a long-lived array lands between the large
-    transient blocks of the quadratures and keeps the heap from shrinking
-    after them: the validate suite's peak RSS rose from 149 to 163 MB.  The
-    mapping is returned to the system when the array is freed.
-    """
-    lock = threading.Lock()
-    last = []
-
-    def cached(key):
-        with lock:
-            if not last or last[0] != key:
-                value = fn(key)
-                kept = np.frombuffer(mmap.mmap(-1, value.nbytes), dtype=value.dtype)
-                kept = kept.reshape(value.shape)
-                kept[...] = value
-                kept.flags.writeable = False
-                last[:] = [key, kept]
-            return last[1]
-
-    return cached
+def _read_only(values: np.ndarray) -> np.ndarray:
+    """values, marked read-only: a memoized array is shared by every caller."""
+    values.flags.writeable = False
+    return values
 
 
 def _overlap(lo, hi, a, b):
@@ -101,7 +80,6 @@ class Transmission:
     """Real object transmission t(x) in [0, 1]."""
 
     evaluate: Callable[[np.ndarray], np.ndarray]
-    descriptor: dict
     # cell-mean of t over [x - h/2, x + h/2]; None means sample pointwise
     cell_mean: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
 
@@ -139,21 +117,14 @@ def double_slit(w: float, d: float) -> Transmission:
         cov = _overlap(lo, hi, c - half, c + half) + _overlap(lo, hi, -c - half, -c + half)
         return cov / h
 
-    return Transmission(
-        evaluate=evaluate,
-        descriptor={"kind": "double_slit", "w_mm": float(w), "d_mm": float(d)},
-        cell_mean=cell_mean,
-    )
+    return Transmission(evaluate=evaluate, cell_mean=cell_mean)
 
 
 def gaussian_transmission(w: float) -> Transmission:
     """Smooth Gaussian object t(x) = exp(-x^2 / w^2)."""
     if not (w > 0.0):
         raise InvalidArgumentError(f"gaussian object width must be > 0, got {w}")
-    return Transmission(
-        evaluate=lambda x: np.exp(-np.asarray(x, dtype=float) ** 2 / w**2),
-        descriptor={"kind": "gaussian", "w_mm": float(w)},
-    )
+    return Transmission(evaluate=lambda x: np.exp(-np.asarray(x, dtype=float) ** 2 / w**2))
 
 
 def tabulated_transmission(grid: Grid1D, values: np.ndarray) -> Transmission:
@@ -170,10 +141,7 @@ def tabulated_transmission(grid: Grid1D, values: np.ndarray) -> Transmission:
         x = np.asarray(x, dtype=float)
         return np.interp(x, xs, values, left=0.0, right=0.0)
 
-    return Transmission(
-        evaluate=evaluate,
-        descriptor={"kind": "tabulated", "n_points": grid.n_points},
-    )
+    return Transmission(evaluate=evaluate)
 
 
 # largest relative spread of a table's x steps accepted as a uniform grid
@@ -237,7 +205,6 @@ class Pupil:
     exp(-2 pi i u x)."""
 
     ft: Callable[[np.ndarray], np.ndarray]
-    descriptor: dict
     _ft_grid: Optional[Callable[[Grid1D, float, float], np.ndarray]] = field(
         default=None, repr=False
     )
@@ -263,7 +230,7 @@ def rect_pupil(D: float) -> Pupil:
     def ft(u):
         return (D * np.sinc(D * np.asarray(u, dtype=float))).astype(complex)
 
-    return Pupil(ft=ft, descriptor={"kind": "rect", "D_mm": float(D)})
+    return Pupil(ft=ft)
 
 
 def gaussian_pupil(sigma: float) -> Pupil:
@@ -276,7 +243,7 @@ def gaussian_pupil(sigma: float) -> Pupil:
         u = np.asarray(u, dtype=float)
         return (sigma * np.sqrt(np.pi) * np.exp(-np.pi**2 * sigma**2 * u**2)).astype(complex)
 
-    return Pupil(ft=ft, descriptor={"kind": "gaussian", "sigma_mm": float(sigma)})
+    return Pupil(ft=ft)
 
 
 def tabulated_pupil(grid: Grid1D, values: np.ndarray) -> Pupil:
@@ -303,9 +270,9 @@ def tabulated_pupil(grid: Grid1D, values: np.ndarray) -> Pupil:
     # * exp(-2 pi i r du x).  The second factor does not depend on u0, so it
     # is built once per du; each call exponentiates ceil(n/m) rows instead
     # of n.  Only the rounding of the two phases differs from ``ft``.
-    block = _memo_last(
-        lambda du: np.exp(-2j * np.pi * (du * np.arange(_FT_BLOCK))[:, np.newaxis] * xs)
-    )
+    @lru_cache(maxsize=1)
+    def block(du):
+        return _read_only(np.exp(-2j * np.pi * (du * np.arange(_FT_BLOCK))[:, np.newaxis] * xs))
 
     def ft_grid(g, offset, scale):
         du = g.step / scale
@@ -314,11 +281,7 @@ def tabulated_pupil(grid: Grid1D, values: np.ndarray) -> Pupil:
         a = np.exp(-2j * np.pi * starts[:, np.newaxis] * xs) * wv
         return (a @ block(du).T).ravel()[: g.n_points]
 
-    return Pupil(
-        ft=ft,
-        descriptor={"kind": "tabulated", "n_points": grid.n_points},
-        _ft_grid=ft_grid,
-    )
+    return Pupil(ft=ft, _ft_grid=ft_grid)
 
 
 def load_pupil_csv(path) -> Pupil:
@@ -338,7 +301,6 @@ class ImpulseResponse:
     """
 
     evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    descriptor: dict
     _sample_in: Callable[[float, Grid1D], np.ndarray] = field(repr=False)
     _sample_abs2_in: Callable[[float, Grid1D], np.ndarray] = field(repr=False)
 
@@ -396,15 +358,7 @@ def fourier_arm(lam: float, f: float, t: Transmission) -> ImpulseResponse:
         return t.sample_sq(grid.samples(), cell=grid.step) / lf**2
 
     return ImpulseResponse(
-        evaluate=evaluate,
-        descriptor={
-            "kind": "fourier_arm",
-            "lambda_mm": float(lam),
-            "f_mm": float(f),
-            "object": t.descriptor,
-        },
-        _sample_in=sample_in,
-        _sample_abs2_in=sample_abs2_in,
+        evaluate=evaluate, _sample_in=sample_in, _sample_abs2_in=sample_abs2_in
     )
 
 
@@ -424,7 +378,9 @@ def two_f_arm(lam: float, f: float, p: Pupil) -> ImpulseResponse:
         xp = np.asarray(xp, dtype=float)
         return amp * p.ft((x_r + xp) / (2.0 * lf)) * np.exp(1j * chirp * (x_r**2 + xp**2))
 
-    input_chirp = _memo_last(lambda grid: amp * np.exp(1j * chirp * grid.samples() ** 2))
+    @lru_cache(maxsize=1)
+    def input_chirp(grid):
+        return _read_only(amp * np.exp(1j * chirp * grid.samples() ** 2))
 
     def sample_in(x_r, grid):
         return np.exp(1j * chirp * x_r**2) * input_chirp(grid) * p.ft_grid(grid, x_r, 2.0 * lf)
@@ -433,13 +389,5 @@ def two_f_arm(lam: float, f: float, p: Pupil) -> ImpulseResponse:
         return amp**2 * np.abs(p.ft_grid(grid, x_r, 2.0 * lf)) ** 2
 
     return ImpulseResponse(
-        evaluate=evaluate,
-        descriptor={
-            "kind": "two_f_arm",
-            "lambda_mm": float(lam),
-            "f_mm": float(f),
-            "pupil": p.descriptor,
-        },
-        _sample_in=sample_in,
-        _sample_abs2_in=sample_abs2_in,
+        evaluate=evaluate, _sample_in=sample_in, _sample_abs2_in=sample_abs2_in
     )

@@ -7,8 +7,9 @@ R(d) = exp(-d^2 / b^2): ``a`` sets the source size, ``b`` the entanglement
 width.  A separable state, such as the validation suite's matched state, has
 R = 1 (``ridge`` is None).
 
-:func:`normalize` sets ``c_norm`` from the quadrature of |phi|^2, and
-:meth:`TwoPhotonState.reduce` applies it once to the reduced vector.  Both
+:func:`normalize` sets ``c_norm`` from the quadrature of |phi|^2 and records
+its grids as the state's ``certification``; :meth:`TwoPhotonState.reduce`
+applies ``c_norm`` once to the reduced vector.  Both
 fold f into the left vector, reduce R with :func:`ghostsim.grid.reduce_rows`
 (a plain sum when R = 1) and multiply the result by g.  When the grid steps
 are in a small integer ratio, as on every grid the package builds, that
@@ -71,18 +72,19 @@ class TwoPhotonState:
     """The entangled-pair wavefunction phi(x, x') = c_norm * f(x) * g(x') * R(x - x').
 
     ``f``, ``g`` and ``ridge`` (R, or None for R = 1) broadcast over numpy
-    arrays; |R(d)| <= peak * exp(-d^2 / ridge_width^2) (``inf``: no bound).
-    ``norm_certified`` records that |phi|^2 integrates to 1 (within
-    ``NORM_TOL``) on the certification grids stored in the descriptor.
+    arrays; |R(d)| <= peak * exp(-d^2 / ridge_width^2) and |f(x)|, |g(x)|
+    <= peak * exp(-x^2 / envelope_width^2) (``inf``: no bound).
+    ``certification`` holds the grids (gx, gxp) on which |phi|^2 integrates
+    to 1 within ``NORM_TOL``; None until :func:`normalize` sets it.
     """
 
     f: Callable
     g: Callable
-    norm_certified: bool
-    descriptor: dict
     c_norm: complex = 1.0
     ridge: Callable | None = None
     ridge_width: float = inf
+    envelope_width: float = inf
+    certification: tuple[Grid1D, Grid1D] | None = None
 
     def evaluate(self, x, xp) -> np.ndarray:
         """phi(x, x'), broadcast over numpy arrays."""
@@ -101,7 +103,7 @@ class TwoPhotonState:
         return self.c_norm * _times(self.g, rows, gxp)
 
     def scaled(self, factor: complex) -> "TwoPhotonState":
-        return replace(self, c_norm=factor * self.c_norm, norm_certified=False)
+        return replace(self, c_norm=factor * self.c_norm, certification=None)
 
 
 def gaussian_wavefunction(a: float, b: float) -> TwoPhotonState:
@@ -118,12 +120,7 @@ def gaussian_wavefunction(a: float, b: float) -> TwoPhotonState:
         return np.exp(np.square(d) / -(b * b))
 
     return TwoPhotonState(
-        f=envelope,
-        g=envelope,
-        norm_certified=False,
-        descriptor={"kind": "gaussian", "a_mm": float(a), "b_mm": float(b)},
-        ridge=ridge,
-        ridge_width=float(b),
+        f=envelope, g=envelope, ridge=ridge, ridge_width=float(b), envelope_width=float(a)
     )
 
 
@@ -179,9 +176,7 @@ def normalize(state: TwoPhotonState, gx: Grid1D, gxp: Grid1D) -> TwoPhotonState:
 
     A non-finite norm (a NaN or inf envelope or ridge value, or an
     overflowing quadrature) is a numeric error.  The returned state carries
-    ``norm_certified=True`` and the rescaled
-    amplitude ``c_norm``, which its descriptor records next to the
-    certification grids.
+    the rescaled amplitude ``c_norm`` and ``certification=(gx, gxp)``.
     """
     _check_support_coverage(state, gx, gxp)
     norm = _norm_integral(state, gx, gxp)
@@ -189,11 +184,4 @@ def normalize(state: TwoPhotonState, gx: Grid1D, gxp: Grid1D) -> TwoPhotonState:
         raise NumericDomainError(f"wavefunction norm {norm} on the given grids is not finite")
     if norm <= 0.0:
         raise InvalidArgumentError("wavefunction has zero norm on the given grids")
-    c_norm = state.c_norm / sqrt(norm)
-    descriptor = dict(state.descriptor)
-    descriptor["c_norm"] = c_norm
-    descriptor["certification"] = {
-        "gx": (gx.center, gx.half_width, gx.n_points),
-        "gxp": (gxp.center, gxp.half_width, gxp.n_points),
-    }
-    return replace(state, c_norm=c_norm, norm_certified=True, descriptor=descriptor)
+    return replace(state, c_norm=state.c_norm / sqrt(norm), certification=(gx, gxp))

@@ -54,7 +54,7 @@ class CheckResult:
 def _certify(state, gx, gxp, corrupt: float):
     out = normalize(state, gx, gxp)
     if corrupt != 1.0:
-        out = replace(out.scaled(corrupt), norm_certified=True)
+        out = replace(out, c_norm=corrupt * out.c_norm)
     return out
 
 
@@ -149,8 +149,6 @@ def _matched_state(h_t, h_r, x_t: float, x_r: float, gx, gxp, corrupt: float):
     raw = TwoPhotonState(
         f=lambda x: np.conj(h_t.evaluate(x_t, x)),
         g=lambda xp: np.conj(h_r.evaluate(x_r, xp)),
-        norm_certified=False,
-        descriptor={"kind": "matched"},
     )
     return _certify(raw, gx, gxp, corrupt)
 

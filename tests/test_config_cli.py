@@ -271,12 +271,14 @@ _LIMITED_SCAN = (
         ("source", "b_mm", 1e-300),
         ("numerics", "n_x", 1e300),
         ("numerics", "n_xp", MAX_NODES + 1),
+        ("scan", "n_points", 1e300),
     ],
 )
 def test_node_budget_names_the_config_key(tmp_path, section, key, value):
     data = {
         "source": {"a_mm": 2.0, "b_mm": 0.05},
         "numerics": {"n_x": 8193, "n_xp": 2049, "window_mm": 8.0},
+        "scan": {"xr_min_mm": -1.0, "xr_max_mm": 1.0, "n_points": 21},
     }
     data[section][key] = value
     cfg = small_config(tmp_path, **data)
@@ -292,6 +294,82 @@ def test_node_budget_names_the_config_key(tmp_path, section, key, value):
     assert f"{section}.{key}" in proc.stderr
     assert "budget" in proc.stderr
     assert not out.exists()
+
+
+# scans of the configs named on stdin, each in this one process under the
+# 1 GiB limit, with the warning filters of a fresh run; one JSON line each
+# of [exit code, stderr]
+_CONTRACT_SCANS = """
+import contextlib, io, json, resource, sys, traceback, warnings
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from ghostsim.cli import main
+for cfg, out in json.load(sys.stdin):
+    err = io.StringIO()
+    # entering catch_warnings also clears the once-per-location registry
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+        try:
+            code = main(["scan", "--config", cfg, "--output", out])
+        except SystemExit as exc:
+            code = exc.code
+        except Exception:
+            traceback.print_exc()
+            code = 1
+    print(json.dumps([code, err.getvalue()]))
+"""
+
+_MUTANTS = (1e-300, 1e300, "abc", None, True)
+
+
+def _numeric_fields(data: dict, path=()):
+    for key, value in data.items():
+        if isinstance(value, dict):
+            yield from _numeric_fields(value, path + (key,))
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield path + (key,)
+
+
+def test_scan_exit_code_contract_under_single_field_mutations(tmp_path):
+    # every numeric field of the resolved small_config, set in turn to each
+    # of _MUTANTS: exit 0 with finite columns, or exit 2 or 3 with one line
+    resolved = load_config(small_config(tmp_path)).to_dict()
+    fields = list(_numeric_fields(resolved))
+    assert len(fields) == 17
+    cases, jobs = [], []
+    for field in fields:
+        for value in _MUTANTS:
+            data = json.loads(json.dumps(resolved))
+            *parents, key = field
+            section = data
+            for name in parents:
+                section = section[name]
+            section[key] = value
+            k = len(cases)
+            cfg, out = tmp_path / f"case{k}.json", tmp_path / f"case{k}.csv"
+            cfg.write_text(json.dumps(data))
+            cases.append((".".join(field), value, out))
+            jobs.append([str(cfg), str(out)])
+    proc = subprocess.run(
+        [sys.executable, "-c", _CONTRACT_SCANS],
+        input=json.dumps(jobs),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    results = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len(results) == len(cases)
+    broken = []
+    for (name, value, out), (code, err) in zip(cases, results):
+        if code not in (0, 2, 3) or "Traceback" in err:
+            ok = False
+        elif code == 0:
+            data = np.genfromtxt(out, delimiter=",", names=True, dtype=None, encoding="utf-8")
+            ok = all(np.isfinite(data[c]).all() for c in CSV_HEADER.split(",")[:-1])
+        else:
+            ok = len(err.splitlines()) == 1 and not out.exists()
+        if not ok:
+            broken.append(f"{name} = {value!r}: exit {code}, stderr {err!r}")
+    assert not broken, "\n".join(broken)
 
 
 @pytest.mark.parametrize(

@@ -61,7 +61,7 @@ def small_gaussian_setup(w_obj=0.5, sigma=2.0, a=2.0, b=0.2, n_x=4097, n_xp=8193
 
 def test_opaque_object_gives_zero_signal():
     setup = small_gaussian_setup(n_x=257, n_xp=257)
-    dark = Transmission(evaluate=lambda x: np.zeros_like(np.asarray(x, dtype=float)), descriptor={"kind": "dark"})
+    dark = Transmission(evaluate=lambda x: np.zeros_like(np.asarray(x, dtype=float)))
     setup = CorrelatorSetup(
         state=setup.state,
         h_t=fourier_arm(LAM, F, dark),
@@ -81,8 +81,7 @@ def test_separable_state_amplitude_factorizes():
     state = TwoPhotonState(
         f=lambda x: np.exp(-(x**2)) + 0j,
         g=lambda xp: np.exp(-(xp**2) / 2.0),
-        norm_certified=True,
-        descriptor={},
+        certification=(g, g),
     )
     h_t = fourier_arm(LAM, F, gaussian_transmission(1.0))
     h_r = two_f_arm(LAM, F, gaussian_pupil(1.0))
@@ -171,8 +170,6 @@ def test_matched_state_saturates_the_bound():
     raw = TwoPhotonState(
         f=lambda x: np.conj(h_t.evaluate(x_t, x)),
         g=lambda xp: np.conj(h_r.evaluate(x_r, xp)),
-        norm_certified=False,
-        descriptor={"kind": "matched"},
     )
     state = normalize(raw, g, g)
     setup = CorrelatorSetup(state=state, h_t=h_t, h_r=h_r, gx=g, gxp=g)
@@ -281,7 +278,7 @@ def test_corrupted_certified_state_scales_the_inner_integral():
     cert = default_certification_grid(a, b)
     clean = _certify(gaussian_wavefunction(a, b), cert, cert, 1.0)
     corrupt = _certify(gaussian_wavefunction(a, b), cert, cert, 2.0)
-    assert corrupt.norm_certified
+    assert corrupt.certification == clean.certification == (cert, cert)
     assert corrupt.c_norm == 2.0 * clean.c_norm
     h_t = fourier_arm(LAM, F, double_slit(0.05, 1.0))
     h_r = two_f_arm(LAM, F, rect_pupil(10.0))
@@ -387,7 +384,7 @@ def test_windowed_amplitude_matches_full_grid(case):
 
 def test_all_zero_inner_integral_scans_without_sampling():
     setup = small_gaussian_setup(n_x=257)
-    dark = Transmission(evaluate=lambda x: np.zeros_like(np.asarray(x, dtype=float)), descriptor={"kind": "dark"})
+    dark = Transmission(evaluate=lambda x: np.zeros_like(np.asarray(x, dtype=float)))
 
     def never(x_r, grid):
         raise AssertionError("reference arm sampled for an all-zero u")
@@ -415,8 +412,7 @@ def test_single_nonzero_inner_integral_widens_the_window(node):
     state = TwoPhotonState(
         f=lambda x: np.exp(-(x**2)),
         g=lambda xp: np.where(xp == xp0, 1.0, 0.0),
-        norm_certified=True,
-        descriptor={},
+        certification=(g, g),
     )
     h_t = fourier_arm(LAM, F, gaussian_transmission(1.0))
     # a narrow pupil: P stays far from underflow across the whole window

@@ -20,7 +20,6 @@ from ghostsim import (
     contrast_metric,
     double_slit,
     fourier_arm,
-    gaussian_pupil,
     gaussian_wavefunction,
     rect_pupil,
     scan_reference,
@@ -31,7 +30,7 @@ from ghostsim.config import build_scan_config, resolve_config
 from ghostsim.experiments import find_peaks, summarize
 from ghostsim.grid import make_grid
 from ghostsim.optics import load_transmission_csv
-from ghostsim.source import TwoPhotonState
+from ghostsim.source import TwoPhotonState, default_certification_grid
 
 LAM = 650e-6
 F = 100.0
@@ -62,7 +61,8 @@ def fake_result(x, g2, n_pairs=100):
 
 def test_build_setup_normalizes_gaussian_state():
     config = slit_scan_config(n_x=4097, n_xp=2049)
-    assert config.setup.state.norm_certified
+    cert = default_certification_grid(2.0, 0.05)
+    assert config.setup.state.certification == (cert, cert)
     # default 8 mm window already covers the 4a = 8 mm certification window
     assert config.setup.gx.half_width == 8.0
 
@@ -73,11 +73,13 @@ def test_build_setup_rejects_uncertified_table():
     def box(s):
         return np.interp(s, g.samples(), np.ones(33), left=0.0, right=0.0)
 
-    tab = TwoPhotonState(f=box, g=box, norm_certified=False, descriptor={"kind": "separable"})
+    tab = TwoPhotonState(f=box, g=box)
     h_t = fourier_arm(LAM, F, double_slit(0.05, 1.0))
     h_r = two_f_arm(LAM, F, rect_pupil(10.0))
-    with pytest.raises(InvalidArgumentError):
-        build_setup(tab, h_t, h_r, n_x=257, n_xp=257)
+    # only a state with both width bounds gets a default certification grid
+    for state in (tab, replace(tab, envelope_width=1.0), replace(tab, ridge_width=1.0)):
+        with pytest.raises(InvalidArgumentError):
+            build_setup(state, h_t, h_r, n_x=257, n_xp=257)
 
 
 RUN = {
@@ -253,7 +255,7 @@ def test_contrast_metric_toy_cases():
 
 def test_aperture_sweep_singleton():
     config = slit_scan_config(n_xr=81)
-    summaries = aperture_sweep(config, [10.0])
+    summaries = aperture_sweep(config, [10.0], LAM, F)
     assert len(summaries) == 1
     s = summaries[0]
     assert s.aperture_mm == 10.0
@@ -281,7 +283,7 @@ def test_aperture_sweep_shares_the_inner_integral(monkeypatch):
         return reduce(self, *args)
 
     monkeypatch.setattr(TwoPhotonState, "reduce", counted)
-    swept = aperture_sweep(config, apertures)
+    swept = aperture_sweep(config, apertures, LAM, F)
     assert len(calls) == 1
     for s, f in zip(swept, fresh):
         assert s.peak_positions_mm == f.peak_positions_mm
@@ -292,24 +294,30 @@ def test_aperture_sweep_shares_the_inner_integral(monkeypatch):
 def test_aperture_sweep_input_validation():
     config = slit_scan_config(n_x=4097, n_xp=2049)
     with pytest.raises(InvalidArgumentError):
-        aperture_sweep(config, [])
+        aperture_sweep(config, [], LAM, F)
     with pytest.raises(InvalidArgumentError):
-        aperture_sweep(config, [10.0, -1.0])
+        aperture_sweep(config, [10.0, -1.0], LAM, F)
 
 
-def test_aperture_sweep_requires_rect_pupil():
-    state = gaussian_wavefunction(2.0, 0.05)
-    h_t = fourier_arm(LAM, F, double_slit(0.05, 1.0))
-    h_r = two_f_arm(LAM, F, gaussian_pupil(2.0))
-    setup = build_setup(state, h_t, h_r, n_x=4097, n_xp=2049)
-    config = ScanConfig(setup=setup)
-    with pytest.raises(InvalidArgumentError):
-        aperture_sweep(config, [10.0])
+def test_aperture_sweep_requires_rect_pupil(tmp_path, capsys):
+    # the swept parameter is a rect pupil's D_mm; another pupil is a config error
+    data = json.loads(json.dumps(RUN))
+    data["reference_arm"]["pupil"] = {"gaussian": {"sigma_mm": 2.0}}
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "sweep.json"
+    argv = ["sweep", "--config", str(path), "--param", "reference_arm.pupil.rect.D_mm",
+            "--values", "10", "--output", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("ghostsim: config error: ") and "rect" in err
+    assert not out.exists()
 
 
 def test_smaller_aperture_blurs_and_quiets():
     config = slit_scan_config(n_xr=161)
-    wide, narrow = aperture_sweep(config, [10.0, 2.0])
+    wide, narrow = aperture_sweep(config, [10.0, 2.0], LAM, F)
     assert narrow.contrast < wide.contrast
     assert narrow.noise_amplitude < wide.noise_amplitude
 

@@ -106,9 +106,7 @@ def test_integrate_second_order_convergence():
 def integrate2d(f, g, gx, gxp):
     """Tensor-product trapezoid rule of f(x) g(x') through the row reduction
     of a state whose ridge is 1 everywhere, weighted over x'."""
-    state = TwoPhotonState(
-        f=f, g=g, norm_certified=False, descriptor={}, ridge=np.ones_like
-    )
+    state = TwoPhotonState(f=f, g=g, ridge=np.ones_like)
     return state.reduce(gx.trapezoid_weights(), gx, gxp) @ gxp.trapezoid_weights()
 
 

@@ -83,11 +83,11 @@ def test_normalize_is_idempotent():
 def test_normalize_records_certificate():
     a, b = 1.0, 0.2
     grid = default_certification_grid(a, b)
-    state = normalize(gaussian_wavefunction(a, b), grid, grid)
-    assert state.norm_certified
-    cert = state.descriptor["certification"]
-    assert cert["gx"] == (grid.center, grid.half_width, grid.n_points)
-    assert state.descriptor["c_norm"] == pytest.approx(gaussian_norm_constant(a, b), rel=1e-9)
+    raw = gaussian_wavefunction(a, b)
+    assert raw.certification is None
+    state = normalize(raw, grid, grid)
+    assert state.certification == (grid, grid)
+    assert state.c_norm == pytest.approx(gaussian_norm_constant(a, b), rel=1e-9)
 
 
 def test_weak_entanglement_limit():
@@ -102,7 +102,7 @@ def test_scaled_state_loses_certificate():
     grid = default_certification_grid(a, b)
     state = normalize(gaussian_wavefunction(a, b), grid, grid)
     doubled = state.scaled(2.0)
-    assert not doubled.norm_certified
+    assert doubled.certification is None
     assert abs(doubled.evaluate(0.0, 0.0)) == pytest.approx(
         2.0 * abs(state.evaluate(0.0, 0.0)), rel=1e-14
     )
@@ -130,10 +130,7 @@ def tabulated(g, values):
 
 
 def separable(f, g, ridge=None, ridge_width=np.inf):
-    return TwoPhotonState(
-        f=f, g=g, norm_certified=False, descriptor={"kind": "separable"}, ridge=ridge,
-        ridge_width=ridge_width,
-    )
+    return TwoPhotonState(f=f, g=g, ridge=ridge, ridge_width=ridge_width)
 
 
 def random_table(rng, n):
