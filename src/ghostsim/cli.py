@@ -81,11 +81,6 @@ def cmd_sweep(args) -> int:
         values = [float(v) for v in args.values.split(",") if v.strip() != ""]
     except ValueError:
         raise ConfigError(f"--values must be a comma-separated list of numbers, got {args.values!r}")
-    if not values:
-        raise ConfigError("--values must contain at least one aperture size")
-    for v in values:
-        if not (v > 0.0):
-            raise ConfigError(f"aperture sizes must be > 0, got {v}")
     cfg = load_config(_resolve_config_arg(args))
     ref = cfg.reference_arm
     (kind,) = ref["pupil"]

@@ -1,9 +1,11 @@
 """Run configuration: JSON schema, validation and assembly of scan drivers.
 
 Wavelengths enter in nm at the file boundary and are converted to mm
-internally; every other length is mm.  Unknown keys are rejected so typos
-fail loudly, and the fully resolved configuration (defaults applied) can be
-round-tripped through :meth:`RunConfig.to_dict`.
+internally; every other length is mm.  One ordered table, ``_SCHEMA``, gives
+each field its default and check, and each object or pupil kind its optics
+constructor; fields are checked in table order and unknown keys are
+rejected.  The resolved configuration round-trips through
+:meth:`RunConfig.to_dict`.
 """
 
 from __future__ import annotations
@@ -11,36 +13,15 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import partial
 
 from . import experiments, optics, source
-from .errors import ConfigError
+from .errors import ConfigError, InvalidArgumentError
 from .experiments import ScanConfig, build_setup
 from .grid import MAX_NODES
 
 __all__ = ["RunConfig", "load_config", "resolve_config", "build_scan_config"]
-
-_DEFAULTS = {
-    "scan": {"xr_min_mm": -2.0, "xr_max_mm": 2.0, "n_points": 201, "xt_mm": 0.0},
-    "pairs": {"N": 10000},
-    "numerics": {
-        "n_x": experiments.DEFAULT_N_X,
-        "n_xp": experiments.DEFAULT_N_XP,
-        "window_mm": experiments.DEFAULT_WINDOW_MM,
-    },
-    "output": {"path": "scan.csv", "format": "csv"},
-}
-
-_OBJECT_KINDS = {
-    "double_slit": {"w_mm", "d_mm"},
-    "gaussian": {"w_mm"},
-    "tabulated": {"path"},
-}
-_PUPIL_KINDS = {
-    "rect": {"D_mm"},
-    "gaussian": {"sigma_mm"},
-    "tabulated": {"path"},
-}
 
 
 @dataclass(frozen=True)
@@ -56,27 +37,7 @@ class RunConfig:
     output: dict
 
     def to_dict(self) -> dict:
-        return {
-            "source": dict(self.source),
-            "test_arm": json.loads(json.dumps(self.test_arm)),
-            "reference_arm": json.loads(json.dumps(self.reference_arm)),
-            "scan": dict(self.scan),
-            "pairs": dict(self.pairs),
-            "numerics": dict(self.numerics),
-            "output": dict(self.output),
-        }
-
-
-def _require(section: dict, where: str, key: str):
-    if key not in section:
-        raise ConfigError(f"missing required field {where}.{key}")
-    return section[key]
-
-
-def _no_unknown(section: dict, where: str, allowed):
-    for key in section:
-        if key not in allowed:
-            raise ConfigError(f"unknown field {where}.{key}")
+        return asdict(self)
 
 
 def _number(value) -> float:
@@ -121,103 +82,98 @@ def _readable(path, where: str) -> str:
     return path
 
 
-def _variant(section: dict, where: str, kinds: dict) -> dict:
-    _no_unknown(section, where, kinds)
-    if len(section) != 1:
-        raise ConfigError(
-            f"{where} must contain exactly one of {sorted(kinds)}, got {sorted(section)}"
-        )
-    (kind, params), = section.items()
-    if not isinstance(params, dict):
-        raise ConfigError(f"{where}.{kind} must be an object")
-    _no_unknown(params, f"{where}.{kind}", kinds[kind])
-    out = {}
-    for key in kinds[kind]:
-        value = _require(params, f"{where}.{kind}", key)
-        if key == "path":
-            out[key] = _readable(value, f"{where}.{kind}.path")
-        else:
-            out[key] = _positive(value, f"{where}.{kind}.{key}")
-    return {kind: out}
+def _text(value, where: str) -> str:
+    if not (isinstance(value, str) and value):
+        raise ConfigError(f"{where} must be a non-empty string, got {value!r}")
+    return value
 
 
-def _arm(section: dict, where: str, part_key: str, kinds: dict) -> dict:
-    if not isinstance(section, dict):
-        raise ConfigError(f"{where} must be an object")
-    _no_unknown(section, where, {"lambda_nm", "f_mm", part_key})
-    return {
-        "lambda_nm": _positive(_require(section, where, "lambda_nm"), f"{where}.lambda_nm"),
-        "f_mm": _positive(_require(section, where, "f_mm"), f"{where}.f_mm"),
-        part_key: _variant(
-            _require(section, where, part_key), f"{where}.{part_key}", kinds
+def _format(value, where: str) -> str:
+    if value not in ("csv", "json"):
+        raise ConfigError(f"{where} must be csv or json, got {value!r}")
+    return value
+
+
+class _OneOf(dict):
+    """Exactly one of its kinds: kind -> (optics constructor, its parameters in call order)."""
+
+
+_REQUIRED = object()  # the default of a field that has none
+_LENGTH = (_REQUIRED, _positive)
+_COUNT = partial(_integer, minimum=2, maximum=MAX_NODES)
+
+# section -> field -> (default or _REQUIRED, check); a nested dict is a
+# JSON object of its own, a missing one is checked as {}
+_SCHEMA = {
+    "source": {"a_mm": _LENGTH, "b_mm": _LENGTH},
+    "test_arm": {
+        "lambda_nm": _LENGTH,
+        "f_mm": _LENGTH,
+        "object": _OneOf(
+            double_slit=("double_slit", {"w_mm": _LENGTH, "d_mm": _LENGTH}),
+            gaussian=("gaussian_transmission", {"w_mm": _LENGTH}),
+            tabulated=("load_transmission_csv", {"path": (_REQUIRED, _readable)}),
         ),
-    }
+    },
+    "reference_arm": {
+        "lambda_nm": _LENGTH,
+        "f_mm": _LENGTH,
+        "pupil": _OneOf(
+            rect=("rect_pupil", {"D_mm": _LENGTH}),
+            gaussian=("gaussian_pupil", {"sigma_mm": _LENGTH}),
+            tabulated=("load_pupil_csv", {"path": (_REQUIRED, _readable)}),
+        ),
+    },
+    "scan": {
+        "xr_min_mm": (-2.0, _finite),
+        "xr_max_mm": (2.0, _finite),
+        "n_points": (201, _COUNT),
+        "xt_mm": (0.0, _finite),
+    },
+    "pairs": {"N": (10000, partial(_integer, minimum=1))},
+    "numerics": {
+        "n_x": (experiments.DEFAULT_N_X, _COUNT),
+        "n_xp": (experiments.DEFAULT_N_XP, _COUNT),
+        "window_mm": (experiments.DEFAULT_WINDOW_MM, _positive),
+    },
+    "output": {"path": ("scan.csv", _text), "format": ("csv", _format)},
+}
+
+
+def _walk(spec: dict, data, where: str) -> dict:
+    """data, a JSON object without unknown keys, resolved field by field in spec's order."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where or 'configuration root'} must be a JSON object, got {data!r}")
+    prefix = f"{where}." if where else ""
+    for key in data:
+        if key not in spec:
+            raise ConfigError(f"unknown field {prefix}{key}")
+    if isinstance(spec, _OneOf):
+        if len(data) != 1:
+            raise ConfigError(
+                f"{where} must contain exactly one of {list(spec)}, got {sorted(data)}"
+            )
+        ((kind, params),) = data.items()
+        return {kind: _walk(spec[kind][1], params, prefix + kind)}
+    out = {}
+    for key, field in spec.items():
+        if isinstance(field, dict):
+            out[key] = _walk(field, data.get(key, {}), prefix + key)
+            continue
+        default, check = field
+        value = data.get(key, default)
+        if value is _REQUIRED:
+            raise ConfigError(f"missing required field {prefix}{key}")
+        out[key] = check(value, prefix + key)
+    return out
 
 
 def resolve_config(data: dict) -> RunConfig:
     """Validate a configuration dict, applying defaults."""
-    if not isinstance(data, dict):
-        raise ConfigError("configuration root must be a JSON object")
-    _no_unknown(
-        data,
-        "config",
-        {"source", "test_arm", "reference_arm", "scan", "pairs", "numerics", "output"},
-    )
-
-    src = _require(data, "config", "source")
-    if not isinstance(src, dict):
-        raise ConfigError("source must be an object")
-    _no_unknown(src, "source", {"a_mm", "b_mm"})
-    src = {
-        "a_mm": _positive(_require(src, "source", "a_mm"), "source.a_mm"),
-        "b_mm": _positive(_require(src, "source", "b_mm"), "source.b_mm"),
-    }
-
-    test_arm = _arm(_require(data, "config", "test_arm"), "test_arm", "object", _OBJECT_KINDS)
-    ref_arm = _arm(
-        _require(data, "config", "reference_arm"), "reference_arm", "pupil", _PUPIL_KINDS
-    )
-
-    scan = dict(_DEFAULTS["scan"])
-    scan_in = data.get("scan", {})
-    _no_unknown(scan_in, "scan", set(scan))
-    scan.update(scan_in)
-    for key in ("xr_min_mm", "xr_max_mm", "xt_mm"):
-        scan[key] = _finite(scan[key], f"scan.{key}")
-    scan["n_points"] = _integer(scan["n_points"], "scan.n_points", 2, MAX_NODES)
-    if not (scan["xr_max_mm"] > scan["xr_min_mm"]):
+    cfg = RunConfig(**_walk(_SCHEMA, data, ""))
+    if not (cfg.scan["xr_max_mm"] > cfg.scan["xr_min_mm"]):
         raise ConfigError("scan.xr_max_mm must exceed scan.xr_min_mm")
-
-    pairs = dict(_DEFAULTS["pairs"])
-    pairs_in = data.get("pairs", {})
-    _no_unknown(pairs_in, "pairs", {"N"})
-    pairs.update(pairs_in)
-    pairs["N"] = _integer(pairs["N"], "pairs.N", 1)
-
-    numerics = dict(_DEFAULTS["numerics"])
-    numerics_in = data.get("numerics", {})
-    _no_unknown(numerics_in, "numerics", set(numerics))
-    numerics.update(numerics_in)
-    for key in ("n_x", "n_xp"):
-        numerics[key] = _integer(numerics[key], f"numerics.{key}", 2, MAX_NODES)
-    numerics["window_mm"] = _positive(numerics["window_mm"], "numerics.window_mm")
-
-    output = dict(_DEFAULTS["output"])
-    output_in = data.get("output", {})
-    _no_unknown(output_in, "output", {"path", "format"})
-    output.update(output_in)
-    if output["format"] not in ("csv", "json"):
-        raise ConfigError(f"output.format must be csv or json, got {output['format']!r}")
-
-    return RunConfig(
-        source=src,
-        test_arm=test_arm,
-        reference_arm=ref_arm,
-        scan=scan,
-        pairs=pairs,
-        numerics=numerics,
-        output=output,
-    )
+    return cfg
 
 
 def load_config(path) -> RunConfig:
@@ -232,44 +188,42 @@ def load_config(path) -> RunConfig:
             f"config {path} is not valid JSON (line {exc.lineno}, column {exc.colno}): "
             f"{exc.msg}"
         ) from exc
+    except (UnicodeDecodeError, RecursionError) as exc:
+        # not UTF-8, or nested deeper than the parser's recursion limit
+        raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     return resolve_config(data)
 
 
-def _build_transmission(obj: dict) -> optics.Transmission:
-    (kind, params), = obj.items()
-    if kind == "double_slit":
-        return optics.double_slit(params["w_mm"], params["d_mm"])
-    if kind == "gaussian":
-        return optics.gaussian_transmission(params["w_mm"])
-    return optics.load_transmission_csv(params["path"])
+def _call(fn, where: str, params: dict):
+    """fn(*params.values()), an InvalidArgumentError prefixed with the keys."""
+    try:
+        return fn(*params.values())
+    except InvalidArgumentError as exc:
+        named = ", ".join(f"{where}.{key} = {value!r}" for key, value in params.items())
+        raise InvalidArgumentError(f"{named}: {exc}") from exc
 
 
-def _build_pupil(pup: dict) -> optics.Pupil:
-    (kind, params), = pup.items()
-    if kind == "rect":
-        return optics.rect_pupil(params["D_mm"])
-    if kind == "gaussian":
-        return optics.gaussian_pupil(params["sigma_mm"])
-    return optics.load_pupil_csv(params["path"])
+def _arm(make, cfg_arm: dict, where: str, part: str):
+    """The arm built by make from the constructor the table names for its part."""
+    ((kind, params),) = cfg_arm[part].items()
+    constructor, fields = _SCHEMA[where][part][kind]
+    element = _call(
+        getattr(optics, constructor), f"{where}.{part}.{kind}", {k: params[k] for k in fields}
+    )
+    return make(cfg_arm["lambda_nm"] * 1e-6, cfg_arm["f_mm"], element)
 
 
 def build_scan_config(cfg: RunConfig) -> ScanConfig:
     """Assemble the scan driver for a resolved configuration."""
-    state = source.gaussian_wavefunction(cfg.source["a_mm"], cfg.source["b_mm"])
-    h_t = optics.fourier_arm(
-        cfg.test_arm["lambda_nm"] * 1e-6,
-        cfg.test_arm["f_mm"],
-        _build_transmission(cfg.test_arm["object"]),
-    )
-    h_r = optics.two_f_arm(
-        cfg.reference_arm["lambda_nm"] * 1e-6,
-        cfg.reference_arm["f_mm"],
-        _build_pupil(cfg.reference_arm["pupil"]),
-    )
+    a, b = cfg.source["a_mm"], cfg.source["b_mm"]
+    # a source too wide for its ridge is refused by the certification-grid
+    # budget, which names the remedy, before its a^2 or b^2 leaves the range
+    source.default_certification_grid(a, b)
+    state = _call(source.gaussian_wavefunction, "source", {"a_mm": a, "b_mm": b})
     setup = build_setup(
         state,
-        h_t,
-        h_r,
+        _arm(optics.fourier_arm, cfg.test_arm, "test_arm", "object"),
+        _arm(optics.two_f_arm, cfg.reference_arm, "reference_arm", "pupil"),
         n_x=cfg.numerics["n_x"],
         n_xp=cfg.numerics["n_xp"],
         window_mm=cfg.numerics["window_mm"],
@@ -281,5 +235,4 @@ def build_scan_config(cfg: RunConfig) -> ScanConfig:
         xr_max=cfg.scan["xr_max_mm"],
         n_xr=cfg.scan["n_points"],
         n_pairs=cfg.pairs["N"],
-        provenance=cfg.to_dict(),
     )

@@ -12,7 +12,7 @@ the normalized averaged noise.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from math import isfinite, sqrt
 
 import numpy as np
@@ -69,7 +69,6 @@ class ScanConfig:
     xr_max: float = 2.0
     n_xr: int = 201
     n_pairs: int = 10000
-    provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for name in ("x_t", "xr_min", "xr_max"):
@@ -99,7 +98,6 @@ class CorrelationResult:
     flags: tuple
     g2_max: float
     n_pairs: int
-    provenance: dict
 
     def columns(self) -> dict:
         """All emitted columns keyed by the CSV header names."""
@@ -212,7 +210,6 @@ def scan_reference(config: ScanConfig) -> CorrelationResult:
         flags=tuple("zero_g2" if g == 0.0 else "" for g in g2),
         g2_max=float(g2.max()),
         n_pairs=config.n_pairs,
-        provenance=dict(config.provenance),
     )
 
 

@@ -30,6 +30,7 @@ from .errors import InvalidArgumentError
 __all__ = [
     "Grid1D",
     "MAX_NODES",
+    "check_width",
     "make_grid",
     "reduce_rows",
 ]
@@ -88,6 +89,18 @@ class Grid1D:
         w[0] *= 0.5
         w[-1] *= 0.5
         return w
+
+
+def check_width(w: float, what: str) -> None:
+    """Refuse a width w unless w > 0 and w^2 is finite and nonzero, so that
+    exp(-x^2 / w^2) and the energies that scale with w^2 stay in range."""
+    if not (w > 0.0):
+        raise InvalidArgumentError(f"{what} must be > 0, got {w}")
+    square = float(w) * float(w)
+    if not (0.0 < square < np.inf):
+        raise InvalidArgumentError(
+            f"{what} = {w:g} mm has square {square:g}, outside the floating-point range"
+        )
 
 
 def make_grid(center: float, half_width: float, n_points: int) -> Grid1D:

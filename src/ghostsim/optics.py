@@ -41,7 +41,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .grid import Grid1D, make_grid
+from .grid import Grid1D, check_width, make_grid
 
 __all__ = [
     "Transmission",
@@ -122,8 +122,7 @@ def double_slit(w: float, d: float) -> Transmission:
 
 def gaussian_transmission(w: float) -> Transmission:
     """Smooth Gaussian object t(x) = exp(-x^2 / w^2)."""
-    if not (w > 0.0):
-        raise InvalidArgumentError(f"gaussian object width must be > 0, got {w}")
+    check_width(w, "gaussian object width w")
     return Transmission(evaluate=lambda x: np.exp(-np.asarray(x, dtype=float) ** 2 / w**2))
 
 
@@ -224,8 +223,7 @@ class Pupil:
 
 def rect_pupil(D: float) -> Pupil:
     """Hard aperture of width D; P(u) = D sinc(pi D u)."""
-    if not (D > 0.0):
-        raise InvalidArgumentError(f"aperture size D must be > 0, got {D}")
+    check_width(D, "aperture size D")
 
     def ft(u):
         return (D * np.sinc(D * np.asarray(u, dtype=float))).astype(complex)
@@ -236,8 +234,7 @@ def rect_pupil(D: float) -> Pupil:
 def gaussian_pupil(sigma: float) -> Pupil:
     """Soft aperture p(x) = exp(-x^2 / sigma^2);
     P(u) = sigma sqrt(pi) exp(-pi^2 sigma^2 u^2)."""
-    if not (sigma > 0.0):
-        raise InvalidArgumentError(f"gaussian pupil width must be > 0, got {sigma}")
+    check_width(sigma, "gaussian pupil width sigma")
 
     def ft(u):
         u = np.asarray(u, dtype=float)

@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericDomainError, TruncationError
-from .grid import MAX_NODES, Grid1D, make_grid, reduce_rows
+from .grid import MAX_NODES, Grid1D, check_width, make_grid, reduce_rows
 
 __all__ = [
     "TwoPhotonState",
@@ -108,10 +108,8 @@ class TwoPhotonState:
 
 def gaussian_wavefunction(a: float, b: float) -> TwoPhotonState:
     """Unnormalized Gaussian source (amplitude constant C = 1)."""
-    if not (a > 0.0):
-        raise InvalidArgumentError(f"source size a must be > 0, got {a}")
-    if not (b > 0.0):
-        raise InvalidArgumentError(f"entanglement width b must be > 0, got {b}")
+    check_width(a, "source size a")
+    check_width(b, "entanglement width b")
 
     def envelope(x):
         return np.exp(np.square(x) / -(a * a))

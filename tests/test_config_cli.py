@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ghostsim
 from ghostsim import ConfigError
 from ghostsim.cli import CSV_HEADER, main, preset_path
 from ghostsim.config import build_scan_config, load_config, resolve_config
@@ -113,7 +115,6 @@ def test_build_scan_config_carries_parameters(tmp_path):
     assert config.n_xr == 21
     assert config.n_pairs == 10000
     assert config.setup.gx.n_points == 8193
-    assert config.provenance == cfg.to_dict()
 
 
 def test_cli_scan_writes_contract_csv(tmp_path):
@@ -145,11 +146,80 @@ def test_cli_scan_json_output(tmp_path):
     assert len(data["g2"]) == 21
 
 
-def test_cli_scan_missing_config_exits_2(tmp_path):
+@pytest.mark.parametrize(
+    "content",
+    [None, b'{"source": "\xff"}', b"[" * 100000],
+    ids=["missing", "not_utf8", "nested"],
+)
+def test_cli_scan_missing_config_exits_2(tmp_path, capsys, content):
+    # a missing file, one that is not UTF-8 and one nested past the parser's
+    # recursion limit are config errors in one line, not tracebacks
+    path = tmp_path / "run.json"
+    if content is not None:
+        path.write_bytes(content)
     out = tmp_path / "never.csv"
-    code = main(["scan", "--config", str(tmp_path / "missing.json"), "--output", str(out)])
+    code = main(["scan", "--config", str(path), "--output", str(out)])
     assert code == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "value", [True, None, ["a"], "", 1], ids=["true", "null", "list", "empty", "int"]
+)
+def test_output_path_must_be_a_non_empty_string(tmp_path, value):
+    # output.path: true used to write the CSV to stdout (file descriptor 1);
+    # the scan runs in tmp_path, where any file it wrote would show
+    cfg = small_config(tmp_path, output={"path": value})
+    package_root = str(Path(ghostsim.__file__).resolve().parents[1])
+    path = os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-m", "ghostsim.cli", "scan", "--config", cfg],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert "output.path must be a non-empty string" in proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+
+
+_RESOLVED_AND_MISSING = """
+import json
+from ghostsim.cli import preset_path
+from ghostsim.config import load_config, resolve_config
+data = load_config(preset_path("fig2")).to_dict()
+print(json.dumps(data))
+data["test_arm"]["object"] = {"double_slit": {}}
+try:
+    resolve_config(data)
+except Exception as exc:
+    print(exc)
+"""
+
+
+def test_resolution_does_not_depend_on_the_hash_seed():
+    # the resolved key order and the first missing field named follow the
+    # schema's order, not the order of a set
+    outputs = set()
+    for seed in range(8):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed))
+        proc = subprocess.run(
+            [sys.executable, "-c", _RESOLVED_AND_MISSING],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
+    resolved, missing = outputs.pop().splitlines()
+    assert '"double_slit": {"w_mm": 0.05, "d_mm": 1.0}' in resolved
+    assert missing == "missing required field test_arm.object.double_slit.w_mm"
 
 
 def test_cli_scan_invalid_parameter_exits_2(tmp_path):
@@ -317,37 +387,9 @@ for cfg, out in json.load(sys.stdin):
     print(json.dumps([code, err.getvalue()]))
 """
 
-_MUTANTS = (1e-300, 1e300, "abc", None, True)
 
-
-def _numeric_fields(data: dict, path=()):
-    for key, value in data.items():
-        if isinstance(value, dict):
-            yield from _numeric_fields(value, path + (key,))
-        elif isinstance(value, (int, float)) and not isinstance(value, bool):
-            yield path + (key,)
-
-
-def test_scan_exit_code_contract_under_single_field_mutations(tmp_path):
-    # every numeric field of the resolved small_config, set in turn to each
-    # of _MUTANTS: exit 0 with finite columns, or exit 2 or 3 with one line
-    resolved = load_config(small_config(tmp_path)).to_dict()
-    fields = list(_numeric_fields(resolved))
-    assert len(fields) == 17
-    cases, jobs = [], []
-    for field in fields:
-        for value in _MUTANTS:
-            data = json.loads(json.dumps(resolved))
-            *parents, key = field
-            section = data
-            for name in parents:
-                section = section[name]
-            section[key] = value
-            k = len(cases)
-            cfg, out = tmp_path / f"case{k}.json", tmp_path / f"case{k}.csv"
-            cfg.write_text(json.dumps(data))
-            cases.append((".".join(field), value, out))
-            jobs.append([str(cfg), str(out)])
+def _run_scans(jobs) -> list:
+    """[exit code, stderr] of each [config, output] scan, in one fresh process."""
     proc = subprocess.run(
         [sys.executable, "-c", _CONTRACT_SCANS],
         input=json.dumps(jobs),
@@ -357,9 +399,50 @@ def test_scan_exit_code_contract_under_single_field_mutations(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     results = [json.loads(line) for line in proc.stdout.splitlines()]
-    assert len(results) == len(cases)
+    assert len(results) == len(jobs)
+    return results
+
+
+_MUTANTS = (1e-300, 1e300, "abc", None, True)
+
+
+def _nodes(data: dict, path=()):
+    """Path of every value under data: numbers, strings and objects alike."""
+    for key, value in data.items():
+        yield path + (key,)
+        if isinstance(value, dict):
+            yield from _nodes(value, path + (key,))
+
+
+def _at(data: dict, path):
+    for key in path:
+        data = data[key]
+    return data
+
+
+def test_scan_exit_code_contract_under_single_field_mutations(tmp_path):
+    # every node of the resolved small_config (number, string or object),
+    # set in turn to each of _MUTANTS: exit 0 with finite columns, or exit 2
+    # or 3 with one line
+    resolved = load_config(small_config(tmp_path)).to_dict()
+    fields = list(_nodes(resolved))
+    kinds = [type(_at(resolved, field)).__name__ for field in fields]
+    numbers = kinds.count("float") + kinds.count("int")
+    assert (numbers, kinds.count("dict"), kinds.count("str")) == (17, 11, 2)
+    cases, jobs = [], []
+    for field in fields:
+        for value in _MUTANTS:
+            data = json.loads(json.dumps(resolved))
+            *parents, key = field
+            _at(data, parents)[key] = value
+            k = len(cases)
+            cfg, out = tmp_path / f"case{k}.json", tmp_path / f"case{k}.csv"
+            cfg.write_text(json.dumps(data))
+            cases.append((".".join(field), value, out))
+            jobs.append([str(cfg), str(out)])
+    assert len(cases) == 150
     broken = []
-    for (name, value, out), (code, err) in zip(cases, results):
+    for (name, value, out), (code, err) in zip(cases, _run_scans(jobs)):
         if code not in (0, 2, 3) or "Traceback" in err:
             ok = False
         elif code == 0:
@@ -370,6 +453,36 @@ def test_scan_exit_code_contract_under_single_field_mutations(tmp_path):
         if not ok:
             broken.append(f"{name} = {value!r}: exit {code}, stderr {err!r}")
     assert not broken, "\n".join(broken)
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        ("source.a_mm", 1e-300),
+        ("test_arm.object.gaussian.w_mm", 1e-300),
+        ("test_arm.object.gaussian.w_mm", 1e300),
+        ("reference_arm.pupil.rect.D_mm", 1e300),
+        ("reference_arm.pupil.gaussian.sigma_mm", 1e300),
+    ],
+)
+def test_width_whose_square_leaves_the_float_range_exits_2(tmp_path, path, value):
+    # a width whose square is 0 or inf is refused by its constructor, and the
+    # config path names the key (was exit 3 naming no key)
+    data = json.loads(json.dumps(BASE))
+    *parents, key = path.split(".")
+    if len(parents) == 3:  # an object or pupil kind in place of BASE's
+        _at(data, parents[:2]).clear()
+        _at(data, parents[:2])[parents[2]] = {}
+    _at(data, parents)[key] = value
+    cfg = small_config(tmp_path, **data)
+    out = tmp_path / "scan.csv"
+    ((code, err),) = _run_scans([[cfg, str(out)]])
+    assert code == 2, err
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("ghostsim: config error: ")
+    assert f"{path} = {value!r}" in err
+    assert "floating-point range" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -55,7 +55,6 @@ def fake_result(x, g2, n_pairs=100):
         flags=("",) * x.size,
         g2_max=float(g2.max()),
         n_pairs=n_pairs,
-        provenance={},
     )
 
 

@@ -15,6 +15,7 @@ from ghostsim import (
     fourier_arm,
     gaussian_pupil,
     gaussian_transmission,
+    gaussian_wavefunction,
     make_grid,
     rect_pupil,
     tabulated_pupil,
@@ -235,6 +236,26 @@ def test_arm_constants_outside_the_float_range_are_refused(lam, f):
         fourier_arm(lam, f, double_slit(0.05, 1.0))
     with pytest.raises(InvalidArgumentError, match="floating-point range"):
         two_f_arm(lam, f, rect_pupil(10.0))
+
+
+@pytest.mark.parametrize("width", [1e-300, 1e300])
+@pytest.mark.parametrize(
+    "make",
+    [
+        gaussian_transmission,
+        rect_pupil,
+        gaussian_pupil,
+        lambda w: gaussian_wavefunction(w, 0.05),
+        lambda w: gaussian_wavefunction(2.0, w),
+    ],
+    ids=["object_w", "rect_D", "pupil_sigma", "source_a", "source_b"],
+)
+def test_widths_whose_square_leaves_the_float_range_are_refused(make, width):
+    # w^2 rounds to 0 or inf: exp(-x^2 / w^2) is NaN or 1 and w-scaled
+    # energies are 0 or inf
+    with pytest.raises(InvalidArgumentError, match="floating-point range"):
+        make(width)
+    make(1e-150 if width < 1.0 else 1e150)
 
 
 def test_scaled_arm_scales_samples():
