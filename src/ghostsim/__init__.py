@@ -14,7 +14,6 @@ from .errors import (
     InvalidArgumentError,
     NormalizationViolationError,
     NumericDomainError,
-    SupportCoverageWarning,
     TruncationError,
     UndefinedContrastError,
 )

@@ -10,13 +10,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from importlib import resources
 
 import numpy as np
 
 from .config import build_scan_config, load_config
 from .errors import ConfigError, GhostSimError, InvalidArgumentError
-from .experiments import CorrelationResult, aperture_sweep, scan_reference, summarize
+from .experiments import CorrelationResult, aperture_sweep, scan_reference
 from .validate import run_validation_suite
 
 EXIT_OK = 0
@@ -89,7 +90,7 @@ def cmd_sweep(args) -> int:
     base = build_scan_config(cfg)
     summaries = aperture_sweep(base, values, ref["lambda_nm"] * 1e-6, ref["f_mm"])
     with open(args.output, "w", encoding="utf-8") as fh:
-        json.dump([s.to_dict() for s in summaries], fh, indent=2)
+        json.dump([asdict(s) for s in summaries], fh, indent=2)
         fh.write("\n")
     return EXIT_OK
 

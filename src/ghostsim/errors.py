@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class GhostSimError(Exception):
@@ -32,7 +32,3 @@ class UndefinedContrastError(GhostSimError):
 class ConfigError(GhostSimError):
     """A run configuration file failed to parse or validate."""
 
-
-class SupportCoverageWarning(UserWarning):
-    """Boundary samples of an integrand are not negligible; the quadrature
-    window may truncate the support."""

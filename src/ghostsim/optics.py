@@ -30,6 +30,10 @@ most recent grid, and asks the pupil for P on that grid
 (:meth:`Pupil.ft_grid`).  A tabulated pupil
 evaluates it by a two-level factorization of its quadrature kernel; the arm
 energy needs |P|^2 only, with no chirp.
+
+Transmissions, pupils and arms carry their exact energies, int t^2, int |p|^2
+and int |h(x_out, x)|^2 dx (the same for every x_out), for scans to check
+their arm-energy quadratures against.
 """
 
 from __future__ import annotations
@@ -77,9 +81,10 @@ def _overlap(lo, hi, a, b):
 
 @dataclass(frozen=True)
 class Transmission:
-    """Real object transmission t(x) in [0, 1]."""
+    """Real object transmission t(x) in [0, 1] and its energy int t^2 dx."""
 
     evaluate: Callable[[np.ndarray], np.ndarray]
+    energy: float
     # cell-mean of t over [x - h/2, x + h/2]; None means sample pointwise
     cell_mean: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
 
@@ -117,16 +122,22 @@ def double_slit(w: float, d: float) -> Transmission:
         cov = _overlap(lo, hi, c - half, c + half) + _overlap(lo, hi, -c - half, -c + half)
         return cov / h
 
-    return Transmission(evaluate=evaluate, cell_mean=cell_mean)
+    return Transmission(evaluate=evaluate, energy=2.0 * w, cell_mean=cell_mean)
 
 
 def gaussian_transmission(w: float) -> Transmission:
     """Smooth Gaussian object t(x) = exp(-x^2 / w^2)."""
     check_width(w, "gaussian object width w")
-    return Transmission(evaluate=lambda x: np.exp(-np.asarray(x, dtype=float) ** 2 / w**2))
+    return Transmission(
+        evaluate=lambda x: np.exp(-np.asarray(x, dtype=float) ** 2 / w**2),
+        energy=w * np.sqrt(np.pi / 2.0),
+    )
 
 
 def tabulated_transmission(grid: Grid1D, values: np.ndarray) -> Transmission:
+    """Linear interpolation of the table, 0 outside it; its energy is the
+    exact integral of the interpolant squared, sum h (a^2 + ab + b^2) / 3
+    over the table's intervals [a, b]."""
     values = np.asarray(values, dtype=float)
     if values.shape != (grid.n_points,):
         raise InvalidArgumentError(
@@ -140,7 +151,9 @@ def tabulated_transmission(grid: Grid1D, values: np.ndarray) -> Transmission:
         x = np.asarray(x, dtype=float)
         return np.interp(x, xs, values, left=0.0, right=0.0)
 
-    return Transmission(evaluate=evaluate)
+    a, b = values[:-1], values[1:]
+    energy = grid.step * float(np.sum(a * a + a * b + b * b)) / 3.0
+    return Transmission(evaluate=evaluate, energy=energy)
 
 
 # largest relative spread of a table's x steps accepted as a uniform grid
@@ -201,9 +214,10 @@ def load_transmission_csv(path) -> Transmission:
 @dataclass(frozen=True)
 class Pupil:
     """Fourier transform P(u) of an aperture pupil p(x) with kernel
-    exp(-2 pi i u x)."""
+    exp(-2 pi i u x), and the pupil's energy int |p|^2 dx."""
 
     ft: Callable[[np.ndarray], np.ndarray]
+    energy: float
     _ft_grid: Optional[Callable[[Grid1D, float, float], np.ndarray]] = field(
         default=None, repr=False
     )
@@ -228,7 +242,7 @@ def rect_pupil(D: float) -> Pupil:
     def ft(u):
         return (D * np.sinc(D * np.asarray(u, dtype=float))).astype(complex)
 
-    return Pupil(ft=ft)
+    return Pupil(ft=ft, energy=D)
 
 
 def gaussian_pupil(sigma: float) -> Pupil:
@@ -240,11 +254,15 @@ def gaussian_pupil(sigma: float) -> Pupil:
         u = np.asarray(u, dtype=float)
         return (sigma * np.sqrt(np.pi) * np.exp(-np.pi**2 * sigma**2 * u**2)).astype(complex)
 
-    return Pupil(ft=ft)
+    return Pupil(ft=ft, energy=sigma * np.sqrt(np.pi / 2.0))
 
 
 def tabulated_pupil(grid: Grid1D, values: np.ndarray) -> Pupil:
-    """Pupil from complex samples; P(u) by quadrature over the table support."""
+    """Pupil from complex samples; P(u) by quadrature over the table support.
+
+    P is periodic in u with period 1/h, so its energy is Parseval's over one
+    period, sum |w_k p_k|^2 / h with trapezoid weights w_k.
+    """
     values = np.asarray(values, dtype=complex)
     if values.shape != (grid.n_points,):
         raise InvalidArgumentError(f"pupil table length {values.shape} does not match grid")
@@ -278,7 +296,8 @@ def tabulated_pupil(grid: Grid1D, values: np.ndarray) -> Pupil:
         a = np.exp(-2j * np.pi * starts[:, np.newaxis] * xs) * wv
         return (a @ block(du).T).ravel()[: g.n_points]
 
-    return Pupil(ft=ft, _ft_grid=ft_grid)
+    energy = float(np.vdot(wv, wv).real) / grid.step
+    return Pupil(ft=ft, energy=energy, _ft_grid=ft_grid)
 
 
 def load_pupil_csv(path) -> Pupil:
@@ -294,10 +313,12 @@ class ImpulseResponse:
 
     ``sample_in`` / ``sample_abs2_in`` return kernel samples (resp. squared
     moduli) over an input-plane grid for quadrature, applying cell-averaging
-    for sharp-edged components.  ``evaluate`` is the pointwise kernel.
+    for sharp-edged components.  ``evaluate`` is the pointwise kernel and
+    ``energy`` the exact int |h(x_out, x)|^2 dx.
     """
 
     evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    energy: float
     _sample_in: Callable[[float, Grid1D], np.ndarray] = field(repr=False)
     _sample_abs2_in: Callable[[float, Grid1D], np.ndarray] = field(repr=False)
 
@@ -338,7 +359,11 @@ def _arm_scale(lam: float, f: float, arm: str) -> float:
 
 def fourier_arm(lam: float, f: float, t: Transmission) -> ImpulseResponse:
     """Test-arm kernel: object t, unapertured lens, detector in the focal
-    plane."""
+    plane.
+
+    Its grid sampler refuses |x_t| > lam f / (2 h), the Nyquist limit of the
+    phase exp(-2 pi i x_t x / (lam f)) on a grid of step h.
+    """
     lf = _arm_scale(lam, f, "test arm")
 
     def evaluate(x_t, x):
@@ -347,6 +372,12 @@ def fourier_arm(lam: float, f: float, t: Transmission) -> ImpulseResponse:
         return (-1j / lf) * t.evaluate(x) * np.exp(-2j * np.pi * x_t * x / lf)
 
     def sample_in(x_t, grid):
+        limit = lf / (2.0 * grid.step)
+        if abs(x_t) > limit:
+            raise InvalidArgumentError(
+                f"test detector x_t = {x_t:g} mm: the x grid (step {grid.step:.4g} mm) "
+                f"resolves |x_t| <= {limit:.4g} mm only"
+            )
         x = grid.samples()
         tv = t.sample(x, cell=grid.step)
         return (-1j / lf) * tv * np.exp(-2j * np.pi * x_t * x / lf)
@@ -354,9 +385,7 @@ def fourier_arm(lam: float, f: float, t: Transmission) -> ImpulseResponse:
     def sample_abs2_in(x_t, grid):
         return t.sample_sq(grid.samples(), cell=grid.step) / lf**2
 
-    return ImpulseResponse(
-        evaluate=evaluate, _sample_in=sample_in, _sample_abs2_in=sample_abs2_in
-    )
+    return ImpulseResponse(evaluate, t.energy / lf**2, sample_in, sample_abs2_in)
 
 
 def two_f_arm(lam: float, f: float, p: Pupil) -> ImpulseResponse:
@@ -364,7 +393,8 @@ def two_f_arm(lam: float, f: float, p: Pupil) -> ImpulseResponse:
 
     On a grid the kernel is sampled as exp(i pi x_r^2 / (2 lam f)) times
     the grid's amp exp(i pi x'^2 / (2 lam f)) vector (built once per grid)
-    times P on the uniform u grid; its squared modulus is amp^2 |P|^2.
+    times P on the uniform u grid; its squared modulus is amp^2 |P|^2, whose
+    integral over x' is p's energy / (8 lam^3 f^3) by Parseval.
     """
     lf = _arm_scale(lam, f, "reference arm")
     amp = 1.0 / (4.0 * lf**2)
@@ -385,6 +415,4 @@ def two_f_arm(lam: float, f: float, p: Pupil) -> ImpulseResponse:
     def sample_abs2_in(x_r, grid):
         return amp**2 * np.abs(p.ft_grid(grid, x_r, 2.0 * lf)) ** 2
 
-    return ImpulseResponse(
-        evaluate=evaluate, _sample_in=sample_in, _sample_abs2_in=sample_abs2_in
-    )
+    return ImpulseResponse(evaluate, p.energy / (8.0 * lf**3), sample_in, sample_abs2_in)

@@ -19,13 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import analytic
-from .correlator import (
-    CorrelatorSetup,
-    amplitude,
-    arm_energy,
-    noise_from_moments,
-    point_statistics,
-)
+from .correlator import CorrelatorSetup, amplitude, arm_energy, point_statistics
 from .errors import NormalizationViolationError
 from .grid import make_grid
 from .optics import (
@@ -189,7 +183,6 @@ def _check_cauchy_schwarz(corrupt: float, n_setups: int = 20) -> CheckResult:
             scale = stats.second_moment + stats.g2**2
             if scale > 0.0 and radicand < 0.0:
                 worst = min(worst, radicand / scale)
-            noise_from_moments(stats.g2, stats.second_moment)
         except NormalizationViolationError as exc:
             failures.append(f"setup {k}: {exc}")
     detail = (

@@ -447,12 +447,85 @@ def test_scan_exit_code_contract_under_single_field_mutations(tmp_path):
             ok = False
         elif code == 0:
             data = np.genfromtxt(out, delimiter=",", names=True, dtype=None, encoding="utf-8")
-            ok = all(np.isfinite(data[c]).all() for c in CSV_HEADER.split(",")[:-1])
+            ok = err == "" and all(np.isfinite(data[c]).all() for c in CSV_HEADER.split(",")[:-1])
         else:
             ok = len(err.splitlines()) == 1 and not out.exists()
         if not ok:
             broken.append(f"{name} = {value!r}: exit {code}, stderr {err!r}")
     assert not broken, "\n".join(broken)
+
+
+def _mutated_scans(tmp_path, mutations) -> list:
+    """(output path, [exit code, stderr]) of a scan of small_config with
+    each (dotted path, value) mutation, all in one fresh process."""
+    resolved = load_config(small_config(tmp_path)).to_dict()
+    jobs = []
+    for k, (name, value) in enumerate(mutations):
+        data = json.loads(json.dumps(resolved))
+        *parents, key = name.split(".")
+        _at(data, parents)[key] = value
+        cfg, out = tmp_path / f"mutant{k}.json", tmp_path / f"mutant{k}.csv"
+        cfg.write_text(json.dumps(data))
+        jobs.append([str(cfg), str(out)])
+    return [(Path(out), result) for (_, out), result in zip(jobs, _run_scans(jobs))]
+
+
+@pytest.mark.parametrize(
+    "name, value, arm",
+    [
+        # I_r 88% low: the arm is wider than the +/-8 mm x' window
+        ("reference_arm.f_mm", 1e6, "reference-arm"),
+        # I_r 99.99% low: the pupil transform is wider than the window
+        ("reference_arm.pupil.rect.D_mm", 1e-6, "reference-arm"),
+        # slits outside the x window, and far below its step
+        ("test_arm.object.double_slit.d_mm", 1e300, "test-arm"),
+        ("test_arm.object.double_slit.w_mm", 1e-300, "test-arm"),
+    ],
+)
+def test_arm_energy_gate_refuses_an_arm_the_grid_does_not_capture(tmp_path, name, value, arm):
+    # each of these exited 0 with biased or all-zero columns before the
+    # quadratures were checked against the exact arm energies
+    [(out, (code, err))] = _mutated_scans(tmp_path, [(name, value)])
+    assert code == 2, err
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith(f"ghostsim: config error: {arm} energy at ")
+    assert "of the exact energy" in err
+    key = "numerics.n_xp" if arm == "reference-arm" else "numerics.n_x"
+    assert f"raise {key} or adjust numerics.window_mm" in err
+    assert not out.exists()
+
+
+def test_test_detector_beyond_the_nyquist_limit_of_the_x_grid_exits_2(tmp_path):
+    # small_config's x step is 16/8192 mm, so the test-arm phase
+    # exp(-2 pi i x_t x / (lam f)) is resolved for |x_t| <= 16.64 mm
+    results = _mutated_scans(tmp_path, [("scan.xt_mm", v) for v in (16.0, 17.0, -1e300, 1e300)])
+    (out, (code, err)), *refused = results
+    assert (code, err) == (0, "")
+    assert out.exists()
+    for out, (code, err) in refused:
+        assert code == 2, err
+        assert len(err.splitlines()) == 1, err
+        assert "step 0.001953 mm" in err and "|x_t| <= 16.64 mm" in err
+        assert not out.exists()
+
+
+def test_exit_0_runs_write_nothing_to_stderr(tmp_path):
+    runs = [
+        ["validate"],
+        ["scan", "--preset", "fig2", "--output", str(tmp_path / "fig2.csv")],
+        [
+            "sweep", "--preset", "fig2", "--param", "reference_arm.pupil.rect.D_mm",
+            "--values", "2,4,6,8,10", "--output", str(tmp_path / "sweep.json"),
+        ],
+    ]
+    for argv in runs:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ghostsim.cli", *argv],
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert (proc.returncode, proc.stderr) == (0, ""), argv
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 from math import sqrt
 
 import numpy as np
@@ -20,11 +20,14 @@ from ghostsim import (
     contrast_metric,
     double_slit,
     fourier_arm,
+    gaussian_pupil,
+    gaussian_transmission,
     gaussian_wavefunction,
     rect_pupil,
     scan_reference,
     two_f_arm,
 )
+from ghostsim import analytic
 from ghostsim.cli import main
 from ghostsim.config import build_scan_config, resolve_config
 from ghostsim.experiments import find_peaks, summarize
@@ -196,6 +199,30 @@ def test_scan_config_validation(tmp_path, capsys):
     assert load_transmission_csv(headerless).evaluate(0.0) == 1.0
 
 
+def test_all_gaussian_scan_matches_the_closed_form_second_moment():
+    # <S^2> = G2 I_t I_r end to end: the scan's g2, dg2 and snr columns
+    # against the closed-form amplitude and arm energies
+    a, b, w, sigma = 2.0, 0.2, 0.5, 2.0
+    setup = build_setup(
+        gaussian_wavefunction(a, b),
+        fourier_arm(LAM, F, gaussian_transmission(w)),
+        two_f_arm(LAM, F, gaussian_pupil(sigma)),
+        n_x=8193,
+        n_xp=16385,
+    )
+    result = scan_reference(ScanConfig(setup=setup, xr_min=-1.0, xr_max=1.0, n_xr=21))
+
+    c_norm = analytic.gaussian_norm_constant(a, b)
+    amp = analytic.all_gaussian_amplitude(a, b, c_norm, w, sigma, LAM, F, 0.0, result.x_r)
+    g2 = np.abs(amp) ** 2
+    i_t = analytic.gaussian_object_arm_energy(w, LAM, F)
+    i_r = analytic.gaussian_two_f_arm_energy(sigma, LAM, F)
+    dg2 = np.sqrt(g2 * i_t * i_r - g2**2)
+    np.testing.assert_allclose(result.g2, g2, rtol=1e-9, atol=0.0)
+    np.testing.assert_allclose(result.noise, dg2, rtol=1e-9, atol=0.0)
+    np.testing.assert_allclose(result.snr, g2 / dg2, rtol=1e-9, atol=0.0)
+
+
 def test_scan_is_deterministic():
     config = slit_scan_config(n_x=8193, n_xp=2049, n_xr=41)
     r1 = scan_reference(config)
@@ -262,7 +289,7 @@ def test_aperture_sweep_singleton():
     assert s.peak_snr > 0.0
     assert 0.0 <= s.contrast <= 1.0
     assert s.noise_amplitude > 0.0
-    d = s.to_dict()
+    d = asdict(s)
     assert set(d) == {"aperture_mm", "peak_snr", "peak_positions_mm", "contrast", "noise_amplitude"}
 
 

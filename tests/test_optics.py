@@ -127,6 +127,33 @@ def test_tabulated_pupil_matches_analytic_transform():
     np.testing.assert_allclose(block, ref.ft(u).reshape(10, 10), rtol=1e-6, atol=1e-9)
 
 
+def test_arm_energies_are_the_closed_forms():
+    pairs = [
+        (fourier_arm(LAM, F, double_slit(0.05, 1.0)), double_slit_arm_energy(0.05, LAM, F)),
+        (fourier_arm(LAM, F, gaussian_transmission(0.5)), gaussian_object_arm_energy(0.5, LAM, F)),
+        (two_f_arm(LAM, F, rect_pupil(4.0)), rect_two_f_arm_energy(4.0, LAM, F)),
+        (two_f_arm(LAM, F, gaussian_pupil(2.0)), gaussian_two_f_arm_energy(2.0, LAM, F)),
+    ]
+    for h, exact in pairs:
+        assert h.energy == pytest.approx(exact, rel=1e-15)
+
+
+def test_tabulated_energies_integrate_the_interpolant_and_one_period_of_p():
+    rng = np.random.default_rng(5)
+    g = make_grid(0.3, 1.0, 11)
+    # the linear interpolant squared, by a fine trapezoid nested on the table
+    t = tabulated_transmission(g, rng.uniform(0.0, 1.0, g.n_points))
+    fine = make_grid(0.3, 1.0, 10 * 2000 + 1)
+    quad = np.dot(fine.trapezoid_weights(), t.evaluate(fine.samples()) ** 2)
+    assert t.energy == pytest.approx(quad, rel=1e-7)
+    # P has period 1/h, and the periodic trapezoid rule integrates |P|^2, a
+    # trigonometric polynomial, exactly over one period
+    p = tabulated_pupil(g, rng.normal(size=g.n_points) + 1j * rng.normal(size=g.n_points))
+    period = make_grid(0.0, 0.5 / g.step, 4 * g.n_points + 1)
+    quad = np.dot(period.trapezoid_weights(), np.abs(p.ft(period.samples())) ** 2)
+    assert p.energy == pytest.approx(quad, rel=1e-13)
+
+
 def test_fourier_arm_kernel_values():
     h = fourier_arm(LAM, F, double_slit(0.05, 1.0))
     # inside a slit at x_t = 0 the kernel is -i / (lam f)
@@ -266,6 +293,7 @@ def test_scaled_arm_scales_samples():
     np.testing.assert_allclose(
         s.sample_abs2_in(0.1, g), abs(2.0 - 1j) ** 2 * h.sample_abs2_in(0.1, g), rtol=1e-14
     )
+    assert s.energy == pytest.approx(abs(2.0 - 1j) ** 2 * h.energy, rel=1e-15)
 
 
 def test_double_slit_arm_energy_matches_closed_form():
