@@ -1,13 +1,7 @@
 """Entangled-photon ghost imaging simulator: coincidence rate, quantum noise
 and signal-to-noise ratio for configurable optical arms."""
 
-from .correlator import (
-    CorrelatorSetup,
-    PointStatistics,
-    amplitude,
-    arm_energy,
-    point_statistics,
-)
+from .correlator import CorrelatorSetup, amplitude, arm_energy
 from .errors import (
     ConfigError,
     GhostSimError,

@@ -63,7 +63,7 @@ def cmd_scan(args) -> int:
     config = build_scan_config(cfg)
     result = scan_reference(config)
     out = args.output or cfg.output["path"]
-    if cfg.output["format"] == "json" and not args.output:
+    if cfg.output["format"] == "json":
         data = {k: list(v) if k == "flags" else [float(x) for x in v] for k, v in result.columns().items()}
         with open(out, "w", encoding="utf-8") as fh:
             json.dump(data, fh, indent=2)

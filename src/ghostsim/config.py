@@ -5,7 +5,7 @@ internally; every other length is mm.  One ordered table, ``_SCHEMA``, gives
 each field its default and check, and each object or pupil kind its optics
 constructor; fields are checked in table order and unknown keys are
 rejected.  The resolved configuration round-trips through
-:meth:`RunConfig.to_dict`.
+``dataclasses.asdict``.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import partial
 
 from . import experiments, optics, source
@@ -35,9 +35,6 @@ class RunConfig:
     pairs: dict
     numerics: dict
     output: dict
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _number(value) -> float:

@@ -1,33 +1,14 @@
 """Coincidence amplitude, rate, second moment, quantum fluctuation and SNR.
 
-For a unit-norm two-photon state the coincidence rate is
+For a unit-norm state the coincidence rate is G2 = |A|^2 with amplitude
+A(x_r, x_t) = int int dx dx' phi(x, x') h_t(x_t, x) h_r(x_r, x'), and the
+second moment factorizes as <S^2> = G2 * I_t * I_r with I the arm energies
+int |h|^2; Delta G2 = sqrt(<S^2> - G2^2) and SNR = G2 / Delta G2.
 
-    G2(x_r, x_t) = | int int dx dx' phi(x, x') h_t(x_t, x) h_r(x_r, x') |^2
-
-and the second moment of the coincidence operator factorizes into
-
-    <S^2> = G2 * int dx |h_t(x_t, x)|^2 * int dx' |h_r(x_r, x')|^2,
-
-so the fluctuation is Delta G2 = sqrt(<S^2> - G2^2) and SNR = G2 / Delta G2.
-Averaging over N independently generated pairs divides the fluctuation by
-sqrt(N) and multiplies the SNR by sqrt(N).
-
-All integrals are tensor-product trapezoid sums on the setup's grids.  The
-inner integral u(x') = int dx phi(x, x') h_t(x_t, x) is the state's row
-reduction (:meth:`ghostsim.source.TwoPhotonState.reduce`) of phi = c_norm
-f(x) g(x') R(x - x'): f is folded into the test-arm vector, R reduced over
-its nonzero rows (for the Gaussian only within its ridge band, as one FFT
-correlation per segment of rows on the lattice of differences), then g and
-``c_norm`` applied.  Columns farther than the band from every nonzero row
-are left exactly 0, and an unbounded ridge whose kernel would need more than
-``grid.MAX_NODES`` samples is refused before it is sampled.
-
-The amplitude A = sum_j w_j u_j h_r(x_r, x'_j) has no term where
-u_j = 0, so the reference arm is sampled only on the reference window: the
-smallest run of x' nodes holding every nonzero of u, which for a compact
-object is the ridge band about its support.  Skipping the other nodes drops
-exact zeros, not small values.  Arm energies still integrate over all of
-gxp.  The statistics are computed for every x_r of a scan at once.
+A is sum_j w_j u_j h_r(x_r, x'_j) over the reference window, the smallest
+run of x' nodes holding every nonzero of the inner integral
+u(x') = int dx phi(x, x') h_t(x_t, x) (the state's row reduction).  Arm
+energies integrate over the whole grid.
 """
 
 from __future__ import annotations
@@ -43,12 +24,10 @@ from .source import TwoPhotonState
 
 __all__ = [
     "CorrelatorSetup",
-    "PointStatistics",
     "amplitude",
     "arm_energy",
     "noise_from_moments",
     "snr_from_moments",
-    "point_statistics",
 ]
 
 # radicand more negative than this fraction of its scale signals a broken
@@ -72,7 +51,7 @@ class CorrelatorSetup:
     gxp: Grid1D
 
     def __post_init__(self):
-        object.__setattr__(self, "_inner_cache", {})
+        object.__setattr__(self, "_windows", {})
         if self.state.certification is None:
             raise InvalidArgumentError(
                 "correlator requires a norm-certified two-photon state"
@@ -87,17 +66,11 @@ class CorrelatorSetup:
         """This setup with reference arm h_r.
 
         u(x') depends only on the state, h_t, gx and gxp, so the new setup
-        shares this one's memoized inner integrals and reference windows.
+        shares this one's memoized reference windows.
         """
         other = replace(self, h_r=h_r)
-        object.__setattr__(other, "_inner_cache", self._inner_cache)
+        object.__setattr__(other, "_windows", self._windows)
         return other
-
-    def _memoized(self, kind: str, x_t: float, compute):
-        key = (kind, float(x_t))
-        if key not in self._inner_cache:
-            self._inner_cache[key] = compute()
-        return self._inner_cache[key]
 
     def _left_vector(self, x_t: float) -> np.ndarray:
         """Trapezoid-weighted test-arm samples over gx."""
@@ -108,12 +81,9 @@ class CorrelatorSetup:
 
         Only the grid rows where the test-arm samples are nonzero
         contribute, which makes compact objects cheap, and a Gaussian source
-        only within its ridge band.  Memoized per x_t (the expensive factor
-        of every scan point shares it).
+        only within its ridge band.
         """
-        return self._memoized(
-            "u", x_t, lambda: self.state.reduce(self._left_vector(x_t), self.gx, self.gxp)
-        )
+        return self.state.reduce(self._left_vector(x_t), self.gx, self.gxp)
 
     def reference_window(self, x_t: float) -> tuple:
         """(window, v): the gxp nodes j0..j1-1 that hold every nonzero of
@@ -122,9 +92,13 @@ class CorrelatorSetup:
         The window's own trapezoid weights would halve its end nodes, where
         u is nonzero, so v carries gxp's.  A single nonzero is widened by a
         neighbour (a grid needs two nodes; there u = 0).  An all-zero u
-        gives window None and an empty v.  Memoized per x_t.
+        gives window None and an empty v.  Memoized per x_t: every scan
+        point shares it.
         """
-        return self._memoized("window", x_t, lambda: self._window(self.inner_integral(x_t)))
+        key = float(x_t)
+        if key not in self._windows:
+            self._windows[key] = self._window(self.inner_integral(x_t))
+        return self._windows[key]
 
     def _window(self, u: np.ndarray) -> tuple:
         nz = np.flatnonzero(u)
@@ -138,21 +112,6 @@ class CorrelatorSetup:
             return self.gxp, v
         lo, hi = self.gxp.sample(j0), self.gxp.sample(j1 - 1)
         return Grid1D(0.5 * (lo + hi), 0.5 * (hi - lo), j1 - j0), v
-
-
-@dataclass(frozen=True)
-class PointStatistics:
-    """All scalar quantities at one (x_t, x_r) scan point."""
-
-    x_t: float
-    x_r: float
-    amplitude: complex
-    g2: float
-    i_t: float
-    i_r: float
-    second_moment: float
-    noise: float
-    snr: float
 
 
 def amplitude(setup: CorrelatorSetup, x_t: float, x_r: float) -> complex:
@@ -201,34 +160,6 @@ def snr_from_moments(g2, dg2):
     g2 = np.asarray(g2, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(g2 == 0.0, 0.0, g2 / dg2)[()]
-
-
-def point_statistics(
-    setup: CorrelatorSetup,
-    x_t: float,
-    x_r: float,
-    i_t: float | None = None,
-    i_r: float | None = None,
-) -> PointStatistics:
-    """Evaluate every per-point quantity, reusing precomputed arm energies
-    when the caller has them cached."""
-    a = amplitude(setup, x_t, x_r)
-    if i_t is None:
-        i_t = arm_energy(setup.h_t, x_t, setup.gx)
-    if i_r is None:
-        i_r = arm_energy(setup.h_r, x_r, setup.gxp)
-    g2, m2, dg2, snr = (float(c[0]) for c in _statistics(x_t, x_r, a, i_t, i_r))
-    return PointStatistics(
-        x_t=float(x_t),
-        x_r=float(x_r),
-        amplitude=a,
-        g2=g2,
-        i_t=i_t,
-        i_r=i_r,
-        second_moment=m2,
-        noise=dg2,
-        snr=snr,
-    )
 
 
 def _statistics(x_t: float, x_r, a, i_t: float, i_r: float) -> tuple:

@@ -1,21 +1,12 @@
 """Uniform 1-D grids, composite trapezoid weights and the banded row reduction.
 
-Every integral in the package (state normalization, arm energies, the
-coincidence amplitude) is a dot product with a grid's trapezoid weights;
-the one 2-D quadrature, over the ridge R(x - x') of the two-photon state, is
-the banded row reduction :func:`reduce_rows`.  Grids are closed intervals
-that contain both endpoints; the step is defined by ``n_points - 1`` panels
-so that symmetric windows place their endpoints exactly.
-
-The reduction runs over the nonzero rows in segments; a gap of more than
-twice the ridge band starts a new one, and a segment writes only the columns
-within the band of its rows, so every other column is exactly 0.  When the
-steps are in a small integer ratio, dx = p h and dx' = q h, every difference
-x_i - x'_j lies on one lattice d0 + h k and a segment is one FFT
-correlation: its rows on the fine lattice at stride p, R sampled once where
-|d| <= band, column j read at fine offset q j.  A kernel of more than
-MAX_NODES samples (an unbounded ridge on a huge grid) is refused.  On other
-grids R is evaluated entry by entry.
+Every 1-D integral in the package is a dot product with a grid's trapezoid
+weights; the one 2-D quadrature, over the ridge R(x - x') of the two-photon
+state, is :func:`reduce_rows`.  Grids are closed intervals whose step is
+defined by ``n_points - 1`` panels.  The reduction runs over segments of
+nonzero rows and leaves every column farther than the ridge band from them
+exactly 0; on grids whose steps are in a small integer ratio a segment is
+one FFT correlation on the lattice of differences x_i - x'_j.
 """
 
 from __future__ import annotations

@@ -1,39 +1,20 @@
 """Impulse responses of the two optical arms, pupil transforms and object
 transmissions.
 
-Test arm: object at focal distance f from an unapertured lens, detector in
-the focal plane behind it, so the kernel is a scaled Fourier phase times the
-object transmission:
+Test arm (object t at focal distance f before a lens, detector in its focal
+plane) and reference arm (lens of pupil p at 2f from source and detector),
+with P the Fourier transform of p under the exp(-2 pi i u x) kernel:
 
     h_t(x_t, x) = -(i / (lam f)) t(x) exp(-2 pi i x_t x / (lam f))
-
-Reference arm: a lens of pupil p at distance 2f from both source and
-detector:
-
     h_r(x_r, x') = (1 / (4 lam^2 f^2)) P((x_r + x') / (2 lam f))
                    * exp(i pi (x_r^2 + x'^2) / (2 lam f))
 
-with P the Fourier transform of p under the exp(-2 pi i u x) kernel.
-
-Discontinuous (slit-type) transmissions are additionally exposed through
-cell-averaged samplers: a trapezoid rule applied to raw indicator samples
-converges only at first order and is unstable against grid refinement, while
-averaging the transmission over each grid cell integrates the slits exactly.
-Pointwise ``evaluate`` keeps the sharp-edged definition.  Every arm carries
-both grid samplers, and the quadratures sample arms only through them.
-
-The reference arm samples h_r over a uniform x' grid, where the pupil
-argument is itself uniform: u_j = u0 + j du with u0 = (x_r + x'_0)/(2 lam f)
-and du = step/(2 lam f).  Its grid sampler splits the chirp into the scalar
-exp(i pi x_r^2/(2 lam f)) and a per-grid vector, kept read-only for the
-most recent grid, and asks the pupil for P on that grid
-(:meth:`Pupil.ft_grid`).  A tabulated pupil
-evaluates it by a two-level factorization of its quadrature kernel; the arm
-energy needs |P|^2 only, with no chirp.
-
-Transmissions, pupils and arms carry their exact energies, int t^2, int |p|^2
-and int |h(x_out, x)|^2 dx (the same for every x_out), for scans to check
-their arm-energy quadratures against.
+Quadratures sample arms only through their grid samplers: slit-type
+transmissions are averaged over each grid cell, which integrates the slits
+exactly, and the reference arm asks the pupil for P on the uniform grid of
+pupil arguments (:meth:`Pupil.ft_grid`).  Pointwise ``evaluate`` keeps the
+sharp-edged definition.  Transmissions, pupils and arms carry their exact
+energies, which scans check their arm-energy quadratures against.
 """
 
 from __future__ import annotations

@@ -2,26 +2,15 @@
 
 A state is phi(x, x') = c_norm * f(x) * g(x') * R(x - x'): two envelopes, a
 ridge that depends only on x - x' and one scalar amplitude ``c_norm``.  The
-Gaussian source, the default model, has f = g = exp(-x^2 / a^2) and
-R(d) = exp(-d^2 / b^2): ``a`` sets the source size, ``b`` the entanglement
-width.  A separable state, such as the validation suite's matched state, has
+Gaussian source has f = g = exp(-x^2 / a^2) and R(d) = exp(-d^2 / b^2): ``a``
+sets the source size, ``b`` the entanglement width.  A separable state has
 R = 1 (``ridge`` is None).
 
 :func:`normalize` sets ``c_norm`` from the quadrature of |phi|^2 and records
-its grids as the state's ``certification``; :meth:`TwoPhotonState.reduce`
-applies ``c_norm`` once to the reduced vector.  Both
-fold f into the left vector, reduce R with :func:`ghostsim.grid.reduce_rows`
-(a plain sum when R = 1) and multiply the result by g.  When the grid steps
-are in a small integer ratio, as on every grid the package builds, that
-reduction is an FFT correlation on the lattice of differences x_i - x'_j,
-one per segment of nonzero rows, with R sampled once per segment (a real
-transform for the real |R|^2 and weights of the norm).  R values with
-|d| > b * sqrt(ln(1 / RIDGE_EPS)) (about 6.44 b) are below RIDGE_EPS times
-its peak and are not evaluated, and a column of the result farther than that
-from every nonzero row is exactly 0; |R|^2 has width b / sqrt(2).  A ridge
-with no width bound (``ridge_width = inf``) whose kernel would exceed
-MAX_NODES samples is refused with InvalidArgumentError.  The closed-form
-Gaussian norm in :mod:`ghostsim.analytic` is used only for validation.
+its grids as the state's ``certification``.  Both it and
+:meth:`TwoPhotonState.reduce` fold f into the left vector, reduce R with
+:func:`ghostsim.grid.reduce_rows` over the band where R is above RIDGE_EPS
+of its peak, and multiply the result by g.
 """
 
 from __future__ import annotations
@@ -46,10 +35,8 @@ __all__ = [
 # grid to count as covering the support
 EDGE_FRACTION = 1e-8
 
-NORM_TOL = 1e-6
-
 # ridge values below this fraction of the ridge peak are dropped from the
-# banded reduction; see the module docstring for the band it implies
+# banded reduction; _band gives the band it implies (about 6.44 b)
 RIDGE_EPS = 1e-18
 
 
@@ -74,8 +61,8 @@ class TwoPhotonState:
     ``f``, ``g`` and ``ridge`` (R, or None for R = 1) broadcast over numpy
     arrays; |R(d)| <= peak * exp(-d^2 / ridge_width^2) and |f(x)|, |g(x)|
     <= peak * exp(-x^2 / envelope_width^2) (``inf``: no bound).
-    ``certification`` holds the grids (gx, gxp) on which |phi|^2 integrates
-    to 1 within ``NORM_TOL``; None until :func:`normalize` sets it.
+    ``certification`` holds the grids (gx, gxp) on which :func:`normalize`
+    made |phi|^2 integrate to 1; None until it is set.
     """
 
     f: Callable
@@ -101,9 +88,6 @@ class TwoPhotonState:
         else:
             rows = reduce_rows(self.ridge, left, gx, gxp, _band(self.ridge_width))
         return self.c_norm * _times(self.g, rows, gxp)
-
-    def scaled(self, factor: complex) -> "TwoPhotonState":
-        return replace(self, c_norm=factor * self.c_norm, certification=None)
 
 
 def gaussian_wavefunction(a: float, b: float) -> TwoPhotonState:

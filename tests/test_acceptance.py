@@ -10,6 +10,7 @@ from __future__ import annotations
 import subprocess
 import sys
 import time
+from dataclasses import asdict
 from math import sqrt
 
 import numpy as np
@@ -23,7 +24,6 @@ from ghostsim import (
     gaussian_pupil,
     gaussian_transmission,
     gaussian_wavefunction,
-    point_statistics,
     rect_pupil,
     scan_reference,
     two_f_arm,
@@ -38,7 +38,7 @@ from ghostsim.validate import (
     _check_cauchy_schwarz,
     _check_gaussian_normalization,
 )
-from helpers import scaled_arm
+from helpers import scaled_arm, statistics_at
 
 LAM = 650e-6
 F = 100.0
@@ -67,7 +67,7 @@ def fig3_scan():
 @pytest.fixture(scope="module")
 def fig2_scan_doubled():
     cfg = load_config(preset_path("fig2"))
-    data = cfg.to_dict()
+    data = asdict(cfg)
     data["numerics"]["n_x"] = 2 * data["numerics"]["n_x"] - 1
     data["numerics"]["n_xp"] = 2 * data["numerics"]["n_xp"] - 1
     from ghostsim.config import resolve_config
@@ -140,7 +140,7 @@ def test_criterion_5_exact_laws(fig2_scan, capsys):
     h_t = fourier_arm(LAM, F, gaussian_transmission(0.5))
     h_r = two_f_arm(LAM, F, gaussian_pupil(2.0))
     setup = build_setup(state, h_t, h_r, n_x=2049, n_xp=4097)
-    base = point_statistics(setup, 0.0, 0.3).snr
+    base = statistics_at(setup, 0.0, 0.3).snr
     rng = np.random.default_rng(20240503)
     drift = 0.0
     for _ in range(20):
@@ -153,7 +153,7 @@ def test_criterion_5_exact_laws(fig2_scan, capsys):
             gx=setup.gx,
             gxp=setup.gxp,
         )
-        drift = max(drift, abs(point_statistics(rescaled, 0.0, 0.3).snr - base) / base)
+        drift = max(drift, abs(statistics_at(rescaled, 0.0, 0.3).snr - base) / base)
     # averaging N independent pairs: the emitted columns of the fig2 scan
     result, _ = fig2_scan
     cols = result.columns()

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -56,8 +57,8 @@ def test_fig2_preset_resolves():
 
 
 def test_fig3_preset_differs_only_in_aperture():
-    fig2 = load_config(preset_path("fig2")).to_dict()
-    fig3 = load_config(preset_path("fig3")).to_dict()
+    fig2 = asdict(load_config(preset_path("fig2")))
+    fig3 = asdict(load_config(preset_path("fig3")))
     assert fig3["reference_arm"]["pupil"]["rect"]["D_mm"] == 2.0
     fig3["reference_arm"]["pupil"]["rect"]["D_mm"] = 10.0
     fig3["output"] = fig2["output"]
@@ -66,8 +67,8 @@ def test_fig3_preset_differs_only_in_aperture():
 
 def test_resolved_config_round_trips():
     cfg = resolve_config(BASE)
-    again = resolve_config(cfg.to_dict())
-    assert again.to_dict() == cfg.to_dict()
+    again = resolve_config(asdict(cfg))
+    assert asdict(again) == asdict(cfg)
 
 
 def test_missing_field_is_named():
@@ -146,6 +147,15 @@ def test_cli_scan_json_output(tmp_path):
     assert len(data["g2"]) == 21
 
 
+def test_cli_scan_output_flag_keeps_the_json_format(tmp_path):
+    # --output replaces output.path only; output.format still picks JSON
+    cfg_path = small_config(tmp_path, output={"path": str(tmp_path / "unused.csv"), "format": "json"})
+    out = tmp_path / "flag.json"
+    assert main(["scan", "--config", cfg_path, "--output", str(out)]) == 0
+    assert list(json.loads(out.read_text())) == CSV_HEADER.split(",")
+    assert not (tmp_path / "unused.csv").exists()
+
+
 @pytest.mark.parametrize(
     "content",
     [None, b'{"source": "\xff"}', b"[" * 100000],
@@ -189,9 +199,10 @@ def test_output_path_must_be_a_non_empty_string(tmp_path, value):
 
 _RESOLVED_AND_MISSING = """
 import json
+from dataclasses import asdict
 from ghostsim.cli import preset_path
 from ghostsim.config import load_config, resolve_config
-data = load_config(preset_path("fig2")).to_dict()
+data = asdict(load_config(preset_path("fig2")))
 print(json.dumps(data))
 data["test_arm"]["object"] = {"double_slit": {}}
 try:
@@ -424,7 +435,7 @@ def test_scan_exit_code_contract_under_single_field_mutations(tmp_path):
     # every node of the resolved small_config (number, string or object),
     # set in turn to each of _MUTANTS: exit 0 with finite columns, or exit 2
     # or 3 with one line
-    resolved = load_config(small_config(tmp_path)).to_dict()
+    resolved = asdict(load_config(small_config(tmp_path)))
     fields = list(_nodes(resolved))
     kinds = [type(_at(resolved, field)).__name__ for field in fields]
     numbers = kinds.count("float") + kinds.count("int")
@@ -458,7 +469,7 @@ def test_scan_exit_code_contract_under_single_field_mutations(tmp_path):
 def _mutated_scans(tmp_path, mutations) -> list:
     """(output path, [exit code, stderr]) of a scan of small_config with
     each (dotted path, value) mutation, all in one fresh process."""
-    resolved = load_config(small_config(tmp_path)).to_dict()
+    resolved = asdict(load_config(small_config(tmp_path)))
     jobs = []
     for k, (name, value) in enumerate(mutations):
         data = json.loads(json.dumps(resolved))

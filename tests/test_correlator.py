@@ -24,7 +24,6 @@ from ghostsim import (
     gaussian_wavefunction,
     make_grid,
     normalize,
-    point_statistics,
     rect_pupil,
     scan_reference,
     tabulated_pupil,
@@ -38,7 +37,7 @@ from ghostsim.correlator import _statistics, noise_from_moments, snr_from_moment
 from ghostsim.optics import Transmission
 from ghostsim.source import default_certification_grid
 from ghostsim.validate import _certify, run_validation_suite
-from helpers import scaled_arm
+from helpers import scaled_arm, statistics_at
 
 LAM = 650e-6
 F = 100.0
@@ -69,7 +68,7 @@ def test_opaque_object_gives_zero_signal():
         gxp=setup.gxp,
     )
     assert amplitude(setup, 0.0, 0.3) == 0.0
-    stats = point_statistics(setup, 0.0, 0.3)
+    stats = statistics_at(setup, 0.0, 0.3)
     assert stats.g2 == 0.0
     assert stats.snr == 0.0
 
@@ -134,7 +133,7 @@ def test_separable_and_direct_methods_agree():
 
 def test_second_moment_factorization():
     setup = small_gaussian_setup(n_x=1025, n_xp=2049)
-    stats = point_statistics(setup, 0.0, 0.2)
+    stats = statistics_at(setup, 0.0, 0.2)
     assert stats.second_moment == pytest.approx(stats.g2 * stats.i_t * stats.i_r, rel=1e-14)
     assert stats.noise == pytest.approx(
         sqrt(stats.second_moment - stats.g2**2), rel=1e-12
@@ -144,7 +143,7 @@ def test_second_moment_factorization():
 
 def test_snr_invariant_under_arm_rescaling():
     setup = small_gaussian_setup(n_x=1025, n_xp=2049)
-    base = point_statistics(setup, 0.0, 0.3).snr
+    base = statistics_at(setup, 0.0, 0.3).snr
     rng = np.random.default_rng(13)
     for _ in range(20):
         c_t = rng.uniform(0.1, 10.0) * np.exp(2j * np.pi * rng.uniform())
@@ -156,7 +155,7 @@ def test_snr_invariant_under_arm_rescaling():
             gx=setup.gx,
             gxp=setup.gxp,
         )
-        assert point_statistics(scaled, 0.0, 0.3).snr == pytest.approx(base, rel=1e-10)
+        assert statistics_at(scaled, 0.0, 0.3).snr == pytest.approx(base, rel=1e-10)
 
 
 def test_matched_state_saturates_the_bound():
@@ -172,7 +171,7 @@ def test_matched_state_saturates_the_bound():
     )
     state = normalize(raw, g, g)
     setup = CorrelatorSetup(state=state, h_t=h_t, h_r=h_r, gx=g, gxp=g)
-    stats = point_statistics(setup, x_t, x_r)
+    stats = statistics_at(setup, x_t, x_r)
     assert stats.noise <= 1e-5 * stats.g2
     radicand = stats.second_moment - stats.g2**2
     assert abs(radicand) <= 1e-10 * (stats.second_moment + stats.g2**2)
@@ -189,7 +188,7 @@ def test_random_setups_respect_variance_bound():
             n_x=1025,
             n_xp=2049,
         )
-        stats = point_statistics(setup, float(rng.uniform(-0.2, 0.2)), float(rng.uniform(-1.0, 1.0)))
+        stats = statistics_at(setup, float(rng.uniform(-0.2, 0.2)), float(rng.uniform(-1.0, 1.0)))
         radicand = stats.second_moment - stats.g2**2
         scale = stats.second_moment + stats.g2**2
         assert radicand >= -1e-12 * scale
@@ -216,15 +215,19 @@ def test_snr_edge_cases():
 
 
 def test_scan_statistics_match_point_statistics():
-    # the scan's columns come from one array evaluation over every x_r
+    # the scan's columns come from one array evaluation over every x_r; each
+    # must equal _statistics evaluated at its point alone
     setup = slit_setup(make_grid(0.0, 8.0, 4097))
     result = scan_reference(ScanConfig(setup=setup, xr_min=-1.0, xr_max=1.0, n_xr=21))
     i_t = arm_energy(setup.h_t, 0.0, setup.gx)
     i_r = arm_energy(setup.h_r, 0.0, setup.gxp)
-    points = [point_statistics(setup, 0.0, float(x), i_t, i_r) for x in result.x_r]
-    np.testing.assert_array_equal(result.g2, [p.g2 for p in points])
-    np.testing.assert_array_equal(result.noise, [p.noise for p in points])
-    np.testing.assert_array_equal(result.snr, [p.snr for p in points])
+    points = [
+        _statistics(0.0, x, amplitude(setup, 0.0, x), i_t, i_r) for x in map(float, result.x_r)
+    ]
+    g2, _, noise, snr = (np.concatenate(c) for c in zip(*points))
+    np.testing.assert_array_equal(result.g2, g2)
+    np.testing.assert_array_equal(result.noise, noise)
+    np.testing.assert_array_equal(result.snr, snr)
 
 
 def test_statistics_name_the_first_non_finite_point():

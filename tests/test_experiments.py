@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import asdict, replace
 from math import sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -149,7 +151,7 @@ def test_scan_config_validation(tmp_path, capsys):
             assert _run_scan(tmp_path, capsys, data) == 2
         data = json.loads(json.dumps(RUN))
         data.setdefault(section, {})[key] = 4097.0
-        assert resolve_config(data).to_dict()[section][key] == 4097
+        assert asdict(resolve_config(data))[section][key] == 4097
 
     # tabulated inputs: a NaN entry or a non-uniform x exits 2 without a CSV
     x = np.linspace(-1.0, 1.0, 201)
@@ -356,3 +358,10 @@ def test_summarize_uses_snr_at_the_g2_peak():
     s = summarize(fake_result(x, y), 3.0)
     assert s.peak_positions_mm == (pytest.approx(-0.5), pytest.approx(0.5))
     assert s.aperture_mm == 3.0
+
+
+def test_readme_library_example_runs():
+    # a public name deleted or renamed in the package fails here, not in the docs
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    exec(compile(block, "README.md", "exec"), {})

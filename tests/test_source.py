@@ -97,17 +97,6 @@ def test_weak_entanglement_limit():
     assert c == pytest.approx(np.sqrt(2.0 / np.pi), rel=1e-6)
 
 
-def test_scaled_state_loses_certificate():
-    a, b = 1.0, 0.2
-    grid = default_certification_grid(a, b)
-    state = normalize(gaussian_wavefunction(a, b), grid, grid)
-    doubled = state.scaled(2.0)
-    assert doubled.certification is None
-    assert abs(doubled.evaluate(0.0, 0.0)) == pytest.approx(
-        2.0 * abs(state.evaluate(0.0, 0.0)), rel=1e-14
-    )
-
-
 def test_truncation_error_on_narrow_window():
     state = gaussian_wavefunction(2.0, 0.5)
     small = make_grid(0.0, 1.0, 257)
@@ -142,7 +131,7 @@ def test_tabulated_state_interpolates():
     rng = np.random.default_rng(5)
     g = make_grid(0.0, 0.06, 4097)
     fv, gv = random_table(rng, 4097), random_table(rng, 4097)
-    tab = separable(tabulated(g, fv), tabulated(g, gv)).scaled(0.5j)
+    tab = replace(separable(tabulated(g, fv), tabulated(g, gv)), c_norm=0.5j)
     x = g.samples()
     # node values are exact, cell midpoints are the mean of their nodes
     assert tab.evaluate(x[100], x[200]) == pytest.approx(0.5j * fv[100] * gv[200], rel=1e-14)
@@ -229,7 +218,7 @@ def test_banded_reduction_matches_dense_sum():
                 i0 = int(rng.integers(0, gx.n_points - 80))
                 n = int(rng.integers(1, 80))
                 left[i0 : i0 + n] = rng.normal(size=n) + 1j * rng.normal(size=n)
-        state = gaussian_wavefunction(a, b).scaled(0.3 - 0.7j)
+        state = replace(gaussian_wavefunction(a, b), c_norm=0.3 - 0.7j)
         ridge, calls = _counting(state.ridge)
         banded = replace(state, ridge=ridge).reduce(left, gx, gxp)
         dense = left @ state.evaluate(gx.samples()[:, np.newaxis], gxp.samples()[np.newaxis, :])
@@ -252,7 +241,7 @@ def test_dense_kernel_reduction_evaluates_every_column():
     def ridge(d):
         return np.cos(3.0 * d) + 0.5j * np.sin(d)
 
-    state = separable(tabulated(g, fv), tabulated(g, gv), ridge=ridge).scaled(2.0)
+    state = replace(separable(tabulated(g, fv), tabulated(g, gv), ridge=ridge), c_norm=2.0)
     counted, calls = _counting(ridge)
     left = np.zeros(65, dtype=complex)
     left[[3, 4, 40]] = [1.0, 2.0j, -0.5]
@@ -270,7 +259,7 @@ def test_separable_state_reduces_to_a_sum():
     rng = np.random.default_rng(8)
     gx, gxp = make_grid(0.1, 2.0, 301), make_grid(-0.2, 3.0, 211)
     fv, gv = random_table(rng, 301), random_table(rng, 211)
-    state = separable(tabulated(gx, fv), tabulated(gxp, gv)).scaled(0.5 - 2j)
+    state = replace(separable(tabulated(gx, fv), tabulated(gxp, gv)), c_norm=0.5 - 2j)
     left = random_table(rng, 301)
     left[::7] = 0.0
     got = state.reduce(left, gx, gxp)
@@ -451,7 +440,7 @@ def test_scaled_state_normalizes_to_the_same_c_norm():
     grid = default_certification_grid(a, b)
     state = gaussian_wavefunction(a, b)
     clean = normalize(state, grid, grid)
-    doubled = normalize(state.scaled(2.0), grid, grid)
+    doubled = normalize(replace(state, c_norm=2.0 * state.c_norm), grid, grid)
     assert doubled.c_norm == pytest.approx(clean.c_norm, rel=1e-14)
     assert clean.c_norm == pytest.approx(gaussian_norm_constant(a, b), rel=1e-9)
     # the envelopes and the ridge are shared; only the scalar differs
