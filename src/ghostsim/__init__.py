@@ -9,7 +9,6 @@ from .errors import (
     NormalizationViolationError,
     NumericDomainError,
     TruncationError,
-    UndefinedContrastError,
 )
 from .experiments import (
     CorrelationResult,

@@ -212,11 +212,7 @@ def _arm(make, cfg_arm: dict, where: str, part: str):
 
 def build_scan_config(cfg: RunConfig) -> ScanConfig:
     """Assemble the scan driver for a resolved configuration."""
-    a, b = cfg.source["a_mm"], cfg.source["b_mm"]
-    # a source too wide for its ridge is refused by the certification-grid
-    # budget, which names the remedy, before its a^2 or b^2 leaves the range
-    source.default_certification_grid(a, b)
-    state = _call(source.gaussian_wavefunction, "source", {"a_mm": a, "b_mm": b})
+    state = _call(source.gaussian_wavefunction, "source", cfg.source)
     setup = build_setup(
         state,
         _arm(optics.fourier_arm, cfg.test_arm, "test_arm", "object"),

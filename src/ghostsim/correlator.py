@@ -72,10 +72,6 @@ class CorrelatorSetup:
         object.__setattr__(other, "_windows", self._windows)
         return other
 
-    def _left_vector(self, x_t: float) -> np.ndarray:
-        """Trapezoid-weighted test-arm samples over gx."""
-        return self.gx.trapezoid_weights() * self.h_t.sample_in(x_t, self.gx)
-
     def inner_integral(self, x_t: float) -> np.ndarray:
         """u(x') = int dx phi(x, x') h_t(x_t, x), sampled on gxp.
 
@@ -83,7 +79,8 @@ class CorrelatorSetup:
         contribute, which makes compact objects cheap, and a Gaussian source
         only within its ridge band.
         """
-        return self.state.reduce(self._left_vector(x_t), self.gx, self.gxp)
+        left = self.gx.trapezoid_weights() * self.h_t.sample_in(x_t, self.gx)
+        return self.state.reduce(left, self.gx, self.gxp)
 
     def reference_window(self, x_t: float) -> tuple:
         """(window, v): the gxp nodes j0..j1-1 that hold every nonzero of
@@ -110,7 +107,7 @@ class CorrelatorSetup:
         v = (self.gxp.trapezoid_weights() * u)[j0:j1]
         if j1 - j0 == self.gxp.n_points:
             return self.gxp, v
-        lo, hi = self.gxp.sample(j0), self.gxp.sample(j1 - 1)
+        lo, hi = self.gxp.samples()[[j0, j1 - 1]].tolist()
         return Grid1D(0.5 * (lo + hi), 0.5 * (hi - lo), j1 - j0), v
 
 

@@ -25,10 +25,6 @@ class NormalizationViolationError(GhostSimError):
     """
 
 
-class UndefinedContrastError(GhostSimError):
-    """A scan does not exhibit two distinct peaks to measure contrast from."""
-
-
 class ConfigError(GhostSimError):
     """A run configuration file failed to parse or validate."""
 

@@ -12,15 +12,15 @@ the normalized averaged noise.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import isfinite, sqrt
+from math import sqrt
 
 import numpy as np
 
 from .correlator import CorrelatorSetup, _statistics, amplitude, arm_energy
-from .errors import InvalidArgumentError, NumericDomainError, UndefinedContrastError
+from .errors import InvalidArgumentError, NumericDomainError
 from .grid import Grid1D, make_grid
 from .optics import ImpulseResponse, rect_pupil, two_f_arm
-from .source import TwoPhotonState, default_certification_grid, normalize
+from .source import TwoPhotonState
 
 __all__ = [
     "ScanConfig",
@@ -136,24 +136,12 @@ def build_setup(
     n_xp: int = DEFAULT_N_XP,
     window_mm: float = DEFAULT_WINDOW_MM,
 ) -> CorrelatorSetup:
-    """Normalize the state (if needed) and assemble a correlator setup.
+    """Assemble a correlator setup for a norm-certified state.
 
-    An uncertified state with a finite ``envelope_width`` a and
-    ``ridge_width`` b, such as the Gaussian source, is certified on
-    ``default_certification_grid(a, b)``, the window [-4a, 4a]; the
-    quadrature window is widened to cover the certification grids when
-    necessary.
+    The quadrature window is widened to cover the state's certification
+    grids when necessary; ``CorrelatorSetup`` refuses an uncertified state.
     """
-    if state.certification is None:
-        a, b = state.envelope_width, state.ridge_width
-        if not (isfinite(a) and isfinite(b)):
-            raise InvalidArgumentError(
-                "states without finite envelope and ridge widths must be normalized "
-                "explicitly before building a setup"
-            )
-        cert = default_certification_grid(a, b)
-        state = normalize(state, cert, cert)
-    for cert in state.certification:
+    for cert in state.certification or ():
         window_mm = max(window_mm, cert.half_width)
     gx = make_grid(0.0, window_mm, n_x)
     gxp = make_grid(0.0, window_mm, n_xp)
@@ -238,17 +226,14 @@ def contrast_metric(result: CorrelationResult) -> float:
     """(peak - valley) / (peak + valley) between the two dominant maxima.
 
     peak is the mean of the two largest local maxima, valley the G2 value
-    closest to the midpoint of their positions.
+    closest to the midpoint of their positions.  A scan with fewer than two
+    maxima has contrast 0: its slits are not resolved.
     """
-    if result.x_r.size < 3:
-        raise UndefinedContrastError("contrast needs at least 3 scan points")
     x = result.x_r
     g2 = result.g2
     peaks = find_peaks(x, g2)
     if len(peaks) < 2:
-        raise UndefinedContrastError(
-            f"contrast needs two distinct maxima, found {len(peaks)}"
-        )
+        return 0.0
     top = sorted(peaks, key=lambda i: (-g2[i], abs(x[i])))[:2]
     mid = 0.5 * (x[top[0]] + x[top[1]])
     valley = g2[int(np.argmin(np.abs(x - mid)))]

@@ -68,13 +68,6 @@ class Grid1D:
         x[-1] = self.hi
         return x
 
-    def sample(self, i: int) -> float:
-        if i < 0 or i >= self.n_points:
-            raise InvalidArgumentError(f"sample index {i} outside [0, {self.n_points})")
-        if i == self.n_points - 1:
-            return self.hi
-        return self.lo + i * self.step
-
     def trapezoid_weights(self) -> np.ndarray:
         w = np.full(self.n_points, self.step)
         w[0] *= 0.5

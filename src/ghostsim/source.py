@@ -7,7 +7,9 @@ sets the source size, ``b`` the entanglement width.  A separable state has
 R = 1 (``ridge`` is None).
 
 :func:`normalize` sets ``c_norm`` from the quadrature of |phi|^2 and records
-its grids as the state's ``certification``.  Both it and
+its grids as the state's ``certification``.  :func:`gaussian_wavefunction`
+returns its state normalized on :func:`default_certification_grid`; every
+other state must be normalized explicitly.  Both :func:`normalize` and
 :meth:`TwoPhotonState.reduce` fold f into the left vector, reduce R with
 :func:`ghostsim.grid.reduce_rows` over the band where R is above RIDGE_EPS
 of its peak, and multiply the result by g.
@@ -59,8 +61,7 @@ class TwoPhotonState:
     """The entangled-pair wavefunction phi(x, x') = c_norm * f(x) * g(x') * R(x - x').
 
     ``f``, ``g`` and ``ridge`` (R, or None for R = 1) broadcast over numpy
-    arrays; |R(d)| <= peak * exp(-d^2 / ridge_width^2) and |f(x)|, |g(x)|
-    <= peak * exp(-x^2 / envelope_width^2) (``inf``: no bound).
+    arrays; |R(d)| <= peak * exp(-d^2 / ridge_width^2) (``inf``: no bound).
     ``certification`` holds the grids (gx, gxp) on which :func:`normalize`
     made |phi|^2 integrate to 1; None until it is set.
     """
@@ -70,7 +71,6 @@ class TwoPhotonState:
     c_norm: complex = 1.0
     ridge: Callable | None = None
     ridge_width: float = inf
-    envelope_width: float = inf
     certification: tuple[Grid1D, Grid1D] | None = None
 
     def evaluate(self, x, xp) -> np.ndarray:
@@ -91,7 +91,13 @@ class TwoPhotonState:
 
 
 def gaussian_wavefunction(a: float, b: float) -> TwoPhotonState:
-    """Unnormalized Gaussian source (amplitude constant C = 1)."""
+    """The Gaussian source, normalized on ``default_certification_grid(a, b)``.
+
+    A width that is not > 0 is refused, then a certification grid over the
+    node budget (its message names the remedy), then a width whose square
+    leaves the floating-point range.
+    """
+    cert = default_certification_grid(a, b)
     check_width(a, "source size a")
     check_width(b, "entanglement width b")
 
@@ -101,20 +107,21 @@ def gaussian_wavefunction(a: float, b: float) -> TwoPhotonState:
     def ridge(d):
         return np.exp(np.square(d) / -(b * b))
 
-    return TwoPhotonState(
-        f=envelope, g=envelope, ridge=ridge, ridge_width=float(b), envelope_width=float(a)
-    )
+    state = TwoPhotonState(f=envelope, g=envelope, ridge=ridge, ridge_width=float(b))
+    return normalize(state, cert, cert)
 
 
 def default_certification_grid(a: float, b: float) -> Grid1D:
     """Window [-4a, 4a] with a step fine enough to resolve the (x - x')
     entanglement ridge of width ~b, refused over MAX_NODES nodes."""
+    if not (a > 0.0 and b > 0.0):
+        raise InvalidArgumentError(f"source widths must be > 0, got a = {a}, b = {b}")
     half_width = 4.0 * a
     n = np.ceil(2.0 * half_width / (b / 6.0)) + 1.0
     if not (n <= MAX_NODES):
         raise InvalidArgumentError(
-            f"the certification grid for source.a_mm = {a:g}, source.b_mm = {b:g} needs "
-            f"{n:.3g} nodes, over the budget of {MAX_NODES}; lower a_mm or raise b_mm"
+            f"the certification grid for a = {a:g}, b = {b:g} needs {n:.3g} nodes, over "
+            f"the budget of {MAX_NODES}; lower a or raise b"
         )
     return make_grid(0.0, half_width, max(int(n), 257))
 

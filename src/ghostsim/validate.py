@@ -7,8 +7,9 @@ bound on the variance radicand.  Each check reports pass/fail; the suite is
 what the ``validate`` CLI command executes.
 
 ``corrupt_norm_factor`` is a fault-injection hook for exercising the
-failure path: it multiplies the scalar amplitude ``c_norm`` of every state
-after normalization while keeping the certificate, which a correct build
+failure path: it multiplies the scalar amplitude ``c_norm`` of every
+certified state (the Gaussian sources as constructed, the matched states
+after normalization) while keeping the certificate, which a correct build
 must detect.
 """
 
@@ -30,7 +31,7 @@ from .optics import (
     rect_pupil,
     two_f_arm,
 )
-from .source import TwoPhotonState, default_certification_grid, gaussian_wavefunction, normalize
+from .source import TwoPhotonState, gaussian_wavefunction, normalize
 
 __all__ = ["CheckResult", "run_validation_suite"]
 
@@ -45,11 +46,8 @@ class CheckResult:
     detail: str
 
 
-def _certify(state, gx, gxp, corrupt: float):
-    out = normalize(state, gx, gxp)
-    if corrupt != 1.0:
-        out = replace(out, c_norm=corrupt * out.c_norm)
-    return out
+def _corrupt(state: TwoPhotonState, factor: float) -> TwoPhotonState:
+    return replace(state, c_norm=factor * state.c_norm)
 
 
 def _check_gaussian_normalization(corrupt: float) -> CheckResult:
@@ -58,8 +56,7 @@ def _check_gaussian_normalization(corrupt: float) -> CheckResult:
     for _ in range(10):
         a = rng.uniform(0.5, 5.0)
         b = float(np.exp(rng.uniform(np.log(0.02), np.log(1.0))))
-        grid = default_certification_grid(a, b)
-        state = _certify(gaussian_wavefunction(a, b), grid, grid, corrupt)
+        state = _corrupt(gaussian_wavefunction(a, b), corrupt)
         # the amplitude at the origin is the effective normalization constant
         c_actual = float(np.abs(state.evaluate(0.0, 0.0)))
         c_ref = analytic.gaussian_norm_constant(a, b)
@@ -113,8 +110,7 @@ def _check_arm_energies(corrupt: float) -> CheckResult:
 def _check_all_gaussian_amplitude(corrupt: float) -> CheckResult:
     a, b = 2.0, 0.2
     w_obj, sigma = 0.5, 2.0
-    cert = default_certification_grid(a, b)
-    state = _certify(gaussian_wavefunction(a, b), cert, cert, corrupt)
+    state = _corrupt(gaussian_wavefunction(a, b), corrupt)
     h_t = fourier_arm(LAMBDA_MM, F_MM, gaussian_transmission(w_obj))
     h_r = two_f_arm(LAMBDA_MM, F_MM, gaussian_pupil(sigma))
     setup = CorrelatorSetup(
@@ -146,7 +142,7 @@ def _matched_state(h_t, h_r, x_t: float, x_r: float, gx, gxp, corrupt: float):
         f=lambda x: np.conj(h_t.evaluate(x_t, x)),
         g=lambda xp: np.conj(h_r.evaluate(x_r, xp)),
     )
-    return _certify(raw, gx, gxp, corrupt)
+    return _corrupt(normalize(raw, gx, gxp), corrupt)
 
 
 def _check_cauchy_schwarz(corrupt: float, n_setups: int = 20) -> CheckResult:
@@ -174,8 +170,7 @@ def _check_cauchy_schwarz(corrupt: float, n_setups: int = 20) -> CheckResult:
                 h_r = two_f_arm(LAMBDA_MM, F_MM, rect_pupil(rng.uniform(1.0, 10.0)))
             else:
                 h_r = two_f_arm(LAMBDA_MM, F_MM, gaussian_pupil(rng.uniform(0.5, 4.0)))
-            cert = default_certification_grid(a, b)
-            state = _certify(gaussian_wavefunction(a, b), cert, cert, corrupt)
+            state = _corrupt(gaussian_wavefunction(a, b), corrupt)
             x_t = float(rng.uniform(-0.2, 0.2))
             x_r = float(rng.uniform(-1.0, 1.0))
         setup = CorrelatorSetup(state=state, h_t=h_t, h_r=h_r, gx=gx, gxp=gxp)

@@ -31,7 +31,6 @@ from ghostsim import (
 from ghostsim.cli import preset_path
 from ghostsim.config import build_scan_config, load_config
 from ghostsim.experiments import contrast_metric, find_peaks
-from ghostsim.source import default_certification_grid, normalize
 from ghostsim.validate import (
     _check_all_gaussian_amplitude,
     _check_arm_energies,
@@ -135,8 +134,7 @@ def test_criterion_4_analytic_oracles(capsys):
 
 
 def test_criterion_5_exact_laws(fig2_scan, capsys):
-    cert = default_certification_grid(2.0, 0.2)
-    state = normalize(gaussian_wavefunction(2.0, 0.2), cert, cert)
+    state = gaussian_wavefunction(2.0, 0.2)
     h_t = fourier_arm(LAM, F, gaussian_transmission(0.5))
     h_r = two_f_arm(LAM, F, gaussian_pupil(2.0))
     setup = build_setup(state, h_t, h_r, n_x=2049, n_xp=4097)

@@ -372,7 +372,7 @@ def test_node_budget_names_the_config_key(tmp_path, section, key, value):
     )
     assert proc.returncode == 2, proc.stderr
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
-    assert f"{section}.{key}" in proc.stderr
+    assert proc.stderr.count(f"{section}.{key}") == 1, proc.stderr
     assert "budget" in proc.stderr
     assert not out.exists()
 

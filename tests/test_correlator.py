@@ -36,7 +36,7 @@ from ghostsim.config import build_scan_config, load_config
 from ghostsim.correlator import _statistics, noise_from_moments, snr_from_moments
 from ghostsim.optics import Transmission
 from ghostsim.source import default_certification_grid
-from ghostsim.validate import _certify, run_validation_suite
+from ghostsim.validate import _corrupt, run_validation_suite
 from helpers import scaled_arm, statistics_at
 
 LAM = 650e-6
@@ -44,8 +44,7 @@ F = 100.0
 
 
 def small_gaussian_setup(w_obj=0.5, sigma=2.0, a=2.0, b=0.2, n_x=4097, n_xp=8193):
-    cert = default_certification_grid(a, b)
-    state = normalize(gaussian_wavefunction(a, b), cert, cert)
+    state = gaussian_wavefunction(a, b)
     h_t = fourier_arm(LAM, F, gaussian_transmission(w_obj))
     h_r = two_f_arm(LAM, F, gaussian_pupil(sigma))
     return CorrelatorSetup(
@@ -103,8 +102,7 @@ def test_amplitude_matches_all_gaussian_closed_form():
 
 
 def test_scan_parity_for_symmetric_setup():
-    cert = default_certification_grid(2.0, 0.05)
-    state = normalize(gaussian_wavefunction(2.0, 0.05), cert, cert)
+    state = gaussian_wavefunction(2.0, 0.05)
     setup = CorrelatorSetup(
         state=state,
         h_t=fourier_arm(LAM, F, double_slit(0.05, 1.0)),
@@ -241,7 +239,7 @@ def test_statistics_name_the_first_non_finite_point():
 
 
 def test_setup_requires_certified_state():
-    raw = gaussian_wavefunction(1.0, 0.2)
+    raw = replace(gaussian_wavefunction(1.0, 0.2), certification=None)
     g = make_grid(0.0, 4.0, 257)
     with pytest.raises(InvalidArgumentError):
         CorrelatorSetup(
@@ -254,8 +252,7 @@ def test_setup_requires_certified_state():
 
 
 def test_setup_grids_must_cover_certification_domain():
-    cert = default_certification_grid(2.0, 0.2)  # window 8 mm
-    state = normalize(gaussian_wavefunction(2.0, 0.2), cert, cert)
+    state = gaussian_wavefunction(2.0, 0.2)  # certified on a window of 8 mm
     small = make_grid(0.0, 4.0, 257)
     with pytest.raises(InvalidArgumentError):
         CorrelatorSetup(
@@ -272,8 +269,8 @@ def test_corrupted_certified_state_scales_the_inner_integral():
     # banded reduction must carry that factor through
     a, b = 2.0, 0.2
     cert = default_certification_grid(a, b)
-    clean = _certify(gaussian_wavefunction(a, b), cert, cert, 1.0)
-    corrupt = _certify(gaussian_wavefunction(a, b), cert, cert, 2.0)
+    clean = gaussian_wavefunction(a, b)
+    corrupt = _corrupt(clean, 2.0)
     assert corrupt.certification == clean.certification == (cert, cert)
     assert corrupt.c_norm == 2.0 * clean.c_norm
     h_t = fourier_arm(LAM, F, double_slit(0.05, 1.0))
@@ -293,10 +290,8 @@ def test_validation_suite_fails_under_corrupted_normalization():
 
 
 def slit_setup(gxp):
-    cert = default_certification_grid(2.0, 0.05)
-    state = normalize(gaussian_wavefunction(2.0, 0.05), cert, cert)
     return CorrelatorSetup(
-        state=state,
+        state=gaussian_wavefunction(2.0, 0.05),
         h_t=fourier_arm(LAM, F, double_slit(0.05, 1.0)),
         h_r=two_f_arm(LAM, F, rect_pupil(10.0)),
         gx=make_grid(0.0, 8.0, 8193),
@@ -311,9 +306,8 @@ def tabulated_object_setup():
     gp = make_grid(0.0, 5.0, 201)
     xp = gp.samples()
     pupil = tabulated_pupil(gp, np.exp(-(xp**2) / 4.0 + 0.3j * xp**2))
-    cert = default_certification_grid(2.0, 0.05)
     return CorrelatorSetup(
-        state=normalize(gaussian_wavefunction(2.0, 0.05), cert, cert),
+        state=gaussian_wavefunction(2.0, 0.05),
         h_t=fourier_arm(LAM, F, tabulated_transmission(g, bump)),
         h_r=two_f_arm(LAM, F, pupil),
         gx=make_grid(0.0, 8.0, 8193),
@@ -403,7 +397,7 @@ def test_all_zero_inner_integral_scans_without_sampling():
 def test_single_nonzero_inner_integral_widens_the_window(node):
     # a state supported on one x' node; the last node widens downward
     g = make_grid(0.0, 4.0, 257)
-    xp0 = g.sample(node)
+    xp0 = g.samples()[node]
 
     state = TwoPhotonState(
         f=lambda x: np.exp(-(x**2)),

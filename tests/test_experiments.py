@@ -16,7 +16,6 @@ from ghostsim import (
     CorrelationResult,
     InvalidArgumentError,
     ScanConfig,
-    UndefinedContrastError,
     aperture_sweep,
     build_setup,
     contrast_metric,
@@ -80,9 +79,9 @@ def test_build_setup_rejects_uncertified_table():
     tab = TwoPhotonState(f=box, g=box)
     h_t = fourier_arm(LAM, F, double_slit(0.05, 1.0))
     h_r = two_f_arm(LAM, F, rect_pupil(10.0))
-    # only a state with both width bounds gets a default certification grid
-    for state in (tab, replace(tab, envelope_width=1.0), replace(tab, ridge_width=1.0)):
-        with pytest.raises(InvalidArgumentError):
+    # only the Gaussian source is certified by its constructor
+    for state in (tab, replace(tab, ridge_width=1.0)):
+        with pytest.raises(InvalidArgumentError, match="norm-certified"):
             build_setup(state, h_t, h_r, n_x=257, n_xp=257)
 
 
@@ -275,10 +274,9 @@ def test_contrast_metric_toy_cases():
     y[15] = 1.0
     result = fake_result(x, y)
     assert contrast_metric(result) == pytest.approx((1.0 - 0.2) / (1.0 + 0.2))
-    with pytest.raises(UndefinedContrastError):
-        contrast_metric(fake_result(x, np.exp(-(x**2))))
-    with pytest.raises(UndefinedContrastError):
-        contrast_metric(fake_result([0.0, 1.0], [1.0, 1.0]))
+    # fewer than two maxima: the slits are not resolved
+    assert contrast_metric(fake_result(x, np.exp(-(x**2)))) == 0.0
+    assert contrast_metric(fake_result([0.0, 1.0], [1.0, 1.0])) == 0.0
 
 
 def test_aperture_sweep_singleton():
@@ -341,6 +339,27 @@ def test_aperture_sweep_requires_rect_pupil(tmp_path, capsys):
     assert len(err.splitlines()) == 1
     assert err.startswith("ghostsim: config error: ") and "rect" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "scan", [{"xr_min_mm": 0.2, "xr_max_mm": 2.0, "n_points": 91}, {"n_points": 2}]
+)
+def test_sweep_without_two_maxima_reports_zero_contrast(tmp_path, capsys, scan):
+    # a scan that shows one slit, or too few points for any maximum, is a
+    # result with contrast 0, not a numeric error (was exit 3 and no JSON)
+    data = json.loads(json.dumps(RUN))
+    data["scan"].update(scan)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "sweep.json"
+    argv = ["sweep", "--config", str(path), "--param", "reference_arm.pupil.rect.D_mm",
+            "--values", "2,10", "--output", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    summaries = json.loads(out.read_text())
+    assert [s["contrast"] for s in summaries] == [0.0, 0.0]
+    expected = [0.5] if scan.get("xr_min_mm") == 0.2 else []
+    assert all(s["peak_positions_mm"] == expected for s in summaries)
 
 
 def test_smaller_aperture_blurs_and_quiets():

@@ -32,17 +32,6 @@ def test_grid_endpoints_exact_for_large_counts():
     assert x.size == 4097
 
 
-def test_grid_sample_matches_samples():
-    g = make_grid(-0.3, 1.7, 11)
-    x = g.samples()
-    for i in range(g.n_points):
-        assert g.sample(i) == x[i]
-    with pytest.raises(InvalidArgumentError):
-        g.sample(11)
-    with pytest.raises(InvalidArgumentError):
-        g.sample(-1)
-
-
 def test_grid_validation_errors():
     with pytest.raises(InvalidArgumentError):
         make_grid(0.0, 0.0, 5)

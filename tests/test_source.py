@@ -27,7 +27,7 @@ from ghostsim.source import RIDGE_EPS, _band, _norm_integral, default_certificat
 
 def test_gaussian_origin_value_and_symmetry():
     state = gaussian_wavefunction(2.0, 0.05)
-    assert state.evaluate(0.0, 0.0) == pytest.approx(1.0)
+    assert state.evaluate(0.0, 0.0) == pytest.approx(state.c_norm)
     # phi is symmetric under x <-> x'
     assert state.evaluate(0.3, -0.1) == pytest.approx(state.evaluate(-0.1, 0.3))
     assert state.evaluate(0.7, 0.2) == pytest.approx(state.evaluate(-0.7, -0.2))
@@ -38,21 +38,19 @@ def test_gaussian_known_point():
     state = gaussian_wavefunction(2.0, 0.05)
     x = 1.0
     expected = np.exp(-2.0 * x**2 / 4.0)
-    assert state.evaluate(x, x) == pytest.approx(expected, rel=1e-14)
-    assert abs(state.evaluate(0.5, 0.5)) == pytest.approx(np.exp(-0.125), rel=1e-14)
+    assert state.evaluate(x, x) / state.c_norm == pytest.approx(expected, rel=1e-14)
+    assert abs(state.evaluate(0.5, 0.5) / state.c_norm) == pytest.approx(np.exp(-0.125), rel=1e-14)
 
 
 def test_gaussian_parameter_validation():
-    with pytest.raises(InvalidArgumentError):
-        gaussian_wavefunction(0.0, 0.05)
-    with pytest.raises(InvalidArgumentError):
-        gaussian_wavefunction(2.0, -0.1)
+    for a, b in ((0.0, 0.05), (2.0, -0.1), (2.0, 0.0), (np.nan, 0.05)):
+        with pytest.raises(InvalidArgumentError, match="must be > 0"):
+            gaussian_wavefunction(a, b)
 
 
 def test_normalize_matches_analytic_constant():
     a, b = 2.0, 0.05
-    grid = default_certification_grid(a, b)
-    state = normalize(gaussian_wavefunction(a, b), grid, grid)
+    state = gaussian_wavefunction(a, b)
     c = abs(state.evaluate(0.0, 0.0))
     assert c == pytest.approx(gaussian_norm_constant(a, b), rel=1e-9)
     # the published configuration normalizes to about 3.00
@@ -64,8 +62,7 @@ def test_normalize_random_parameters_match_analytic():
     for _ in range(10):
         a = rng.uniform(0.5, 5.0)
         b = float(np.exp(rng.uniform(np.log(0.01), np.log(1.0))))
-        grid = default_certification_grid(a, b)
-        state = normalize(gaussian_wavefunction(a, b), grid, grid)
+        state = gaussian_wavefunction(a, b)
         c = abs(state.evaluate(0.0, 0.0))
         assert c == pytest.approx(gaussian_norm_constant(a, b), rel=1e-6)
 
@@ -73,7 +70,7 @@ def test_normalize_random_parameters_match_analytic():
 def test_normalize_is_idempotent():
     a, b = 1.0, 0.2
     grid = default_certification_grid(a, b)
-    once = normalize(gaussian_wavefunction(a, b), grid, grid)
+    once = gaussian_wavefunction(a, b)
     twice = normalize(once, grid, grid)
     assert abs(twice.evaluate(0.0, 0.0)) == pytest.approx(
         abs(once.evaluate(0.0, 0.0)), rel=1e-9
@@ -81,13 +78,14 @@ def test_normalize_is_idempotent():
 
 
 def test_normalize_records_certificate():
+    # the Gaussian source is certified by its constructor
     a, b = 1.0, 0.2
     grid = default_certification_grid(a, b)
-    raw = gaussian_wavefunction(a, b)
-    assert raw.certification is None
-    state = normalize(raw, grid, grid)
+    state = gaussian_wavefunction(a, b)
     assert state.certification == (grid, grid)
     assert state.c_norm == pytest.approx(gaussian_norm_constant(a, b), rel=1e-9)
+    g = make_grid(0.0, 6.0, 1025)
+    assert normalize(state, g, g).certification == (g, g)
 
 
 def test_weak_entanglement_limit():
@@ -426,7 +424,7 @@ def test_banded_norm_integral_matches_dense_and_analytic():
         a = rng.uniform(0.5, 5.0)
         b = float(np.exp(rng.uniform(np.log(0.02), np.log(1.0))))
         grid = default_certification_grid(a, b)
-        state = gaussian_wavefunction(a, b)
+        state = replace(gaussian_wavefunction(a, b), c_norm=1.0)
         banded = _norm_integral(state, grid, grid)
         x = grid.samples()
         w = grid.trapezoid_weights()
