@@ -62,8 +62,8 @@ def cmd_scan(args) -> int:
     cfg = load_config(_resolve_config_arg(args))
     config = build_scan_config(cfg)
     result = scan_reference(config)
-    out = args.output or cfg.output["path"]
-    if cfg.output["format"] == "json":
+    out = args.output or cfg["output"]["path"]
+    if cfg["output"]["format"] == "json":
         data = {k: list(v) if k == "flags" else [float(x) for x in v] for k, v in result.columns().items()}
         with open(out, "w", encoding="utf-8") as fh:
             json.dump(data, fh, indent=2)
@@ -83,7 +83,7 @@ def cmd_sweep(args) -> int:
     except ValueError:
         raise ConfigError(f"--values must be a comma-separated list of numbers, got {args.values!r}")
     cfg = load_config(_resolve_config_arg(args))
-    ref = cfg.reference_arm
+    ref = cfg["reference_arm"]
     (kind,) = ref["pupil"]
     if kind != "rect":
         raise ConfigError(f"{SWEEP_PARAM} needs a rect reference pupil, got {kind}")

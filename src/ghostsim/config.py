@@ -4,8 +4,8 @@ Wavelengths enter in nm at the file boundary and are converted to mm
 internally; every other length is mm.  One ordered table, ``_SCHEMA``, gives
 each field its default and check, and each object or pupil kind its optics
 constructor; fields are checked in table order and unknown keys are
-rejected.  The resolved configuration round-trips through
-``dataclasses.asdict``.
+rejected.  The resolved configuration is a plain dict of the table's
+sections, which resolves to itself again.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
 from functools import partial
 
 from . import experiments, optics, source
@@ -21,20 +20,7 @@ from .errors import ConfigError, InvalidArgumentError
 from .experiments import ScanConfig, build_setup
 from .grid import MAX_NODES
 
-__all__ = ["RunConfig", "load_config", "resolve_config", "build_scan_config"]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved, validated run description."""
-
-    source: dict
-    test_arm: dict
-    reference_arm: dict
-    scan: dict
-    pairs: dict
-    numerics: dict
-    output: dict
+__all__ = ["load_config", "resolve_config", "build_scan_config"]
 
 
 def _number(value) -> float:
@@ -165,15 +151,15 @@ def _walk(spec: dict, data, where: str) -> dict:
     return out
 
 
-def resolve_config(data: dict) -> RunConfig:
+def resolve_config(data: dict) -> dict:
     """Validate a configuration dict, applying defaults."""
-    cfg = RunConfig(**_walk(_SCHEMA, data, ""))
-    if not (cfg.scan["xr_max_mm"] > cfg.scan["xr_min_mm"]):
+    cfg = _walk(_SCHEMA, data, "")
+    if not (cfg["scan"]["xr_max_mm"] > cfg["scan"]["xr_min_mm"]):
         raise ConfigError("scan.xr_max_mm must exceed scan.xr_min_mm")
     return cfg
 
 
-def load_config(path) -> RunConfig:
+def load_config(path) -> dict:
     """Parse and validate a JSON configuration file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -210,22 +196,26 @@ def _arm(make, cfg_arm: dict, where: str, part: str):
     return make(cfg_arm["lambda_nm"] * 1e-6, cfg_arm["f_mm"], element)
 
 
-def build_scan_config(cfg: RunConfig) -> ScanConfig:
-    """Assemble the scan driver for a resolved configuration."""
-    state = _call(source.gaussian_wavefunction, "source", cfg.source)
+def build_scan_config(cfg: dict) -> ScanConfig:
+    """Assemble the scan driver for a resolved configuration: the state,
+    the test arm, the reference arm and then the grids, so that a config
+    with several faults is refused for the first of them."""
+    state = _call(source.gaussian_wavefunction, "source", cfg["source"])
+    h_t = _arm(optics.fourier_arm, cfg["test_arm"], "test_arm", "object")
+    h_r = _arm(optics.two_f_arm, cfg["reference_arm"], "reference_arm", "pupil")
     setup = build_setup(
         state,
-        _arm(optics.fourier_arm, cfg.test_arm, "test_arm", "object"),
-        _arm(optics.two_f_arm, cfg.reference_arm, "reference_arm", "pupil"),
-        n_x=cfg.numerics["n_x"],
-        n_xp=cfg.numerics["n_xp"],
-        window_mm=cfg.numerics["window_mm"],
+        h_t,
+        n_x=cfg["numerics"]["n_x"],
+        n_xp=cfg["numerics"]["n_xp"],
+        window_mm=cfg["numerics"]["window_mm"],
     )
     return ScanConfig(
         setup=setup,
-        x_t=cfg.scan["xt_mm"],
-        xr_min=cfg.scan["xr_min_mm"],
-        xr_max=cfg.scan["xr_max_mm"],
-        n_xr=cfg.scan["n_points"],
-        n_pairs=cfg.pairs["N"],
+        h_r=h_r,
+        x_t=cfg["scan"]["xt_mm"],
+        xr_min=cfg["scan"]["xr_min_mm"],
+        xr_max=cfg["scan"]["xr_max_mm"],
+        n_xr=cfg["scan"]["n_points"],
+        n_pairs=cfg["pairs"]["N"],
     )

@@ -7,13 +7,15 @@ int |h|^2; Delta G2 = sqrt(<S^2> - G2^2) and SNR = G2 / Delta G2.
 
 A is sum_j w_j u_j h_r(x_r, x'_j) over the reference window, the smallest
 run of x' nodes holding every nonzero of the inner integral
-u(x') = int dx phi(x, x') h_t(x_t, x) (the state's row reduction).  Arm
-energies integrate over the whole grid.
+u(x') = int dx phi(x, x') h_t(x_t, x) (the state's row reduction).  A
+``CorrelatorSetup`` holds what u depends on, the state, h_t and the grids,
+and not h_r, which ``amplitude`` takes per call.  Arm energies integrate
+over the whole grid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +39,7 @@ RADICAND_CLAMP = 1e-12
 
 @dataclass(frozen=True)
 class CorrelatorSetup:
-    """Immutable bundle of state, arm kernels and quadrature grids.
+    """Immutable bundle of state, test-arm kernel and quadrature grids.
 
     gx discretizes the test-arm source coordinate x, gxp the reference-arm
     source coordinate x'.  The state must carry a certification (see
@@ -46,7 +48,6 @@ class CorrelatorSetup:
 
     state: TwoPhotonState
     h_t: ImpulseResponse
-    h_r: ImpulseResponse
     gx: Grid1D
     gxp: Grid1D
 
@@ -61,16 +62,6 @@ class CorrelatorSetup:
                 raise InvalidArgumentError(
                     "quadrature grids must cover the state's certification domain"
                 )
-
-    def with_reference_arm(self, h_r: ImpulseResponse) -> "CorrelatorSetup":
-        """This setup with reference arm h_r.
-
-        u(x') depends only on the state, h_t, gx and gxp, so the new setup
-        shares this one's memoized reference windows.
-        """
-        other = replace(self, h_r=h_r)
-        object.__setattr__(other, "_windows", self._windows)
-        return other
 
     def inner_integral(self, x_t: float) -> np.ndarray:
         """u(x') = int dx phi(x, x') h_t(x_t, x), sampled on gxp.
@@ -90,7 +81,7 @@ class CorrelatorSetup:
         u is nonzero, so v carries gxp's.  A single nonzero is widened by a
         neighbour (a grid needs two nodes; there u = 0).  An all-zero u
         gives window None and an empty v.  Memoized per x_t: every scan
-        point shares it.
+        point and every reference arm shares it.
         """
         key = float(x_t)
         if key not in self._windows:
@@ -111,7 +102,7 @@ class CorrelatorSetup:
         return Grid1D(0.5 * (lo + hi), 0.5 * (hi - lo), j1 - j0), v
 
 
-def amplitude(setup: CorrelatorSetup, x_t: float, x_r: float) -> complex:
+def amplitude(setup: CorrelatorSetup, h_r: ImpulseResponse, x_t: float, x_r: float) -> complex:
     """Coincidence amplitude A(x_r, x_t) = v . h_r(x_r, window) over the
     reference window; exactly 0, with no sampling, where u(x') vanishes
     everywhere.  A non-finite amplitude is a numeric error.
@@ -119,7 +110,7 @@ def amplitude(setup: CorrelatorSetup, x_t: float, x_r: float) -> complex:
     window, v = setup.reference_window(x_t)
     if window is None:
         return 0j
-    a = complex(np.dot(v, setup.h_r.sample_in(x_r, window)))
+    a = complex(np.dot(v, h_r.sample_in(x_r, window)))
     if not np.isfinite(a.real) or not np.isfinite(a.imag):
         raise NumericDomainError(f"non-finite amplitude at (x_t={x_t}, x_r={x_r})")
     return a

@@ -3,10 +3,11 @@ aperture sweeps quantifying the resolution-versus-noise trade-off.
 
 The reference scan holds the test detector fixed (x_t = 0 by default) and
 records every per-point statistic along a range of reference positions,
-normalized by the maximum of G2 the way the published curves are.  The
-aperture sweep reruns the scan for a list of hard-aperture sizes and
-summarizes peak SNR, peak positions, two-slit contrast and the amplitude of
-the normalized averaged noise.
+normalized by the maximum of G2 the way the published curves are.  A scan
+pairs a correlator setup with its reference arm, so the aperture sweep
+reruns the scan on one setup, and one inner integral, for a list of
+hard-aperture sizes and summarizes peak SNR, peak positions, two-slit
+contrast and the amplitude of the normalized averaged noise.
 """
 
 from __future__ import annotations
@@ -60,9 +61,11 @@ _PEAK_SEPARATION = 3
 
 @dataclass(frozen=True)
 class ScanConfig:
-    """A reference scan: built correlator setup plus scan geometry."""
+    """A reference scan: built correlator setup, reference arm and scan
+    geometry."""
 
     setup: CorrelatorSetup
+    h_r: ImpulseResponse
     x_t: float = 0.0
     xr_min: float = -2.0
     xr_max: float = 2.0
@@ -87,22 +90,22 @@ class ScanConfig:
 
 @dataclass(frozen=True)
 class CorrelationResult:
-    """A reference scan as arrays over its x_r points, plus the values that
-    normalize its columns."""
+    """A reference scan as arrays over its x_r points, plus the pair count
+    that averages its noise."""
 
     x_r: np.ndarray
     g2: np.ndarray
     noise: np.ndarray
     snr: np.ndarray
-    flags: tuple
-    g2_max: float
     n_pairs: int
 
     def columns(self) -> dict:
-        """All emitted columns keyed by the CSV header names."""
+        """All emitted columns keyed by the CSV header names; G2 is
+        normalized by its maximum (1 for an all-zero scan), and a point
+        where G2 = 0 is flagged ``zero_g2``."""
         g2 = self.g2
         dg2 = self.noise
-        gmax = self.g2_max if self.g2_max > 0.0 else 1.0
+        gmax = float(g2.max()) or 1.0
         rootn = sqrt(self.n_pairs)
         return {
             "x_r_mm": self.x_r,
@@ -113,7 +116,7 @@ class CorrelationResult:
             "dg2_avg_norm": dg2 / (rootn * gmax),
             "snr": self.snr,
             "snr_avg": self.snr * rootn,
-            "flags": np.array(self.flags, dtype=object),
+            "flags": np.where(g2 == 0.0, "zero_g2", "").astype(object),
         }
 
 
@@ -131,12 +134,11 @@ class SweepSummary:
 def build_setup(
     state: TwoPhotonState,
     h_t: ImpulseResponse,
-    h_r: ImpulseResponse,
     n_x: int = DEFAULT_N_X,
     n_xp: int = DEFAULT_N_XP,
     window_mm: float = DEFAULT_WINDOW_MM,
 ) -> CorrelatorSetup:
-    """Assemble a correlator setup for a norm-certified state.
+    """Assemble a correlator setup for a norm-certified state and test arm.
 
     The quadrature window is widened to cover the state's certification
     grids when necessary; ``CorrelatorSetup`` refuses an uncertified state.
@@ -145,7 +147,7 @@ def build_setup(
         window_mm = max(window_mm, cert.half_width)
     gx = make_grid(0.0, window_mm, n_x)
     gxp = make_grid(0.0, window_mm, n_xp)
-    return CorrelatorSetup(state=state, h_t=h_t, h_r=h_r, gx=gx, gxp=gxp)
+    return CorrelatorSetup(state=state, h_t=h_t, gx=gx, gxp=gxp)
 
 
 def _gated_energy(h: ImpulseResponse, x_out: float, g: Grid1D, arm: str, n_key: str) -> float:
@@ -175,42 +177,36 @@ def scan_reference(config: ScanConfig) -> CorrelationResult:
     that does not resolve the reference arm gives another value.  Scan
     points share the memoized inner integral.
     """
-    setup = config.setup
+    setup, h_r = config.setup, config.h_r
     xr = np.linspace(config.xr_min, config.xr_max, config.n_xr)
     x_mid = float(xr[config.n_xr // 2])
 
     i_t = _gated_energy(setup.h_t, config.x_t, setup.gx, "test-arm", "n_x")
-    i_r = _gated_energy(setup.h_r, x_mid, setup.gxp, "reference-arm", "n_xp")
+    i_r = _gated_energy(h_r, x_mid, setup.gxp, "reference-arm", "n_xp")
     for x_probe in (config.xr_min, config.xr_max, x_mid + 0.5 * setup.gxp.step):
-        _gated_energy(setup.h_r, x_probe, setup.gxp, "reference-arm", "n_xp")
+        _gated_energy(h_r, x_probe, setup.gxp, "reference-arm", "n_xp")
 
-    a = np.array([amplitude(setup, config.x_t, x_r) for x_r in map(float, xr)])
+    a = np.array([amplitude(setup, h_r, config.x_t, x_r) for x_r in map(float, xr)])
     g2, _, dg2, snr = _statistics(config.x_t, xr, a, i_t, i_r)
-    return CorrelationResult(
-        x_r=xr,
-        g2=g2,
-        noise=dg2,
-        snr=snr,
-        flags=tuple("zero_g2" if g == 0.0 else "" for g in g2),
-        g2_max=float(g2.max()),
-        n_pairs=config.n_pairs,
-    )
+    return CorrelationResult(x_r=xr, g2=g2, noise=dg2, snr=snr, n_pairs=config.n_pairs)
 
 
 def find_peaks(x: np.ndarray, y: np.ndarray) -> list[int]:
     """Indices of local maxima above _PEAK_FLOOR of the global maximum,
-    separated by at least _PEAK_SEPARATION grid points.
+    separated by at least _PEAK_SEPARATION grid points, largest first.
 
-    Ties and conflicts are resolved toward larger value, then smaller |x|.
+    An end node is a maximum against its one neighbour.  Ties and conflicts
+    are resolved toward larger value, then smaller |x|.
     """
     y = np.asarray(y, dtype=float)
-    if y.size < 3 or y.max() <= 0.0:
+    if y.size == 0 or y.max() <= 0.0:
         return []
     floor = _PEAK_FLOOR * y.max()
+    last = y.size - 1
     candidates = [
         i
-        for i in range(1, y.size - 1)
-        if y[i] >= y[i - 1] and y[i] > y[i + 1] and y[i] >= floor
+        for i in range(y.size)
+        if (i == 0 or y[i] >= y[i - 1]) and (i == last or y[i] > y[i + 1]) and y[i] >= floor
     ]
     # greedy non-maximum suppression
     candidates.sort(key=lambda i: (-y[i], abs(x[i])))
@@ -218,7 +214,6 @@ def find_peaks(x: np.ndarray, y: np.ndarray) -> list[int]:
     for i in candidates:
         if all(abs(i - j) >= _PEAK_SEPARATION for j in kept):
             kept.append(i)
-    kept.sort()
     return kept
 
 
@@ -231,10 +226,9 @@ def contrast_metric(result: CorrelationResult) -> float:
     """
     x = result.x_r
     g2 = result.g2
-    peaks = find_peaks(x, g2)
-    if len(peaks) < 2:
+    top = find_peaks(x, g2)[:2]
+    if len(top) < 2:
         return 0.0
-    top = sorted(peaks, key=lambda i: (-g2[i], abs(x[i])))[:2]
     mid = 0.5 * (x[top[0]] + x[top[1]])
     valley = g2[int(np.argmin(np.abs(x - mid)))]
     peak = 0.5 * (g2[top[0]] + g2[top[1]])
@@ -245,9 +239,9 @@ def aperture_sweep(base: ScanConfig, apertures, lam: float, f: float) -> list[Sw
     """Rerun the reference scan for each aperture size D and summarize.
 
     Each scan's reference arm is ``two_f_arm(lam, f, rect_pupil(D))`` in
-    place of the base setup's.  Every aperture's setup shares the base
-    setup's inner integral u(x'), which does not depend on the reference
-    arm.
+    place of the base scan's.  Every aperture runs on the base setup, so
+    all share its inner integral u(x'), which does not depend on the
+    reference arm.
     """
     apertures = list(apertures)
     if not apertures:
@@ -257,20 +251,16 @@ def aperture_sweep(base: ScanConfig, apertures, lam: float, f: float) -> list[Sw
             raise InvalidArgumentError(f"aperture sizes must be > 0, got {D}")
     summaries = []
     for D in apertures:
-        h_r = two_f_arm(lam, f, rect_pupil(float(D)))
-        config = replace(base, setup=base.setup.with_reference_arm(h_r))
-        result = scan_reference(config)
+        result = scan_reference(replace(base, h_r=two_f_arm(lam, f, rect_pupil(float(D)))))
         summaries.append(summarize(result, float(D)))
     return summaries
 
 
 def summarize(result: CorrelationResult, aperture_mm: float) -> SweepSummary:
     cols = result.columns()
-    g2 = result.g2
-    peaks = find_peaks(result.x_r, g2)
-    top = sorted(peaks, key=lambda i: (-g2[i], abs(result.x_r[i])))[:2]
+    top = find_peaks(result.x_r, result.g2)[:2]
     peak_positions = tuple(sorted(float(result.x_r[i]) for i in top))
-    peak_snr = float(cols["snr_avg"][int(np.argmax(g2))])
+    peak_snr = float(cols["snr_avg"][top[0]]) if top else 0.0
     return SweepSummary(
         aperture_mm=aperture_mm,
         peak_snr=peak_snr,

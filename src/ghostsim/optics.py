@@ -69,16 +69,17 @@ class Transmission:
     # cell-mean of t over [x - h/2, x + h/2]; None means sample pointwise
     cell_mean: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
 
-    def sample(self, x: np.ndarray, cell: float = 0.0) -> np.ndarray:
-        """Samples of t for quadrature; cell-averaged for sharp-edged kinds."""
-        if self.cell_mean is not None and cell > 0.0:
+    def sample(self, x: np.ndarray, cell: float) -> np.ndarray:
+        """Samples of t for quadrature on cells of width ``cell`` (the grid
+        step); cell-averaged for sharp-edged kinds."""
+        if self.cell_mean is not None:
             return self.cell_mean(x, cell)
         return np.asarray(self.evaluate(x), dtype=float)
 
-    def sample_sq(self, x: np.ndarray, cell: float = 0.0) -> np.ndarray:
+    def sample_sq(self, x: np.ndarray, cell: float) -> np.ndarray:
         """Samples of t^2; for indicator transmissions the cell mean of t^2
         equals the cell mean of t."""
-        if self.cell_mean is not None and cell > 0.0:
+        if self.cell_mean is not None:
             return self.cell_mean(x, cell)
         return np.asarray(self.evaluate(x), dtype=float) ** 2
 

@@ -116,14 +116,13 @@ def _check_all_gaussian_amplitude(corrupt: float) -> CheckResult:
     setup = CorrelatorSetup(
         state=state,
         h_t=h_t,
-        h_r=h_r,
         gx=make_grid(0.0, 8.0, 8193),
         gxp=make_grid(0.0, 8.0, 16385),
     )
     c_norm = analytic.gaussian_norm_constant(a, b)
     worst = 0.0
     for v in np.linspace(-1.0, 1.0, 21):
-        num = amplitude(setup, 0.0, float(v))
+        num = amplitude(setup, h_r, 0.0, float(v))
         ref = analytic.all_gaussian_amplitude(
             a, b, c_norm, w_obj, sigma, LAMBDA_MM, F_MM, 0.0, float(v)
         )
@@ -173,9 +172,9 @@ def _check_cauchy_schwarz(corrupt: float, n_setups: int = 20) -> CheckResult:
             state = _corrupt(gaussian_wavefunction(a, b), corrupt)
             x_t = float(rng.uniform(-0.2, 0.2))
             x_r = float(rng.uniform(-1.0, 1.0))
-        setup = CorrelatorSetup(state=state, h_t=h_t, h_r=h_r, gx=gx, gxp=gxp)
+        setup = CorrelatorSetup(state=state, h_t=h_t, gx=gx, gxp=gxp)
         try:
-            a = amplitude(setup, x_t, x_r)
+            a = amplitude(setup, h_r, x_t, x_r)
             i_t, i_r = arm_energy(h_t, x_t, gx), arm_energy(h_r, x_r, gxp)
             g2, m2 = (float(c[0]) for c in _statistics(x_t, x_r, a, i_t, i_r)[:2])
             radicand = m2 - g2**2

@@ -7,7 +7,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -49,16 +48,16 @@ def small_config(tmp_path, **overrides):
 
 def test_fig2_preset_resolves():
     cfg = load_config(preset_path("fig2"))
-    assert cfg.source == {"a_mm": 2.0, "b_mm": 0.05}
-    assert cfg.test_arm["object"] == {"double_slit": {"w_mm": 0.05, "d_mm": 1.0}}
-    assert cfg.reference_arm["pupil"] == {"rect": {"D_mm": 10.0}}
-    assert cfg.scan["n_points"] == 201
-    assert cfg.pairs["N"] == 10000
+    assert cfg["source"] == {"a_mm": 2.0, "b_mm": 0.05}
+    assert cfg["test_arm"]["object"] == {"double_slit": {"w_mm": 0.05, "d_mm": 1.0}}
+    assert cfg["reference_arm"]["pupil"] == {"rect": {"D_mm": 10.0}}
+    assert cfg["scan"]["n_points"] == 201
+    assert cfg["pairs"]["N"] == 10000
 
 
 def test_fig3_preset_differs_only_in_aperture():
-    fig2 = asdict(load_config(preset_path("fig2")))
-    fig3 = asdict(load_config(preset_path("fig3")))
+    fig2 = load_config(preset_path("fig2"))
+    fig3 = load_config(preset_path("fig3"))
     assert fig3["reference_arm"]["pupil"]["rect"]["D_mm"] == 2.0
     fig3["reference_arm"]["pupil"]["rect"]["D_mm"] = 10.0
     fig3["output"] = fig2["output"]
@@ -67,8 +66,8 @@ def test_fig3_preset_differs_only_in_aperture():
 
 def test_resolved_config_round_trips():
     cfg = resolve_config(BASE)
-    again = resolve_config(asdict(cfg))
-    assert asdict(again) == asdict(cfg)
+    again = resolve_config(cfg)
+    assert again == cfg
 
 
 def test_missing_field_is_named():
@@ -199,10 +198,9 @@ def test_output_path_must_be_a_non_empty_string(tmp_path, value):
 
 _RESOLVED_AND_MISSING = """
 import json
-from dataclasses import asdict
 from ghostsim.cli import preset_path
 from ghostsim.config import load_config, resolve_config
-data = asdict(load_config(preset_path("fig2")))
+data = load_config(preset_path("fig2"))
 print(json.dumps(data))
 data["test_arm"]["object"] = {"double_slit": {}}
 try:
@@ -435,7 +433,7 @@ def test_scan_exit_code_contract_under_single_field_mutations(tmp_path):
     # every node of the resolved small_config (number, string or object),
     # set in turn to each of _MUTANTS: exit 0 with finite columns, or exit 2
     # or 3 with one line
-    resolved = asdict(load_config(small_config(tmp_path)))
+    resolved = load_config(small_config(tmp_path))
     fields = list(_nodes(resolved))
     kinds = [type(_at(resolved, field)).__name__ for field in fields]
     numbers = kinds.count("float") + kinds.count("int")
@@ -469,7 +467,7 @@ def test_scan_exit_code_contract_under_single_field_mutations(tmp_path):
 def _mutated_scans(tmp_path, mutations) -> list:
     """(output path, [exit code, stderr]) of a scan of small_config with
     each (dotted path, value) mutation, all in one fresh process."""
-    resolved = asdict(load_config(small_config(tmp_path)))
+    resolved = load_config(small_config(tmp_path))
     jobs = []
     for k, (name, value) in enumerate(mutations):
         data = json.loads(json.dumps(resolved))

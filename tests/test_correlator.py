@@ -44,30 +44,25 @@ F = 100.0
 
 
 def small_gaussian_setup(w_obj=0.5, sigma=2.0, a=2.0, b=0.2, n_x=4097, n_xp=8193):
+    """(setup, h_r): an all-Gaussian setup and its reference arm."""
     state = gaussian_wavefunction(a, b)
     h_t = fourier_arm(LAM, F, gaussian_transmission(w_obj))
     h_r = two_f_arm(LAM, F, gaussian_pupil(sigma))
-    return CorrelatorSetup(
+    setup = CorrelatorSetup(
         state=state,
         h_t=h_t,
-        h_r=h_r,
         gx=make_grid(0.0, 8.0, n_x),
         gxp=make_grid(0.0, 8.0, n_xp),
     )
+    return setup, h_r
 
 
 def test_opaque_object_gives_zero_signal():
-    setup = small_gaussian_setup(n_x=257, n_xp=257)
+    setup, h_r = small_gaussian_setup(n_x=257, n_xp=257)
     dark = Transmission(evaluate=lambda x: np.zeros_like(np.asarray(x, dtype=float)), energy=0.0)
-    setup = CorrelatorSetup(
-        state=setup.state,
-        h_t=fourier_arm(LAM, F, dark),
-        h_r=setup.h_r,
-        gx=setup.gx,
-        gxp=setup.gxp,
-    )
-    assert amplitude(setup, 0.0, 0.3) == 0.0
-    stats = statistics_at(setup, 0.0, 0.3)
+    setup = replace(setup, h_t=fourier_arm(LAM, F, dark))
+    assert amplitude(setup, h_r, 0.0, 0.3) == 0.0
+    stats = statistics_at(setup, h_r, 0.0, 0.3)
     assert stats.g2 == 0.0
     assert stats.snr == 0.0
 
@@ -82,21 +77,21 @@ def test_separable_state_amplitude_factorizes():
     )
     h_t = fourier_arm(LAM, F, gaussian_transmission(1.0))
     h_r = two_f_arm(LAM, F, gaussian_pupil(1.0))
-    setup = CorrelatorSetup(state=state, h_t=h_t, h_r=h_r, gx=g, gxp=g)
+    setup = CorrelatorSetup(state=state, h_t=h_t, gx=g, gxp=g)
     x_t, x_r = 0.05, -0.2
     w = g.trapezoid_weights()
     x = g.samples()
     left = complex(np.dot(w, np.exp(-(x**2)) * h_t.sample_in(x_t, g)))
     right = complex(np.dot(w, np.exp(-(x**2) / 2.0) * h_r.sample_in(x_r, g)))
-    assert amplitude(setup, x_t, x_r) == pytest.approx(left * right, rel=1e-12)
+    assert amplitude(setup, h_r, x_t, x_r) == pytest.approx(left * right, rel=1e-12)
 
 
 def test_amplitude_matches_all_gaussian_closed_form():
     a, b, w_obj, sigma = 2.0, 0.2, 0.5, 2.0
-    setup = small_gaussian_setup(w_obj=w_obj, sigma=sigma, a=a, b=b)
+    setup, h_r = small_gaussian_setup(w_obj=w_obj, sigma=sigma, a=a, b=b)
     c = gaussian_norm_constant(a, b)
     for x_r in np.linspace(-1.0, 1.0, 21):
-        num = amplitude(setup, 0.0, float(x_r))
+        num = amplitude(setup, h_r, 0.0, float(x_r))
         ref = all_gaussian_amplitude(a, b, c, w_obj, sigma, LAM, F, 0.0, float(x_r))
         assert num == pytest.approx(ref, rel=1e-6)
 
@@ -106,32 +101,32 @@ def test_scan_parity_for_symmetric_setup():
     setup = CorrelatorSetup(
         state=state,
         h_t=fourier_arm(LAM, F, double_slit(0.05, 1.0)),
-        h_r=two_f_arm(LAM, F, rect_pupil(10.0)),
         gx=make_grid(0.0, 8.0, 8193),
         gxp=make_grid(0.0, 8.0, 8193),
     )
+    h_r = two_f_arm(LAM, F, rect_pupil(10.0))
     for x_r in (0.2, 0.5, 1.1):
-        plus = abs(amplitude(setup, 0.0, x_r)) ** 2
-        minus = abs(amplitude(setup, 0.0, -x_r)) ** 2
+        plus = abs(amplitude(setup, h_r, 0.0, x_r)) ** 2
+        minus = abs(amplitude(setup, h_r, 0.0, -x_r)) ** 2
         assert plus == pytest.approx(minus, rel=1e-8)
 
 
 def test_separable_and_direct_methods_agree():
     # reference: the dense double sum of w_i h_t(x_t, x_i) phi(x_i, x'_j)
     # w'_j h_r(x_r, x'_j) over every node pair, with no band and no window
-    setup = small_gaussian_setup(n_x=513, n_xp=1025)
+    setup, h_r = small_gaussian_setup(n_x=513, n_xp=1025)
     x, xp = setup.gx.samples(), setup.gxp.samples()
     phi = setup.state.evaluate(x[:, np.newaxis], xp[np.newaxis, :])
     left = setup.gx.trapezoid_weights() * setup.h_t.sample_in(0.1, setup.gx)
     for x_r in (-0.4, 0.0, 0.7):
-        right = setup.gxp.trapezoid_weights() * setup.h_r.sample_in(x_r, setup.gxp)
+        right = setup.gxp.trapezoid_weights() * h_r.sample_in(x_r, setup.gxp)
         direct = complex((left[:, np.newaxis] * phi * right[np.newaxis, :]).sum())
-        assert amplitude(setup, 0.1, x_r) == pytest.approx(direct, rel=1e-10)
+        assert amplitude(setup, h_r, 0.1, x_r) == pytest.approx(direct, rel=1e-10)
 
 
 def test_second_moment_factorization():
-    setup = small_gaussian_setup(n_x=1025, n_xp=2049)
-    stats = statistics_at(setup, 0.0, 0.2)
+    setup, h_r = small_gaussian_setup(n_x=1025, n_xp=2049)
+    stats = statistics_at(setup, h_r, 0.0, 0.2)
     assert stats.second_moment == pytest.approx(stats.g2 * stats.i_t * stats.i_r, rel=1e-14)
     assert stats.noise == pytest.approx(
         sqrt(stats.second_moment - stats.g2**2), rel=1e-12
@@ -140,8 +135,8 @@ def test_second_moment_factorization():
 
 
 def test_snr_invariant_under_arm_rescaling():
-    setup = small_gaussian_setup(n_x=1025, n_xp=2049)
-    base = statistics_at(setup, 0.0, 0.3).snr
+    setup, h_r = small_gaussian_setup(n_x=1025, n_xp=2049)
+    base = statistics_at(setup, h_r, 0.0, 0.3).snr
     rng = np.random.default_rng(13)
     for _ in range(20):
         c_t = rng.uniform(0.1, 10.0) * np.exp(2j * np.pi * rng.uniform())
@@ -149,11 +144,11 @@ def test_snr_invariant_under_arm_rescaling():
         scaled = CorrelatorSetup(
             state=setup.state,
             h_t=scaled_arm(setup.h_t, c_t),
-            h_r=scaled_arm(setup.h_r, c_r),
             gx=setup.gx,
             gxp=setup.gxp,
         )
-        assert statistics_at(scaled, 0.0, 0.3).snr == pytest.approx(base, rel=1e-10)
+        snr = statistics_at(scaled, scaled_arm(h_r, c_r), 0.0, 0.3).snr
+        assert snr == pytest.approx(base, rel=1e-10)
 
 
 def test_matched_state_saturates_the_bound():
@@ -168,8 +163,8 @@ def test_matched_state_saturates_the_bound():
         g=lambda xp: np.conj(h_r.evaluate(x_r, xp)),
     )
     state = normalize(raw, g, g)
-    setup = CorrelatorSetup(state=state, h_t=h_t, h_r=h_r, gx=g, gxp=g)
-    stats = statistics_at(setup, x_t, x_r)
+    setup = CorrelatorSetup(state=state, h_t=h_t, gx=g, gxp=g)
+    stats = statistics_at(setup, h_r, x_t, x_r)
     assert stats.noise <= 1e-5 * stats.g2
     radicand = stats.second_moment - stats.g2**2
     assert abs(radicand) <= 1e-10 * (stats.second_moment + stats.g2**2)
@@ -178,7 +173,7 @@ def test_matched_state_saturates_the_bound():
 def test_random_setups_respect_variance_bound():
     rng = np.random.default_rng(99)
     for _ in range(5):
-        setup = small_gaussian_setup(
+        setup, h_r = small_gaussian_setup(
             w_obj=rng.uniform(0.2, 1.0),
             sigma=rng.uniform(0.5, 3.0),
             a=rng.uniform(1.0, 2.0),
@@ -186,7 +181,8 @@ def test_random_setups_respect_variance_bound():
             n_x=1025,
             n_xp=2049,
         )
-        stats = statistics_at(setup, float(rng.uniform(-0.2, 0.2)), float(rng.uniform(-1.0, 1.0)))
+        x_t, x_r = float(rng.uniform(-0.2, 0.2)), float(rng.uniform(-1.0, 1.0))
+        stats = statistics_at(setup, h_r, x_t, x_r)
         radicand = stats.second_moment - stats.g2**2
         scale = stats.second_moment + stats.g2**2
         assert radicand >= -1e-12 * scale
@@ -215,12 +211,14 @@ def test_snr_edge_cases():
 def test_scan_statistics_match_point_statistics():
     # the scan's columns come from one array evaluation over every x_r; each
     # must equal _statistics evaluated at its point alone
-    setup = slit_setup(make_grid(0.0, 8.0, 4097))
-    result = scan_reference(ScanConfig(setup=setup, xr_min=-1.0, xr_max=1.0, n_xr=21))
+    setup, h_r = slit_setup(make_grid(0.0, 8.0, 4097))
+    config = ScanConfig(setup=setup, h_r=h_r, xr_min=-1.0, xr_max=1.0, n_xr=21)
+    result = scan_reference(config)
     i_t = arm_energy(setup.h_t, 0.0, setup.gx)
-    i_r = arm_energy(setup.h_r, 0.0, setup.gxp)
+    i_r = arm_energy(h_r, 0.0, setup.gxp)
     points = [
-        _statistics(0.0, x, amplitude(setup, 0.0, x), i_t, i_r) for x in map(float, result.x_r)
+        _statistics(0.0, x, amplitude(setup, h_r, 0.0, x), i_t, i_r)
+        for x in map(float, result.x_r)
     ]
     g2, _, noise, snr = (np.concatenate(c) for c in zip(*points))
     np.testing.assert_array_equal(result.g2, g2)
@@ -245,7 +243,6 @@ def test_setup_requires_certified_state():
         CorrelatorSetup(
             state=raw,
             h_t=fourier_arm(LAM, F, gaussian_transmission(0.5)),
-            h_r=two_f_arm(LAM, F, gaussian_pupil(1.0)),
             gx=g,
             gxp=g,
         )
@@ -258,7 +255,6 @@ def test_setup_grids_must_cover_certification_domain():
         CorrelatorSetup(
             state=state,
             h_t=fourier_arm(LAM, F, gaussian_transmission(0.5)),
-            h_r=two_f_arm(LAM, F, gaussian_pupil(1.0)),
             gx=small,
             gxp=small,
         )
@@ -274,10 +270,9 @@ def test_corrupted_certified_state_scales_the_inner_integral():
     assert corrupt.certification == clean.certification == (cert, cert)
     assert corrupt.c_norm == 2.0 * clean.c_norm
     h_t = fourier_arm(LAM, F, double_slit(0.05, 1.0))
-    h_r = two_f_arm(LAM, F, rect_pupil(10.0))
     g, gp = make_grid(0.0, 8.0, 8193), make_grid(0.0, 8.0, 2049)
-    u_clean = CorrelatorSetup(state=clean, h_t=h_t, h_r=h_r, gx=g, gxp=gp).inner_integral(0.0)
-    u_corrupt = CorrelatorSetup(state=corrupt, h_t=h_t, h_r=h_r, gx=g, gxp=gp).inner_integral(0.0)
+    u_clean = CorrelatorSetup(state=clean, h_t=h_t, gx=g, gxp=gp).inner_integral(0.0)
+    u_corrupt = CorrelatorSetup(state=corrupt, h_t=h_t, gx=g, gxp=gp).inner_integral(0.0)
     assert np.abs(u_clean).max() > 0.0
     np.testing.assert_allclose(u_corrupt, 2.0 * u_clean, rtol=1e-15, atol=0.0)
 
@@ -290,13 +285,15 @@ def test_validation_suite_fails_under_corrupted_normalization():
 
 
 def slit_setup(gxp):
-    return CorrelatorSetup(
+    """(setup, h_r): the fig2 double slit on x' grid gxp, and a 10 mm rect
+    pupil."""
+    setup = CorrelatorSetup(
         state=gaussian_wavefunction(2.0, 0.05),
         h_t=fourier_arm(LAM, F, double_slit(0.05, 1.0)),
-        h_r=two_f_arm(LAM, F, rect_pupil(10.0)),
         gx=make_grid(0.0, 8.0, 8193),
         gxp=gxp,
     )
+    return setup, two_f_arm(LAM, F, rect_pupil(10.0))
 
 
 def tabulated_object_setup():
@@ -306,13 +303,13 @@ def tabulated_object_setup():
     gp = make_grid(0.0, 5.0, 201)
     xp = gp.samples()
     pupil = tabulated_pupil(gp, np.exp(-(xp**2) / 4.0 + 0.3j * xp**2))
-    return CorrelatorSetup(
+    setup = CorrelatorSetup(
         state=gaussian_wavefunction(2.0, 0.05),
         h_t=fourier_arm(LAM, F, tabulated_transmission(g, bump)),
-        h_r=two_f_arm(LAM, F, pupil),
         gx=make_grid(0.0, 8.0, 8193),
         gxp=make_grid(0.0, 8.0, 4097),
     )
+    return setup, two_f_arm(LAM, F, pupil)
 
 
 def _nonzero_run(u):
@@ -320,12 +317,12 @@ def _nonzero_run(u):
     return int(nz[0]), int(nz[-1]) + 1
 
 
-def _assert_window_matches_full_grid(setup, x_t, xr):
+def _assert_window_matches_full_grid(setup, h_r, x_t, xr):
     """Amplitudes over the reference window against the sum over every gxp
     node, to 1e-13 of their maximum."""
     wu = setup.gxp.trapezoid_weights() * setup.inner_integral(x_t)
-    full = np.array([np.dot(wu, setup.h_r.sample_in(x, setup.gxp)) for x in xr])
-    got = np.array([amplitude(setup, x_t, float(x)) for x in xr])
+    full = np.array([np.dot(wu, h_r.sample_in(x, setup.gxp)) for x in xr])
+    got = np.array([amplitude(setup, h_r, x_t, float(x)) for x in xr])
     assert np.abs(full).max() > 0.0
     assert np.abs(got - full).max() <= 1e-13 * np.abs(full).max()
 
@@ -333,7 +330,7 @@ def _assert_window_matches_full_grid(setup, x_t, xr):
 # the default x' grid (dyadic step), and an off-centre grid whose step is not
 @pytest.mark.parametrize("gxp", [make_grid(0.0, 8.0, 16385), make_grid(0.13, 8.2, 3001)])
 def test_reference_window_is_the_nonzero_run_of_u(gxp):
-    setup = slit_setup(gxp)
+    setup, _ = slit_setup(gxp)
     u = setup.inner_integral(0.0)
     j0, j1 = _nonzero_run(u)
     # the slits' ridge band, |x'| <= 0.85 mm, not the whole 16 mm window
@@ -362,34 +359,28 @@ def test_fig2_reference_window_holds_the_slits_ridge_band():
 @pytest.mark.parametrize("case", ["slit", "tabulated_object", "dense_gaussian"])
 def test_windowed_amplitude_matches_full_grid(case):
     if case == "slit":
-        setup = slit_setup(make_grid(0.0, 8.0, 4097))
+        setup, h_r = slit_setup(make_grid(0.0, 8.0, 4097))
     elif case == "tabulated_object":
-        setup = tabulated_object_setup()
+        setup, h_r = tabulated_object_setup()
     else:
-        setup = small_gaussian_setup(n_x=1025, n_xp=2049)
+        setup, h_r = small_gaussian_setup(n_x=1025, n_xp=2049)
     window, _ = setup.reference_window(0.0)
     assert (window == setup.gxp) == (case == "dense_gaussian")
-    _assert_window_matches_full_grid(setup, 0.0, np.linspace(-2.0, 2.0, 41))
+    _assert_window_matches_full_grid(setup, h_r, 0.0, np.linspace(-2.0, 2.0, 41))
 
 
 def test_all_zero_inner_integral_scans_without_sampling():
-    setup = small_gaussian_setup(n_x=257)
+    setup, h_r = small_gaussian_setup(n_x=257)
     dark = Transmission(evaluate=lambda x: np.zeros_like(np.asarray(x, dtype=float)), energy=0.0)
 
     def never(x_r, grid):
         raise AssertionError("reference arm sampled for an all-zero u")
 
-    setup = CorrelatorSetup(
-        state=setup.state,
-        h_t=fourier_arm(LAM, F, dark),
-        h_r=replace(setup.h_r, _sample_in=never),
-        gx=setup.gx,
-        gxp=setup.gxp,
-    )
+    setup = replace(setup, h_t=fourier_arm(LAM, F, dark))
     window, v = setup.reference_window(0.0)
     assert window is None and v.size == 0
-    result = scan_reference(ScanConfig(setup=setup, n_xr=11))
-    assert result.flags == ("zero_g2",) * 11
+    result = scan_reference(ScanConfig(setup=setup, h_r=replace(h_r, _sample_in=never), n_xr=11))
+    assert list(result.columns()["flags"]) == ["zero_g2"] * 11
     assert np.all(result.g2 == 0.0) and np.all(result.snr == 0.0)
 
 
@@ -407,10 +398,10 @@ def test_single_nonzero_inner_integral_widens_the_window(node):
     h_t = fourier_arm(LAM, F, gaussian_transmission(1.0))
     # a narrow pupil: P stays far from underflow across the whole window
     h_r = two_f_arm(LAM, F, gaussian_pupil(0.02))
-    setup = CorrelatorSetup(state=state, h_t=h_t, h_r=h_r, gx=g, gxp=g)
+    setup = CorrelatorSetup(state=state, h_t=h_t, gx=g, gxp=g)
     assert _nonzero_run(setup.inner_integral(0.0)) == (node, node + 1)
     window, v = setup.reference_window(0.0)
     j0 = node if node + 1 < g.n_points else node - 1
     np.testing.assert_array_equal(window.samples(), g.samples()[j0 : j0 + 2])
     assert np.count_nonzero(v) == 1 and v[node - j0] != 0.0
-    _assert_window_matches_full_grid(setup, 0.0, np.linspace(-1.0, 1.0, 5))
+    _assert_window_matches_full_grid(setup, h_r, 0.0, np.linspace(-1.0, 1.0, 5))

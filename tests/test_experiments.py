@@ -29,7 +29,7 @@ from ghostsim import (
     two_f_arm,
 )
 from ghostsim import analytic
-from ghostsim.cli import main
+from ghostsim.cli import main, preset_path
 from ghostsim.config import build_scan_config, resolve_config
 from ghostsim.experiments import find_peaks, summarize
 from ghostsim.grid import make_grid
@@ -43,9 +43,8 @@ F = 100.0
 def slit_scan_config(D=10.0, n_x=16385, n_xp=4097, n_xr=81, n_pairs=10000):
     state = gaussian_wavefunction(2.0, 0.05)
     h_t = fourier_arm(LAM, F, double_slit(0.05, 1.0))
-    h_r = two_f_arm(LAM, F, rect_pupil(D))
-    setup = build_setup(state, h_t, h_r, n_x=n_x, n_xp=n_xp)
-    return ScanConfig(setup=setup, n_xr=n_xr, n_pairs=n_pairs)
+    setup = build_setup(state, h_t, n_x=n_x, n_xp=n_xp)
+    return ScanConfig(setup=setup, h_r=two_f_arm(LAM, F, rect_pupil(D)), n_xr=n_xr, n_pairs=n_pairs)
 
 
 def fake_result(x, g2, n_pairs=100):
@@ -56,8 +55,6 @@ def fake_result(x, g2, n_pairs=100):
         g2=g2,
         noise=np.zeros_like(g2),
         snr=np.zeros_like(g2),
-        flags=("",) * x.size,
-        g2_max=float(g2.max()),
         n_pairs=n_pairs,
     )
 
@@ -78,11 +75,10 @@ def test_build_setup_rejects_uncertified_table():
 
     tab = TwoPhotonState(f=box, g=box)
     h_t = fourier_arm(LAM, F, double_slit(0.05, 1.0))
-    h_r = two_f_arm(LAM, F, rect_pupil(10.0))
     # only the Gaussian source is certified by its constructor
     for state in (tab, replace(tab, ridge_width=1.0)):
         with pytest.raises(InvalidArgumentError, match="norm-certified"):
-            build_setup(state, h_t, h_r, n_x=257, n_xp=257)
+            build_setup(state, h_t, n_x=257, n_xp=257)
 
 
 RUN = {
@@ -150,7 +146,7 @@ def test_scan_config_validation(tmp_path, capsys):
             assert _run_scan(tmp_path, capsys, data) == 2
         data = json.loads(json.dumps(RUN))
         data.setdefault(section, {})[key] = 4097.0
-        assert asdict(resolve_config(data))[section][key] == 4097
+        assert resolve_config(data)[section][key] == 4097
 
     # tabulated inputs: a NaN entry or a non-uniform x exits 2 without a CSV
     x = np.linspace(-1.0, 1.0, 201)
@@ -207,11 +203,11 @@ def test_all_gaussian_scan_matches_the_closed_form_second_moment():
     setup = build_setup(
         gaussian_wavefunction(a, b),
         fourier_arm(LAM, F, gaussian_transmission(w)),
-        two_f_arm(LAM, F, gaussian_pupil(sigma)),
         n_x=8193,
         n_xp=16385,
     )
-    result = scan_reference(ScanConfig(setup=setup, xr_min=-1.0, xr_max=1.0, n_xr=21))
+    h_r = two_f_arm(LAM, F, gaussian_pupil(sigma))
+    result = scan_reference(ScanConfig(setup=setup, h_r=h_r, xr_min=-1.0, xr_max=1.0, n_xr=21))
 
     c_norm = analytic.gaussian_norm_constant(a, b)
     amp = analytic.all_gaussian_amplitude(a, b, c_norm, w, sigma, LAM, F, 0.0, result.x_r)
@@ -238,7 +234,7 @@ def test_scan_columns_and_normalization():
     result = scan_reference(config)
     cols = result.columns()
     assert cols["g2_norm"].max() == 1.0
-    np.testing.assert_allclose(cols["dg2_norm"], cols["dg2"] / result.g2_max, rtol=1e-14)
+    np.testing.assert_allclose(cols["dg2_norm"], cols["dg2"] / result.g2.max(), rtol=1e-14)
     np.testing.assert_allclose(cols["dg2_avg_norm"], cols["dg2_norm"] / sqrt(400), rtol=1e-14)
     np.testing.assert_allclose(cols["snr_avg"], cols["snr"] * sqrt(400), rtol=1e-14)
     assert all(flag == "" for flag in cols["flags"])
@@ -265,6 +261,22 @@ def test_find_peaks_toy_cases():
     y[10] = 0.1
     assert find_peaks(x, y) == [5, 15]
     assert find_peaks(x, np.zeros(21)) == []
+    assert find_peaks(x[:0], y[:0]) == []
+
+
+def test_find_peaks_lists_end_nodes_largest_first():
+    # an end node is a maximum against its one neighbour
+    x = np.linspace(-1.0, 1.0, 21)
+    assert find_peaks(x, np.exp(-((x + 1.0) ** 2))) == [0]
+    assert find_peaks(x, np.exp(-((x - 1.0) ** 2))) == [20]
+    y = np.zeros(21)
+    y[0] = 0.5
+    y[10] = 1.0
+    y[20] = 0.7
+    assert find_peaks(x, y) == [10, 20, 0]
+    # a plateau at the end lists its last node; a single point is a maximum
+    assert find_peaks(x[:3], [1.0, 1.0, 1.0]) == [2]
+    assert find_peaks(x[:1], [1.0]) == [0]
 
 
 def test_contrast_metric_toy_cases():
@@ -298,8 +310,9 @@ def test_aperture_sweep_shares_the_inner_integral(monkeypatch):
     apertures = [2.0, 4.0, 6.0, 8.0, 10.0]
     fresh = []
     for D in apertures:
-        setup = replace(config.setup, h_r=two_f_arm(LAM, F, rect_pupil(D)))
-        fresh.append(summarize(scan_reference(replace(config, setup=setup)), D))
+        # a copy of the setup, so each scan reduces u(x') into its own memo
+        alone = replace(config, setup=replace(config.setup), h_r=two_f_arm(LAM, F, rect_pupil(D)))
+        fresh.append(summarize(scan_reference(alone), D))
 
     reduce = TwoPhotonState.reduce
     calls = []
@@ -345,8 +358,9 @@ def test_aperture_sweep_requires_rect_pupil(tmp_path, capsys):
     "scan", [{"xr_min_mm": 0.2, "xr_max_mm": 2.0, "n_points": 91}, {"n_points": 2}]
 )
 def test_sweep_without_two_maxima_reports_zero_contrast(tmp_path, capsys, scan):
-    # a scan that shows one slit, or too few points for any maximum, is a
-    # result with contrast 0, not a numeric error (was exit 3 and no JSON)
+    # a scan that shows one slit, or two points whose one maximum is an end
+    # node, is a result with contrast 0, not a numeric error (was exit 3 and
+    # no JSON)
     data = json.loads(json.dumps(RUN))
     data["scan"].update(scan)
     path = tmp_path / "run.json"
@@ -358,8 +372,31 @@ def test_sweep_without_two_maxima_reports_zero_contrast(tmp_path, capsys, scan):
     assert capsys.readouterr().err == ""
     summaries = json.loads(out.read_text())
     assert [s["contrast"] for s in summaries] == [0.0, 0.0]
-    expected = [0.5] if scan.get("xr_min_mm") == 0.2 else []
+    # with two points G2 at x_r = 1 is at least G2 at x_r = -1 for both
+    # apertures (equal at D = 2 mm), and a tie lists the later node
+    expected = [0.5] if scan.get("xr_min_mm") == 0.2 else [1.0]
     assert all(s["peak_positions_mm"] == expected for s in summaries)
+
+
+def test_sweep_lists_the_maximum_whose_snr_it_reports(tmp_path, capsys):
+    # the fig2 scan starting on the slit image at x_r = 0.5 mm: its maximum
+    # is the first node, which the summary lists and reads the SNR at (the
+    # list was empty while peak_snr was that node's SNR)
+    data = json.loads(Path(preset_path("fig2")).read_text(encoding="utf-8"))
+    data["scan"] = {"xr_min_mm": 0.5, "xr_max_mm": 2.0, "n_points": 76}
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "sweep.json"
+    argv = ["sweep", "--config", str(path), "--param", "reference_arm.pupil.rect.D_mm",
+            "--values", "10", "--output", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    (summary,) = json.loads(out.read_text())
+    assert summary["peak_positions_mm"] == [0.5]
+    assert summary["contrast"] == 0.0
+    result = scan_reference(build_scan_config(resolve_config(data)))
+    assert int(np.argmax(result.g2)) == 0
+    assert summary["peak_snr"] == float(result.columns()["snr_avg"][0]) > 0.0
 
 
 def test_smaller_aperture_blurs_and_quiets():
@@ -374,8 +411,10 @@ def test_summarize_uses_snr_at_the_g2_peak():
     y = np.full(21, 0.1)
     y[5] = 1.0
     y[15] = 0.9
-    s = summarize(fake_result(x, y), 3.0)
+    s = summarize(replace(fake_result(x, y), snr=np.arange(21.0)), 3.0)
     assert s.peak_positions_mm == (pytest.approx(-0.5), pytest.approx(0.5))
+    # snr_avg = snr * sqrt(100) at the larger maximum, node 5
+    assert s.peak_snr == 50.0
     assert s.aperture_mm == 3.0
 
 
