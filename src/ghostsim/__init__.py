@@ -1,7 +1,7 @@
 """Entangled-photon ghost imaging simulator: coincidence rate, quantum noise
 and signal-to-noise ratio for configurable optical arms."""
 
-from .correlator import CorrelatorSetup, amplitude, arm_energy
+from .correlator import CorrelatorSetup, amplitude, arm_energy, coincidence_statistics
 from .errors import (
     ConfigError,
     GhostSimError,

@@ -3,7 +3,9 @@
 For a unit-norm state the coincidence rate is G2 = |A|^2 with amplitude
 A(x_r, x_t) = int int dx dx' phi(x, x') h_t(x_t, x) h_r(x_r, x'), and the
 second moment factorizes as <S^2> = G2 * I_t * I_r with I the arm energies
-int |h|^2; Delta G2 = sqrt(<S^2> - G2^2) and SNR = G2 / Delta G2.
+int |h|^2; Delta G2 = sqrt(<S^2> - G2^2) and SNR = G2 / Delta G2.  One
+function, ``coincidence_statistics``, turns amplitudes and arm energies
+into all four.
 
 A is sum_j w_j u_j h_r(x_r, x'_j) over the reference window, the smallest
 run of x' nodes holding every nonzero of the inner integral
@@ -28,8 +30,7 @@ __all__ = [
     "CorrelatorSetup",
     "amplitude",
     "arm_energy",
-    "noise_from_moments",
-    "snr_from_moments",
+    "coincidence_statistics",
 ]
 
 # radicand more negative than this fraction of its scale signals a broken
@@ -123,46 +124,32 @@ def arm_energy(h: ImpulseResponse, x_out: float, g: Grid1D) -> float:
     return float(np.dot(g.trapezoid_weights(), a2))
 
 
-def noise_from_moments(g2, moment2):
-    """Delta G2 = sqrt(<S^2> - G2^2) with a roundoff clamp, elementwise.
-
-    A radicand below -RADICAND_CLAMP times its scale is a normalization or
-    truncation failure, not noise; the first such entry is reported."""
-    g2 = np.asarray(g2, dtype=float)
-    radicand = moment2 - g2 * g2
-    scale = moment2 + g2 * g2
-    broken = np.flatnonzero(radicand < -RADICAND_CLAMP * scale)
-    if broken.size:
-        k = broken[0]
-        raise NormalizationViolationError(
-            f"variance radicand {np.ravel(radicand)[k]:.6e} below the clamp window "
-            f"(-{RADICAND_CLAMP:.0e} * {np.ravel(scale)[k]:.6e}); the state is not "
-            f"unit-norm or the quadrature window truncates it"
-        )
-    return np.sqrt(np.maximum(radicand, 0.0))
-
-
-def snr_from_moments(g2, dg2):
-    """SNR = G2 / Delta G2, elementwise; 0 where there is no signal, +inf
-    where the fluctuation vanishes with signal present (G2 >= 0)."""
-    g2 = np.asarray(g2, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(g2 == 0.0, 0.0, g2 / dg2)[()]
-
-
-def _statistics(x_t: float, x_r, a, i_t: float, i_r: float) -> tuple:
+def coincidence_statistics(x_t: float, x_r, a, i_t: float, i_r: float) -> tuple:
     """(G2, <S^2>, Delta G2, SNR) as arrays over x_r, from the amplitudes
     at those points and the arm energies.
 
-    A non-finite G2, I_t, I_r, <S^2> or Delta G2 is a numeric error naming
-    the first x_r where one occurs: an overflowing arm or state must not
-    reach the output as inf or NaN.
+    A radicand <S^2> - G2^2 below -RADICAND_CLAMP times its scale is a
+    normalization or truncation failure, not noise, and the first such entry
+    is reported; above it the radicand is clamped to 0.  Then a non-finite
+    G2, I_t, I_r, <S^2> or Delta G2 is a numeric error naming the first x_r
+    where one occurs: an overflowing arm or state must not reach the output
+    as inf or NaN.  The SNR is 0 where there is no signal and +inf where the
+    fluctuation vanishes with signal present.
     """
     x_r, a = np.atleast_1d(x_r, a)
     # hypot rounds as abs(complex) does; np.abs differs in the last bit
     g2 = np.hypot(a.real, a.imag) ** 2
     m2 = g2 * i_t * i_r
-    dg2 = noise_from_moments(g2, m2)
+    radicand, scale = m2 - g2 * g2, m2 + g2 * g2
+    broken = np.flatnonzero(radicand < -RADICAND_CLAMP * scale)
+    if broken.size:
+        k = broken[0]
+        raise NormalizationViolationError(
+            f"variance radicand {radicand[k]:.6e} below the clamp window "
+            f"(-{RADICAND_CLAMP:.0e} * {scale[k]:.6e}); the state is not "
+            f"unit-norm or the quadrature window truncates it"
+        )
+    dg2 = np.sqrt(np.maximum(radicand, 0.0))
     names = ("G2", "I_t", "I_r", "<S^2>", "Delta G2")
     values = np.broadcast_arrays(g2, i_t, i_r, m2, dg2)
     finite = np.isfinite(values)
@@ -172,4 +159,5 @@ def _statistics(x_t: float, x_r, a, i_t: float, i_r: float) -> tuple:
         raise NumericDomainError(
             f"non-finite {names[q]} = {values[q][k]} at (x_t={x_t}, x_r={x_r[k]})"
         )
-    return g2, m2, dg2, snr_from_moments(g2, dg2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return g2, m2, dg2, np.where(g2 == 0.0, 0.0, g2 / dg2)

@@ -17,9 +17,9 @@ from math import sqrt
 
 import numpy as np
 
-from .correlator import CorrelatorSetup, _statistics, amplitude, arm_energy
+from .correlator import CorrelatorSetup, amplitude, arm_energy, coincidence_statistics
 from .errors import InvalidArgumentError, NumericDomainError
-from .grid import Grid1D, make_grid
+from .grid import MAX_NODES, Grid1D, make_grid
 from .optics import ImpulseResponse, rect_pupil, two_f_arm
 from .source import TwoPhotonState
 
@@ -82,9 +82,13 @@ class ScanConfig:
             raise InvalidArgumentError(
                 f"degenerate x_r range [{self.xr_min}, {self.xr_max}]"
             )
-        if self.n_xr < 2:
-            raise InvalidArgumentError(f"scan needs n_xr >= 2, got {self.n_xr}")
-        if int(self.n_pairs) != self.n_pairs or self.n_pairs < 1:
+        # range tests before int(), which raises on NaN and inf
+        if not (2 <= self.n_xr <= MAX_NODES) or int(self.n_xr) != self.n_xr:
+            raise InvalidArgumentError(
+                f"n_xr must be an integer in [2, {MAX_NODES}], got {self.n_xr}"
+            )
+        object.__setattr__(self, "n_xr", int(self.n_xr))  # np.linspace needs an int
+        if not (1 <= self.n_pairs < np.inf) or int(self.n_pairs) != self.n_pairs:
             raise InvalidArgumentError(f"n_pairs must be an integer >= 1, got {self.n_pairs}")
 
 
@@ -187,7 +191,7 @@ def scan_reference(config: ScanConfig) -> CorrelationResult:
         _gated_energy(h_r, x_probe, setup.gxp, "reference-arm", "n_xp")
 
     a = np.array([amplitude(setup, h_r, config.x_t, x_r) for x_r in map(float, xr)])
-    g2, _, dg2, snr = _statistics(config.x_t, xr, a, i_t, i_r)
+    g2, _, dg2, snr = coincidence_statistics(config.x_t, xr, a, i_t, i_r)
     return CorrelationResult(x_r=xr, g2=g2, noise=dg2, snr=snr, n_pairs=config.n_pairs)
 
 
@@ -239,21 +243,15 @@ def aperture_sweep(base: ScanConfig, apertures, lam: float, f: float) -> list[Sw
     """Rerun the reference scan for each aperture size D and summarize.
 
     Each scan's reference arm is ``two_f_arm(lam, f, rect_pupil(D))`` in
-    place of the base scan's.  Every aperture runs on the base setup, so
-    all share its inner integral u(x'), which does not depend on the
-    reference arm.
+    place of the base scan's; every arm is built, and a bad D refused,
+    before the first scan.  Every aperture runs on the base setup, so all
+    share its inner integral u(x'), which does not depend on the reference
+    arm.
     """
-    apertures = list(apertures)
-    if not apertures:
+    arms = [(D, two_f_arm(lam, f, rect_pupil(D))) for D in map(float, apertures)]
+    if not arms:
         raise InvalidArgumentError("aperture sweep needs at least one aperture")
-    for D in apertures:
-        if not (D > 0.0):
-            raise InvalidArgumentError(f"aperture sizes must be > 0, got {D}")
-    summaries = []
-    for D in apertures:
-        result = scan_reference(replace(base, h_r=two_f_arm(lam, f, rect_pupil(float(D)))))
-        summaries.append(summarize(result, float(D)))
-    return summaries
+    return [summarize(scan_reference(replace(base, h_r=h_r)), D) for D, h_r in arms]
 
 
 def summarize(result: CorrelationResult, aperture_mm: float) -> SweepSummary:

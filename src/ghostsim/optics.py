@@ -9,12 +9,13 @@ with P the Fourier transform of p under the exp(-2 pi i u x) kernel:
     h_r(x_r, x') = (1 / (4 lam^2 f^2)) P((x_r + x') / (2 lam f))
                    * exp(i pi (x_r^2 + x'^2) / (2 lam f))
 
-Quadratures sample arms only through their grid samplers: slit-type
-transmissions are averaged over each grid cell, which integrates the slits
-exactly, and the reference arm asks the pupil for P on the uniform grid of
-pupil arguments (:meth:`Pupil.ft_grid`).  Pointwise ``evaluate`` keeps the
-sharp-edged definition.  Transmissions, pupils and arms carry their exact
-energies, which scans check their arm-energy quadratures against.
+Quadratures sample arms only through their grid samplers: the test arm
+reads a transmission's ``cell_mean`` where it has one (slits averaged over
+each grid cell, which integrates them exactly), and the reference arm asks
+the pupil for P on the uniform grid of pupil arguments
+(:meth:`Pupil.ft_grid`).  Pointwise ``evaluate`` keeps the sharp-edged
+definition.  Transmissions, pupils and arms carry their exact energies,
+which scans check their arm-energy quadratures against.
 """
 
 from __future__ import annotations
@@ -62,26 +63,16 @@ def _overlap(lo, hi, a, b):
 
 @dataclass(frozen=True)
 class Transmission:
-    """Real object transmission t(x) in [0, 1] and its energy int t^2 dx."""
+    """Real object transmission t(x) in [0, 1] and its energy int t^2 dx.
+
+    ``cell_mean(x, h)`` is the mean of t over [x - h/2, x + h/2]; the test
+    arm samples t through it on grid cells of width h when it is set (for
+    an indicator it is the cell mean of t^2 too), else through ``evaluate``.
+    """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
     energy: float
-    # cell-mean of t over [x - h/2, x + h/2]; None means sample pointwise
     cell_mean: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
-
-    def sample(self, x: np.ndarray, cell: float) -> np.ndarray:
-        """Samples of t for quadrature on cells of width ``cell`` (the grid
-        step); cell-averaged for sharp-edged kinds."""
-        if self.cell_mean is not None:
-            return self.cell_mean(x, cell)
-        return np.asarray(self.evaluate(x), dtype=float)
-
-    def sample_sq(self, x: np.ndarray, cell: float) -> np.ndarray:
-        """Samples of t^2; for indicator transmissions the cell mean of t^2
-        equals the cell mean of t."""
-        if self.cell_mean is not None:
-            return self.cell_mean(x, cell)
-        return np.asarray(self.evaluate(x), dtype=float) ** 2
 
 
 def double_slit(w: float, d: float) -> Transmission:
@@ -160,8 +151,12 @@ def _load_table(path, what: str, layouts: dict) -> tuple:
         raise InvalidArgumentError(
             f"{what} CSV {path}: missing header row (first line {header!r} is data)"
         )
+    # np.loadtxt warns on a table without data rows (blank or comment lines
+    # only); such a table is left empty, 0 rows of x_mm,value, for the row
+    # check below to refuse
+    has_data = any(r.split("#", 1)[0].strip() for r in rows)
     try:
-        data = np.loadtxt(rows, delimiter=",", ndmin=2)
+        data = np.loadtxt(rows, delimiter=",", ndmin=2) if has_data else np.empty((0, 2))
     except ValueError as exc:
         raise InvalidArgumentError(f"{what} CSV {path} does not parse: {exc}") from exc
     if data.shape[1] not in layouts:
@@ -361,11 +356,12 @@ def fourier_arm(lam: float, f: float, t: Transmission) -> ImpulseResponse:
                 f"resolves |x_t| <= {limit:.4g} mm only"
             )
         x = grid.samples()
-        tv = t.sample(x, cell=grid.step)
+        tv = t.cell_mean(x, grid.step) if t.cell_mean else t.evaluate(x)
         return (-1j / lf) * tv * np.exp(-2j * np.pi * x_t * x / lf)
 
     def sample_abs2_in(x_t, grid):
-        return t.sample_sq(grid.samples(), cell=grid.step) / lf**2
+        x = grid.samples()
+        return (t.cell_mean(x, grid.step) if t.cell_mean else t.evaluate(x) ** 2) / lf**2
 
     return ImpulseResponse(evaluate, t.energy / lf**2, sample_in, sample_abs2_in)
 

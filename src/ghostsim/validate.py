@@ -20,8 +20,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import analytic
-from .correlator import CorrelatorSetup, _statistics, amplitude, arm_energy
+from .correlator import CorrelatorSetup, amplitude, arm_energy, coincidence_statistics
 from .errors import NormalizationViolationError
+from .experiments import build_setup
 from .grid import make_grid
 from .optics import (
     double_slit,
@@ -52,7 +53,7 @@ def _corrupt(state: TwoPhotonState, factor: float) -> TwoPhotonState:
 
 def _check_gaussian_normalization(corrupt: float) -> CheckResult:
     rng = np.random.default_rng(20240501)
-    worst = 0.0
+    errors = []
     for _ in range(10):
         a = rng.uniform(0.5, 5.0)
         b = float(np.exp(rng.uniform(np.log(0.02), np.log(1.0))))
@@ -60,20 +61,21 @@ def _check_gaussian_normalization(corrupt: float) -> CheckResult:
         # the amplitude at the origin is the effective normalization constant
         c_actual = float(np.abs(state.evaluate(0.0, 0.0)))
         c_ref = analytic.gaussian_norm_constant(a, b)
-        worst = max(worst, abs(c_actual - c_ref) / c_ref)
+        errors.append(abs(c_actual - c_ref) / c_ref)
+    worst = np.max(errors)  # NaN-propagating, unlike max(): a NaN error fails
     return CheckResult(
         "gaussian_normalization",
-        worst < 1e-6,
+        bool(worst < 1e-6),
         f"max relative c_norm error {worst:.3e} over 10 random (a, b) (tol 1e-6)",
     )
 
 
-def rect_energy_grid(D: float, lam: float = LAMBDA_MM, f: float = F_MM):
-    """Quadrature grid of 4 nodes per sinc lobe of a hard aperture's pupil
-    transform, covering enough sinc tail for <1e-4 truncation.  |P|^2 is
-    band-limited, so its trapezoid sum is exact at that density; the
-    truncated tail is the whole error."""
-    lobe = 2.0 * lam * f / D
+def rect_energy_grid(D: float):
+    """Quadrature grid of 4 nodes per sinc lobe of the pupil transform of a
+    hard aperture on the suite's 2f arm, covering enough sinc tail for
+    <1e-4 truncation.  |P|^2 is band-limited, so its trapezoid sum is exact
+    at that density; the truncated tail is the whole error."""
+    lobe = 2.0 * LAMBDA_MM * F_MM / D
     half = 2500.0 * lobe
     n = int(np.ceil(2.0 * half / (lobe / 4.0))) + 1
     return make_grid(0.0, half, n)
@@ -86,19 +88,16 @@ def _check_arm_energies(corrupt: float) -> CheckResult:
     slit_ref = analytic.double_slit_arm_energy(w, LAMBDA_MM, F_MM)
     slit_err = abs(arm_energy(h_t, 0.0, make_grid(0.0, 0.7, 4097)) - slit_ref) / slit_ref
 
-    apertures = (2.0, 4.0, 6.0, 8.0, 10.0)
-    worst_rect = 0.0
-    energies = []
-    for D in apertures:
-        h_r = two_f_arm(LAMBDA_MM, F_MM, rect_pupil(D))
-        e = arm_energy(h_r, 0.0, rect_energy_grid(D))
-        energies.append(e)
-        ref = analytic.rect_two_f_arm_energy(D, LAMBDA_MM, F_MM)
-        worst_rect = max(worst_rect, abs(e - ref) / ref)
-    ratios = [e / D for e, D in zip(energies, apertures)]
-    lin_err = (max(ratios) - min(ratios)) / ratios[0]
+    # numpy reductions, unlike max() and min(), keep a NaN energy
+    apertures = np.array([2.0, 4.0, 6.0, 8.0, 10.0])
+    arms = [two_f_arm(LAMBDA_MM, F_MM, rect_pupil(D)) for D in apertures]
+    energies = np.array([arm_energy(h, 0.0, rect_energy_grid(D)) for h, D in zip(arms, apertures)])
+    refs = analytic.rect_two_f_arm_energy(apertures, LAMBDA_MM, F_MM)
+    worst_rect = np.max(np.abs(energies - refs) / refs)
+    ratios = energies / apertures
+    lin_err = (ratios.max() - ratios.min()) / ratios[0]
 
-    ok = slit_err < 1e-6 and worst_rect < 1e-4 and lin_err < 1e-4
+    ok = bool(slit_err < 1e-6 and worst_rect < 1e-4 and lin_err < 1e-4)
     return CheckResult(
         "analytic_arm_energies",
         ok,
@@ -113,12 +112,7 @@ def _check_all_gaussian_amplitude(corrupt: float) -> CheckResult:
     state = _corrupt(gaussian_wavefunction(a, b), corrupt)
     h_t = fourier_arm(LAMBDA_MM, F_MM, gaussian_transmission(w_obj))
     h_r = two_f_arm(LAMBDA_MM, F_MM, gaussian_pupil(sigma))
-    setup = CorrelatorSetup(
-        state=state,
-        h_t=h_t,
-        gx=make_grid(0.0, 8.0, 8193),
-        gxp=make_grid(0.0, 8.0, 16385),
-    )
+    setup = build_setup(state, h_t, 8193, 16385, 8.0)
     c_norm = analytic.gaussian_norm_constant(a, b)
     worst = 0.0
     for v in np.linspace(-1.0, 1.0, 21):
@@ -176,7 +170,7 @@ def _check_cauchy_schwarz(corrupt: float, n_setups: int = 20) -> CheckResult:
         try:
             a = amplitude(setup, h_r, x_t, x_r)
             i_t, i_r = arm_energy(h_t, x_t, gx), arm_energy(h_r, x_r, gxp)
-            g2, m2 = (float(c[0]) for c in _statistics(x_t, x_r, a, i_t, i_r)[:2])
+            g2, m2 = (float(c[0]) for c in coincidence_statistics(x_t, x_r, a, i_t, i_r)[:2])
             radicand = m2 - g2**2
             scale = m2 + g2**2
             if scale > 0.0 and radicand < 0.0:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -309,6 +310,16 @@ def test_cli_import_loads_no_numpy_fft_beyond_numpy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_every_name_in_all_resolves():
+    # a deleted function must not stay listed in its module's __all__
+    names = [m.name for m in pkgutil.iter_modules(ghostsim.__path__)]
+    modules = [importlib.import_module(f"ghostsim.{name}") for name in names]
+    listing = [m for m in modules if hasattr(m, "__all__")]
+    assert len(listing) >= 7
+    for module in listing:
+        assert [n for n in module.__all__ if not hasattr(module, n)] == [], module.__name__
+
+
 @pytest.mark.parametrize("table", ["soft_x1e160", "constant_1e308"])
 def test_cli_overflow_reports_one_stderr_line(tmp_path, table):
     # numpy's overflow warnings reach stderr only in a fresh process; the
@@ -410,6 +421,27 @@ def _run_scans(jobs) -> list:
     results = [json.loads(line) for line in proc.stdout.splitlines()]
     assert len(results) == len(jobs)
     return results
+
+
+def test_csv_table_without_data_rows_exits_2(tmp_path):
+    # np.loadtxt warns on a table with no data rows: the warning must not
+    # reach stderr ahead of the one-line message
+    jobs = []
+    for kind in ("object", "pupil"):
+        for name, body in (("header_only", "x_mm,value\n"), ("blank_row", "x_mm,value\n\n")):
+            table = tmp_path / f"{kind}_{name}.csv"
+            table.write_text(body)
+            data = json.loads(json.dumps(BASE))
+            arm = data["test_arm"] if kind == "object" else data["reference_arm"]
+            arm[kind] = {"tabulated": {"path": str(table)}}
+            cfg = tmp_path / f"{kind}_{name}.json"
+            cfg.write_text(json.dumps(data))
+            jobs.append([str(cfg), str(tmp_path / f"{kind}_{name}_scan.csv")])
+    for (cfg, out), (code, err) in zip(jobs, _run_scans(jobs)):
+        assert code == 2, (cfg, err)
+        assert len(err.splitlines()) == 1, (cfg, err)
+        assert "x_mm must increase strictly over at least two rows" in err, (cfg, err)
+        assert not Path(out).exists()
 
 
 _MUTANTS = (1e-300, 1e300, "abc", None, True)
@@ -635,12 +667,27 @@ def test_preset_scan_matches_reference_figure(tmp_path, preset):
     _assert_matches_reference(out, REFERENCE / f"{preset}.csv")
 
 
+def _perfbench_module(name: str):
+    """perfbench/<name>.py, loaded by path: perfbench is not a package."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_tabulated_scan_matches_reference(tmp_path):
     # seeded object and chirped pupil tables, as the benchmark generates them
-    spec = importlib.util.spec_from_file_location("tabulated_inputs", PERFBENCH / "tabulated.py")
-    inputs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(inputs)
-    config = inputs.generate(0, tmp_path)
+    config = _perfbench_module("tabulated").generate(0, tmp_path)
     out = tmp_path / "tabulated.csv"
     assert main(["scan", "--config", str(config), "--output", str(out)]) == 0
     _assert_matches_reference(out, REFERENCE / "tabulated_seed0.csv")
+
+
+def test_sweep_matches_reference(tmp_path):
+    # the benchmark's sweep and its output check
+    checks = _perfbench_module("checks")
+    out = tmp_path / "sweep.json"
+    param = "reference_arm.pupil.rect.D_mm"
+    argv = ["sweep", "--preset", "fig2", "--param", param, "--values", "2,4,6,8,10"]
+    assert main(argv + ["--output", str(out)]) == 0
+    assert checks.check_sweep_json(out, checks.read_sweep_json(REFERENCE / "sweep.json")) == []

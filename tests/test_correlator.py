@@ -17,6 +17,7 @@ from ghostsim import (
     TwoPhotonState,
     amplitude,
     arm_energy,
+    coincidence_statistics,
     double_slit,
     fourier_arm,
     gaussian_pupil,
@@ -29,11 +30,11 @@ from ghostsim import (
     tabulated_pupil,
     tabulated_transmission,
     two_f_arm,
+    validate,
 )
 from ghostsim.analytic import all_gaussian_amplitude, gaussian_norm_constant
 from ghostsim.cli import preset_path
 from ghostsim.config import build_scan_config, load_config
-from ghostsim.correlator import _statistics, noise_from_moments, snr_from_moments
 from ghostsim.optics import Transmission
 from ghostsim.source import default_certification_grid
 from ghostsim.validate import _corrupt, run_validation_suite
@@ -188,36 +189,43 @@ def test_random_setups_respect_variance_bound():
         assert radicand >= -1e-12 * scale
 
 
+def noise_and_snr(a, i_t=1.0, i_r=1.0):
+    """(Delta G2, SNR) for real amplitudes a at x_r = 0, 1, ..."""
+    a = np.asarray(a, dtype=float)
+    return coincidence_statistics(0.0, np.arange(a.size), a, i_t, i_r)[2:]
+
+
 def test_noise_from_moments_clamp_and_violation():
-    assert noise_from_moments(1.0, 1.0 - 1e-14) == 0.0
+    # with I_t I_r = 1 the radicand is G2 (1 - G2): a roundoff-sized
+    # negative clamps to 0, a larger one is a normalization failure
+    assert noise_and_snr([1.0], 1.0 - 1e-14)[0] == 0.0
     with pytest.raises(NormalizationViolationError):
-        noise_from_moments(2.0, 1.0)
+        noise_and_snr([sqrt(2.0)], 0.5)
     # elementwise over arrays; the first broken entry is reported
-    np.testing.assert_array_equal(noise_from_moments([1.0, 3.0], [1.0 - 1e-14, 25.0]), [0.0, 4.0])
-    with pytest.raises(NormalizationViolationError, match="-3.0"):
-        noise_from_moments([1.0, 2.0, 3.0], [1.0, 1.0, 1.0])
+    np.testing.assert_array_equal(noise_and_snr([0.0, 1.0, 2.0], 4.0)[0], [0.0, sqrt(3.0), 0.0])
+    with pytest.raises(NormalizationViolationError, match=r"radicand -1.200000e\+01 "):
+        noise_and_snr([1.0, 2.0, 3.0])
 
 
 def test_snr_edge_cases():
-    assert snr_from_moments(0.0, 0.0) == 0.0
-    assert snr_from_moments(1.0, 0.0) == float("inf")
+    # 0 without signal, +inf when the fluctuation vanishes with signal present
+    snr = noise_and_snr([0.0, 1.0, 2.0], 4.0)[1]
+    np.testing.assert_array_equal(snr, [0.0, 1.0 / sqrt(3.0), np.inf])
     # <S^2> = 2 (G2)^2 gives unit SNR
     g2 = 3.7
-    dg2 = noise_from_moments(g2, 2.0 * g2**2)
-    assert snr_from_moments(g2, dg2) == pytest.approx(1.0, rel=1e-12)
-    np.testing.assert_array_equal(snr_from_moments([0.0, 1.0, 3.0], [0.0, 0.0, 2.0]), [0.0, np.inf, 1.5])
+    assert noise_and_snr([sqrt(g2)], 2.0 * g2)[1][0] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_scan_statistics_match_point_statistics():
     # the scan's columns come from one array evaluation over every x_r; each
-    # must equal _statistics evaluated at its point alone
+    # must equal coincidence_statistics evaluated at its point alone
     setup, h_r = slit_setup(make_grid(0.0, 8.0, 4097))
     config = ScanConfig(setup=setup, h_r=h_r, xr_min=-1.0, xr_max=1.0, n_xr=21)
     result = scan_reference(config)
     i_t = arm_energy(setup.h_t, 0.0, setup.gx)
     i_r = arm_energy(h_r, 0.0, setup.gxp)
     points = [
-        _statistics(0.0, x, amplitude(setup, h_r, 0.0, x), i_t, i_r)
+        coincidence_statistics(0.0, x, amplitude(setup, h_r, 0.0, x), i_t, i_r)
         for x in map(float, result.x_r)
     ]
     g2, _, noise, snr = (np.concatenate(c) for c in zip(*points))
@@ -231,9 +239,9 @@ def test_statistics_name_the_first_non_finite_point():
     with np.errstate(over="ignore", invalid="ignore"):
         # G2 overflows at x_r = 1.0, <S^2> at x_r = 0.5
         with pytest.raises(NumericDomainError, match=r"<S\^2> = inf at \(x_t=0.0, x_r=0.5\)"):
-            _statistics(0.0, x_r, np.array([1.0, 1e100, 1e200, 0.0]), 1e150, 1.0)
+            coincidence_statistics(0.0, x_r, np.array([1.0, 1e100, 1e200, 0.0]), 1e150, 1.0)
         with pytest.raises(NumericDomainError, match=r"I_r = nan at \(x_t=0.0, x_r=0.0\)"):
-            _statistics(0.0, x_r, np.ones(4), 1.0, np.nan)
+            coincidence_statistics(0.0, x_r, np.ones(4), 1.0, np.nan)
 
 
 def test_setup_requires_certified_state():
@@ -282,6 +290,27 @@ def test_validation_suite_fails_under_corrupted_normalization():
     assert not results["gaussian_normalization"]
     assert not results["all_gaussian_amplitude"]
     assert not results["cauchy_schwarz_radicand"]
+
+
+def test_normalization_check_fails_on_a_nan_error():
+    # a NaN amplitude makes every c_norm error NaN; max() would keep 0
+    check = validate._check_gaussian_normalization(float("nan"))
+    assert check.passed is False
+    assert "nan" in check.detail
+
+
+def test_arm_energy_check_fails_on_a_nan_rect_energy(monkeypatch):
+    # one NaN among the five rect energies, where max() and min() over a
+    # list skip it
+    nan_grid = validate.rect_energy_grid(6.0)
+    monkeypatch.setattr(
+        validate,
+        "arm_energy",
+        lambda h, x_out, g: float("nan") if g == nan_grid else arm_energy(h, x_out, g),
+    )
+    check = validate._check_arm_energies(1.0)
+    assert check.passed is False
+    assert "rect rel err nan" in check.detail and "linearity spread nan" in check.detail
 
 
 def slit_setup(gxp):

@@ -32,7 +32,7 @@ from ghostsim import analytic
 from ghostsim.cli import main, preset_path
 from ghostsim.config import build_scan_config, resolve_config
 from ghostsim.experiments import find_peaks, summarize
-from ghostsim.grid import make_grid
+from ghostsim.grid import MAX_NODES, make_grid
 from ghostsim.optics import load_transmission_csv
 from ghostsim.source import TwoPhotonState, default_certification_grid
 
@@ -124,10 +124,15 @@ def test_scan_config_validation(tmp_path, capsys):
     config = slit_scan_config(n_x=4097, n_xp=2049)
     with pytest.raises(InvalidArgumentError):
         replace(config, xr_min=1.0, xr_max=1.0)
-    with pytest.raises(InvalidArgumentError):
-        replace(config, n_xr=1)
-    with pytest.raises(InvalidArgumentError):
-        replace(config, n_pairs=0)
+    # n_xr as strictly as the config's scan.n_points: an integer within the
+    # node budget
+    for bad in (1, 2.5, np.nan, np.inf, MAX_NODES + 1, 10**8):
+        with pytest.raises(InvalidArgumentError, match="n_xr must be an integer"):
+            replace(config, n_xr=bad)
+    assert scan_reference(replace(config, n_xr=3.0)).x_r.size == 3
+    for bad in (0, 1.5, np.nan, np.inf):
+        with pytest.raises(InvalidArgumentError, match="n_pairs must be an integer"):
+            replace(config, n_pairs=bad)
     for field in ("x_t", "xr_min", "xr_max"):
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(InvalidArgumentError):
@@ -330,12 +335,17 @@ def test_aperture_sweep_shares_the_inner_integral(monkeypatch):
             assert getattr(s, name) == pytest.approx(getattr(f, name), rel=1e-12, abs=0.0)
 
 
-def test_aperture_sweep_input_validation():
+def test_aperture_sweep_input_validation(monkeypatch):
     config = slit_scan_config(n_x=4097, n_xp=2049)
     with pytest.raises(InvalidArgumentError):
         aperture_sweep(config, [], LAM, F)
-    with pytest.raises(InvalidArgumentError):
-        aperture_sweep(config, [10.0, -1.0], LAM, F)
+    # a bad aperture anywhere in the list is refused before the first scan
+    scans = []
+    monkeypatch.setattr("ghostsim.experiments.scan_reference", scans.append)
+    for bad in (-1.0, 0.0, np.nan, 1e300):
+        with pytest.raises(InvalidArgumentError, match="aperture size D"):
+            aperture_sweep(config, [10.0, bad], LAM, F)
+    assert scans == []
 
 
 def test_aperture_sweep_requires_rect_pupil(tmp_path, capsys):

@@ -66,7 +66,7 @@ def test_double_slit_cell_mean_integrates_exactly():
     t = double_slit(0.05, 1.0)
     for n in (101, 257, 1024):
         g = make_grid(0.0, 0.8, n)
-        total = float(np.dot(g.trapezoid_weights(), t.sample(g.samples(), cell=g.step)))
+        total = float(np.dot(g.trapezoid_weights(), t.cell_mean(g.samples(), g.step)))
         assert total == pytest.approx(0.1, rel=1e-12)
 
 
