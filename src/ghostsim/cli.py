@@ -96,7 +96,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    results = run_validation_suite(corrupt_norm_factor=args.corrupt_norm)
+    results = run_validation_suite()
     all_passed = True
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -132,10 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_val = sub.add_parser("validate", help="run the built-in oracle suite")
-    # fault-injection hook for exercising the failure path
-    p_val.add_argument(
-        "--corrupt-norm", type=float, default=1.0, help=argparse.SUPPRESS
-    )
     p_val.set_defaults(func=cmd_validate)
 
     return parser

@@ -141,7 +141,8 @@ def _load_table(path, what: str, layouts: dict) -> tuple:
     rather than dropped.  Unparsable, non-finite, unsorted and non-uniform
     tables are rejected: the quadratures place the values on a uniform
     grid, so a table that is not on one would be silently distorted."""
-    with open(path, encoding="utf-8", errors="replace") as fh:
+    # utf-8-sig: a byte-order mark would pass a first line of numbers as a header
+    with open(path, encoding="utf-8-sig", errors="replace") as fh:
         header, *rows = fh.read().splitlines() or [""]
     try:
         [float(v) for v in header.split(",")]
@@ -307,11 +308,11 @@ class ImpulseResponse:
 
 
 def _arm_scale(lam: float, f: float, arm: str) -> float:
-    """lam f, refused unless it, 1 / (4 lam^2 f^2), pi / (2 lam f) and the
-    energy scale 1 / (16 lam^4 f^4) are all finite and nonzero.
+    """lam f, refused unless the energy scale 1 / (16 lam^4 f^4) is finite
+    and nonzero; lam f, 1 / (4 lam^2 f^2) and pi / (2 lam f) then are too.
 
-    They are formed with * and / only, which round to 0 or inf where ** and
-    a zero divisor would raise; the arms' own constants are then in range.
+    It is formed with * and / only, which round to 0 or inf where ** and a
+    zero divisor would raise; the arms' own constants are then in range.
     """
     if not (lam > 0.0):
         raise InvalidArgumentError(f"wavelength must be > 0, got {lam}")
@@ -319,18 +320,11 @@ def _arm_scale(lam: float, f: float, arm: str) -> float:
         raise InvalidArgumentError(f"focal length must be > 0, got {f}")
     lf = lam * f
     amp = 0.25 / lf / lf if lf > 0.0 else np.inf
-    derived = {
-        "lambda f": lf,
-        "1 / (4 lambda^2 f^2)": amp,
-        "pi / (2 lambda f)": 0.5 * np.pi / lf if lf > 0.0 else np.inf,
-        "1 / (16 lambda^4 f^4)": amp * amp,
-    }
-    for name, value in derived.items():
-        if not (0.0 < value < np.inf):
-            raise InvalidArgumentError(
-                f"{arm}: wavelength {lam:g} mm and focal length {f:g} mm give "
-                f"{name} = {value:g}, outside the floating-point range"
-            )
+    if not (0.0 < amp * amp < np.inf):
+        raise InvalidArgumentError(
+            f"{arm}: wavelength {lam:g} mm and focal length {f:g} mm give "
+            f"1 / (16 lambda^4 f^4) = {amp * amp:g}, outside the floating-point range"
+        )
     return lf
 
 

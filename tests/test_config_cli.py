@@ -18,6 +18,7 @@ from ghostsim import ConfigError
 from ghostsim.cli import CSV_HEADER, main, preset_path
 from ghostsim.config import build_scan_config, load_config, resolve_config
 from ghostsim.grid import MAX_NODES
+from ghostsim.optics import load_pupil_csv, load_transmission_csv
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 REFERENCE = PERFBENCH / "reference"
@@ -441,6 +442,33 @@ def test_csv_table_without_data_rows_exits_2(tmp_path):
         assert code == 2, (cfg, err)
         assert len(err.splitlines()) == 1, (cfg, err)
         assert "x_mm must increase strictly over at least two rows" in err, (cfg, err)
+        assert not Path(out).exists()
+
+
+def test_csv_table_with_a_byte_order_mark(tmp_path):
+    # Excel's "CSV UTF-8" export starts a table with a byte-order mark; it
+    # must not let a headerless table's first data row pass as its header
+    rows = "0,1\n1,0.5\n2,0.25\n"
+    jobs = []
+    for kind, load in (("object", load_transmission_csv), ("pupil", load_pupil_csv)):
+        headed, plain = tmp_path / f"{kind}_headed.csv", tmp_path / f"{kind}_plain.csv"
+        headed.write_text("x_mm,value\n" + rows, encoding="utf-8-sig")
+        plain.write_text("x_mm,value\n" + rows, encoding="utf-8")
+        if kind == "object":
+            np.testing.assert_array_equal(load(headed).evaluate(np.arange(3.0)), [1.0, 0.5, 0.25])
+        assert load(headed).energy == load(plain).energy
+        headerless = tmp_path / f"{kind}_headerless.csv"
+        headerless.write_text(rows, encoding="utf-8-sig")
+        data = json.loads(json.dumps(BASE))
+        arm = data["test_arm"] if kind == "object" else data["reference_arm"]
+        arm[kind] = {"tabulated": {"path": str(headerless)}}
+        cfg = tmp_path / f"{kind}_headerless.json"
+        cfg.write_text(json.dumps(data))
+        jobs.append([str(cfg), str(tmp_path / f"{kind}_scan.csv")])
+    for (cfg, out), (code, err) in zip(jobs, _run_scans(jobs)):
+        assert code == 2, (cfg, err)
+        assert len(err.splitlines()) == 1, (cfg, err)
+        assert "missing header row" in err, (cfg, err)
         assert not Path(out).exists()
 
 

@@ -24,7 +24,6 @@ from ghostsim import (
     gaussian_transmission,
     gaussian_wavefunction,
     make_grid,
-    normalize,
     rect_pupil,
     scan_reference,
     tabulated_pupil,
@@ -37,8 +36,13 @@ from ghostsim.cli import preset_path
 from ghostsim.config import build_scan_config, load_config
 from ghostsim.optics import Transmission
 from ghostsim.source import default_certification_grid
-from ghostsim.validate import _corrupt, run_validation_suite
-from helpers import scaled_arm, statistics_at
+from ghostsim.validate import run_validation_suite
+from helpers import (
+    corrupt_validation_states,
+    scaled_arm,
+    statistics_at,
+    validate_with_corrupt_states,
+)
 
 LAM = 650e-6
 F = 100.0
@@ -158,12 +162,7 @@ def test_matched_state_saturates_the_bound():
     h_t = fourier_arm(LAM, F, gaussian_transmission(0.8))
     h_r = two_f_arm(LAM, F, gaussian_pupil(1.5))
     x_t, x_r = 0.0, 0.1
-
-    raw = TwoPhotonState(
-        f=lambda x: np.conj(h_t.evaluate(x_t, x)),
-        g=lambda xp: np.conj(h_r.evaluate(x_r, xp)),
-    )
-    state = normalize(raw, g, g)
+    state = validate._matched_state(h_t, h_r, x_t, x_r, g, g)
     setup = CorrelatorSetup(state=state, h_t=h_t, gx=g, gxp=g)
     stats = statistics_at(setup, h_r, x_t, x_r)
     assert stats.noise <= 1e-5 * stats.g2
@@ -269,12 +268,12 @@ def test_setup_grids_must_cover_certification_domain():
 
 
 def test_corrupted_certified_state_scales_the_inner_integral():
-    # validate --corrupt-norm keeps the certificate and scales c_norm; the
-    # banded reduction must carry that factor through
+    # the validation suite's fault injection keeps the certificate and
+    # scales c_norm; the banded reduction must carry that factor through
     a, b = 2.0, 0.2
     cert = default_certification_grid(a, b)
     clean = gaussian_wavefunction(a, b)
-    corrupt = _corrupt(clean, 2.0)
+    corrupt = replace(clean, c_norm=2.0 * clean.c_norm)
     assert corrupt.certification == clean.certification == (cert, cert)
     assert corrupt.c_norm == 2.0 * clean.c_norm
     h_t = fourier_arm(LAM, F, double_slit(0.05, 1.0))
@@ -285,18 +284,20 @@ def test_corrupted_certified_state_scales_the_inner_integral():
     np.testing.assert_allclose(u_corrupt, 2.0 * u_clean, rtol=1e-15, atol=0.0)
 
 
-def test_validation_suite_fails_under_corrupted_normalization():
-    results = {r.name: r.passed for r in run_validation_suite(corrupt_norm_factor=2.0)}
+def test_validation_suite_fails_under_corrupted_normalization(monkeypatch):
+    corrupt_validation_states(monkeypatch.setattr, 2.0)
+    results = {r.name: r.passed for r in run_validation_suite()}
     assert not results["gaussian_normalization"]
     assert not results["all_gaussian_amplitude"]
     assert not results["cauchy_schwarz_radicand"]
 
 
-def test_normalization_check_fails_on_a_nan_error():
+def test_normalization_check_fails_on_a_nan_error(monkeypatch):
     # a NaN amplitude makes every c_norm error NaN; max() would keep 0
-    check = validate._check_gaussian_normalization(float("nan"))
-    assert check.passed is False
-    assert "nan" in check.detail
+    corrupt_validation_states(monkeypatch.setattr, float("nan"))
+    passed, detail = validate._check_gaussian_normalization()
+    assert passed is False
+    assert "nan" in detail
 
 
 def test_arm_energy_check_fails_on_a_nan_rect_energy(monkeypatch):
@@ -308,9 +309,25 @@ def test_arm_energy_check_fails_on_a_nan_rect_energy(monkeypatch):
         "arm_energy",
         lambda h, x_out, g: float("nan") if g == nan_grid else arm_energy(h, x_out, g),
     )
-    check = validate._check_arm_energies(1.0)
-    assert check.passed is False
-    assert "rect rel err nan" in check.detail and "linearity spread nan" in check.detail
+    passed, detail = validate._check_arm_energies()
+    assert passed is False
+    assert "rect rel err nan" in detail and "linearity spread nan" in detail
+
+
+def test_validate_reports_a_check_that_raises_as_a_fail_row():
+    # a NaN c_norm makes amplitude() raise inside two checks: each is a FAIL
+    # row and the suite runs on, exit 1 rather than 3
+    proc = validate_with_corrupt_states(float("nan"))
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == ""
+    rows = proc.stdout.splitlines()
+    assert [row.split(":")[0] for row in rows] == [
+        "[FAIL] gaussian_normalization",
+        "[PASS] analytic_arm_energies",
+        "[FAIL] all_gaussian_amplitude",
+        "[FAIL] cauchy_schwarz_radicand",
+    ]
+    assert "non-finite amplitude" in rows[2]
 
 
 def slit_setup(gxp):

@@ -255,7 +255,10 @@ def test_two_f_arm_grid_sampler_is_thread_safe():
         np.testing.assert_array_equal(a, b)
 
 
-@pytest.mark.parametrize("lam, f", [(1e294, F), (LAM, 1e300), (LAM, 1e-300), (LAM, 1e-80)])
+@pytest.mark.parametrize(
+    "lam, f",
+    [(1e294, F), (LAM, 1e300), (LAM, 1e-300), (LAM, 1e-80), (1.0, 1e-78), (1.0, 1e81)],
+)
 def test_arm_constants_outside_the_float_range_are_refused(lam, f):
     # each would overflow or divide by zero in the arms' constants or in
     # the reference arm's energy scale 1 / (16 lambda^4 f^4)
@@ -263,6 +266,14 @@ def test_arm_constants_outside_the_float_range_are_refused(lam, f):
         fourier_arm(lam, f, double_slit(0.05, 1.0))
     with pytest.raises(InvalidArgumentError, match="floating-point range"):
         two_f_arm(lam, f, rect_pupil(10.0))
+
+
+@pytest.mark.parametrize("lam, f", [(1.0, 1e-77), (1.0, 1e80)])
+def test_arm_constants_just_inside_the_float_range_are_accepted(lam, f):
+    # lambda f = 1e-77 and 1e80 keep 1 / (16 lambda^4 f^4) finite and
+    # nonzero, next to the refused 1e-78 and 1e81 above
+    for h in (fourier_arm(lam, f, double_slit(0.05, 1.0)), two_f_arm(lam, f, rect_pupil(10.0))):
+        assert 0.0 < h.energy < np.inf
 
 
 @pytest.mark.parametrize("width", [1e-300, 1e300])
