@@ -198,22 +198,17 @@ def _arm(make, cfg_arm: dict, where: str, part: str):
 
 def build_scan_config(cfg: dict) -> ScanConfig:
     """Assemble the scan driver for a resolved configuration: the state,
-    the test arm, the reference arm and then the grids, so that a config
-    with several faults is refused for the first of them."""
+    the test arm, the reference arm, then the setup on its grids at the
+    test-detector position and last the scan range, so that a config with
+    several faults is refused for the first of them."""
     state = _call(source.gaussian_wavefunction, "source", cfg["source"])
     h_t = _arm(optics.fourier_arm, cfg["test_arm"], "test_arm", "object")
     h_r = _arm(optics.two_f_arm, cfg["reference_arm"], "reference_arm", "pupil")
-    setup = build_setup(
-        state,
-        h_t,
-        n_x=cfg["numerics"]["n_x"],
-        n_xp=cfg["numerics"]["n_xp"],
-        window_mm=cfg["numerics"]["window_mm"],
-    )
+    # the numerics keys are build_setup's keyword names
+    setup = build_setup(state, h_t, x_t=cfg["scan"]["xt_mm"], **cfg["numerics"])
     return ScanConfig(
         setup=setup,
         h_r=h_r,
-        x_t=cfg["scan"]["xt_mm"],
         xr_min=cfg["scan"]["xr_min_mm"],
         xr_max=cfg["scan"]["xr_max_mm"],
         n_xr=cfg["scan"]["n_points"],

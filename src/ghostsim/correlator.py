@@ -7,17 +7,20 @@ int |h|^2; Delta G2 = sqrt(<S^2> - G2^2) and SNR = G2 / Delta G2.  One
 function, ``coincidence_statistics``, turns amplitudes and arm energies
 into all four.
 
-A is sum_j w_j u_j h_r(x_r, x'_j) over the reference window, the smallest
-run of x' nodes holding every nonzero of the inner integral
+A(x_r) is sum_j w_j u_j h_r(x_r, x'_j) over the reference window, the
+smallest run of x' nodes holding every nonzero of the inner integral
 u(x') = int dx phi(x, x') h_t(x_t, x) (the state's row reduction).  A
-``CorrelatorSetup`` holds what u depends on, the state, h_t and the grids,
-and not h_r, which ``amplitude`` takes per call.  Arm energies integrate
-over the whole grid.
+``CorrelatorSetup`` holds what u depends on, the state, h_t, the grids and
+the test-detector position x_t, and computes u and its window when it is
+built; it does not hold h_r, which ``amplitude`` takes per call.  On the
+grids the amplitudes of a whole scan are one matrix-vector product, the
+reference-arm samples h_r(x_r, x'_j) times v = w u, taken in blocks of x_r
+rows.  Arm energies integrate over the whole grid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,23 +40,38 @@ __all__ = [
 # normalization rather than roundoff
 RADICAND_CLAMP = 1e-12
 
+# reference-arm samples per amplitude block: the block of x_r rows stays in
+# cache and a scan's memory stays bounded whatever its number of points
+_BLOCK_ENTRIES = 2**14
+
 
 @dataclass(frozen=True)
 class CorrelatorSetup:
-    """Immutable bundle of state, test-arm kernel and quadrature grids.
+    """Immutable bundle of state, test-arm kernel, quadrature grids and
+    test-detector position x_t, and the reference window they give.
 
     gx discretizes the test-arm source coordinate x, gxp the reference-arm
     source coordinate x'.  The state must carry a certification (see
     :func:`ghostsim.source.normalize`) whose grids gx and gxp cover.
+
+    ``window`` is the run of gxp nodes j0..j1-1 that holds every nonzero of
+    u(x') as a Grid1D, and ``v`` = (gxp trapezoid weights * u)[j0:j1].  The
+    window's own trapezoid weights would halve its end nodes, where u is
+    nonzero, so v carries gxp's.  A single nonzero is widened by a
+    neighbour (a grid needs two nodes; there u = 0).  An all-zero u gives
+    window None and an empty v.  Both are computed when the setup is built,
+    and every scan point and every reference arm shares them.
     """
 
     state: TwoPhotonState
     h_t: ImpulseResponse
     gx: Grid1D
     gxp: Grid1D
+    x_t: float = 0.0
+    window: Grid1D | None = field(init=False, repr=False, compare=False)
+    v: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_windows", {})
         if self.state.certification is None:
             raise InvalidArgumentError(
                 "correlator requires a norm-certified two-photon state"
@@ -63,31 +81,19 @@ class CorrelatorSetup:
                 raise InvalidArgumentError(
                     "quadrature grids must cover the state's certification domain"
                 )
+        window, v = self._window(self.inner_integral())
+        object.__setattr__(self, "window", window)
+        object.__setattr__(self, "v", v)
 
-    def inner_integral(self, x_t: float) -> np.ndarray:
+    def inner_integral(self) -> np.ndarray:
         """u(x') = int dx phi(x, x') h_t(x_t, x), sampled on gxp.
 
         Only the grid rows where the test-arm samples are nonzero
         contribute, which makes compact objects cheap, and a Gaussian source
         only within its ridge band.
         """
-        left = self.gx.trapezoid_weights() * self.h_t.sample_in(x_t, self.gx)
+        left = self.gx.trapezoid_weights() * self.h_t.sample_in(self.x_t, self.gx)
         return self.state.reduce(left, self.gx, self.gxp)
-
-    def reference_window(self, x_t: float) -> tuple:
-        """(window, v): the gxp nodes j0..j1-1 that hold every nonzero of
-        u(x') as a Grid1D, and v = (gxp trapezoid weights * u)[j0:j1].
-
-        The window's own trapezoid weights would halve its end nodes, where
-        u is nonzero, so v carries gxp's.  A single nonzero is widened by a
-        neighbour (a grid needs two nodes; there u = 0).  An all-zero u
-        gives window None and an empty v.  Memoized per x_t: every scan
-        point and every reference arm shares it.
-        """
-        key = float(x_t)
-        if key not in self._windows:
-            self._windows[key] = self._window(self.inner_integral(x_t))
-        return self._windows[key]
 
     def _window(self, u: np.ndarray) -> tuple:
         nz = np.flatnonzero(u)
@@ -103,17 +109,23 @@ class CorrelatorSetup:
         return Grid1D(0.5 * (lo + hi), 0.5 * (hi - lo), j1 - j0), v
 
 
-def amplitude(setup: CorrelatorSetup, h_r: ImpulseResponse, x_t: float, x_r: float) -> complex:
-    """Coincidence amplitude A(x_r, x_t) = v . h_r(x_r, window) over the
-    reference window; exactly 0, with no sampling, where u(x') vanishes
-    everywhere.  A non-finite amplitude is a numeric error.
+def amplitude(setup: CorrelatorSetup, h_r: ImpulseResponse, x_r) -> np.ndarray:
+    """Coincidence amplitudes A(x_r) = h_r(x_r, window) @ v over the
+    reference window, one per x_r, in blocks of about _BLOCK_ENTRIES
+    reference-arm samples; exactly 0, with no sampling, where u(x')
+    vanishes everywhere.  A non-finite amplitude is a numeric error naming
+    the first x_r where one occurs.
     """
-    window, v = setup.reference_window(x_t)
-    if window is None:
-        return 0j
-    a = complex(np.dot(v, h_r.sample_in(x_r, window)))
-    if not np.isfinite(a.real) or not np.isfinite(a.imag):
-        raise NumericDomainError(f"non-finite amplitude at (x_t={x_t}, x_r={x_r})")
+    x_r = np.atleast_1d(x_r)
+    a = np.zeros(x_r.size, dtype=complex)
+    if setup.window is None:
+        return a
+    rows = max(1, _BLOCK_ENTRIES // setup.window.n_points)
+    for i in range(0, x_r.size, rows):
+        a[i : i + rows] = h_r.sample_in(x_r[i : i + rows], setup.window) @ setup.v
+    bad = np.flatnonzero(~np.isfinite(a))
+    if bad.size:
+        raise NumericDomainError(f"non-finite amplitude at (x_t={setup.x_t}, x_r={x_r[bad[0]]})")
     return a
 
 

@@ -1,9 +1,10 @@
 """Scan and sweep drivers: reference-detector scans of G2 / noise / SNR and
 aperture sweeps quantifying the resolution-versus-noise trade-off.
 
-The reference scan holds the test detector fixed (x_t = 0 by default) and
-records every per-point statistic along a range of reference positions,
-normalized by the maximum of G2 the way the published curves are.  A scan
+The reference scan holds the test detector fixed at its setup's x_t (0 by
+default) and records every per-point statistic along a range of reference
+positions, normalized by the maximum of G2 the way the published curves
+are; its amplitudes come from one ``amplitude`` call over every x_r.  A scan
 pairs a correlator setup with its reference arm, so the aperture sweep
 reruns the scan on one setup, and one inner integral, for a list of
 hard-aperture sizes and summarizes peak SNR, peak positions, two-slit
@@ -62,22 +63,20 @@ _PEAK_SEPARATION = 3
 @dataclass(frozen=True)
 class ScanConfig:
     """A reference scan: built correlator setup, reference arm and scan
-    geometry."""
+    geometry; the test-detector position x_t is the setup's."""
 
     setup: CorrelatorSetup
     h_r: ImpulseResponse
-    x_t: float = 0.0
     xr_min: float = -2.0
     xr_max: float = 2.0
     n_xr: int = 201
     n_pairs: int = 10000
+    x_t = property(lambda self: self.setup.x_t)
 
     def __post_init__(self):
-        for name in ("x_t", "xr_min", "xr_max"):
-            if not np.isfinite(getattr(self, name)):
-                raise InvalidArgumentError(
-                    f"scan {name} must be finite, got {getattr(self, name)}"
-                )
+        for name in ("xr_min", "xr_max"):
+            if not np.isfinite(value := getattr(self, name)):
+                raise InvalidArgumentError(f"scan {name} must be finite, got {value}")
         if not (self.xr_max > self.xr_min):
             raise InvalidArgumentError(
                 f"degenerate x_r range [{self.xr_min}, {self.xr_max}]"
@@ -141,17 +140,20 @@ def build_setup(
     n_x: int = DEFAULT_N_X,
     n_xp: int = DEFAULT_N_XP,
     window_mm: float = DEFAULT_WINDOW_MM,
+    x_t: float = 0.0,
 ) -> CorrelatorSetup:
-    """Assemble a correlator setup for a norm-certified state and test arm.
+    """Assemble a correlator setup for a norm-certified state, test arm and
+    test-detector position x_t.
 
     The quadrature window is widened to cover the state's certification
-    grids when necessary; ``CorrelatorSetup`` refuses an uncertified state.
+    grids when necessary; ``CorrelatorSetup`` refuses an uncertified state
+    and, for the Fourier test arm, an x_t beyond the x grid's Nyquist limit.
     """
     for cert in state.certification or ():
         window_mm = max(window_mm, cert.half_width)
     gx = make_grid(0.0, window_mm, n_x)
     gxp = make_grid(0.0, window_mm, n_xp)
-    return CorrelatorSetup(state=state, h_t=h_t, gx=gx, gxp=gxp)
+    return CorrelatorSetup(state=state, h_t=h_t, gx=gx, gxp=gxp, x_t=x_t)
 
 
 def _gated_energy(h: ImpulseResponse, x_out: float, g: Grid1D, arm: str, n_key: str) -> float:
@@ -178,20 +180,21 @@ def scan_reference(config: ScanConfig) -> CorrelationResult:
     gx quadrature at x_t and I_r the x' quadrature at the middle x_r.  Each
     is checked against the arm's exact energy, and so is the x' quadrature
     at xr_min, xr_max and half an x' step off the middle, where an x' grid
-    that does not resolve the reference arm gives another value.  Scan
-    points share the memoized inner integral.
+    that does not resolve the reference arm gives another value.  The
+    amplitudes at every x_r come from one ``amplitude`` call on the setup's
+    reference window.
     """
     setup, h_r = config.setup, config.h_r
     xr = np.linspace(config.xr_min, config.xr_max, config.n_xr)
     x_mid = float(xr[config.n_xr // 2])
 
-    i_t = _gated_energy(setup.h_t, config.x_t, setup.gx, "test-arm", "n_x")
+    i_t = _gated_energy(setup.h_t, setup.x_t, setup.gx, "test-arm", "n_x")
     i_r = _gated_energy(h_r, x_mid, setup.gxp, "reference-arm", "n_xp")
     for x_probe in (config.xr_min, config.xr_max, x_mid + 0.5 * setup.gxp.step):
         _gated_energy(h_r, x_probe, setup.gxp, "reference-arm", "n_xp")
 
-    a = np.array([amplitude(setup, h_r, config.x_t, x_r) for x_r in map(float, xr)])
-    g2, _, dg2, snr = coincidence_statistics(config.x_t, xr, a, i_t, i_r)
+    a = amplitude(setup, h_r, xr)
+    g2, _, dg2, snr = coincidence_statistics(setup.x_t, xr, a, i_t, i_r)
     return CorrelationResult(x_r=xr, g2=g2, noise=dg2, snr=snr, n_pairs=config.n_pairs)
 
 

@@ -196,12 +196,13 @@ class Pupil:
 
     ft: Callable[[np.ndarray], np.ndarray]
     energy: float
-    _ft_grid: Optional[Callable[[Grid1D, float, float], np.ndarray]] = field(
+    _ft_grid: Optional[Callable[[Grid1D, np.ndarray, float], np.ndarray]] = field(
         default=None, repr=False
     )
 
-    def ft_grid(self, grid: Grid1D, offset: float, scale: float) -> np.ndarray:
-        """P((offset + x_j) / scale) on the nodes x_j of a uniform grid.
+    def ft_grid(self, grid: Grid1D, offset, scale: float) -> np.ndarray:
+        """P((offset + x_j) / scale) on the nodes x_j of a uniform grid, one
+        row per offset: shape offset.shape + (grid.n_points,).
 
         The argument is formed from the grid samples as the pointwise path
         forms it: near P's peak offset + x_j cancels exactly, whereas
@@ -210,7 +211,7 @@ class Pupil:
         """
         if self._ft_grid is not None:
             return self._ft_grid(grid, offset, scale)
-        return np.asarray(self.ft((offset + grid.samples()) / scale), dtype=complex)
+        return np.asarray(self.ft(np.add.outer(offset, grid.samples()) / scale), dtype=complex)
 
 
 def rect_pupil(D: float) -> Pupil:
@@ -261,8 +262,9 @@ def tabulated_pupil(grid: Grid1D, values: np.ndarray) -> Pupil:
     # With j = J m + r (m = _FT_BLOCK) the quadrature kernel factorizes
     # exactly: exp(-2 pi i u_j x) = exp(-2 pi i (u0 + J m du) x)
     # * exp(-2 pi i r du x).  The second factor does not depend on u0, so it
-    # is built once per du; each call exponentiates ceil(n/m) rows instead
-    # of n.  Only the rounding of the two phases differs from ``ft``.
+    # is built once per du and shared by every offset; each row
+    # exponentiates ceil(n/m) rows of the table instead of n.  Only the
+    # rounding of the two phases differs from ``ft``.
     @lru_cache(maxsize=1)
     def block(du):
         return _read_only(np.exp(-2j * np.pi * (du * np.arange(_FT_BLOCK))[:, np.newaxis] * xs))
@@ -270,9 +272,9 @@ def tabulated_pupil(grid: Grid1D, values: np.ndarray) -> Pupil:
     def ft_grid(g, offset, scale):
         du = g.step / scale
         blocks = np.arange(-(-g.n_points // _FT_BLOCK))
-        starts = (offset + g.lo) / scale + du * _FT_BLOCK * blocks
-        a = np.exp(-2j * np.pi * starts[:, np.newaxis] * xs) * wv
-        return (a @ block(du).T).ravel()[: g.n_points]
+        starts = np.add.outer((offset + g.lo) / scale, du * _FT_BLOCK * blocks)
+        a = np.exp(-2j * np.pi * starts[..., np.newaxis] * xs) * wv
+        return (a @ block(du).T).reshape(np.shape(offset) + (-1,))[..., : g.n_points]
 
     energy = float(np.vdot(wv, wv).real) / grid.step
     return Pupil(ft=ft, energy=energy, _ft_grid=ft_grid)
@@ -332,8 +334,9 @@ def fourier_arm(lam: float, f: float, t: Transmission) -> ImpulseResponse:
     """Test-arm kernel: object t, unapertured lens, detector in the focal
     plane.
 
-    Its grid sampler refuses |x_t| > lam f / (2 h), the Nyquist limit of the
-    phase exp(-2 pi i x_t x / (lam f)) on a grid of step h.
+    Its grid sampler refuses a non-finite x_t and |x_t| > lam f / (2 h),
+    the Nyquist limit of the phase exp(-2 pi i x_t x / (lam f)) on a grid
+    of step h.
     """
     lf = _arm_scale(lam, f, "test arm")
 
@@ -344,7 +347,7 @@ def fourier_arm(lam: float, f: float, t: Transmission) -> ImpulseResponse:
 
     def sample_in(x_t, grid):
         limit = lf / (2.0 * grid.step)
-        if abs(x_t) > limit:
+        if not abs(x_t) <= limit:  # a NaN x_t fails too
             raise InvalidArgumentError(
                 f"test detector x_t = {x_t:g} mm: the x grid (step {grid.step:.4g} mm) "
                 f"resolves |x_t| <= {limit:.4g} mm only"
@@ -366,7 +369,8 @@ def two_f_arm(lam: float, f: float, p: Pupil) -> ImpulseResponse:
     On a grid the kernel is sampled as exp(i pi x_r^2 / (2 lam f)) times
     the grid's amp exp(i pi x'^2 / (2 lam f)) vector (built once per grid)
     times P on the uniform u grid; its squared modulus is amp^2 |P|^2, whose
-    integral over x' is p's energy / (8 lam^3 f^3) by Parseval.
+    integral over x' is p's energy / (8 lam^3 f^3) by Parseval.  The grid
+    sampler takes an array of x_r too and returns one row per x_r.
     """
     lf = _arm_scale(lam, f, "reference arm")
     amp = 1.0 / (4.0 * lf**2)
@@ -382,7 +386,8 @@ def two_f_arm(lam: float, f: float, p: Pupil) -> ImpulseResponse:
         return _read_only(amp * np.exp(1j * chirp * grid.samples() ** 2))
 
     def sample_in(x_r, grid):
-        return np.exp(1j * chirp * x_r**2) * input_chirp(grid) * p.ft_grid(grid, x_r, 2.0 * lf)
+        row_chirp = np.expand_dims(np.exp(1j * chirp * np.square(x_r)), -1)
+        return row_chirp * input_chirp(grid) * p.ft_grid(grid, x_r, 2.0 * lf)
 
     def sample_abs2_in(x_r, grid):
         return amp**2 * np.abs(p.ft_grid(grid, x_r, 2.0 * lf)) ** 2

@@ -96,7 +96,7 @@ def _check_all_gaussian_amplitude() -> tuple[bool, str]:
     h_r = two_f_arm(LAMBDA_MM, F_MM, gaussian_pupil(sigma))
     setup = build_setup(gaussian_wavefunction(a, b), h_t, 8193, 16385, 8.0)
     x_r = np.linspace(-1.0, 1.0, 21)
-    num = np.array([amplitude(setup, h_r, 0.0, float(v)) for v in x_r])
+    num = amplitude(setup, h_r, x_r)
     ref = analytic.all_gaussian_amplitude(
         a, b, analytic.gaussian_norm_constant(a, b), w_obj, sigma, LAMBDA_MM, F_MM, 0.0, x_r
     )
@@ -141,9 +141,9 @@ def _check_cauchy_schwarz(n_setups: int = 20) -> tuple[bool, str]:
             state = gaussian_wavefunction(a, b)
             x_t = float(rng.uniform(-0.2, 0.2))
             x_r = float(rng.uniform(-1.0, 1.0))
-        setup = CorrelatorSetup(state=state, h_t=h_t, gx=gx, gxp=gxp)
         try:
-            a = amplitude(setup, h_r, x_t, x_r)
+            setup = CorrelatorSetup(state=state, h_t=h_t, gx=gx, gxp=gxp, x_t=x_t)
+            a = amplitude(setup, h_r, x_r)
             i_t, i_r = arm_energy(h_t, x_t, gx), arm_energy(h_r, x_r, gxp)
             g2[k], m2[k] = (c[0] for c in coincidence_statistics(x_t, x_r, a, i_t, i_r)[:2])
         except GhostSimError as exc:  # name the setup in the suite's FAIL row

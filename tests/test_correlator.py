@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+import tracemalloc
 from dataclasses import replace
 from math import sqrt
 
@@ -34,6 +36,7 @@ from ghostsim import (
 from ghostsim.analytic import all_gaussian_amplitude, gaussian_norm_constant
 from ghostsim.cli import preset_path
 from ghostsim.config import build_scan_config, load_config
+from ghostsim.correlator import _BLOCK_ENTRIES
 from ghostsim.optics import Transmission
 from ghostsim.source import default_certification_grid
 from ghostsim.validate import run_validation_suite
@@ -48,7 +51,7 @@ LAM = 650e-6
 F = 100.0
 
 
-def small_gaussian_setup(w_obj=0.5, sigma=2.0, a=2.0, b=0.2, n_x=4097, n_xp=8193):
+def small_gaussian_setup(w_obj=0.5, sigma=2.0, a=2.0, b=0.2, n_x=4097, n_xp=8193, x_t=0.0):
     """(setup, h_r): an all-Gaussian setup and its reference arm."""
     state = gaussian_wavefunction(a, b)
     h_t = fourier_arm(LAM, F, gaussian_transmission(w_obj))
@@ -58,6 +61,7 @@ def small_gaussian_setup(w_obj=0.5, sigma=2.0, a=2.0, b=0.2, n_x=4097, n_xp=8193
         h_t=h_t,
         gx=make_grid(0.0, 8.0, n_x),
         gxp=make_grid(0.0, 8.0, n_xp),
+        x_t=x_t,
     )
     return setup, h_r
 
@@ -66,8 +70,8 @@ def test_opaque_object_gives_zero_signal():
     setup, h_r = small_gaussian_setup(n_x=257, n_xp=257)
     dark = Transmission(evaluate=lambda x: np.zeros_like(np.asarray(x, dtype=float)), energy=0.0)
     setup = replace(setup, h_t=fourier_arm(LAM, F, dark))
-    assert amplitude(setup, h_r, 0.0, 0.3) == 0.0
-    stats = statistics_at(setup, h_r, 0.0, 0.3)
+    np.testing.assert_array_equal(amplitude(setup, h_r, 0.3), [0.0])
+    stats = statistics_at(setup, h_r, 0.3)
     assert stats.g2 == 0.0
     assert stats.snr == 0.0
 
@@ -82,23 +86,23 @@ def test_separable_state_amplitude_factorizes():
     )
     h_t = fourier_arm(LAM, F, gaussian_transmission(1.0))
     h_r = two_f_arm(LAM, F, gaussian_pupil(1.0))
-    setup = CorrelatorSetup(state=state, h_t=h_t, gx=g, gxp=g)
     x_t, x_r = 0.05, -0.2
+    setup = CorrelatorSetup(state=state, h_t=h_t, gx=g, gxp=g, x_t=x_t)
     w = g.trapezoid_weights()
     x = g.samples()
     left = complex(np.dot(w, np.exp(-(x**2)) * h_t.sample_in(x_t, g)))
     right = complex(np.dot(w, np.exp(-(x**2) / 2.0) * h_r.sample_in(x_r, g)))
-    assert amplitude(setup, h_r, x_t, x_r) == pytest.approx(left * right, rel=1e-12)
+    assert amplitude(setup, h_r, x_r)[0] == pytest.approx(left * right, rel=1e-12)
 
 
 def test_amplitude_matches_all_gaussian_closed_form():
     a, b, w_obj, sigma = 2.0, 0.2, 0.5, 2.0
     setup, h_r = small_gaussian_setup(w_obj=w_obj, sigma=sigma, a=a, b=b)
     c = gaussian_norm_constant(a, b)
-    for x_r in np.linspace(-1.0, 1.0, 21):
-        num = amplitude(setup, h_r, 0.0, float(x_r))
-        ref = all_gaussian_amplitude(a, b, c, w_obj, sigma, LAM, F, 0.0, float(x_r))
-        assert num == pytest.approx(ref, rel=1e-6)
+    x_r = np.linspace(-1.0, 1.0, 21)
+    num = amplitude(setup, h_r, x_r)
+    ref = all_gaussian_amplitude(a, b, c, w_obj, sigma, LAM, F, 0.0, x_r)
+    assert num == pytest.approx(ref, rel=1e-6)
 
 
 def test_scan_parity_for_symmetric_setup():
@@ -110,28 +114,28 @@ def test_scan_parity_for_symmetric_setup():
         gxp=make_grid(0.0, 8.0, 8193),
     )
     h_r = two_f_arm(LAM, F, rect_pupil(10.0))
-    for x_r in (0.2, 0.5, 1.1):
-        plus = abs(amplitude(setup, h_r, 0.0, x_r)) ** 2
-        minus = abs(amplitude(setup, h_r, 0.0, -x_r)) ** 2
-        assert plus == pytest.approx(minus, rel=1e-8)
+    x_r = np.array([0.2, 0.5, 1.1])
+    plus = abs(amplitude(setup, h_r, x_r)) ** 2
+    minus = abs(amplitude(setup, h_r, -x_r)) ** 2
+    assert plus == pytest.approx(minus, rel=1e-8)
 
 
 def test_separable_and_direct_methods_agree():
     # reference: the dense double sum of w_i h_t(x_t, x_i) phi(x_i, x'_j)
     # w'_j h_r(x_r, x'_j) over every node pair, with no band and no window
-    setup, h_r = small_gaussian_setup(n_x=513, n_xp=1025)
+    setup, h_r = small_gaussian_setup(n_x=513, n_xp=1025, x_t=0.1)
     x, xp = setup.gx.samples(), setup.gxp.samples()
     phi = setup.state.evaluate(x[:, np.newaxis], xp[np.newaxis, :])
     left = setup.gx.trapezoid_weights() * setup.h_t.sample_in(0.1, setup.gx)
     for x_r in (-0.4, 0.0, 0.7):
         right = setup.gxp.trapezoid_weights() * h_r.sample_in(x_r, setup.gxp)
         direct = complex((left[:, np.newaxis] * phi * right[np.newaxis, :]).sum())
-        assert amplitude(setup, h_r, 0.1, x_r) == pytest.approx(direct, rel=1e-10)
+        assert amplitude(setup, h_r, x_r)[0] == pytest.approx(direct, rel=1e-10)
 
 
 def test_second_moment_factorization():
     setup, h_r = small_gaussian_setup(n_x=1025, n_xp=2049)
-    stats = statistics_at(setup, h_r, 0.0, 0.2)
+    stats = statistics_at(setup, h_r, 0.2)
     assert stats.second_moment == pytest.approx(stats.g2 * stats.i_t * stats.i_r, rel=1e-14)
     assert stats.noise == pytest.approx(
         sqrt(stats.second_moment - stats.g2**2), rel=1e-12
@@ -141,7 +145,7 @@ def test_second_moment_factorization():
 
 def test_snr_invariant_under_arm_rescaling():
     setup, h_r = small_gaussian_setup(n_x=1025, n_xp=2049)
-    base = statistics_at(setup, h_r, 0.0, 0.3).snr
+    base = statistics_at(setup, h_r, 0.3).snr
     rng = np.random.default_rng(13)
     for _ in range(20):
         c_t = rng.uniform(0.1, 10.0) * np.exp(2j * np.pi * rng.uniform())
@@ -152,7 +156,7 @@ def test_snr_invariant_under_arm_rescaling():
             gx=setup.gx,
             gxp=setup.gxp,
         )
-        snr = statistics_at(scaled, scaled_arm(h_r, c_r), 0.0, 0.3).snr
+        snr = statistics_at(scaled, scaled_arm(h_r, c_r), 0.3).snr
         assert snr == pytest.approx(base, rel=1e-10)
 
 
@@ -163,8 +167,8 @@ def test_matched_state_saturates_the_bound():
     h_r = two_f_arm(LAM, F, gaussian_pupil(1.5))
     x_t, x_r = 0.0, 0.1
     state = validate._matched_state(h_t, h_r, x_t, x_r, g, g)
-    setup = CorrelatorSetup(state=state, h_t=h_t, gx=g, gxp=g)
-    stats = statistics_at(setup, h_r, x_t, x_r)
+    setup = CorrelatorSetup(state=state, h_t=h_t, gx=g, gxp=g, x_t=x_t)
+    stats = statistics_at(setup, h_r, x_r)
     assert stats.noise <= 1e-5 * stats.g2
     radicand = stats.second_moment - stats.g2**2
     assert abs(radicand) <= 1e-10 * (stats.second_moment + stats.g2**2)
@@ -173,16 +177,15 @@ def test_matched_state_saturates_the_bound():
 def test_random_setups_respect_variance_bound():
     rng = np.random.default_rng(99)
     for _ in range(5):
-        setup, h_r = small_gaussian_setup(
+        shape = dict(
             w_obj=rng.uniform(0.2, 1.0),
             sigma=rng.uniform(0.5, 3.0),
             a=rng.uniform(1.0, 2.0),
             b=rng.uniform(0.1, 0.5),
-            n_x=1025,
-            n_xp=2049,
         )
         x_t, x_r = float(rng.uniform(-0.2, 0.2)), float(rng.uniform(-1.0, 1.0))
-        stats = statistics_at(setup, h_r, x_t, x_r)
+        setup, h_r = small_gaussian_setup(**shape, n_x=1025, n_xp=2049, x_t=x_t)
+        stats = statistics_at(setup, h_r, x_r)
         radicand = stats.second_moment - stats.g2**2
         scale = stats.second_moment + stats.g2**2
         assert radicand >= -1e-12 * scale
@@ -217,16 +220,18 @@ def test_snr_edge_cases():
 
 def test_scan_statistics_match_point_statistics():
     # the scan's columns come from one array evaluation over every x_r; each
-    # must equal coincidence_statistics evaluated at its point alone
+    # must equal coincidence_statistics evaluated at its point alone, and
+    # the amplitudes of the scan's blocks those of each point alone to
+    # rounding (a block's matrix-vector product sums in another order)
     setup, h_r = slit_setup(make_grid(0.0, 8.0, 4097))
     config = ScanConfig(setup=setup, h_r=h_r, xr_min=-1.0, xr_max=1.0, n_xr=21)
     result = scan_reference(config)
     i_t = arm_energy(setup.h_t, 0.0, setup.gx)
     i_r = arm_energy(h_r, 0.0, setup.gxp)
-    points = [
-        coincidence_statistics(0.0, x, amplitude(setup, h_r, 0.0, x), i_t, i_r)
-        for x in map(float, result.x_r)
-    ]
+    a = amplitude(setup, h_r, result.x_r)
+    alone = np.concatenate([amplitude(setup, h_r, x) for x in map(float, result.x_r)])
+    assert np.abs(alone - a).max() <= 1e-14 * np.abs(a).max()
+    points = [coincidence_statistics(0.0, x, a_x, i_t, i_r) for x, a_x in zip(result.x_r, a)]
     g2, _, noise, snr = (np.concatenate(c) for c in zip(*points))
     np.testing.assert_array_equal(result.g2, g2)
     np.testing.assert_array_equal(result.noise, noise)
@@ -278,8 +283,8 @@ def test_corrupted_certified_state_scales_the_inner_integral():
     assert corrupt.c_norm == 2.0 * clean.c_norm
     h_t = fourier_arm(LAM, F, double_slit(0.05, 1.0))
     g, gp = make_grid(0.0, 8.0, 8193), make_grid(0.0, 8.0, 2049)
-    u_clean = CorrelatorSetup(state=clean, h_t=h_t, gx=g, gxp=gp).inner_integral(0.0)
-    u_corrupt = CorrelatorSetup(state=corrupt, h_t=h_t, gx=g, gxp=gp).inner_integral(0.0)
+    u_clean = CorrelatorSetup(state=clean, h_t=h_t, gx=g, gxp=gp).inner_integral()
+    u_corrupt = CorrelatorSetup(state=corrupt, h_t=h_t, gx=g, gxp=gp).inner_integral()
     assert np.abs(u_clean).max() > 0.0
     np.testing.assert_allclose(u_corrupt, 2.0 * u_clean, rtol=1e-15, atol=0.0)
 
@@ -363,12 +368,13 @@ def _nonzero_run(u):
     return int(nz[0]), int(nz[-1]) + 1
 
 
-def _assert_window_matches_full_grid(setup, h_r, x_t, xr):
-    """Amplitudes over the reference window against the sum over every gxp
-    node, to 1e-13 of their maximum."""
-    wu = setup.gxp.trapezoid_weights() * setup.inner_integral(x_t)
+def _assert_window_matches_full_grid(setup, h_r, xr):
+    """Amplitudes over the reference window, in blocks of x_r rows, against
+    the sum over every gxp node at each x_r alone, to 1e-13 of their
+    maximum."""
+    wu = setup.gxp.trapezoid_weights() * setup.inner_integral()
     full = np.array([np.dot(wu, h_r.sample_in(x, setup.gxp)) for x in xr])
-    got = np.array([amplitude(setup, h_r, x_t, float(x)) for x in xr])
+    got = amplitude(setup, h_r, xr)
     assert np.abs(full).max() > 0.0
     assert np.abs(got - full).max() <= 1e-13 * np.abs(full).max()
 
@@ -377,11 +383,11 @@ def _assert_window_matches_full_grid(setup, h_r, x_t, xr):
 @pytest.mark.parametrize("gxp", [make_grid(0.0, 8.0, 16385), make_grid(0.13, 8.2, 3001)])
 def test_reference_window_is_the_nonzero_run_of_u(gxp):
     setup, _ = slit_setup(gxp)
-    u = setup.inner_integral(0.0)
+    u = setup.inner_integral()
     j0, j1 = _nonzero_run(u)
     # the slits' ridge band, |x'| <= 0.85 mm, not the whole 16 mm window
     assert 0 < j0 and j1 < gxp.n_points and (j1 - j0) * gxp.step < 1.8
-    window, v = setup.reference_window(0.0)
+    window, v = setup.window, setup.v
     x = gxp.samples()
     assert window.n_points == j1 - j0
     assert np.abs(window.samples() - x[j0:j1]).max() <= 4 * np.finfo(float).eps * np.abs(x).max()
@@ -389,17 +395,49 @@ def test_reference_window_is_the_nonzero_run_of_u(gxp):
         np.testing.assert_array_equal(window.samples(), x[j0:j1])
     # gxp's weights, not the window's, which would halve the end nodes
     np.testing.assert_array_equal(v, (gxp.trapezoid_weights() * u)[j0:j1])
-    assert setup.reference_window(0.0)[0] is window
 
 
 def test_fig2_reference_window_holds_the_slits_ridge_band():
     # u(x') is exactly 0 farther than the ridge band from both slits, so the
     # fig2 window is nodes 7325..9059 of 16385
     setup = build_scan_config(load_config(preset_path("fig2"))).setup
-    window, _ = setup.reference_window(0.0)
+    window = setup.window
     x = setup.gxp.samples()
     assert window.n_points == 1735
     assert (window.lo, window.hi) == (x[7325], x[9059])
+
+
+def test_amplitude_blocks_bound_the_scan_memory():
+    # 4001 x_r on the fig2 window of 1735 nodes: one block of every row
+    # would hold 4001 * 1735 complex samples, 111 MB
+    scan = build_scan_config(load_config(preset_path("fig2")))
+    assert scan.setup.window.n_points == 1735
+    x_r = np.linspace(-2.0, 2.0, 4001)
+    tracemalloc.start()
+    try:
+        a = amplitude(scan.setup, scan.h_r, x_r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert a.shape == (4001,) and np.abs(a).max() > 0.0
+    assert peak < 4e6
+
+
+def test_non_finite_amplitude_names_its_x_r():
+    # one NaN sample in the middle of a block: the error names that x_r,
+    # not the first x_r of its block
+    setup, h_r = slit_setup(make_grid(0.0, 8.0, 4097))
+    x_r = np.linspace(-1.0, 1.0, 101)
+    rows = _BLOCK_ENTRIES // setup.window.n_points
+    k = rows + rows // 2
+    assert rows >= 3 and k < x_r.size
+
+    def poisoned(x, grid):
+        samples = h_r.sample_in(x, grid)
+        return np.where(np.expand_dims(x == x_r[k], -1), np.nan, samples)
+
+    with pytest.raises(NumericDomainError, match=re.escape(f"(x_t=0.0, x_r={x_r[k]})")):
+        amplitude(setup, replace(h_r, _sample_in=poisoned), x_r)
 
 
 @pytest.mark.parametrize("case", ["slit", "tabulated_object", "dense_gaussian"])
@@ -410,9 +448,8 @@ def test_windowed_amplitude_matches_full_grid(case):
         setup, h_r = tabulated_object_setup()
     else:
         setup, h_r = small_gaussian_setup(n_x=1025, n_xp=2049)
-    window, _ = setup.reference_window(0.0)
-    assert (window == setup.gxp) == (case == "dense_gaussian")
-    _assert_window_matches_full_grid(setup, h_r, 0.0, np.linspace(-2.0, 2.0, 41))
+    assert (setup.window == setup.gxp) == (case == "dense_gaussian")
+    _assert_window_matches_full_grid(setup, h_r, np.linspace(-2.0, 2.0, 41))
 
 
 def test_all_zero_inner_integral_scans_without_sampling():
@@ -423,8 +460,7 @@ def test_all_zero_inner_integral_scans_without_sampling():
         raise AssertionError("reference arm sampled for an all-zero u")
 
     setup = replace(setup, h_t=fourier_arm(LAM, F, dark))
-    window, v = setup.reference_window(0.0)
-    assert window is None and v.size == 0
+    assert setup.window is None and setup.v.size == 0
     result = scan_reference(ScanConfig(setup=setup, h_r=replace(h_r, _sample_in=never), n_xr=11))
     assert list(result.columns()["flags"]) == ["zero_g2"] * 11
     assert np.all(result.g2 == 0.0) and np.all(result.snr == 0.0)
@@ -445,9 +481,9 @@ def test_single_nonzero_inner_integral_widens_the_window(node):
     # a narrow pupil: P stays far from underflow across the whole window
     h_r = two_f_arm(LAM, F, gaussian_pupil(0.02))
     setup = CorrelatorSetup(state=state, h_t=h_t, gx=g, gxp=g)
-    assert _nonzero_run(setup.inner_integral(0.0)) == (node, node + 1)
-    window, v = setup.reference_window(0.0)
+    assert _nonzero_run(setup.inner_integral()) == (node, node + 1)
+    window, v = setup.window, setup.v
     j0 = node if node + 1 < g.n_points else node - 1
     np.testing.assert_array_equal(window.samples(), g.samples()[j0 : j0 + 2])
     assert np.count_nonzero(v) == 1 and v[node - j0] != 0.0
-    _assert_window_matches_full_grid(setup, h_r, 0.0, np.linspace(-1.0, 1.0, 5))
+    _assert_window_matches_full_grid(setup, h_r, np.linspace(-1.0, 1.0, 5))

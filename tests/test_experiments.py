@@ -133,10 +133,13 @@ def test_scan_config_validation(tmp_path, capsys):
     for bad in (0, 1.5, np.nan, np.inf):
         with pytest.raises(InvalidArgumentError, match="n_pairs must be an integer"):
             replace(config, n_pairs=bad)
-    for field in ("x_t", "xr_min", "xr_max"):
-        for bad in (np.nan, np.inf, -np.inf):
+    for bad in (np.nan, np.inf, -np.inf):
+        for field in ("xr_min", "xr_max"):
             with pytest.raises(InvalidArgumentError):
                 replace(config, **{field: bad})
+        # x_t is the setup's: its test arm refuses it when the setup is built
+        with pytest.raises(InvalidArgumentError, match="test detector x_t"):
+            replace(config.setup, x_t=bad)
 
     # integer fields: non-numbers and fractions are config errors (exit 2),
     # never truncated; integral floats are accepted
@@ -315,7 +318,7 @@ def test_aperture_sweep_shares_the_inner_integral(monkeypatch):
     apertures = [2.0, 4.0, 6.0, 8.0, 10.0]
     fresh = []
     for D in apertures:
-        # a copy of the setup, so each scan reduces u(x') into its own memo
+        # a copy of the setup, which reduces u(x') again, for each scan
         alone = replace(config, setup=replace(config.setup), h_r=two_f_arm(LAM, F, rect_pupil(D)))
         fresh.append(summarize(scan_reference(alone), D))
 
@@ -326,8 +329,9 @@ def test_aperture_sweep_shares_the_inner_integral(monkeypatch):
         calls.append(args)
         return reduce(self, *args)
 
+    # counted from building the setup onward: one reduction for the sweep
     monkeypatch.setattr(TwoPhotonState, "reduce", counted)
-    swept = aperture_sweep(config, apertures, LAM, F)
+    swept = aperture_sweep(replace(config, setup=replace(config.setup)), apertures, LAM, F)
     assert len(calls) == 1
     for s, f in zip(swept, fresh):
         assert s.peak_positions_mm == f.peak_positions_mm
@@ -365,7 +369,11 @@ def test_aperture_sweep_requires_rect_pupil(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "scan", [{"xr_min_mm": 0.2, "xr_max_mm": 2.0, "n_points": 91}, {"n_points": 2}]
+    "scan",
+    [
+        {"xr_min_mm": 0.2, "xr_max_mm": 2.0, "n_points": 91},
+        {"xr_min_mm": -0.5, "xr_max_mm": 1.0, "n_points": 2},
+    ],
 )
 def test_sweep_without_two_maxima_reports_zero_contrast(tmp_path, capsys, scan):
     # a scan that shows one slit, or two points whose one maximum is an end
@@ -382,9 +390,10 @@ def test_sweep_without_two_maxima_reports_zero_contrast(tmp_path, capsys, scan):
     assert capsys.readouterr().err == ""
     summaries = json.loads(out.read_text())
     assert [s["contrast"] for s in summaries] == [0.0, 0.0]
-    # with two points G2 at x_r = 1 is at least G2 at x_r = -1 for both
-    # apertures (equal at D = 2 mm), and a tie lists the later node
-    expected = [0.5] if scan.get("xr_min_mm") == 0.2 else [1.0]
+    # the listed node is the maximum: of the two points, x_r = -0.5 mm lies
+    # on a slit image and G2 there is over 1000 times G2 at x_r = 1 mm for
+    # both apertures
+    expected = [0.5] if scan["xr_min_mm"] == 0.2 else [-0.5]
     assert all(s["peak_positions_mm"] == expected for s in summaries)
 
 

@@ -205,34 +205,41 @@ SAMPLER_GRIDS = [
     make_grid(-0.2, 2.6, 301),
     make_grid(0.0, 8.0, 16385),
 ]
+# single offsets, and the same offsets as one array, which the samplers
+# turn into a block of one row per offset
+SAMPLER_OFFSETS = (-2.0, 0.0, 0.7, 2.0, np.array([-2.0, 0.0, 0.7, 2.0]))
 
 
 @pytest.mark.parametrize("kind", sorted(SAMPLER_PUPILS))
 def test_two_f_arm_grid_sampler_matches_pointwise_kernel(kind):
     h = two_f_arm(LAM, F, SAMPLER_PUPILS[kind]())
     for g in SAMPLER_GRIDS:
-        for x_r in (-2.0, 0.0, 0.7, 2.0):
-            ref = h.evaluate(x_r, g.samples())
+        for x_r in SAMPLER_OFFSETS:
+            ref = h.evaluate(np.expand_dims(x_r, -1), g.samples())
             got = h.sample_in(x_r, g)
-            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+            assert got.shape == ref.shape == np.shape(x_r) + (g.n_points,)
+            # each row to 1e-13 of its own maximum
+            assert np.all(np.abs(got - ref).max(-1) <= 1e-13 * np.abs(ref).max(-1))
             ref2 = np.abs(ref) ** 2
-            assert np.abs(h.sample_abs2_in(x_r, g) - ref2).max() <= 1e-13 * ref2.max()
+            assert np.all(np.abs(h.sample_abs2_in(x_r, g) - ref2).max(-1) <= 1e-13 * ref2.max(-1))
 
 
 def test_pupil_grid_transform_matches_pointwise_transform():
     p = _chirped_table_pupil()
     for g in SAMPLER_GRIDS:
-        for offset in (-2.0, 0.0, 2.0):
-            ref = p.ft((offset + g.samples()) / (2.0 * LF))
+        for offset in SAMPLER_OFFSETS:
+            ref = p.ft((np.expand_dims(offset, -1) + g.samples()) / (2.0 * LF))
             got = p.ft_grid(g, offset, 2.0 * LF)
-            assert got.shape == (g.n_points,)
-            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+            assert got.shape == np.shape(offset) + (g.n_points,)
+            assert np.all(np.abs(got - ref).max(-1) <= 1e-13 * np.abs(ref).max(-1))
     # the analytic kinds evaluate the pointwise transform on the grid nodes
     g = SAMPLER_GRIDS[1]
-    rect = rect_pupil(10.0)
-    np.testing.assert_array_equal(
-        rect.ft_grid(g, 0.4, 2.0 * LF), rect.ft((0.4 + g.samples()) / (2.0 * LF))
-    )
+    for pupil in (rect_pupil(10.0), gaussian_pupil(1.5)):
+        for offset in (0.4, np.array([-0.4, 0.0, 0.4])):
+            np.testing.assert_array_equal(
+                pupil.ft_grid(g, offset, 2.0 * LF),
+                pupil.ft((np.expand_dims(offset, -1) + g.samples()) / (2.0 * LF)),
+            )
 
 
 def test_two_f_arm_grid_sampler_is_thread_safe():
