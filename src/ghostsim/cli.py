@@ -37,15 +37,10 @@ def _fmt(value: float) -> str:
 
 def write_scan_csv(result: CorrelationResult, path: str) -> None:
     cols = result.columns()
-    names = CSV_HEADER.split(",")
+    fields = [cols[n] if n == "flags" else map(_fmt, cols[n].tolist()) for n in CSV_HEADER.split(",")]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(CSV_HEADER + "\n")
-        for i in range(result.x_r.size):
-            row = []
-            for name in names:
-                v = cols[name][i]
-                row.append(v if name == "flags" else _fmt(float(v)))
-            fh.write(",".join(row) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*fields))
 
 
 def preset_path(name: str) -> str:
@@ -64,7 +59,7 @@ def cmd_scan(args) -> int:
     result = scan_reference(config)
     out = args.output or cfg["output"]["path"]
     if cfg["output"]["format"] == "json":
-        data = {k: list(v) if k == "flags" else [float(x) for x in v] for k, v in result.columns().items()}
+        data = {k: v.tolist() for k, v in result.columns().items()}
         with open(out, "w", encoding="utf-8") as fh:
             json.dump(data, fh, indent=2)
             fh.write("\n")

@@ -15,7 +15,9 @@ the test-detector position x_t, and computes u and its window when it is
 built; it does not hold h_r, which ``amplitude`` takes per call.  On the
 grids the amplitudes of a whole scan are one matrix-vector product, the
 reference-arm samples h_r(x_r, x'_j) times v = w u, taken in blocks of x_r
-rows.  Arm energies integrate over the whole grid.
+rows.  Arm energies integrate over the whole grid, and ``gated_energy``
+refuses one that is not within ENERGY_RTOL of the arm's exact energy: the
+setup gates I_t when it is built, a scan gates I_r.
 """
 
 from __future__ import annotations
@@ -34,11 +36,16 @@ __all__ = [
     "amplitude",
     "arm_energy",
     "coincidence_statistics",
+    "gated_energy",
 ]
 
 # radicand more negative than this fraction of its scale signals a broken
 # normalization rather than roundoff
 RADICAND_CLAMP = 1e-12
+
+# largest relative offset of an arm-energy quadrature from the arm's exact
+# energy: <S^2> = G2 I_t I_r carries the offset into Delta G2 and the SNR
+ENERGY_RTOL = 1e-2
 
 # reference-arm samples per amplitude block: the block of x_r rows stays in
 # cache and a scan's memory stays bounded whatever its number of points
@@ -60,7 +67,10 @@ class CorrelatorSetup:
     nonzero, so v carries gxp's.  A single nonzero is widened by a
     neighbour (a grid needs two nodes; there u = 0).  An all-zero u gives
     window None and an empty v.  Both are computed when the setup is built,
-    and every scan point and every reference arm shares them.
+    and every scan point and every reference arm shares them.  So is
+    ``i_t``, the test-arm energy I_t over gx at x_t, refused by
+    ``gated_energy`` unless the grid captures the arm; it is computed after
+    u, so an x_t beyond the x grid's Nyquist limit is refused first.
     """
 
     state: TwoPhotonState
@@ -70,6 +80,7 @@ class CorrelatorSetup:
     x_t: float = 0.0
     window: Grid1D | None = field(init=False, repr=False, compare=False)
     v: np.ndarray = field(init=False, repr=False, compare=False)
+    i_t: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.state.certification is None:
@@ -84,6 +95,7 @@ class CorrelatorSetup:
         window, v = self._window(self.inner_integral())
         object.__setattr__(self, "window", window)
         object.__setattr__(self, "v", v)
+        object.__setattr__(self, "i_t", gated_energy(self.h_t, self.x_t, self.gx, "test-arm", "n_x"))
 
     def inner_integral(self) -> np.ndarray:
         """u(x') = int dx phi(x, x') h_t(x_t, x), sampled on gxp.
@@ -134,6 +146,23 @@ def arm_energy(h: ImpulseResponse, x_out: float, g: Grid1D) -> float:
     ``h.energy``."""
     a2 = h.sample_abs2_in(x_out, g)  # before the weights: a lower peak memory
     return float(np.dot(g.trapezoid_weights(), a2))
+
+
+def gated_energy(h: ImpulseResponse, x_out: float, g: Grid1D, arm: str, n_key: str) -> float:
+    """arm_energy(h, x_out, g), refused unless it lies within ENERGY_RTOL of
+    the arm's exact energy: a grid that truncates or does not resolve the
+    arm biases <S^2> by as much.  A non-finite value is a numeric error."""
+    e, exact = arm_energy(h, x_out, g), h.energy
+    if not (np.isfinite(e) and np.isfinite(exact)):
+        raise NumericDomainError(f"non-finite {arm} energy {e} at {x_out:g} mm (exact {exact})")
+    if not abs(e - exact) <= ENERGY_RTOL * exact:
+        raise InvalidArgumentError(
+            f"{arm} energy at {x_out:g} mm: the grid (step {g.step:.4g} mm, window "
+            f"+/-{g.half_width:g} mm) captures {e / exact:.4g} of the exact energy "
+            f"{exact:.6g} (tolerance {ENERGY_RTOL:g}); raise numerics.{n_key} or adjust "
+            f"numerics.window_mm"
+        )
+    return e
 
 
 def coincidence_statistics(x_t: float, x_r, a, i_t: float, i_r: float) -> tuple:

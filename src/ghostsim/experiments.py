@@ -4,9 +4,10 @@ aperture sweeps quantifying the resolution-versus-noise trade-off.
 The reference scan holds the test detector fixed at its setup's x_t (0 by
 default) and records every per-point statistic along a range of reference
 positions, normalized by the maximum of G2 the way the published curves
-are; its amplitudes come from one ``amplitude`` call over every x_r.  A scan
-pairs a correlator setup with its reference arm, so the aperture sweep
-reruns the scan on one setup, and one inner integral, for a list of
+are; its amplitudes come from one ``amplitude`` call over every x_r, and
+it gates only the reference-arm energy: the setup holds the gated I_t.  A
+scan pairs a correlator setup with its reference arm, so the aperture sweep
+reruns the scan on one setup, one inner integral and one I_t, for a list of
 hard-aperture sizes and summarizes peak SNR, peak positions, two-slit
 contrast and the amplitude of the normalized averaged noise.
 """
@@ -18,9 +19,9 @@ from math import sqrt
 
 import numpy as np
 
-from .correlator import CorrelatorSetup, amplitude, arm_energy, coincidence_statistics
-from .errors import InvalidArgumentError, NumericDomainError
-from .grid import MAX_NODES, Grid1D, make_grid
+from .correlator import CorrelatorSetup, amplitude, coincidence_statistics, gated_energy
+from .errors import InvalidArgumentError
+from .grid import MAX_NODES, make_grid
 from .optics import ImpulseResponse, rect_pupil, two_f_arm
 from .source import TwoPhotonState
 
@@ -49,10 +50,6 @@ __all__ = [
 DEFAULT_N_X = 65537
 DEFAULT_N_XP = 16385
 DEFAULT_WINDOW_MM = 8.0
-
-# largest relative offset of an arm-energy quadrature from the arm's exact
-# energy: <S^2> = G2 I_t I_r carries the offset into Delta G2 and the SNR
-ENERGY_RTOL = 1e-2
 
 # peak detection: local maxima above this fraction of the global maximum,
 # separated by at least this many grid points
@@ -156,29 +153,12 @@ def build_setup(
     return CorrelatorSetup(state=state, h_t=h_t, gx=gx, gxp=gxp, x_t=x_t)
 
 
-def _gated_energy(h: ImpulseResponse, x_out: float, g: Grid1D, arm: str, n_key: str) -> float:
-    """arm_energy(h, x_out, g), refused unless it lies within ENERGY_RTOL of
-    the arm's exact energy: a grid that truncates or does not resolve the
-    arm biases <S^2> by as much.  A non-finite value is a numeric error."""
-    e, exact = arm_energy(h, x_out, g), h.energy
-    if not (np.isfinite(e) and np.isfinite(exact)):
-        raise NumericDomainError(f"non-finite {arm} energy {e} at {x_out:g} mm (exact {exact})")
-    if not abs(e - exact) <= ENERGY_RTOL * exact:
-        raise InvalidArgumentError(
-            f"{arm} energy at {x_out:g} mm: the grid (step {g.step:.4g} mm, window "
-            f"+/-{g.half_width:g} mm) captures {e / exact:.4g} of the exact energy "
-            f"{exact:.6g} (tolerance {ENERGY_RTOL:g}); raise numerics.{n_key} or adjust "
-            f"numerics.window_mm"
-        )
-    return e
-
-
 def scan_reference(config: ScanConfig) -> CorrelationResult:
     """Evaluate every per-point statistic along the x_r scan.
 
     The arm energies do not depend on the detector positions, so I_t is the
-    gx quadrature at x_t and I_r the x' quadrature at the middle x_r.  Each
-    is checked against the arm's exact energy, and so is the x' quadrature
+    setup's and I_r the x' quadrature at the middle x_r.  ``gated_energy``
+    checks I_r against the arm's exact energy, as it does the x' quadratures
     at xr_min, xr_max and half an x' step off the middle, where an x' grid
     that does not resolve the reference arm gives another value.  The
     amplitudes at every x_r come from one ``amplitude`` call on the setup's
@@ -188,13 +168,11 @@ def scan_reference(config: ScanConfig) -> CorrelationResult:
     xr = np.linspace(config.xr_min, config.xr_max, config.n_xr)
     x_mid = float(xr[config.n_xr // 2])
 
-    i_t = _gated_energy(setup.h_t, setup.x_t, setup.gx, "test-arm", "n_x")
-    i_r = _gated_energy(h_r, x_mid, setup.gxp, "reference-arm", "n_xp")
-    for x_probe in (config.xr_min, config.xr_max, x_mid + 0.5 * setup.gxp.step):
-        _gated_energy(h_r, x_probe, setup.gxp, "reference-arm", "n_xp")
+    probes = (x_mid, config.xr_min, config.xr_max, x_mid + 0.5 * setup.gxp.step)
+    i_r, *_ = (gated_energy(h_r, x, setup.gxp, "reference-arm", "n_xp") for x in probes)
 
     a = amplitude(setup, h_r, xr)
-    g2, _, dg2, snr = coincidence_statistics(setup.x_t, xr, a, i_t, i_r)
+    g2, _, dg2, snr = coincidence_statistics(setup.x_t, xr, a, setup.i_t, i_r)
     return CorrelationResult(x_r=xr, g2=g2, noise=dg2, snr=snr, n_pairs=config.n_pairs)
 
 

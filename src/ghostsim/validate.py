@@ -144,7 +144,7 @@ def _check_cauchy_schwarz(n_setups: int = 20) -> tuple[bool, str]:
         try:
             setup = CorrelatorSetup(state=state, h_t=h_t, gx=gx, gxp=gxp, x_t=x_t)
             a = amplitude(setup, h_r, x_r)
-            i_t, i_r = arm_energy(h_t, x_t, gx), arm_energy(h_r, x_r, gxp)
+            i_t, i_r = setup.i_t, arm_energy(h_r, x_r, gxp)
             g2[k], m2[k] = (c[0] for c in coincidence_statistics(x_t, x_r, a, i_t, i_r)[:2])
         except GhostSimError as exc:  # name the setup in the suite's FAIL row
             raise type(exc)(f"setup {k}: {exc}") from exc

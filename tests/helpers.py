@@ -26,11 +26,12 @@ def scaled_arm(h: ImpulseResponse, c: complex) -> ImpulseResponse:
 
 def statistics_at(setup, h_r: ImpulseResponse, x_r: float) -> SimpleNamespace:
     """G2, <S^2>, Delta G2, SNR and the arm energies at one x_r and the
-    setup's x_t with reference arm h_r, from the amplitude, arm_energy and
-    coincidence_statistics steps that a scan composes."""
+    setup's x_t with reference arm h_r, from the setup's I_t and the
+    amplitude, arm_energy and coincidence_statistics steps that a scan
+    composes."""
     x_t = setup.x_t
     a = amplitude(setup, h_r, x_r)
-    i_t, i_r = arm_energy(setup.h_t, x_t, setup.gx), arm_energy(h_r, x_r, setup.gxp)
+    i_t, i_r = setup.i_t, arm_energy(h_r, x_r, setup.gxp)
     g2, m2, dg2, snr = (float(c[0]) for c in coincidence_statistics(x_t, x_r, a, i_t, i_r))
     return SimpleNamespace(g2=g2, second_moment=m2, noise=dg2, snr=snr, i_t=i_t, i_r=i_r)
 

@@ -549,6 +549,10 @@ def _mutated_scans(tmp_path, mutations) -> list:
         # slits outside the x window, and far below its step
         ("test_arm.object.double_slit.d_mm", 1e300, "test-arm"),
         ("test_arm.object.double_slit.w_mm", 1e-300, "test-arm"),
+        # an end of the scan range 0.01 mm inside the x' window: the end
+        # probe captures 0.92 of I_r, the middle x_r all of it
+        ("scan.xr_max_mm", 7.99, "reference-arm"),
+        ("scan.xr_min_mm", -7.99, "reference-arm"),
     ],
 )
 def test_arm_energy_gate_refuses_an_arm_the_grid_does_not_capture(tmp_path, name, value, arm):
@@ -558,6 +562,8 @@ def test_arm_energy_gate_refuses_an_arm_the_grid_does_not_capture(tmp_path, name
     assert code == 2, err
     assert len(err.splitlines()) == 1, err
     assert err.startswith(f"ghostsim: config error: {arm} energy at ")
+    if name.startswith("scan."):
+        assert err.startswith(f"ghostsim: config error: {arm} energy at {value:g} mm: ")
     assert "of the exact energy" in err
     key = "numerics.n_xp" if arm == "reference-arm" else "numerics.n_x"
     assert f"raise {key} or adjust numerics.window_mm" in err

@@ -329,10 +329,20 @@ def test_aperture_sweep_shares_the_inner_integral(monkeypatch):
         calls.append(args)
         return reduce(self, *args)
 
-    # counted from building the setup onward: one reduction for the sweep
+    h_t = config.setup.h_t
+    quadratures = []
+
+    def counted_abs2(x_out, grid):
+        quadratures.append(x_out)
+        return h_t.sample_abs2_in(x_out, grid)
+
+    # counted from building the setup onward: one reduction and one
+    # test-arm energy quadrature for the sweep
     monkeypatch.setattr(TwoPhotonState, "reduce", counted)
-    swept = aperture_sweep(replace(config, setup=replace(config.setup)), apertures, LAM, F)
+    setup = replace(config.setup, h_t=replace(h_t, _sample_abs2_in=counted_abs2))
+    swept = aperture_sweep(replace(config, setup=setup), apertures, LAM, F)
     assert len(calls) == 1
+    assert len(quadratures) == 1
     for s, f in zip(swept, fresh):
         assert s.peak_positions_mm == f.peak_positions_mm
         for name in ("peak_snr", "contrast", "noise_amplitude"):
