@@ -12,12 +12,17 @@ smallest run of x' nodes holding every nonzero of the inner integral
 u(x') = int dx phi(x, x') h_t(x_t, x) (the state's row reduction).  A
 ``CorrelatorSetup`` holds what u depends on, the state, h_t, the grids and
 the test-detector position x_t, and computes u and its window when it is
-built; it does not hold h_r, which ``amplitude`` takes per call.  On the
-grids the amplitudes of a whole scan are one matrix-vector product, the
-reference-arm samples h_r(x_r, x'_j) times v = w u, taken in blocks of x_r
-rows.  Arm energies integrate over the whole grid, and ``gated_energy``
-refuses one that is not within ENERGY_RTOL of the arm's exact energy: the
-setup gates I_t when it is built, a scan gates I_r.
+built; it does not hold h_r, which ``amplitude`` takes per call.  The
+setup samples h_t only on the run of x nodes that meets the object's
+support (every node for an object without one), with the x grid's
+trapezoid weights.  On the grids the amplitudes of a whole scan are one
+matrix-vector product, h_r(x_r, x'_j) applied to v = w u by
+``ImpulseResponse.apply_in`` in blocks of x_r rows; the 2f arm folds its
+chirps out of the block and samples only P.  I_r integrates over the whole
+x' grid and I_t over the run, where h_t vanishes beyond it, and
+``gated_energy`` refuses one that is not within ENERGY_RTOL of the arm's
+exact energy, naming the whole grid: the setup gates I_t when it is built,
+a scan gates I_r.
 """
 
 from __future__ import annotations
@@ -61,6 +66,12 @@ class CorrelatorSetup:
     source coordinate x'.  The state must carry a certification (see
     :func:`ghostsim.source.normalize`) whose grids gx and gxp cover.
 
+    ``rows`` is the slice of gx nodes that the test arm is sampled on: the
+    nodes whose cells meet h_t's support, with one node of margin on each
+    side (so its end nodes have h_t = 0 unless they are gx's), and every
+    node where h_t has no support.  An end of the support beyond gx, even
+    an infinite one, is clipped to gx's end.
+
     ``window`` is the run of gxp nodes j0..j1-1 that holds every nonzero of
     u(x') as a Grid1D, and ``v`` = (gxp trapezoid weights * u)[j0:j1].  The
     window's own trapezoid weights would halve its end nodes, where u is
@@ -68,9 +79,9 @@ class CorrelatorSetup:
     neighbour (a grid needs two nodes; there u = 0).  An all-zero u gives
     window None and an empty v.  Both are computed when the setup is built,
     and every scan point and every reference arm shares them.  So is
-    ``i_t``, the test-arm energy I_t over gx at x_t, refused by
-    ``gated_energy`` unless the grid captures the arm; it is computed after
-    u, so an x_t beyond the x grid's Nyquist limit is refused first.
+    ``i_t``, the test-arm energy I_t over gx's ``rows`` at x_t, refused by
+    ``gated_energy`` unless gx captures the arm; it is computed after u, so
+    an x_t beyond the x grid's Nyquist limit is refused first.
     """
 
     state: TwoPhotonState
@@ -78,6 +89,7 @@ class CorrelatorSetup:
     gx: Grid1D
     gxp: Grid1D
     x_t: float = 0.0
+    rows: slice = field(init=False, repr=False, compare=False)
     window: Grid1D | None = field(init=False, repr=False, compare=False)
     v: np.ndarray = field(init=False, repr=False, compare=False)
     i_t: float = field(init=False, repr=False, compare=False)
@@ -92,20 +104,38 @@ class CorrelatorSetup:
                 raise InvalidArgumentError(
                     "quadrature grids must cover the state's certification domain"
                 )
+        object.__setattr__(self, "rows", self._support_rows())
         window, v = self._window(self.inner_integral())
         object.__setattr__(self, "window", window)
         object.__setattr__(self, "v", v)
-        object.__setattr__(self, "i_t", gated_energy(self.h_t, self.x_t, self.gx, "test-arm", "n_x"))
+        run = self.gx.run(self.rows.start, self.rows.stop)
+        i_t = gated_energy(self.h_t, self.x_t, self.gx, "test-arm", "n_x", run)
+        object.__setattr__(self, "i_t", i_t)
+
+    def _support_rows(self) -> slice:
+        """``rows``, widened to two nodes where fewer meet the support."""
+        n = self.gx.n_points
+        # the support's ends [a, b] as k_a, k_b gx steps from gx.lo: node i's
+        # cell meets them where k_a - 1/2 < i < k_b + 1/2, and the node just
+        # outside on each side is the margin.  Clipped before int(), so that
+        # an infinite end (or no support) takes the whole grid
+        k = (np.asarray(self.h_t.support or (-np.inf, np.inf)) - self.gx.lo) / self.gx.step
+        ends = np.clip([np.floor(k[0] - 0.5), np.ceil(k[1] + 0.5) + 1.0], 0, n)
+        i0, i1 = ends.astype(int).tolist()
+        i0 = min(i0, n - 2)
+        return slice(i0, max(i1, i0 + 2))
 
     def inner_integral(self) -> np.ndarray:
         """u(x') = int dx phi(x, x') h_t(x_t, x), sampled on gxp.
 
-        Only the grid rows where the test-arm samples are nonzero
-        contribute, which makes compact objects cheap, and a Gaussian source
-        only within its ridge band.
+        Only the run of gx nodes on the object's support is sampled, with
+        gx's trapezoid weights, and only its nonzero rows contribute, which
+        makes compact objects cheap, and a Gaussian source only within its
+        ridge band.
         """
-        left = self.gx.trapezoid_weights() * self.h_t.sample_in(self.x_t, self.gx)
-        return self.state.reduce(left, self.gx, self.gxp)
+        run = self.gx.run(self.rows.start, self.rows.stop)
+        left = self.gx.trapezoid_weights()[self.rows] * self.h_t.sample_in(self.x_t, run)
+        return self.state.reduce(left, run, self.gxp)
 
     def _window(self, u: np.ndarray) -> tuple:
         nz = np.flatnonzero(u)
@@ -114,11 +144,7 @@ class CorrelatorSetup:
         j0, j1 = int(nz[0]), int(nz[-1]) + 1
         if j1 - j0 == 1:
             j0, j1 = (j0, j1 + 1) if j1 < self.gxp.n_points else (j0 - 1, j1)
-        v = (self.gxp.trapezoid_weights() * u)[j0:j1]
-        if j1 - j0 == self.gxp.n_points:
-            return self.gxp, v
-        lo, hi = self.gxp.samples()[[j0, j1 - 1]].tolist()
-        return Grid1D(0.5 * (lo + hi), 0.5 * (hi - lo), j1 - j0), v
+        return self.gxp.run(j0, j1), (self.gxp.trapezoid_weights() * u)[j0:j1]
 
 
 def amplitude(setup: CorrelatorSetup, h_r: ImpulseResponse, x_r) -> np.ndarray:
@@ -134,7 +160,7 @@ def amplitude(setup: CorrelatorSetup, h_r: ImpulseResponse, x_r) -> np.ndarray:
         return a
     rows = max(1, _BLOCK_ENTRIES // setup.window.n_points)
     for i in range(0, x_r.size, rows):
-        a[i : i + rows] = h_r.sample_in(x_r[i : i + rows], setup.window) @ setup.v
+        a[i : i + rows] = h_r.apply_in(x_r[i : i + rows], setup.window, setup.v)
     bad = np.flatnonzero(~np.isfinite(a))
     if bad.size:
         raise NumericDomainError(f"non-finite amplitude at (x_t={setup.x_t}, x_r={x_r[bad[0]]})")
@@ -148,11 +174,15 @@ def arm_energy(h: ImpulseResponse, x_out: float, g: Grid1D) -> float:
     return float(np.dot(g.trapezoid_weights(), a2))
 
 
-def gated_energy(h: ImpulseResponse, x_out: float, g: Grid1D, arm: str, n_key: str) -> float:
+def gated_energy(
+    h: ImpulseResponse, x_out: float, g: Grid1D, arm: str, n_key: str, run: Grid1D | None = None
+) -> float:
     """arm_energy(h, x_out, g), refused unless it lies within ENERGY_RTOL of
     the arm's exact energy: a grid that truncates or does not resolve the
-    arm biases <S^2> by as much.  A non-finite value is a numeric error."""
-    e, exact = arm_energy(h, x_out, g), h.energy
+    arm biases <S^2> by as much.  A non-finite value is a numeric error.
+    ``run``, a run of g's nodes with h = 0 at its ends unless they are g's,
+    is sampled in place of g; the refusal names g."""
+    e, exact = arm_energy(h, x_out, g if run is None else run), h.energy
     if not (np.isfinite(e) and np.isfinite(exact)):
         raise NumericDomainError(f"non-finite {arm} energy {e} at {x_out:g} mm (exact {exact})")
     if not abs(e - exact) <= ENERGY_RTOL * exact:

@@ -44,9 +44,10 @@ __all__ = [
 # across the slits (the inner integral varies on that scale); the x' step
 # must resolve both the chirp of the 2f arm and the narrow pupil-transform
 # lobes of wide apertures.  These counts hold every scanned quantity stable
-# to <1e-4 under grid doubling for the double-slit configurations; only the
-# grid nodes inside the object support enter the inner integral, so the
-# large x count stays cheap.
+# to <1e-4 under grid doubling for the double-slit configurations; the test
+# arm is sampled only on the run of x nodes that meets a compact object's
+# support (4303 of 65537 for the fig2 slits), so the large x count stays
+# cheap.
 DEFAULT_N_X = 65537
 DEFAULT_N_XP = 16385
 DEFAULT_WINDOW_MM = 8.0

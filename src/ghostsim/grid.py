@@ -74,6 +74,18 @@ class Grid1D:
         w[-1] *= 0.5
         return w
 
+    def run(self, i0: int, i1: int) -> Grid1D:
+        """Nodes i0..i1-1 (at least two) as a grid, the grid itself when
+        that is every node.  Its nodes are the grid's to a few ulps, and
+        exactly where the nodes and step are short binary fractions (as on
+        the default grids)."""
+        if i1 - i0 == self.n_points:
+            return self
+        # the end nodes as samples() rounds them, without sampling every node
+        lo = self.lo + self.step * i0
+        hi = self.lo + self.step * (i1 - 1) if i1 < self.n_points else self.hi
+        return Grid1D(0.5 * (lo + hi), 0.5 * (hi - lo), i1 - i0)
+
 
 def check_width(w: float, what: str) -> None:
     """Refuse a width w unless w > 0 and w^2 is finite and nonzero, so that

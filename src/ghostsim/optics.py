@@ -13,9 +13,12 @@ Quadratures sample arms only through their grid samplers: the test arm
 reads a transmission's ``cell_mean`` where it has one (slits averaged over
 each grid cell, which integrates them exactly), and the reference arm asks
 the pupil for P on the uniform grid of pupil arguments
-(:meth:`Pupil.ft_grid`).  Pointwise ``evaluate`` keeps the sharp-edged
-definition.  Transmissions, pupils and arms carry their exact energies,
-which scans check their arm-energy quadratures against.
+(:meth:`Pupil.ft_grid`, real for the rect and Gaussian pupils), which its
+``apply_in`` multiplies into a vector with the two chirps folded out of the
+block.  Pointwise ``evaluate`` keeps the sharp-edged definition.
+Transmissions, pupils and arms carry their exact energies, which scans
+check their arm-energy quadratures against, and compact objects and their
+test arms the interval outside which they vanish.
 """
 
 from __future__ import annotations
@@ -68,11 +71,13 @@ class Transmission:
     ``cell_mean(x, h)`` is the mean of t over [x - h/2, x + h/2]; the test
     arm samples t through it on grid cells of width h when it is set (for
     an indicator it is the cell mean of t^2 too), else through ``evaluate``.
+    ``support`` is an interval [lo, hi] outside which t = 0, or None.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
     energy: float
     cell_mean: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
+    support: Optional[tuple] = None
 
 
 def double_slit(w: float, d: float) -> Transmission:
@@ -95,7 +100,7 @@ def double_slit(w: float, d: float) -> Transmission:
         cov = _overlap(lo, hi, c - half, c + half) + _overlap(lo, hi, -c - half, -c + half)
         return cov / h
 
-    return Transmission(evaluate=evaluate, energy=2.0 * w, cell_mean=cell_mean)
+    return Transmission(evaluate, 2.0 * w, cell_mean, support=(-c - half, c + half))
 
 
 def gaussian_transmission(w: float) -> Transmission:
@@ -126,7 +131,7 @@ def tabulated_transmission(grid: Grid1D, values: np.ndarray) -> Transmission:
 
     a, b = values[:-1], values[1:]
     energy = grid.step * float(np.sum(a * a + a * b + b * b)) / 3.0
-    return Transmission(evaluate=evaluate, energy=energy)
+    return Transmission(evaluate=evaluate, energy=energy, support=(grid.lo, grid.hi))
 
 
 # largest relative spread of a table's x steps accepted as a uniform grid
@@ -211,27 +216,27 @@ class Pupil:
         """
         if self._ft_grid is not None:
             return self._ft_grid(grid, offset, scale)
-        return np.asarray(self.ft(np.add.outer(offset, grid.samples()) / scale), dtype=complex)
+        return self.ft(np.add.outer(offset, grid.samples()) / scale)
 
 
 def rect_pupil(D: float) -> Pupil:
-    """Hard aperture of width D; P(u) = D sinc(pi D u)."""
+    """Hard aperture of width D; P(u) = D sinc(pi D u), real."""
     check_width(D, "aperture size D")
 
     def ft(u):
-        return (D * np.sinc(D * np.asarray(u, dtype=float))).astype(complex)
+        return D * np.sinc(D * np.asarray(u, dtype=float))
 
     return Pupil(ft=ft, energy=D)
 
 
 def gaussian_pupil(sigma: float) -> Pupil:
     """Soft aperture p(x) = exp(-x^2 / sigma^2);
-    P(u) = sigma sqrt(pi) exp(-pi^2 sigma^2 u^2)."""
+    P(u) = sigma sqrt(pi) exp(-pi^2 sigma^2 u^2), real."""
     check_width(sigma, "gaussian pupil width sigma")
 
     def ft(u):
         u = np.asarray(u, dtype=float)
-        return (sigma * np.sqrt(np.pi) * np.exp(-np.pi**2 * sigma**2 * u**2)).astype(complex)
+        return sigma * np.sqrt(np.pi) * np.exp(-np.pi**2 * sigma**2 * u**2)
 
     return Pupil(ft=ft, energy=sigma * np.sqrt(np.pi / 2.0))
 
@@ -293,20 +298,30 @@ class ImpulseResponse:
 
     ``sample_in`` / ``sample_abs2_in`` return kernel samples (resp. squared
     moduli) over an input-plane grid for quadrature, applying cell-averaging
-    for sharp-edged components.  ``evaluate`` is the pointwise kernel and
-    ``energy`` the exact int |h(x_out, x)|^2 dx.
+    for sharp-edged components; ``apply_in`` applies the samples to a vector
+    of the grid's nodes.  ``evaluate`` is the pointwise kernel, ``energy``
+    the exact int |h(x_out, x)|^2 dx and ``support`` an interval [lo, hi]
+    of x_in outside which h = 0, or None.
     """
 
     evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
     energy: float
     _sample_in: Callable[[float, Grid1D], np.ndarray] = field(repr=False)
     _sample_abs2_in: Callable[[float, Grid1D], np.ndarray] = field(repr=False)
+    _apply_in: Optional[Callable] = field(default=None, repr=False)
+    support: Optional[tuple] = None
 
     def sample_in(self, x_out: float, grid: Grid1D) -> np.ndarray:
         return self._sample_in(x_out, grid)
 
     def sample_abs2_in(self, x_out: float, grid: Grid1D) -> np.ndarray:
         return self._sample_abs2_in(x_out, grid)
+
+    def apply_in(self, x_out, grid: Grid1D, v: np.ndarray) -> np.ndarray:
+        """sum_j h(x_out, x_j) v_j over the grid nodes x_j, one per x_out."""
+        if self._apply_in is not None:
+            return self._apply_in(x_out, grid, v)
+        return self.sample_in(x_out, grid) @ v
 
 
 def _arm_scale(lam: float, f: float, arm: str) -> float:
@@ -360,7 +375,9 @@ def fourier_arm(lam: float, f: float, t: Transmission) -> ImpulseResponse:
         x = grid.samples()
         return (t.cell_mean(x, grid.step) if t.cell_mean else t.evaluate(x) ** 2) / lf**2
 
-    return ImpulseResponse(evaluate, t.energy / lf**2, sample_in, sample_abs2_in)
+    return ImpulseResponse(
+        evaluate, t.energy / lf**2, sample_in, sample_abs2_in, support=t.support
+    )
 
 
 def two_f_arm(lam: float, f: float, p: Pupil) -> ImpulseResponse:
@@ -370,7 +387,9 @@ def two_f_arm(lam: float, f: float, p: Pupil) -> ImpulseResponse:
     the grid's amp exp(i pi x'^2 / (2 lam f)) vector (built once per grid)
     times P on the uniform u grid; its squared modulus is amp^2 |P|^2, whose
     integral over x' is p's energy / (8 lam^3 f^3) by Parseval.  The grid
-    sampler takes an array of x_r too and returns one row per x_r.
+    sampler takes an array of x_r too and returns one row per x_r.  Applied
+    to a vector v, the two chirps leave the block: the x' chirp is folded
+    into v and the x_r chirp scales the product, so only P is sampled.
     """
     lf = _arm_scale(lam, f, "reference arm")
     amp = 1.0 / (4.0 * lf**2)
@@ -389,7 +408,11 @@ def two_f_arm(lam: float, f: float, p: Pupil) -> ImpulseResponse:
         row_chirp = np.expand_dims(np.exp(1j * chirp * np.square(x_r)), -1)
         return row_chirp * input_chirp(grid) * p.ft_grid(grid, x_r, 2.0 * lf)
 
+    def apply_in(x_r, grid, v):
+        row_chirp = np.exp(1j * chirp * np.square(x_r))
+        return row_chirp * (p.ft_grid(grid, x_r, 2.0 * lf) @ (input_chirp(grid) * v))
+
     def sample_abs2_in(x_r, grid):
         return amp**2 * np.abs(p.ft_grid(grid, x_r, 2.0 * lf)) ** 2
 
-    return ImpulseResponse(evaluate, p.energy / (8.0 * lf**3), sample_in, sample_abs2_in)
+    return ImpulseResponse(evaluate, p.energy / (8.0 * lf**3), sample_in, sample_abs2_in, apply_in)

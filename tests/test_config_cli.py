@@ -567,6 +567,9 @@ def test_arm_energy_gate_refuses_an_arm_the_grid_does_not_capture(tmp_path, name
     assert "of the exact energy" in err
     key = "numerics.n_xp" if arm == "reference-arm" else "numerics.n_x"
     assert f"raise {key} or adjust numerics.window_mm" in err
+    # the arm's whole grid, not the run of nodes that the test arm samples
+    step = "0.007812" if arm == "reference-arm" else "0.001953"
+    assert f"the grid (step {step} mm, window +/-8 mm)" in err
     assert not out.exists()
 
 

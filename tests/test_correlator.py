@@ -432,12 +432,11 @@ def test_non_finite_amplitude_names_its_x_r():
     k = rows + rows // 2
     assert rows >= 3 and k < x_r.size
 
-    def poisoned(x, grid):
-        samples = h_r.sample_in(x, grid)
-        return np.where(np.expand_dims(x == x_r[k], -1), np.nan, samples)
+    def poisoned(x, grid, v):
+        return np.where(x == x_r[k], np.nan, h_r.apply_in(x, grid, v))
 
     with pytest.raises(NumericDomainError, match=re.escape(f"(x_t=0.0, x_r={x_r[k]})")):
-        amplitude(setup, replace(h_r, _sample_in=poisoned), x_r)
+        amplitude(setup, replace(h_r, _apply_in=poisoned), x_r)
 
 
 @pytest.mark.parametrize("case", ["slit", "tabulated_object", "dense_gaussian"])
@@ -456,12 +455,13 @@ def test_all_zero_inner_integral_scans_without_sampling():
     setup, h_r = small_gaussian_setup(n_x=257)
     dark = Transmission(evaluate=lambda x: np.zeros_like(np.asarray(x, dtype=float)), energy=0.0)
 
-    def never(x_r, grid):
+    def never(*args):
         raise AssertionError("reference arm sampled for an all-zero u")
 
     setup = replace(setup, h_t=fourier_arm(LAM, F, dark))
     assert setup.window is None and setup.v.size == 0
-    result = scan_reference(ScanConfig(setup=setup, h_r=replace(h_r, _sample_in=never), n_xr=11))
+    h_r = replace(h_r, _sample_in=never, _apply_in=never)
+    result = scan_reference(ScanConfig(setup=setup, h_r=h_r, n_xr=11))
     assert list(result.columns()["flags"]) == ["zero_g2"] * 11
     assert np.all(result.g2 == 0.0) and np.all(result.snr == 0.0)
 
@@ -487,3 +487,83 @@ def test_single_nonzero_inner_integral_widens_the_window(node):
     np.testing.assert_array_equal(window.samples(), g.samples()[j0 : j0 + 2])
     assert np.count_nonzero(v) == 1 and v[node - j0] != 0.0
     _assert_window_matches_full_grid(setup, h_r, np.linspace(-1.0, 1.0, 5))
+
+
+def _without_support(setup):
+    """A copy of the setup whose test arm samples every gx node."""
+    return replace(setup, h_t=replace(setup.h_t, support=None))
+
+
+def _straddling_slit_setup():
+    # x window [-8, 9] (dyadic step 2^-9): the lower slit, [-8.0004,
+    # -7.9504], reaches 0.0004 mm past its lower edge, so the run starts at
+    # gx's first node and ends one margin node past the upper slit
+    t = double_slit(0.05, 15.9508)
+    setup = CorrelatorSetup(
+        state=gaussian_wavefunction(2.0, 0.05),
+        h_t=fourier_arm(LAM, F, t),
+        gx=make_grid(0.5, 8.5, 8705),
+        gxp=make_grid(0.0, 8.0, 4097),
+    )
+    return setup, two_f_arm(LAM, F, rect_pupil(10.0))
+
+
+@pytest.mark.parametrize("case", ["slit", "tabulated_object", "straddling_slit"])
+def test_support_run_matches_every_node(case):
+    # the run of gx nodes on the object's support gives the u(x'), v and
+    # I_t of a test arm sampled on every node
+    if case == "slit":
+        setup, _ = slit_setup(make_grid(0.0, 8.0, 4097))
+    elif case == "tabulated_object":
+        setup, _ = tabulated_object_setup()
+    else:
+        setup, _ = _straddling_slit_setup()
+        assert setup.rows.start == 0
+    full = _without_support(setup)
+    assert full.rows == slice(0, setup.gx.n_points)
+    assert 2 < setup.rows.stop - setup.rows.start < setup.gx.n_points
+    u, u_full = setup.inner_integral(), full.inner_integral()
+    assert np.abs(u_full).max() > 0.0
+    assert np.abs(u - u_full).max() <= 1e-15 * np.abs(u_full).max()
+    assert setup.window == full.window
+    assert np.abs(setup.v - full.v).max() <= 1e-15 * np.abs(full.v).max()
+    assert setup.i_t == pytest.approx(full.i_t, rel=1e-15, abs=0.0)
+
+
+def test_fig2_setup_samples_the_object_on_its_support_run():
+    # the slits' support, |x| < 0.525 mm, meets the cells of 4301 of the
+    # 65537 x nodes; with a zero node of margin on each side, u(x') and I_t
+    # each sample 4303 nodes, where sampling every node took 65537 each
+    scan = build_scan_config(load_config(preset_path("fig2")))
+    t = double_slit(0.05, 1.0)
+    nodes = []
+
+    def cell_mean(x, h):
+        nodes.append(x.size)
+        return t.cell_mean(x, h)
+
+    h_t = fourier_arm(LAM, F, replace(t, cell_mean=cell_mean))
+    setup = replace(scan.setup, h_t=h_t)
+    assert nodes == [4303, 4303]
+    tv = t.cell_mean(setup.gx.samples(), setup.gx.step)
+    rows = setup.rows
+    # the run is tight: zero end nodes, each next to a node on the support
+    assert tv[rows.start] == tv[rows.stop - 1] == 0.0
+    assert tv[rows.start + 1] > 0.0 and tv[rows.stop - 2] > 0.0
+    assert np.count_nonzero(tv[rows]) == np.count_nonzero(tv)
+
+
+@pytest.mark.parametrize(
+    "t",
+    [double_slit(0.05, np.inf), tabulated_transmission(make_grid(20.0, 0.5, 11), np.ones(11))],
+    ids=["slits_at_infinity", "table_beyond_the_window"],
+)
+def test_object_off_the_x_grid_is_refused_by_the_energy_gate(t):
+    # the support's ends are clipped to gx before they become node indices,
+    # so an infinite end is not an OverflowError; the test arm captures none
+    # of its energy, and the refusal names gx, not the run it sampled
+    g = make_grid(0.0, 8.0, 4097)
+    with pytest.raises(InvalidArgumentError, match=re.escape(
+        "test-arm energy at 0 mm: the grid (step 0.003906 mm, window +/-8 mm) captures 0 of"
+    )):
+        CorrelatorSetup(gaussian_wavefunction(2.0, 0.05), fourier_arm(LAM, F, t), g, g)

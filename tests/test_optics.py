@@ -242,6 +242,29 @@ def test_pupil_grid_transform_matches_pointwise_transform():
             )
 
 
+@pytest.mark.parametrize("kind", sorted(SAMPLER_PUPILS))
+def test_two_f_arm_apply_in_matches_the_sampled_block(kind):
+    # the chirps folded out of the block change only the rounding: each
+    # entry to 1e-13 of sum_j |h_j| |v_j|, its own scale
+    h = two_f_arm(LAM, F, SAMPLER_PUPILS[kind]())
+    rng = np.random.default_rng(7)
+    for g in SAMPLER_GRIDS:
+        v = rng.standard_normal(g.n_points) + 1j * rng.standard_normal(g.n_points)
+        for x_r in SAMPLER_OFFSETS:
+            block = h.sample_in(x_r, g)
+            got = h.apply_in(x_r, g, v)
+            assert got.shape == np.shape(x_r)
+            assert np.all(np.abs(got - block @ v) <= 1e-13 * (np.abs(block) @ np.abs(v)))
+
+
+def test_analytic_pupil_transforms_are_real():
+    g = SAMPLER_GRIDS[1]
+    for pupil in (rect_pupil(10.0), gaussian_pupil(1.5)):
+        assert pupil.ft(np.array([0.0, 0.3])).dtype == np.float64
+        assert pupil.ft_grid(g, np.array([-0.4, 0.4]), 2.0 * LF).dtype == np.float64
+    assert _chirped_table_pupil().ft_grid(g, 0.4, 2.0 * LF).dtype == np.complex128
+
+
 def test_two_f_arm_grid_sampler_is_thread_safe():
     # threads alternate between two grids, so the per-grid caches are
     # refilled under contention; a stale or torn cache entry changes a sample
