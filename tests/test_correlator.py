@@ -489,23 +489,16 @@ def test_single_nonzero_inner_integral_widens_the_window(node):
     _assert_window_matches_full_grid(setup, h_r, np.linspace(-1.0, 1.0, 5))
 
 
-def _without_support(setup):
-    """A copy of the setup whose test arm samples every gx node."""
-    return replace(setup, h_t=replace(setup.h_t, support=None))
-
-
 def _straddling_slit_setup():
     # x window [-8, 9] (dyadic step 2^-9): the lower slit, [-8.0004,
     # -7.9504], reaches 0.0004 mm past its lower edge, so the run starts at
     # gx's first node and ends one margin node past the upper slit
-    t = double_slit(0.05, 15.9508)
-    setup = CorrelatorSetup(
+    return CorrelatorSetup(
         state=gaussian_wavefunction(2.0, 0.05),
-        h_t=fourier_arm(LAM, F, t),
+        h_t=fourier_arm(LAM, F, double_slit(0.05, 15.9508)),
         gx=make_grid(0.5, 8.5, 8705),
         gxp=make_grid(0.0, 8.0, 4097),
     )
-    return setup, two_f_arm(LAM, F, rect_pupil(10.0))
 
 
 @pytest.mark.parametrize("case", ["slit", "tabulated_object", "straddling_slit"])
@@ -517,9 +510,10 @@ def test_support_run_matches_every_node(case):
     elif case == "tabulated_object":
         setup, _ = tabulated_object_setup()
     else:
-        setup, _ = _straddling_slit_setup()
+        setup = _straddling_slit_setup()
         assert setup.rows.start == 0
-    full = _without_support(setup)
+    # a copy whose test arm samples every gx node
+    full = replace(setup, h_t=replace(setup.h_t, support=None))
     assert full.rows == slice(0, setup.gx.n_points)
     assert 2 < setup.rows.stop - setup.rows.start < setup.gx.n_points
     u, u_full = setup.inner_integral(), full.inner_integral()
