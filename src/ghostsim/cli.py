@@ -30,17 +30,15 @@ CSV_HEADER = "x_r_mm,g2,g2_norm,dg2,dg2_norm,dg2_avg_norm,snr,snr_avg,flags"
 SWEEP_PARAM = "reference_arm.pupil.rect.D_mm"
 
 
-def _fmt(value: float) -> str:
-    # 17 significant digits round-trip float64 exactly
-    return f"{value:.17g}"
-
-
 def write_scan_csv(result: CorrelationResult, path: str) -> None:
     cols = result.columns()
-    fields = [cols[n] if n == "flags" else map(_fmt, cols[n].tolist()) for n in CSV_HEADER.split(",")]
+    names = CSV_HEADER.split(",")
+    # 17 significant digits round-trip float64 exactly
+    row = ",".join("%s" if n == "flags" else "%.17g" for n in names) + "\n"
+    fields = [cols[n] if n == "flags" else cols[n].tolist() for n in names]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(CSV_HEADER + "\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*fields))
+        fh.writelines(row % values for values in zip(*fields))
 
 
 def preset_path(name: str) -> str:

@@ -13,9 +13,11 @@ Quadratures sample arms only through their grid samplers: the test arm
 reads a transmission's ``cell_mean`` where it has one (slits averaged over
 each grid cell, which integrates them exactly), and the reference arm asks
 the pupil for P on the uniform grid of pupil arguments
-(:meth:`Pupil.ft_grid`, real for the rect and Gaussian pupils), which its
-``apply_in`` multiplies into a vector with the two chirps folded out of the
-block.  Pointwise ``evaluate`` keeps the sharp-edged definition.
+(:meth:`Pupil.ft_grid`, real for the rect and Gaussian pupils; the rect
+pupil's block of several offsets comes from a per-grid table by angle
+addition where the grid's nodes are exact), which its ``apply_in``
+multiplies into a vector with the two chirps folded out of the block.
+Pointwise ``evaluate`` keeps the sharp-edged definition.
 Transmissions, pupils and arms carry their exact energies, which scans
 check their arm-energy quadratures against, and compact objects and their
 test arms the interval outside which they vanish.
@@ -28,6 +30,7 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidArgumentError
 from .grid import Grid1D, check_width, make_grid
@@ -209,24 +212,80 @@ class Pupil:
         """P((offset + x_j) / scale) on the nodes x_j of a uniform grid, one
         row per offset: shape offset.shape + (grid.n_points,).
 
-        The argument is formed from the grid samples as the pointwise path
-        forms it: near P's peak offset + x_j cancels exactly, whereas
-        u0 + j du would carry the rounding of u0 (up to 3e-13 of max |P|
-        for a 10 mm rect pupil on the default x' grid).
+        The pointwise fallback forms the argument from the grid samples:
+        near P's peak offset + x_j cancels exactly, whereas u0 + j du would
+        carry the rounding of u0 (up to 3e-13 of max |P| for a 10 mm rect
+        pupil on the default x' grid).  The rect pupil's table keeps that
+        cancellation by anchoring each row at its nearest node; the
+        tabulated pupil factorizes its quadrature kernel.
         """
         if self._ft_grid is not None:
             return self._ft_grid(grid, offset, scale)
         return self.ft(np.add.outer(offset, grid.samples()) / scale)
 
 
+def _exact_nodes(g: Grid1D) -> bool:
+    """Whether g's samples are exactly lo + j h: lo and h lie on a binary
+    lattice 2^-m whose multiples up to max(|lo|, |hi|) fit in 52 bits, and
+    the last node lo + h (n - 1) is hi."""
+    m = max(g.lo.as_integer_ratio()[1], g.step.as_integer_ratio()[1])
+    fits = max(abs(g.lo), abs(g.hi)) < 2.0 ** (53 - m.bit_length())
+    return fits and g.lo + g.step * (g.n_points - 1) == g.hi
+
+
 def rect_pupil(D: float) -> Pupil:
-    """Hard aperture of width D; P(u) = D sinc(pi D u), real."""
+    """Hard aperture of width D; P(u) = D sinc(pi D u), real.
+
+    On a grid whose nodes are exactly lo + j h, a block of several offsets
+    is computed by angle addition.  With c = pi D / scale, j_r the node
+    nearest -o_r (clipped to the grid), a_r = c (o_r + x_{j_r}) and
+    b_k = c h k for k = j - j_r, each entry is
+    D (sin a_r cos b_k + cos a_r sin b_k) / (a_r + b_k): a sine and a cosine
+    per row, and b_k, cos b_k and sin b_k from a table built once per
+    (grid, scale).  Nothing cancels: for an interior j_r, |a_r| <= c h / 2
+    <= |b_k| / 2 for k != 0, and for a clipped one a_r and every b_k share
+    a sign.  The one zero denominator, a_r = 0 at k = 0, is P's peak D.
+    Single offsets and other grids take the pointwise ``ft``.
+    """
     check_width(D, "aperture size D")
 
     def ft(u):
         return D * np.sinc(D * np.asarray(u, dtype=float))
 
-    return Pupil(ft=ft, energy=D)
+    @lru_cache(maxsize=1)
+    def table(g, scale):
+        """b_k, cos b_k and sin b_k for k = 1 - n .. n - 1, each as its
+        windows of n entries (window i starts at k = i + 1 - n), or None
+        off the lattice."""
+        if not _exact_nodes(g):
+            return None
+        b = (np.pi * D / scale) * (g.step * np.arange(1 - g.n_points, g.n_points))
+        return [sliding_window_view(t, g.n_points) for t in (b, np.cos(b), np.sin(b))]
+
+    def ft_grid(g, offset, scale):
+        views = table(g, scale) if np.size(offset) > 1 else None
+        if views is None:
+            return ft(np.add.outer(offset, g.samples()) / scale)
+        o = np.asarray(offset, dtype=float).ravel()
+        # fmin and fmax drop a NaN: a non-finite offset still picks a node,
+        # and its row comes out non-finite for the caller to refuse
+        jr = np.fmax(np.fmin(np.rint((-o - g.lo) / g.step), g.n_points - 1), 0).astype(np.intp)
+        a = (np.pi * D / scale) * (o + (g.lo + g.step * jr))
+        # b_k, cos b_k and sin b_k at each row's k, gathered by fancy
+        # indexing (np.take would copy all n windows), then turned in place
+        # into a + b and D sin(a + b)
+        den, num, term = (t[g.n_points - 1 - jr] for t in views)
+        num *= D * np.sin(a)[:, np.newaxis]
+        term *= D * np.cos(a)[:, np.newaxis]
+        num += term
+        den += a[:, np.newaxis]
+        peak = np.flatnonzero(a == 0.0)
+        den[peak, jr[peak]] = 1.0
+        num /= den
+        num[peak, jr[peak]] = D
+        return num.reshape(np.shape(offset) + (g.n_points,))
+
+    return Pupil(ft=ft, energy=D, _ft_grid=ft_grid)
 
 
 def gaussian_pupil(sigma: float) -> Pupil:
@@ -410,7 +469,11 @@ def two_f_arm(lam: float, f: float, p: Pupil) -> ImpulseResponse:
 
     def apply_in(x_r, grid, v):
         row_chirp = np.exp(1j * chirp * np.square(x_r))
-        return row_chirp * (p.ft_grid(grid, x_r, 2.0 * lf) @ (input_chirp(grid) * v))
+        block, z = p.ft_grid(grid, x_r, 2.0 * lf), input_chirp(grid) * v
+        if np.iscomplexobj(block):
+            return row_chirp * (block @ z)
+        # a real block times (re, im) columns: float @ complex would cast the block
+        return row_chirp * (block @ z.view(float).reshape(-1, 2)).view(complex)[..., 0]
 
     def sample_abs2_in(x_r, grid):
         return amp**2 * np.abs(p.ft_grid(grid, x_r, 2.0 * lf)) ** 2

@@ -37,7 +37,7 @@ from ghostsim.analytic import all_gaussian_amplitude, gaussian_norm_constant
 from ghostsim.cli import preset_path
 from ghostsim.config import build_scan_config, load_config
 from ghostsim.correlator import _BLOCK_ENTRIES
-from ghostsim.optics import Transmission
+from ghostsim.optics import Transmission, _exact_nodes
 from ghostsim.source import default_certification_grid
 from ghostsim.validate import run_validation_suite
 from helpers import (
@@ -437,6 +437,15 @@ def test_non_finite_amplitude_names_its_x_r():
 
     with pytest.raises(NumericDomainError, match=re.escape(f"(x_t=0.0, x_r={x_r[k]})")):
         amplitude(setup, replace(h_r, _apply_in=poisoned), x_r)
+
+
+def test_a_nan_x_r_in_a_rect_table_block_is_a_numeric_error():
+    # the window lies on the lattice, so the two-row block takes the rect
+    # pupil's table; the NaN row must reach the guard, not index the table
+    setup, h_r = slit_setup(make_grid(0.0, 8.0, 4097))
+    assert _exact_nodes(setup.window)
+    with pytest.raises(NumericDomainError, match=re.escape("(x_t=0.0, x_r=nan)")):
+        amplitude(setup, h_r, [0.0, np.nan])
 
 
 @pytest.mark.parametrize("case", ["slit", "tabulated_object", "dense_gaussian"])

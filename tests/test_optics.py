@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -28,6 +29,7 @@ from ghostsim.analytic import (
     gaussian_two_f_arm_energy,
     rect_two_f_arm_energy,
 )
+from ghostsim.optics import _exact_nodes
 from ghostsim.validate import rect_energy_grid
 from helpers import scaled_arm
 
@@ -242,6 +244,60 @@ def test_pupil_grid_transform_matches_pointwise_transform():
             )
 
 
+# the fig2 reference window on the default x' grid: nodes exactly lo + j h
+FIG2_WINDOW = make_grid(0.0, 8.0, 16385).run(7325, 9060)
+
+
+@pytest.mark.parametrize("D", [2.0, 10.0])
+def test_rect_block_from_the_table_matches_the_sinc(D):
+    # the peak -offset inside the grid, beyond it (the row's anchor node
+    # clipped to an end) and on nodes, where the entry is exactly D
+    p = rect_pupil(D)
+    for g in (FIG2_WINDOW, make_grid(0.0, 8.0, 16385)):
+        x = g.samples()
+        nodes = np.array([0, 5, 867, g.n_points - 1])
+        offsets = np.concatenate([np.linspace(-0.8, 0.8, 37), [-9.0, -0.9, 0.9, 9.0], -x[nodes]])
+        got = p.ft_grid(g, offsets, 2.0 * LF)
+        assert got.shape == (offsets.size, g.n_points) and got.dtype == np.float64
+        np.testing.assert_array_equal(got[-nodes.size :][np.arange(nodes.size), nodes], D)
+        ref = p.ft((offsets[:, np.newaxis] + x) / (2.0 * LF))
+        assert np.abs(got - ref).max() <= 1e-15 * D
+        if np.finfo(np.longdouble).eps < np.finfo(float).eps:
+            pi = 4.0 * np.arctan(np.longdouble(1.0))
+            y = pi * D * (offsets[:, np.newaxis].astype(np.longdouble) + x) / (2.0 * LF)
+            exact = D * np.sin(y) / np.where(y == 0.0, 1.0, y)
+            exact[y == 0.0] = D
+            assert np.abs(got - exact).max() <= 1e-15 * D
+
+
+def test_rect_table_block_allocates_rows_not_the_square():
+    # the whole default x' grid, where the table's n x n windows would be
+    # 2.1 GB if a gather copied them all
+    g = make_grid(0.0, 8.0, 16385)
+    p = rect_pupil(10.0)
+    offsets = np.linspace(-1.0, 1.0, 4)
+    p.ft_grid(g, offsets, 2.0 * LF)  # builds the cached table
+    tracemalloc.start()
+    try:
+        block = p.ft_grid(g, offsets, 2.0 * LF)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * block.nbytes
+
+
+def test_rect_block_off_the_lattice_and_single_offsets_are_pointwise():
+    p = rect_pupil(10.0)
+    off = make_grid(0.0, 8.3, 16385)
+    assert _exact_nodes(FIG2_WINDOW) and _exact_nodes(make_grid(0.0, 8.0, 16385))
+    assert not _exact_nodes(off)
+    for g, offset in ((off, np.array([-0.4, 0.0, 0.4])), (FIG2_WINDOW, 0.4), (FIG2_WINDOW, [0.4])):
+        np.testing.assert_array_equal(
+            p.ft_grid(g, offset, 2.0 * LF),
+            p.ft((np.expand_dims(offset, -1) + g.samples()) / (2.0 * LF)),
+        )
+
+
 @pytest.mark.parametrize("kind", sorted(SAMPLER_PUPILS))
 def test_two_f_arm_apply_in_matches_the_sampled_block(kind):
     # the chirps folded out of the block change only the rounding: each
@@ -265,14 +321,12 @@ def test_analytic_pupil_transforms_are_real():
     assert _chirped_table_pupil().ft_grid(g, 0.4, 2.0 * LF).dtype == np.complex128
 
 
-def test_two_f_arm_grid_sampler_is_thread_safe():
-    # threads alternate between two grids, so the per-grid caches are
-    # refilled under contention; a stale or torn cache entry changes a sample
-    grids = SAMPLER_GRIDS[:2]
-    jobs = [(x_r, grids[k % 2]) for k, x_r in enumerate(np.linspace(-2.0, 2.0, 64))]
-    ref = two_f_arm(LAM, F, _chirped_table_pupil())
+def _assert_sampled_alike_under_contention(make_pupil, jobs):
+    """sample_in over (x_r, grid) jobs from 8 threads with a short switch
+    interval equals a fresh arm's samples taken one by one."""
+    ref = two_f_arm(LAM, F, make_pupil())
     expected = [ref.sample_in(x_r, g) for x_r, g in jobs]
-    h = two_f_arm(LAM, F, _chirped_table_pupil())
+    h = two_f_arm(LAM, F, make_pupil())
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -283,6 +337,22 @@ def test_two_f_arm_grid_sampler_is_thread_safe():
         sys.setswitchinterval(interval)
     for a, b in zip(got, expected):
         np.testing.assert_array_equal(a, b)
+
+
+def test_two_f_arm_grid_sampler_is_thread_safe():
+    # threads alternate between two grids, so the per-grid caches are
+    # refilled under contention; a stale or torn cache entry changes a sample
+    grids = SAMPLER_GRIDS[:2]
+    jobs = [(x_r, grids[k % 2]) for k, x_r in enumerate(np.linspace(-2.0, 2.0, 64))]
+    _assert_sampled_alike_under_contention(_chirped_table_pupil, jobs)
+
+
+def test_rect_table_is_thread_safe():
+    # the same on two lattice grids, two offsets per call, so that every
+    # call reads the rect pupil's table while other threads rebuild it
+    grids = [FIG2_WINDOW, make_grid(0.0, 4.0, 1025)]
+    jobs = [(np.array([x, 0.5 - x]), grids[k % 2]) for k, x in enumerate(np.linspace(-2.0, 2.0, 64))]
+    _assert_sampled_alike_under_contention(lambda: rect_pupil(10.0), jobs)
 
 
 @pytest.mark.parametrize(
