@@ -187,13 +187,9 @@ def find_peaks(x: np.ndarray, y: np.ndarray) -> list[int]:
     y = np.asarray(y, dtype=float)
     if y.size == 0 or y.max() <= 0.0:
         return []
-    floor = _PEAK_FLOOR * y.max()
-    last = y.size - 1
-    candidates = [
-        i
-        for i in range(y.size)
-        if (i == 0 or y[i] >= y[i - 1]) and (i == last or y[i] > y[i + 1]) and y[i] >= floor
-    ]
+    # rising on the left, falling on the right and above the floor
+    peak = np.r_[True, y[1:] >= y[:-1]] & np.r_[y[:-1] > y[1:], True]
+    candidates = np.flatnonzero(peak & (y >= _PEAK_FLOOR * y.max())).tolist()
     # greedy non-maximum suppression
     candidates.sort(key=lambda i: (-y[i], abs(x[i])))
     kept: list[int] = []

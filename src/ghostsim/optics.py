@@ -14,9 +14,9 @@ reads a transmission's ``cell_mean`` where it has one (slits averaged over
 each grid cell, which integrates them exactly), and the reference arm asks
 the pupil for P on the uniform grid of pupil arguments
 (:meth:`Pupil.ft_grid`, real for the rect and Gaussian pupils; the rect
-pupil's block of several offsets comes from a per-grid table by angle
-addition where the grid's nodes are exact), which its ``apply_in``
-multiplies into a vector with the two chirps folded out of the block.
+pupil's block comes from a per-grid table by angle addition where the
+grid's nodes are exact), which its ``apply_in`` multiplies into a vector
+with the two chirps folded out of the block.
 Pointwise ``evaluate`` keeps the sharp-edged definition.
 Transmissions, pupils and arms carry their exact energies, which scans
 check their arm-energy quadratures against, and compact objects and their
@@ -215,7 +215,8 @@ class Pupil:
         The pointwise fallback forms the argument from the grid samples:
         near P's peak offset + x_j cancels exactly, whereas u0 + j du would
         carry the rounding of u0 (up to 3e-13 of max |P| for a 10 mm rect
-        pupil on the default x' grid).  The rect pupil's table keeps that
+        pupil on the default x' grid).  The rect pupil's table, which its
+        grid alone selects whatever the number of offsets, keeps that
         cancellation by anchoring each row at its nearest node; the
         tabulated pupil factorizes its quadrature kernel.
         """
@@ -233,19 +234,28 @@ def _exact_nodes(g: Grid1D) -> bool:
     return fits and g.lo + g.step * (g.n_points - 1) == g.hi
 
 
+def _angle_table(g: Grid1D, c: float) -> list:
+    """b_k = c h k, cos b_k and sin b_k for k = 1 - n .. n - 1, built for
+    k >= 0 and mirrored: b_k and sin b_k are odd in k, cos b_k is even."""
+    b = c * (g.step * np.arange(g.n_points))
+    halves = ((b, -1.0), (np.cos(b), 1.0), (np.sin(b), -1.0))
+    return [np.concatenate([sign * t[:0:-1], t]) for t, sign in halves]
+
+
 def rect_pupil(D: float) -> Pupil:
     """Hard aperture of width D; P(u) = D sinc(pi D u), real.
 
-    On a grid whose nodes are exactly lo + j h, a block of several offsets
-    is computed by angle addition.  With c = pi D / scale, j_r the node
-    nearest -o_r (clipped to the grid), a_r = c (o_r + x_{j_r}) and
-    b_k = c h k for k = j - j_r, each entry is
+    On a grid whose nodes are exactly lo + j h, the block is computed by
+    angle addition.  With c = pi D / scale, j_r the node nearest -o_r
+    (clipped to the grid), a_r = c (o_r + x_{j_r}) and b_k = c h k for
+    k = j - j_r, each entry is
     D (sin a_r cos b_k + cos a_r sin b_k) / (a_r + b_k): a sine and a cosine
     per row, and b_k, cos b_k and sin b_k from a table built once per
     (grid, scale).  Nothing cancels: for an interior j_r, |a_r| <= c h / 2
     <= |b_k| / 2 for k != 0, and for a clipped one a_r and every b_k share
     a sign.  The one zero denominator, a_r = 0 at k = 0, is P's peak D.
-    Single offsets and other grids take the pointwise ``ft``.
+    The grid alone picks the path: on it every call, a single offset too,
+    takes the table, and other grids take the pointwise ``ft``.
     """
     check_width(D, "aperture size D")
 
@@ -254,16 +264,15 @@ def rect_pupil(D: float) -> Pupil:
 
     @lru_cache(maxsize=1)
     def table(g, scale):
-        """b_k, cos b_k and sin b_k for k = 1 - n .. n - 1, each as its
-        windows of n entries (window i starts at k = i + 1 - n), or None
-        off the lattice."""
+        """_angle_table's b_k, cos b_k and sin b_k, each as its windows of
+        n entries (window i starts at k = i + 1 - n), or None off the
+        lattice."""
         if not _exact_nodes(g):
             return None
-        b = (np.pi * D / scale) * (g.step * np.arange(1 - g.n_points, g.n_points))
-        return [sliding_window_view(t, g.n_points) for t in (b, np.cos(b), np.sin(b))]
+        return [sliding_window_view(t, g.n_points) for t in _angle_table(g, np.pi * D / scale)]
 
     def ft_grid(g, offset, scale):
-        views = table(g, scale) if np.size(offset) > 1 else None
+        views = table(g, scale)
         if views is None:
             return ft(np.add.outer(offset, g.samples()) / scale)
         o = np.asarray(offset, dtype=float).ravel()

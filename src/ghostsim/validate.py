@@ -33,6 +33,8 @@ __all__ = ["CheckResult", "run_validation_suite"]
 
 LAMBDA_MM = 650e-6
 F_MM = 100.0
+# randomized setups of the Cauchy-Schwarz check, the last tenth matched
+_N_SETUPS = 20
 
 
 @dataclass(frozen=True)
@@ -115,18 +117,18 @@ def _matched_state(h_t, h_r, x_t: float, x_r: float, gx, gxp):
     return normalize(raw, gx, gxp)
 
 
-def _check_cauchy_schwarz(n_setups: int = 20) -> tuple[bool, str]:
+def _check_cauchy_schwarz() -> tuple[bool, str]:
     rng = np.random.default_rng(20240502)
-    g2, m2 = np.empty(n_setups), np.empty(n_setups)
-    n_matched = max(2, n_setups // 10)
-    for k in range(n_setups):
+    g2, m2 = np.empty(_N_SETUPS), np.empty(_N_SETUPS)
+    n_matched = max(2, _N_SETUPS // 10)
+    for k in range(_N_SETUPS):
         a = rng.uniform(1.0, 3.0)
         b = rng.uniform(0.05, 0.5)
         window = max(8.0, 4.0 * a)
         gx = make_grid(0.0, window, 2049)
         gxp = make_grid(0.0, window, 4097)
         h_t = fourier_arm(LAMBDA_MM, F_MM, gaussian_transmission(rng.uniform(0.1, 1.0)))
-        if k >= n_setups - n_matched:
+        if k >= _N_SETUPS - n_matched:
             # hard-aperture tails decay too slowly for the matched state's
             # support check; use a soft pupil there
             h_r = two_f_arm(LAMBDA_MM, F_MM, gaussian_pupil(rng.uniform(0.5, 4.0)))
@@ -150,8 +152,8 @@ def _check_cauchy_schwarz(n_setups: int = 20) -> tuple[bool, str]:
             raise type(exc)(f"setup {k}: {exc}") from exc
     # each radicand passed coincidence_statistics' clamp window, or it raised
     radicand, scale = m2 - g2**2, m2 + g2**2
-    worst = np.min(np.divide(radicand, scale, out=np.zeros(n_setups), where=scale > 0), initial=0)
-    return True, f"{n_setups} randomized setups, worst negative radicand fraction {worst:.3e}"
+    worst = np.min(np.divide(radicand, scale, out=np.zeros(_N_SETUPS), where=scale > 0), initial=0)
+    return True, f"{_N_SETUPS} randomized setups, worst negative radicand fraction {worst:.3e}"
 
 
 def run_validation_suite() -> list[CheckResult]:

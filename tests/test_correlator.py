@@ -19,6 +19,7 @@ from ghostsim import (
     TwoPhotonState,
     amplitude,
     arm_energy,
+    build_setup,
     coincidence_statistics,
     double_slit,
     fourier_arm,
@@ -446,6 +447,26 @@ def test_a_nan_x_r_in_a_rect_table_block_is_a_numeric_error():
     assert _exact_nodes(setup.window)
     with pytest.raises(NumericDomainError, match=re.escape("(x_t=0.0, x_r=nan)")):
         amplitude(setup, h_r, [0.0, np.nan])
+
+
+def test_one_row_blocks_take_the_rect_table(monkeypatch):
+    # a Gaussian object on the default grids: u(x') has no exact zeros, so
+    # the window holds 16384 or more nodes and each block one row, which
+    # the rect pupil's table computes with no np.sinc call
+    state = gaussian_wavefunction(2.0, 0.05)
+    setup = build_setup(state, fourier_arm(LAM, F, gaussian_transmission(0.5)))
+    h_r = two_f_arm(LAM, F, rect_pupil(10.0))
+    assert setup.window.n_points >= _BLOCK_ENTRIES and _exact_nodes(setup.window)
+    x_r = np.linspace(-1.0, 1.0, 11)
+    xp = setup.window.samples()
+    full = np.array([h_r.evaluate(x, xp) @ setup.v for x in x_r])
+
+    def no_sinc(*args, **kwargs):
+        raise AssertionError("np.sinc called for a one-row block")
+
+    monkeypatch.setattr(np, "sinc", no_sinc)
+    got = amplitude(setup, h_r, x_r)
+    assert np.abs(got - full).max() <= 1e-13 * np.abs(full).max()
 
 
 @pytest.mark.parametrize("case", ["slit", "tabulated_object", "dense_gaussian"])

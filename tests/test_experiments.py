@@ -31,7 +31,7 @@ from ghostsim import (
 from ghostsim import analytic
 from ghostsim.cli import main, preset_path
 from ghostsim.config import build_scan_config, resolve_config
-from ghostsim.experiments import find_peaks, summarize
+from ghostsim.experiments import _PEAK_FLOOR, _PEAK_SEPARATION, find_peaks, summarize
 from ghostsim.grid import MAX_NODES, make_grid
 from ghostsim.optics import load_transmission_csv
 from ghostsim.source import TwoPhotonState, default_certification_grid
@@ -270,6 +270,40 @@ def test_find_peaks_toy_cases():
     assert find_peaks(x, y) == [5, 15]
     assert find_peaks(x, np.zeros(21)) == []
     assert find_peaks(x[:0], y[:0]) == []
+
+
+def _find_peaks_loop(x, y):
+    """find_peaks as a loop over every point: the reference of its numpy
+    candidate mask."""
+    y = np.asarray(y, dtype=float)
+    if y.size == 0 or y.max() <= 0.0:
+        return []
+    last = y.size - 1
+    candidates = [
+        i
+        for i in range(y.size)
+        if (i == 0 or y[i] >= y[i - 1])
+        and (i == last or y[i] > y[i + 1])
+        and y[i] >= _PEAK_FLOOR * y.max()
+    ]
+    candidates.sort(key=lambda i: (-y[i], abs(x[i])))
+    kept = []
+    for i in candidates:
+        if all(abs(i - j) >= _PEAK_SEPARATION for j in kept):
+            kept.append(i)
+    return kept
+
+
+def test_find_peaks_matches_the_loop_over_every_point():
+    # small integer levels: plateaus, ties and end nodes on every size
+    rng = np.random.default_rng(3)
+    for n in range(12):
+        x = np.linspace(-1.0, 1.0, n)
+        for _ in range(200):
+            y = rng.integers(0, 5, n).astype(float)
+            got = find_peaks(x, y)
+            assert got == _find_peaks_loop(x, y)
+            assert all(type(i) is int for i in got)
 
 
 def test_find_peaks_lists_end_nodes_largest_first():

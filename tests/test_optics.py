@@ -29,7 +29,7 @@ from ghostsim.analytic import (
     gaussian_two_f_arm_energy,
     rect_two_f_arm_energy,
 )
-from ghostsim.optics import _exact_nodes
+from ghostsim.optics import _angle_table, _exact_nodes
 from ghostsim.validate import rect_energy_grid
 from helpers import scaled_arm
 
@@ -251,23 +251,31 @@ FIG2_WINDOW = make_grid(0.0, 8.0, 16385).run(7325, 9060)
 @pytest.mark.parametrize("D", [2.0, 10.0])
 def test_rect_block_from_the_table_matches_the_sinc(D):
     # the peak -offset inside the grid, beyond it (the row's anchor node
-    # clipped to an end) and on nodes, where the entry is exactly D
+    # clipped to an end) and on nodes, where the entry is exactly D; a
+    # scalar offset, a one-row list and an on-node scalar take the table too
     p = rect_pupil(D)
+    c = np.pi * D / (2.0 * LF)
     for g in (FIG2_WINDOW, make_grid(0.0, 8.0, 16385)):
+        # the table is built for k >= 0 and mirrored
+        b = c * (g.step * np.arange(1 - g.n_points, g.n_points))
+        np.testing.assert_array_equal(_angle_table(g, c)[0], b)
         x = g.samples()
         nodes = np.array([0, 5, 867, g.n_points - 1])
         offsets = np.concatenate([np.linspace(-0.8, 0.8, 37), [-9.0, -0.9, 0.9, 9.0], -x[nodes]])
-        got = p.ft_grid(g, offsets, 2.0 * LF)
-        assert got.shape == (offsets.size, g.n_points) and got.dtype == np.float64
-        np.testing.assert_array_equal(got[-nodes.size :][np.arange(nodes.size), nodes], D)
-        ref = p.ft((offsets[:, np.newaxis] + x) / (2.0 * LF))
-        assert np.abs(got - ref).max() <= 1e-15 * D
-        if np.finfo(np.longdouble).eps < np.finfo(float).eps:
-            pi = 4.0 * np.arctan(np.longdouble(1.0))
-            y = pi * D * (offsets[:, np.newaxis].astype(np.longdouble) + x) / (2.0 * LF)
-            exact = D * np.sin(y) / np.where(y == 0.0, 1.0, y)
-            exact[y == 0.0] = D
-            assert np.abs(got - exact).max() <= 1e-15 * D
+        inputs = (offsets, 0.4, [0.4], -x[867])
+        blocks = [p.ft_grid(g, offset, 2.0 * LF) for offset in inputs]
+        np.testing.assert_array_equal(blocks[0][-nodes.size :][np.arange(nodes.size), nodes], D)
+        assert blocks[-1][867] == D
+        for offset, got in zip(inputs, blocks):
+            assert got.shape == np.shape(offset) + (g.n_points,) and got.dtype == np.float64
+            ref = p.ft(np.add.outer(offset, x) / (2.0 * LF))
+            assert np.abs(got - ref).max() <= 1e-15 * D
+            if np.finfo(np.longdouble).eps < np.finfo(float).eps:
+                pi = 4.0 * np.arctan(np.longdouble(1.0))
+                y = pi * D * np.add.outer(np.asarray(offset, np.longdouble), x) / (2.0 * LF)
+                exact = D * np.sin(y) / np.where(y == 0.0, 1.0, y)
+                exact[y == 0.0] = D
+                assert np.abs(got - exact).max() <= 1e-15 * D
 
 
 def test_rect_table_block_allocates_rows_not_the_square():
@@ -286,15 +294,15 @@ def test_rect_table_block_allocates_rows_not_the_square():
     assert peak <= 4 * block.nbytes
 
 
-def test_rect_block_off_the_lattice_and_single_offsets_are_pointwise():
+def test_rect_block_off_the_lattice_is_pointwise():
     p = rect_pupil(10.0)
     off = make_grid(0.0, 8.3, 16385)
     assert _exact_nodes(FIG2_WINDOW) and _exact_nodes(make_grid(0.0, 8.0, 16385))
     assert not _exact_nodes(off)
-    for g, offset in ((off, np.array([-0.4, 0.0, 0.4])), (FIG2_WINDOW, 0.4), (FIG2_WINDOW, [0.4])):
+    for offset in (np.array([-0.4, 0.0, 0.4]), 0.4, [0.4]):
         np.testing.assert_array_equal(
-            p.ft_grid(g, offset, 2.0 * LF),
-            p.ft((np.expand_dims(offset, -1) + g.samples()) / (2.0 * LF)),
+            p.ft_grid(off, offset, 2.0 * LF),
+            p.ft((np.expand_dims(offset, -1) + off.samples()) / (2.0 * LF)),
         )
 
 
