@@ -8,8 +8,10 @@ R = 1 (``ridge`` is None).
 
 :func:`normalize` sets ``c_norm`` from the quadrature of |phi|^2 and records
 its grids as the state's ``certification``.  :func:`gaussian_wavefunction`
-returns its state normalized on :func:`default_certification_grid`; every
-other state must be normalized explicitly.  Both :func:`normalize` and
+needs no quadrature: its ``c_norm`` is the closed form, and its certification
+is :func:`default_certification_grid`, the window [-4a, 4a] outside which
+|phi|^2 is below e^-32 of its peak.  Every other state must be normalized
+explicitly.  Both :func:`normalize` and
 :meth:`TwoPhotonState.reduce` fold f into the left vector, reduce R with
 :func:`ghostsim.grid.reduce_rows` over the band where R is above RIDGE_EPS
 of its peak, and multiply the result by g.
@@ -18,7 +20,7 @@ of its peak, and multiply the result by g.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import inf, isfinite, log, sqrt
+from math import hypot, inf, isfinite, log, pi, sqrt
 from typing import Callable
 
 import numpy as np
@@ -91,7 +93,8 @@ class TwoPhotonState:
 
 
 def gaussian_wavefunction(a: float, b: float) -> TwoPhotonState:
-    """The Gaussian source, normalized on ``default_certification_grid(a, b)``.
+    """The Gaussian source, unit-norm by its closed-form ``c_norm`` and
+    certified on ``default_certification_grid(a, b)``.
 
     A width that is not > 0 is refused, then a certification grid over the
     node budget (its message names the remedy), then a width whose square
@@ -107,8 +110,10 @@ def gaussian_wavefunction(a: float, b: float) -> TwoPhotonState:
     def ridge(d):
         return np.exp(np.square(d) / -(b * b))
 
-    state = TwoPhotonState(f=envelope, g=envelope, ridge=ridge, ridge_width=float(b))
-    return normalize(state, cert, cert)
+    # int int |phi / c_norm|^2 = pi a^2 b / (2 hypot(b, sqrt(2) a)), inverted in
+    # a form that stays finite and positive for every width check_width admits
+    c_norm = sqrt(2.0 * hypot(b, sqrt(2.0) * a) / pi) / (a * sqrt(b))
+    return TwoPhotonState(envelope, envelope, c_norm, ridge, float(b), (cert, cert))
 
 
 def default_certification_grid(a: float, b: float) -> Grid1D:

@@ -1,16 +1,17 @@
 """Built-in self-validation suite.
 
 Runs the analytic oracles against the quadrature code paths without any
-configuration file: Gaussian normalization constants, the closed-form arm
-energies, the all-Gaussian coincidence amplitude and the Cauchy-Schwarz
-bound on the variance radicand.  Each check returns (passed, detail); the
+configuration file: Gaussian normalization constants (the source's closed
+form and the norm quadrature), the closed-form arm energies, the
+all-Gaussian coincidence amplitude and the Cauchy-Schwarz bound on the
+variance radicand.  Each check returns (passed, detail); the
 suite, which the ``validate`` CLI command executes, reports a check that
 raises a ghostsim error as failed with the error as its detail.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -50,10 +51,12 @@ def _check_gaussian_normalization() -> tuple[bool, str]:
     for _ in range(10):
         a = rng.uniform(0.5, 5.0)
         b = float(np.exp(rng.uniform(np.log(0.02), np.log(1.0))))
-        # the amplitude at the origin is the effective normalization constant
-        c_actual = float(np.abs(gaussian_wavefunction(a, b).evaluate(0.0, 0.0)))
+        # the constructor's closed form and, independently, the quadrature of
+        # |phi|^2 on its certification grid, started from c_norm = 1
+        state = gaussian_wavefunction(a, b)
+        quadrature = normalize(replace(state, c_norm=1.0), *state.certification)
         c_ref = analytic.gaussian_norm_constant(a, b)
-        errors.append(abs(c_actual - c_ref) / c_ref)
+        errors += [abs(s.c_norm - c_ref) / c_ref for s in (state, quadrature)]
     worst = np.max(errors)  # NaN-propagating, unlike max(): a NaN error fails
     detail = f"max relative c_norm error {worst:.3e} over 10 random (a, b) (tol 1e-6)"
     return bool(worst < 1e-6), detail

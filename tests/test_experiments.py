@@ -30,7 +30,7 @@ from ghostsim import (
 )
 from ghostsim import analytic
 from ghostsim.cli import main, preset_path
-from ghostsim.config import build_scan_config, resolve_config
+from ghostsim.config import build_scan_config, load_config, resolve_config
 from ghostsim.experiments import _PEAK_FLOOR, _PEAK_SEPARATION, find_peaks, summarize
 from ghostsim.grid import MAX_NODES, make_grid
 from ghostsim.optics import load_transmission_csv
@@ -65,6 +65,20 @@ def test_build_setup_normalizes_gaussian_state():
     assert config.setup.state.certification == (cert, cert)
     # default 8 mm window already covers the 4a = 8 mm certification window
     assert config.setup.gx.half_width == 8.0
+
+
+def test_preset_scan_runs_no_norm_quadrature(monkeypatch):
+    # the Gaussian source's c_norm is closed-form: building and scanning
+    # fig2 must not reach the norm quadrature
+    def refuse(*args):
+        raise AssertionError("normalize called on the scan path")
+
+    monkeypatch.setattr("ghostsim.source.normalize", refuse)
+    config = build_scan_config(load_config(preset_path("fig2")))
+    c_ref = analytic.gaussian_norm_constant(2.0, 0.05)
+    assert config.setup.state.c_norm == pytest.approx(c_ref, rel=1e-15)
+    result = scan_reference(config)
+    assert np.all(np.isfinite(result.g2)) and result.g2.max() > 0.0
 
 
 def test_build_setup_rejects_uncertified_table():

@@ -48,11 +48,19 @@ def test_gaussian_parameter_validation():
             gaussian_wavefunction(a, b)
 
 
+def _quadrature_c_norm(state):
+    """c_norm from the norm quadrature on the state's certification grids,
+    started from c_norm = 1 rather than from the state's own value."""
+    return normalize(replace(state, c_norm=1.0), *state.certification).c_norm
+
+
 def test_normalize_matches_analytic_constant():
     a, b = 2.0, 0.05
     state = gaussian_wavefunction(a, b)
     c = abs(state.evaluate(0.0, 0.0))
-    assert c == pytest.approx(gaussian_norm_constant(a, b), rel=1e-9)
+    assert c == state.c_norm
+    for got in (c, _quadrature_c_norm(state)):
+        assert got == pytest.approx(gaussian_norm_constant(a, b), rel=1e-9)
     # the published configuration normalizes to about 3.00
     assert c == pytest.approx(3.0, abs=0.01)
 
@@ -63,8 +71,25 @@ def test_normalize_random_parameters_match_analytic():
         a = rng.uniform(0.5, 5.0)
         b = float(np.exp(rng.uniform(np.log(0.01), np.log(1.0))))
         state = gaussian_wavefunction(a, b)
-        c = abs(state.evaluate(0.0, 0.0))
-        assert c == pytest.approx(gaussian_norm_constant(a, b), rel=1e-6)
+        for got in (abs(state.evaluate(0.0, 0.0)), _quadrature_c_norm(state)):
+            assert got == pytest.approx(gaussian_norm_constant(a, b), rel=1e-6)
+    # the constructor's closed form against the quadrature, from b = a / 40
+    # down to a / 2000 (a 96001-node certification grid)
+    for a, b in ((2.0, 0.05), (2.0, 0.5), (1.0, 0.2), (2.0, 1e-3), (0.5, 0.3)):
+        state = gaussian_wavefunction(a, b)
+        assert state.c_norm == pytest.approx(_quadrature_c_norm(state), rel=2e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("a, b", [(1.0, 1.0), (2.0, 0.05)])
+@pytest.mark.parametrize("scale", [1e-160, 1e-150, 1e100, 1e150])
+def test_closed_form_c_norm_scales_inversely_with_the_widths(a, b, scale):
+    # |phi|^2 integrates over an area ~ a b, so C(s a, s b) = C(a, b) / s.  At
+    # s = 1e-160, a^2 is subnormal and 2 / a^2 overflows, so the separated
+    # form of gaussian_norm_constant divides by zero; check_width admits it
+    c = gaussian_wavefunction(a, b).c_norm
+    scaled = gaussian_wavefunction(scale * a, scale * b).c_norm
+    assert np.isfinite(scaled) and scaled > 0.0
+    assert scaled * scale == pytest.approx(c, rel=1e-15, abs=0.0)
 
 
 def test_normalize_is_idempotent():
