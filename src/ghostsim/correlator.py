@@ -16,9 +16,10 @@ built; it does not hold h_r, which ``amplitude`` takes per call.  The
 setup samples h_t only on the run of x nodes that meets the object's
 support (every node for an object without one), with the x grid's
 trapezoid weights.  On the grids the amplitudes of a whole scan are one
-matrix-vector product, h_r(x_r, x'_j) applied to v = w u by
-``ImpulseResponse.apply_in`` in blocks of x_r rows; the 2f arm folds its
-chirps out of the block and samples only P.  I_r integrates over the whole
+``ImpulseResponse.apply_in`` call, h_r(x_r, x'_j) applied to v = w u: the
+2f arm folds its chirps out and leaves the sum over P to the pupil, which
+takes the x_r rows in blocks of bounded size (a rect or Gaussian pupil) or
+sums over its own table (a tabulated one).  I_r integrates over the whole
 x' grid and I_t over the run, where h_t vanishes beyond it, and
 ``gated_energy`` refuses one that is not within ENERGY_RTOL of the arm's
 exact energy, naming the whole grid: the setup gates I_t when it is built,
@@ -51,10 +52,6 @@ RADICAND_CLAMP = 1e-12
 # largest relative offset of an arm-energy quadrature from the arm's exact
 # energy: <S^2> = G2 I_t I_r carries the offset into Delta G2 and the SNR
 ENERGY_RTOL = 1e-2
-
-# reference-arm samples per amplitude block: the block of x_r rows stays in
-# cache and a scan's memory stays bounded whatever its number of points
-_BLOCK_ENTRIES = 2**14
 
 
 @dataclass(frozen=True)
@@ -149,18 +146,12 @@ class CorrelatorSetup:
 
 def amplitude(setup: CorrelatorSetup, h_r: ImpulseResponse, x_r) -> np.ndarray:
     """Coincidence amplitudes A(x_r) = h_r(x_r, window) @ v over the
-    reference window, one per x_r, in blocks of about _BLOCK_ENTRIES
-    reference-arm samples; exactly 0, with no sampling, where u(x')
-    vanishes everywhere.  A non-finite amplitude is a numeric error naming
-    the first x_r where one occurs.
+    reference window, one per x_r, from one ``apply_in`` call; exactly 0,
+    with no sampling, where u(x') vanishes everywhere.  A non-finite
+    amplitude is a numeric error naming the first x_r where one occurs.
     """
     x_r = np.atleast_1d(x_r)
-    a = np.zeros(x_r.size, dtype=complex)
-    if setup.window is None:
-        return a
-    rows = max(1, _BLOCK_ENTRIES // setup.window.n_points)
-    for i in range(0, x_r.size, rows):
-        a[i : i + rows] = h_r.apply_in(x_r[i : i + rows], setup.window, setup.v)
+    a = h_r.apply_in(x_r, setup.window, setup.v) if setup.window else np.zeros(x_r.size, complex)
     bad = np.flatnonzero(~np.isfinite(a))
     if bad.size:
         raise NumericDomainError(f"non-finite amplitude at (x_t={setup.x_t}, x_r={x_r[bad[0]]})")
@@ -168,10 +159,9 @@ def amplitude(setup: CorrelatorSetup, h_r: ImpulseResponse, x_r) -> np.ndarray:
 
 
 def arm_energy(h: ImpulseResponse, x_out: float, g: Grid1D) -> float:
-    """Quadrature of |h(x_out, .)|^2 over g; a scan checks it against
-    ``h.energy``."""
-    a2 = h.sample_abs2_in(x_out, g)  # before the weights: a lower peak memory
-    return float(np.dot(g.trapezoid_weights(), a2))
+    """Quadrature of |h(x_out, .)|^2 over g, ``h.energy_in``; a scan checks
+    it against ``h.energy``."""
+    return float(h.energy_in(x_out, g))
 
 
 def gated_energy(

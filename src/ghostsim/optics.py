@@ -9,14 +9,15 @@ with P the Fourier transform of p under the exp(-2 pi i u x) kernel:
     h_r(x_r, x') = (1 / (4 lam^2 f^2)) P((x_r + x') / (2 lam f))
                    * exp(i pi (x_r^2 + x'^2) / (2 lam f))
 
-Quadratures sample arms only through their grid samplers: the test arm
+Quadratures sample arms only through their grid hooks: the test arm
 reads a transmission's ``cell_mean`` where it has one (slits averaged over
 each grid cell, which integrates them exactly), and the reference arm asks
-the pupil for P on the uniform grid of pupil arguments
-(:meth:`Pupil.ft_grid`, real for the rect and Gaussian pupils; the rect
-pupil's block comes from a per-grid table by angle addition where the
-grid's nodes are exact), which its ``apply_in`` multiplies into a vector
-with the two chirps folded out of the block.
+the pupil for P at the uniform grid of pupil arguments in two forms only,
+applied to a vector (:meth:`Pupil.apply`, with the two chirps folded out)
+and in the energy quadrature (:meth:`Pupil.abs2_sum`).  The rect and
+Gaussian pupils form a real block of P (the rect pupil's from a per-grid
+table by angle addition where the grid's nodes are exact); a tabulated
+pupil works in its own plane, as sums over its table nodes.
 Pointwise ``evaluate`` keeps the sharp-edged definition.
 Transmissions, pupils and arms carry their exact energies, which scans
 check their arm-energy quadratures against, and compact objects and their
@@ -33,7 +34,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidArgumentError
-from .grid import Grid1D, check_width, make_grid
+from .grid import Grid1D, _fft_size, check_width, make_grid
 
 __all__ = [
     "Transmission",
@@ -52,14 +53,18 @@ __all__ = [
 ]
 
 
-# rows of the x_r-independent factor of a tabulated pupil's grid transform
-_FT_BLOCK = 128
+# entries per block of offsets that a pupil applies at once: the block stays
+# in cache and a scan's memory stays bounded whatever its number of points
+_BLOCK_ENTRIES = 2**14
 
 
-def _read_only(values: np.ndarray) -> np.ndarray:
-    """values, marked read-only: a memoized array is shared by every caller."""
-    values.flags.writeable = False
-    return values
+def _in_runs(fn, offset, width: int) -> np.ndarray:
+    """fn over runs of the flattened offsets, about _BLOCK_ENTRIES // width
+    per run, as one complex array of offset's shape (a scalar for a scalar
+    offset)."""
+    o, run = np.ravel(offset), max(1, _BLOCK_ENTRIES // width)
+    runs = [fn(o[i : i + run]) for i in range(0, o.size, run)]
+    return np.concatenate([np.empty(0, dtype=complex), *runs]).reshape(np.shape(offset))[()]
 
 
 def _overlap(lo, hi, a, b):
@@ -200,13 +205,20 @@ def load_transmission_csv(path) -> Transmission:
 @dataclass(frozen=True)
 class Pupil:
     """Fourier transform P(u) of an aperture pupil p(x) with kernel
-    exp(-2 pi i u x), and the pupil's energy int |p|^2 dx."""
+    exp(-2 pi i u x), and the pupil's energy int |p|^2 dx.
+
+    On a uniform grid of nodes x_j, at u_j = (offset + x_j) / scale, the
+    reference arm needs P only applied to a vector (:meth:`apply`) and in
+    its energy quadrature (:meth:`abs2_sum`).  Both take the block of
+    :meth:`ft_grid` unless the pupil sets ``_apply`` and ``_abs2_sum``, as
+    a tabulated pupil does to work in its own plane.
+    """
 
     ft: Callable[[np.ndarray], np.ndarray]
     energy: float
-    _ft_grid: Optional[Callable[[Grid1D, np.ndarray, float], np.ndarray]] = field(
-        default=None, repr=False
-    )
+    _ft_grid: Optional[Callable] = field(default=None, repr=False)
+    _apply: Optional[Callable] = field(default=None, repr=False)
+    _abs2_sum: Optional[Callable] = field(default=None, repr=False)
 
     def ft_grid(self, grid: Grid1D, offset, scale: float) -> np.ndarray:
         """P((offset + x_j) / scale) on the nodes x_j of a uniform grid, one
@@ -217,12 +229,39 @@ class Pupil:
         carry the rounding of u0 (up to 3e-13 of max |P| for a 10 mm rect
         pupil on the default x' grid).  The rect pupil's table, which its
         grid alone selects whatever the number of offsets, keeps that
-        cancellation by anchoring each row at its nearest node; the
-        tabulated pupil factorizes its quadrature kernel.
+        cancellation by anchoring each row at its nearest node.
         """
         if self._ft_grid is not None:
             return self._ft_grid(grid, offset, scale)
         return self.ft(np.add.outer(offset, grid.samples()) / scale)
+
+    def apply(self, grid: Grid1D, offset, scale: float, z: np.ndarray) -> np.ndarray:
+        """sum_j P((offset + x_j) / scale) z_j for a complex z on the grid's
+        nodes, one per offset: shape np.shape(offset).
+
+        By default the offsets are taken in blocks of ``ft_grid`` of about
+        _BLOCK_ENTRIES entries; a real block multiplies z's (re, im)
+        columns, since float @ complex would cast the block.
+        """
+        if self._apply is not None:
+            return self._apply(grid, offset, scale, z)
+
+        zz = np.ascontiguousarray(z, dtype=complex).view(float).reshape(-1, 2)
+
+        def rows(o):
+            b = self.ft_grid(grid, o, scale)
+            return b @ z if np.iscomplexobj(b) else (b @ zz).view(complex)[:, 0]
+
+        return _in_runs(rows, offset, grid.n_points)
+
+    def abs2_sum(self, grid: Grid1D, offset: float, scale: float, c: float) -> float:
+        """c sum_j w_j |P((offset + x_j) / scale)|^2 with the grid's
+        trapezoid weights w_j; by default c |P|^2 on the block of
+        ``ft_grid``, weighted."""
+        if self._abs2_sum is not None:
+            return c * self._abs2_sum(grid, offset, scale)
+        p2 = np.abs(self.ft_grid(grid, offset, scale)) ** 2
+        return float(np.dot(grid.trapezoid_weights(), c * p2))
 
 
 def _exact_nodes(g: Grid1D) -> bool:
@@ -310,47 +349,54 @@ def gaussian_pupil(sigma: float) -> Pupil:
 
 
 def tabulated_pupil(grid: Grid1D, values: np.ndarray) -> Pupil:
-    """Pupil from complex samples; P(u) by quadrature over the table support.
+    """Pupil from complex samples; P(u) = sum_k a_k exp(-2 pi i u xi_k) by
+    quadrature over the table nodes xi_k, with a = w p and trapezoid
+    weights w_k.
 
     P is periodic in u with period 1/h, so its energy is Parseval's over one
-    period, sum |w_k p_k|^2 / h with trapezoid weights w_k.
+    period, sum |a_k|^2 / h.  On a grid the pupil works in its own plane.
+    Applied to z at u_j = (o + x_j) / s it is
+    sum_k a_k exp(-2 pi i o xi_k / s) Z_k, with
+    Z_k = sum_j z_j exp(-2 pi i xi_k x_j / s) formed once for every o.
+    Its energy quadrature is sum_j w_j |P(u_j)|^2 = sum_m c_m K_m, with c_m
+    the autocorrelation of a and K_m the trapezoid sum of
+    exp(-2 pi i u_j h m) over the grid in closed form.
     """
     values = np.asarray(values, dtype=complex)
     if values.shape != (grid.n_points,):
         raise InvalidArgumentError(f"pupil table length {values.shape} does not match grid")
     xs = grid.samples()
     wv = grid.trapezoid_weights() * values
+    # table nodes per block of Z's kernel, ceil(sqrt(n)): with k = m q + r,
+    # exp(-2 pi i xi_k x) = exp(-2 pi i xi_{mq} x) exp(-2 pi i r h x) takes
+    # (n/m + m) rows of exponentials instead of n
+    m = int(np.sqrt(xs.size - 1)) + 1
+    # c_m = sum_l a_{l+m} conj(a_l) for m = 0 .. n - 1, from one FFT of a
+    acf = np.fft.ifft(np.abs(np.fft.fft(wv, _fft_size(2 * xs.size - 1))) ** 2)[: xs.size]
 
-    def ft(u):
-        u = np.asarray(u, dtype=float)
-        flat = np.atleast_1d(u).ravel()
-        out = np.empty(flat.size, dtype=complex)
-        for i0 in range(0, flat.size, 4096):
-            uu = flat[i0 : i0 + 4096, np.newaxis]
-            out[i0 : i0 + 4096] = np.exp(-2j * np.pi * uu * xs[np.newaxis, :]) @ wv
-        if u.ndim == 0:
-            return complex(out[0])
-        return out.reshape(u.shape)
+    def ft(u, a=wv):
+        """sum_k a_k exp(-2 pi i u xi_k) for each u: P(u) for a = w p."""
+        return _in_runs(lambda uu: np.exp(-2j * np.pi * np.multiply.outer(uu, xs)) @ a, u, xs.size)
 
-    # With j = J m + r (m = _FT_BLOCK) the quadrature kernel factorizes
-    # exactly: exp(-2 pi i u_j x) = exp(-2 pi i (u0 + J m du) x)
-    # * exp(-2 pi i r du x).  The second factor does not depend on u0, so it
-    # is built once per du and shared by every offset; each row
-    # exponentiates ceil(n/m) rows of the table instead of n.  Only the
-    # rounding of the two phases differs from ``ft``.
-    @lru_cache(maxsize=1)
-    def block(du):
-        return _read_only(np.exp(-2j * np.pi * (du * np.arange(_FT_BLOCK))[:, np.newaxis] * xs))
+    def apply(g, offset, scale, z):
+        x = g.samples() / scale
+        coarse = np.exp(-2j * np.pi * np.multiply.outer(xs[::m], x)) * z
+        fine = np.exp(-2j * np.pi * np.multiply.outer(grid.step * np.arange(m), x))
+        return ft(np.divide(offset, scale), wv * (coarse @ fine.T).ravel()[: xs.size])
 
-    def ft_grid(g, offset, scale):
-        du = g.step / scale
-        blocks = np.arange(-(-g.n_points // _FT_BLOCK))
-        starts = np.add.outer((offset + g.lo) / scale, du * _FT_BLOCK * blocks)
-        a = np.exp(-2j * np.pi * starts[..., np.newaxis] * xs) * wv
-        return (a @ block(du).T).reshape(np.shape(offset) + (-1,))[..., : g.n_points]
+    def abs2_sum(g, offset, scale):
+        # K_m = g.step exp(-2 pi i u_c h m) sin(n r) / tan(r) over n panels,
+        # with u_c the grid centre's u and r = pi du h m, each reduced by
+        # its period (1/h and pi) first; its limit at r = 0 is n.  c_{-m}
+        # and K_{-m} are the conjugates of c_m and K_m
+        k = np.arange(xs.size)
+        t, tc = g.step / scale * grid.step * k, (offset + g.center) / scale * grid.step
+        n, lap = g.n_points - 1, np.rint(t)
+        kernel = n * np.cos(np.pi * (t - lap)) * np.sinc(n * (t - lap)) / np.sinc(t - lap)
+        terms = acf * np.exp(-2j * np.pi * (tc - np.rint(tc)) * k) * (-1.0) ** (n * lap) * kernel
+        return g.step * (2.0 * terms.real.sum() - terms[0].real)
 
-    energy = float(np.vdot(wv, wv).real) / grid.step
-    return Pupil(ft=ft, energy=energy, _ft_grid=ft_grid)
+    return Pupil(ft, float(np.vdot(wv, wv).real) / grid.step, _apply=apply, _abs2_sum=abs2_sum)
 
 
 def load_pupil_csv(path) -> Pupil:
@@ -364,32 +410,35 @@ def load_pupil_csv(path) -> Pupil:
 class ImpulseResponse:
     """Complex kernel h(x_out, x_in) of one optical arm.
 
-    ``sample_in`` / ``sample_abs2_in`` return kernel samples (resp. squared
-    moduli) over an input-plane grid for quadrature, applying cell-averaging
-    for sharp-edged components; ``apply_in`` applies the samples to a vector
-    of the grid's nodes.  ``evaluate`` is the pointwise kernel, ``energy``
-    the exact int |h(x_out, x)|^2 dx and ``support`` an interval [lo, hi]
-    of x_in outside which h = 0, or None.
+    ``sample_in`` returns kernel samples over an input-plane grid for
+    quadrature, applying cell-averaging for sharp-edged components;
+    ``apply_in`` applies them to a vector of the grid's nodes and
+    ``energy_in`` is the trapezoid quadrature of |h(x_out, .)|^2 over the
+    grid.  ``evaluate`` is the pointwise kernel, ``energy`` the exact
+    int |h(x_out, x)|^2 dx and ``support`` an interval [lo, hi] of x_in
+    outside which h = 0, or None.
     """
 
     evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
     energy: float
     _sample_in: Callable[[float, Grid1D], np.ndarray] = field(repr=False)
-    _sample_abs2_in: Callable[[float, Grid1D], np.ndarray] = field(repr=False)
+    _energy_in: Callable[[float, Grid1D], float] = field(repr=False)
     _apply_in: Optional[Callable] = field(default=None, repr=False)
     support: Optional[tuple] = None
 
     def sample_in(self, x_out: float, grid: Grid1D) -> np.ndarray:
         return self._sample_in(x_out, grid)
 
-    def sample_abs2_in(self, x_out: float, grid: Grid1D) -> np.ndarray:
-        return self._sample_abs2_in(x_out, grid)
+    def energy_in(self, x_out: float, grid: Grid1D) -> float:
+        return self._energy_in(x_out, grid)
 
     def apply_in(self, x_out, grid: Grid1D, v: np.ndarray) -> np.ndarray:
-        """sum_j h(x_out, x_j) v_j over the grid nodes x_j, one per x_out."""
+        """sum_j h(x_out, x_j) v_j over the grid nodes x_j, one per x_out;
+        an arm without an ``_apply_in`` of its own is sampled one x_out at a
+        time, so that its memory stays bounded."""
         if self._apply_in is not None:
             return self._apply_in(x_out, grid, v)
-        return self.sample_in(x_out, grid) @ v
+        return np.reshape([self.sample_in(x, grid) @ v for x in np.ravel(x_out)], np.shape(x_out))
 
 
 def _arm_scale(lam: float, f: float, arm: str) -> float:
@@ -439,13 +488,11 @@ def fourier_arm(lam: float, f: float, t: Transmission) -> ImpulseResponse:
         tv = t.cell_mean(x, grid.step) if t.cell_mean else t.evaluate(x)
         return (-1j / lf) * tv * np.exp(-2j * np.pi * x_t * x / lf)
 
-    def sample_abs2_in(x_t, grid):
-        x = grid.samples()
-        return (t.cell_mean(x, grid.step) if t.cell_mean else t.evaluate(x) ** 2) / lf**2
+    def energy_in(x_t, g):
+        t2 = t.cell_mean(g.samples(), g.step) if t.cell_mean else t.evaluate(g.samples()) ** 2
+        return float(np.dot(g.trapezoid_weights(), t2 / lf**2))
 
-    return ImpulseResponse(
-        evaluate, t.energy / lf**2, sample_in, sample_abs2_in, support=t.support
-    )
+    return ImpulseResponse(evaluate, t.energy / lf**2, sample_in, energy_in, support=t.support)
 
 
 def two_f_arm(lam: float, f: float, p: Pupil) -> ImpulseResponse:
@@ -456,8 +503,10 @@ def two_f_arm(lam: float, f: float, p: Pupil) -> ImpulseResponse:
     times P on the uniform u grid; its squared modulus is amp^2 |P|^2, whose
     integral over x' is p's energy / (8 lam^3 f^3) by Parseval.  The grid
     sampler takes an array of x_r too and returns one row per x_r.  Applied
-    to a vector v, the two chirps leave the block: the x' chirp is folded
-    into v and the x_r chirp scales the product, so only P is sampled.
+    to a vector v, the two chirps stay outside: the x' chirp is folded into
+    v, the pupil applies itself to the product (:meth:`Pupil.apply`) and the
+    x_r chirp scales the result.  The energy quadrature is amp^2 times the
+    pupil's (:meth:`Pupil.abs2_sum`), with no chirp.
     """
     lf = _arm_scale(lam, f, "reference arm")
     amp = 1.0 / (4.0 * lf**2)
@@ -470,21 +519,19 @@ def two_f_arm(lam: float, f: float, p: Pupil) -> ImpulseResponse:
 
     @lru_cache(maxsize=1)
     def input_chirp(grid):
-        return _read_only(amp * np.exp(1j * chirp * grid.samples() ** 2))
+        chirped = amp * np.exp(1j * chirp * grid.samples() ** 2)
+        chirped.flags.writeable = False  # memoized: shared by every caller
+        return chirped
 
     def sample_in(x_r, grid):
         row_chirp = np.expand_dims(np.exp(1j * chirp * np.square(x_r)), -1)
         return row_chirp * input_chirp(grid) * p.ft_grid(grid, x_r, 2.0 * lf)
 
     def apply_in(x_r, grid, v):
-        row_chirp = np.exp(1j * chirp * np.square(x_r))
-        block, z = p.ft_grid(grid, x_r, 2.0 * lf), input_chirp(grid) * v
-        if np.iscomplexobj(block):
-            return row_chirp * (block @ z)
-        # a real block times (re, im) columns: float @ complex would cast the block
-        return row_chirp * (block @ z.view(float).reshape(-1, 2)).view(complex)[..., 0]
+        z = input_chirp(grid) * v
+        return np.exp(1j * chirp * np.square(x_r)) * p.apply(grid, x_r, 2.0 * lf, z)
 
-    def sample_abs2_in(x_r, grid):
-        return amp**2 * np.abs(p.ft_grid(grid, x_r, 2.0 * lf)) ** 2
+    def energy_in(x_r, grid):
+        return p.abs2_sum(grid, x_r, 2.0 * lf, amp**2)
 
-    return ImpulseResponse(evaluate, p.energy / (8.0 * lf**3), sample_in, sample_abs2_in, apply_in)
+    return ImpulseResponse(evaluate, p.energy / (8.0 * lf**3), sample_in, energy_in, apply_in)

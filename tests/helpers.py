@@ -20,7 +20,8 @@ def scaled_arm(h: ImpulseResponse, c: complex) -> ImpulseResponse:
         evaluate=lambda x_out, x_in: c * h.evaluate(x_out, x_in),
         energy=abs(c) ** 2 * h.energy,
         _sample_in=lambda x_out, grid: c * h.sample_in(x_out, grid),
-        _sample_abs2_in=lambda x_out, grid: abs(c) ** 2 * h.sample_abs2_in(x_out, grid),
+        _energy_in=lambda x_out, grid: abs(c) ** 2 * h.energy_in(x_out, grid),
+        _apply_in=lambda x_out, grid, v: c * h.apply_in(x_out, grid, v),
     )
 
 

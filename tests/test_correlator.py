@@ -37,8 +37,7 @@ from ghostsim import (
 from ghostsim.analytic import all_gaussian_amplitude, gaussian_norm_constant
 from ghostsim.cli import preset_path
 from ghostsim.config import build_scan_config, load_config
-from ghostsim.correlator import _BLOCK_ENTRIES
-from ghostsim.optics import Transmission, _exact_nodes
+from ghostsim.optics import _BLOCK_ENTRIES, Transmission, _exact_nodes
 from ghostsim.source import default_certification_grid
 from ghostsim.validate import run_validation_suite
 from helpers import (

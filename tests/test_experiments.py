@@ -380,14 +380,14 @@ def test_aperture_sweep_shares_the_inner_integral(monkeypatch):
     h_t = config.setup.h_t
     quadratures = []
 
-    def counted_abs2(x_out, grid):
+    def counted_energy(x_out, grid):
         quadratures.append(x_out)
-        return h_t.sample_abs2_in(x_out, grid)
+        return h_t.energy_in(x_out, grid)
 
     # counted from building the setup onward: one reduction and one
     # test-arm energy quadrature for the sweep
     monkeypatch.setattr(TwoPhotonState, "reduce", counted)
-    setup = replace(config.setup, h_t=replace(h_t, _sample_abs2_in=counted_abs2))
+    setup = replace(config.setup, h_t=replace(h_t, _energy_in=counted_energy))
     swept = aperture_sweep(replace(config, setup=setup), apertures, LAM, F)
     assert len(calls) == 1
     assert len(quadratures) == 1

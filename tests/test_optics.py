@@ -5,13 +5,17 @@ from __future__ import annotations
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from ghostsim import (
     InvalidArgumentError,
+    amplitude,
     arm_energy,
+    build_setup,
     double_slit,
     fourier_arm,
     gaussian_pupil,
@@ -200,8 +204,7 @@ SAMPLER_PUPILS = {
     "gaussian": lambda: gaussian_pupil(1.5),
     "tabulated": _chirped_table_pupil,
 }
-# fewer nodes than one factorization block, a count that is not a multiple
-# of it, an off-centre window, and the default x' grid
+# few nodes, an off-centre window of an odd count, and the default x' grid
 SAMPLER_GRIDS = [
     make_grid(0.3, 2.5, 100),
     make_grid(-0.2, 2.6, 301),
@@ -212,29 +215,42 @@ SAMPLER_GRIDS = [
 SAMPLER_OFFSETS = (-2.0, 0.0, 0.7, 2.0, np.array([-2.0, 0.0, 0.7, 2.0]))
 
 
+def _offsets(kind, g):
+    """SAMPLER_OFFSETS, less the single ones for a table on the default
+    grid: its pointwise transform costs 16385 x 301 exponentials a row, and
+    the array holds the same offsets."""
+    large = kind == "tabulated" and g.n_points > 2000
+    return SAMPLER_OFFSETS[-1:] if large else SAMPLER_OFFSETS
+
+
 @pytest.mark.parametrize("kind", sorted(SAMPLER_PUPILS))
 def test_two_f_arm_grid_sampler_matches_pointwise_kernel(kind):
     h = two_f_arm(LAM, F, SAMPLER_PUPILS[kind]())
     for g in SAMPLER_GRIDS:
-        for x_r in SAMPLER_OFFSETS:
+        for x_r in _offsets(kind, g):
             ref = h.evaluate(np.expand_dims(x_r, -1), g.samples())
             got = h.sample_in(x_r, g)
             assert got.shape == ref.shape == np.shape(x_r) + (g.n_points,)
             # each row to 1e-13 of its own maximum
             assert np.all(np.abs(got - ref).max(-1) <= 1e-13 * np.abs(ref).max(-1))
-            ref2 = np.abs(ref) ** 2
-            assert np.all(np.abs(h.sample_abs2_in(x_r, g) - ref2).max(-1) <= 1e-13 * ref2.max(-1))
+            # the energy quadrature at each x_r, to 1e-13 of the exact energy
+            w = g.trapezoid_weights()
+            for x, row in zip(np.ravel(x_r), np.reshape(ref, (-1, g.n_points))):
+                assert abs(h.energy_in(x, g) - np.dot(w, np.abs(row) ** 2)) <= 1e-13 * h.energy
 
 
 def test_pupil_grid_transform_matches_pointwise_transform():
+    # the tabulated pupil has no grid path of its own: its block is the
+    # pointwise transform, and so are the analytic kinds' blocks off the
+    # lattice.  The table's block is one code path on every grid, so the
+    # two small grids stand for the default one
     p = _chirped_table_pupil()
-    for g in SAMPLER_GRIDS:
+    for g in SAMPLER_GRIDS[:2]:
         for offset in SAMPLER_OFFSETS:
-            ref = p.ft((np.expand_dims(offset, -1) + g.samples()) / (2.0 * LF))
             got = p.ft_grid(g, offset, 2.0 * LF)
             assert got.shape == np.shape(offset) + (g.n_points,)
-            assert np.all(np.abs(got - ref).max(-1) <= 1e-13 * np.abs(ref).max(-1))
-    # the analytic kinds evaluate the pointwise transform on the grid nodes
+            ref = p.ft((np.expand_dims(offset, -1) + g.samples()) / (2.0 * LF))
+            np.testing.assert_array_equal(got, ref)
     g = SAMPLER_GRIDS[1]
     for pupil in (rect_pupil(10.0), gaussian_pupil(1.5)):
         for offset in (0.4, np.array([-0.4, 0.0, 0.4])):
@@ -306,50 +322,162 @@ def test_rect_block_off_the_lattice_is_pointwise():
         )
 
 
+# a scalar, a one-row list, and 21 and 201 rows, more than one run of
+# offsets on the small grids
+APPLY_OFFSETS = (0.7, [0.7], np.linspace(-2.0, 2.0, 21), np.linspace(-2.0, 2.0, 201))
+
+
 @pytest.mark.parametrize("kind", sorted(SAMPLER_PUPILS))
 def test_two_f_arm_apply_in_matches_the_sampled_block(kind):
-    # the chirps folded out of the block change only the rounding: each
-    # entry to 1e-13 of sum_j |h_j| |v_j|, its own scale
+    # the chirps folded out of the block, and for a table the sums taken in
+    # its own plane, change only the rounding: each entry to 1e-13 of
+    # sum_j |h_j| |v_j|, its own scale.  A table's sampled block on the
+    # default grid takes the 4-row array, a scalar and a one-row list
     h = two_f_arm(LAM, F, SAMPLER_PUPILS[kind]())
     rng = np.random.default_rng(7)
     for g in SAMPLER_GRIDS:
         v = rng.standard_normal(g.n_points) + 1j * rng.standard_normal(g.n_points)
-        for x_r in SAMPLER_OFFSETS:
+        extra = APPLY_OFFSETS[:2] if kind == "tabulated" and g.n_points > 2000 else APPLY_OFFSETS
+        for x_r in _offsets(kind, g) + extra:
             block = h.sample_in(x_r, g)
             got = h.apply_in(x_r, g, v)
             assert got.shape == np.shape(x_r)
             assert np.all(np.abs(got - block @ v) <= 1e-13 * (np.abs(block) @ np.abs(v)))
 
 
+def test_one_amplitude_call_builds_the_table_sums_once():
+    # Z_k = sum_j z_j exp(-2 pi i xi_k x_j / s) is formed once per apply,
+    # and a 201-point amplitude, four runs of the table's offsets, applies
+    # the pupil once
+    p = _chirped_table_pupil()
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return p._apply(*args)
+
+    h_t = fourier_arm(LAM, F, double_slit(0.05, 1.0))
+    setup = build_setup(gaussian_wavefunction(2.0, 0.05), h_t)
+    x_r = np.linspace(-2.0, 2.0, 201)
+    got = amplitude(setup, two_f_arm(LAM, F, replace(p, _apply=counted)), x_r)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(got, amplitude(setup, two_f_arm(LAM, F, p), x_r))
+
+
 def test_analytic_pupil_transforms_are_real():
+    # and their apply multiplies the real block into z's (re, im) columns,
+    # bit for bit: the block is never cast to complex
     g = SAMPLER_GRIDS[1]
+    z = np.exp(1j * np.linspace(0.0, 3.0, g.n_points))
+    offsets = np.linspace(-0.4, 0.4, 3)
     for pupil in (rect_pupil(10.0), gaussian_pupil(1.5)):
         assert pupil.ft(np.array([0.0, 0.3])).dtype == np.float64
-        assert pupil.ft_grid(g, np.array([-0.4, 0.4]), 2.0 * LF).dtype == np.float64
+        block = pupil.ft_grid(g, offsets, 2.0 * LF)
+        assert block.dtype == np.float64
+        product = (block @ z.view(float).reshape(-1, 2)).view(complex)[:, 0]
+        np.testing.assert_array_equal(pupil.apply(g, offsets, 2.0 * LF, z), product)
     assert _chirped_table_pupil().ft_grid(g, 0.4, 2.0 * LF).dtype == np.complex128
 
 
+def _table(n, kind, rng):
+    """A smooth chirped table or complex Gaussian noise on n points over
+    +/-1 mm, and its grid."""
+    g = make_grid(0.0, 1.0, n)
+    x = g.samples()
+    if kind == "smooth":
+        edge = 0.5 * (np.tanh((x + 0.75) / 0.05) - np.tanh((x - 0.75) / 0.05))
+        return edge * np.exp(7.3j * x**2), g
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n), g
+
+
+def _pointwise_energy(p, table_step, g, offset, lf):
+    """sum_j w_j |P((offset + x_j) / (2 lf))|^2 / (16 lf^4), the 2f arm's
+    energy quadrature, from the pointwise transform.
+
+    |P|^2 has period 1/h in u (h the table step), so the offset is first
+    taken by whole periods 2 lf / h, in exact rational arithmetic, to within
+    half a period of 0.  Far out the pointwise quadrature carries its own
+    rounding: at 1e3 mm the phases u xi_k of the unreduced sum put it up to
+    1.5e-13 of the arm's energy from a long-double quadrature, and reduced
+    in floating point up to 1.0e-13; reduced exactly, within 5.1e-15."""
+    period = Fraction(2.0 * lf) / Fraction(table_step)
+    offset = float(Fraction(offset) - period * round(Fraction(offset) / period))
+    abs2 = np.abs(p.ft((offset + g.samples()) / (2.0 * lf))) ** 2
+    return np.dot(g.trapezoid_weights(), abs2) / (16.0 * lf**4)
+
+
+ENERGY_OFFSETS = (0.0, 2.0, -2.0, 0.37, "half step", 1e3)
+# an off-centre 1001-node grid and the default x' grid; the pointwise
+# reference costs n_table x n_grid exponentials per offset, 2 s at
+# 4001 x 16385, so the default grid takes the smallest table
+ENERGY_CASES = [(n, make_grid(1.3, 0.9, 1001)) for n in (64, 301, 2001, 4001)] + [
+    (64, SAMPLER_GRIDS[-1])
+]
+
+
+@pytest.mark.parametrize("kind", ["smooth", "noise"])
+@pytest.mark.parametrize("n, g", ENERGY_CASES, ids=lambda c: getattr(c, "n_points", c))
+def test_tabulated_energy_quadrature_matches_the_pointwise_transform(n, g, kind):
+    # sum_m c_m K_m against the pointwise quadrature, to 1e-13 of the arm's
+    # exact energy
+    values, table = _table(n, kind, np.random.default_rng(n))
+    p = tabulated_pupil(table, values)
+    h = two_f_arm(LAM, F, p)
+    for offset in ENERGY_OFFSETS:
+        offset = 0.5 * g.step if offset == "half step" else offset
+        ref = _pointwise_energy(p, table.step, g, offset, LF)
+        assert abs(h.energy_in(offset, g) - ref) <= 1e-13 * h.energy, offset
+
+
+@pytest.mark.parametrize("n_grid", [1001, 1000])
+def test_tabulated_energy_quadrature_takes_the_limit_on_whole_lags(n_grid):
+    # with 2 lam f = 1/8 mm, a table step of 2^-7 mm and an x' step of
+    # 1/8 mm, du h m = m / 128 is a whole number at m = 128 and 256, where
+    # the closed form sin(n r) / tan(r) takes its limit (binary steps make r
+    # exactly 0 there), and above m = 64 it is reduced by whole periods pi,
+    # which flips its sign when the grid's n panels are odd
+    lam, f = 2.0**-11, 128.0
+    table = make_grid(0.0, 1.0, 257)
+    g = make_grid(3.0, 0.0625 * (n_grid - 1), n_grid)
+    t = g.step / (2.0 * lam * f) * table.step * np.arange(table.n_points)
+    assert g.step == 0.125 and t[128] == 1.0 and t[256] == 2.0
+    for kind in ("smooth", "noise"):
+        values, _ = _table(257, kind, np.random.default_rng(3))
+        p = tabulated_pupil(table, values)
+        h = two_f_arm(lam, f, p)
+        for offset in (0.0, 0.37, 1e3):
+            ref = _pointwise_energy(p, table.step, g, offset, lam * f)
+            assert abs(h.energy_in(offset, g) - ref) <= 1e-13 * h.energy, (kind, offset)
+
+
 def _assert_sampled_alike_under_contention(make_pupil, jobs):
-    """sample_in over (x_r, grid) jobs from 8 threads with a short switch
-    interval equals a fresh arm's samples taken one by one."""
+    """sample_in and apply_in (to the grid's nodes as v) over (x_r, grid)
+    jobs from 8 threads with a short switch interval equal a fresh arm's
+    taken one by one."""
+
+    def both(h, x_r, g):
+        return h.sample_in(x_r, g), h.apply_in(x_r, g, g.samples() + 0j)
+
     ref = two_f_arm(LAM, F, make_pupil())
-    expected = [ref.sample_in(x_r, g) for x_r, g in jobs]
+    expected = [both(ref, x_r, g) for x_r, g in jobs]
     h = two_f_arm(LAM, F, make_pupil())
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(h.sample_in, x_r, g) for x_r, g in jobs]
+            futures = [pool.submit(both, h, x_r, g) for x_r, g in jobs]
             got = [f.result(timeout=60) for f in futures]
     finally:
         sys.setswitchinterval(interval)
     for a, b in zip(got, expected):
-        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(a[1], b[1])
 
 
 def test_two_f_arm_grid_sampler_is_thread_safe():
-    # threads alternate between two grids, so the per-grid caches are
-    # refilled under contention; a stale or torn cache entry changes a sample
+    # threads alternate between two grids, so the arm's per-grid chirp is
+    # refilled under contention; a stale or torn cache entry changes a
+    # sample or a product.  The tabulated pupil itself caches nothing
     grids = SAMPLER_GRIDS[:2]
     jobs = [(x_r, grids[k % 2]) for k, x_r in enumerate(np.linspace(-2.0, 2.0, 64))]
     _assert_sampled_alike_under_contention(_chirped_table_pupil, jobs)
@@ -417,9 +545,10 @@ def test_scaled_arm_scales_samples():
     g = make_grid(0.0, 2.0, 65)
     s = scaled_arm(h, 2.0 - 1j)
     np.testing.assert_allclose(s.sample_in(0.1, g), (2.0 - 1j) * h.sample_in(0.1, g), rtol=1e-14)
-    np.testing.assert_allclose(
-        s.sample_abs2_in(0.1, g), abs(2.0 - 1j) ** 2 * h.sample_abs2_in(0.1, g), rtol=1e-14
-    )
+    assert s.energy_in(0.1, g) == pytest.approx(abs(2.0 - 1j) ** 2 * h.energy_in(0.1, g), rel=1e-14)
+    v = np.linspace(-1.0, 1.0, g.n_points) + 0.5j
+    scaled = (2.0 - 1j) * h.apply_in(0.1, g, v)
+    np.testing.assert_allclose(s.apply_in(0.1, g, v), scaled, rtol=1e-14)
     assert s.energy == pytest.approx(abs(2.0 - 1j) ** 2 * h.energy, rel=1e-15)
 
 
