@@ -9,12 +9,14 @@ with P the Fourier transform of p under the exp(-2 pi i u x) kernel:
     h_r(x_r, x') = (1 / (4 lam^2 f^2)) P((x_r + x') / (2 lam f))
                    * exp(i pi (x_r^2 + x'^2) / (2 lam f))
 
-Quadratures sample arms only through their grid hooks: the test arm
-reads a transmission's ``cell_mean`` where it has one (slits averaged over
-each grid cell, which integrates them exactly), and the reference arm asks
-the pupil for P at the uniform grid of pupil arguments in two forms only,
-applied to a vector (:meth:`Pupil.apply`, with the two chirps folded out)
-and in the energy quadrature (:meth:`Pupil.abs2_sum`).  The rect and
+Quadratures reach arms only through one grid hook per role, and the
+energy quadrature: the test arm is sampled on the x grid (``sample_in``,
+reading a transmission's ``cell_mean`` where it has one: slits averaged
+over each grid cell, which integrates them exactly), and the reference arm
+is applied to a vector on the x' grid (``apply_in``).  The reference arm
+asks the pupil for P at the uniform grid of pupil arguments in two forms
+only, applied to a vector (``Pupil.apply``, with the two chirps folded
+out) and in the energy quadrature (``Pupil.abs2_sum``).  The rect and
 Gaussian pupils form a real block of P (the rect pupil's from a per-grid
 table by angle addition where the grid's nodes are exact); a tabulated
 pupil works in its own plane, as sums over its table nodes.
@@ -205,63 +207,50 @@ def load_transmission_csv(path) -> Transmission:
 @dataclass(frozen=True)
 class Pupil:
     """Fourier transform P(u) of an aperture pupil p(x) with kernel
-    exp(-2 pi i u x), and the pupil's energy int |p|^2 dx.
+    exp(-2 pi i u x), the pupil's energy int |p|^2 dx, and its grid hooks.
 
     On a uniform grid of nodes x_j, at u_j = (offset + x_j) / scale, the
-    reference arm needs P only applied to a vector (:meth:`apply`) and in
-    its energy quadrature (:meth:`abs2_sum`).  Both take the block of
-    :meth:`ft_grid` unless the pupil sets ``_apply`` and ``_abs2_sum``, as
-    a tabulated pupil does to work in its own plane.
+    reference arm needs P only applied to a complex vector z,
+    ``apply(grid, offset, scale, z)`` = sum_j P(u_j) z_j, and in its energy
+    quadrature, ``abs2_sum(grid, offset, scale, c)`` =
+    c sum_j w_j |P(u_j)|^2 with the grid's trapezoid weights w_j; both
+    return one value per offset.  ``ft_grid(grid, offset, scale)`` is the
+    block P(u_j), one row per offset: shape offset.shape + (grid.n_points,).
+    The rect and Gaussian pupils apply their real block (:func:`_real_block`);
+    a tabulated pupil works in its own plane.
     """
 
     ft: Callable[[np.ndarray], np.ndarray]
     energy: float
-    _ft_grid: Optional[Callable] = field(default=None, repr=False)
-    _apply: Optional[Callable] = field(default=None, repr=False)
-    _abs2_sum: Optional[Callable] = field(default=None, repr=False)
+    ft_grid: Callable = field(repr=False)
+    apply: Callable = field(repr=False)
+    abs2_sum: Callable = field(repr=False)
 
-    def ft_grid(self, grid: Grid1D, offset, scale: float) -> np.ndarray:
-        """P((offset + x_j) / scale) on the nodes x_j of a uniform grid, one
-        row per offset: shape offset.shape + (grid.n_points,).
 
-        The pointwise fallback forms the argument from the grid samples:
-        near P's peak offset + x_j cancels exactly, whereas u0 + j du would
-        carry the rounding of u0 (up to 3e-13 of max |P| for a 10 mm rect
-        pupil on the default x' grid).  The rect pupil's table, which its
-        grid alone selects whatever the number of offsets, keeps that
-        cancellation by anchoring each row at its nearest node.
-        """
-        if self._ft_grid is not None:
-            return self._ft_grid(grid, offset, scale)
-        return self.ft(np.add.outer(offset, grid.samples()) / scale)
+def _pointwise(ft) -> Callable:
+    """ft_grid from the pointwise transform, with the argument formed from
+    the grid samples: near P's peak offset + x_j cancels exactly, whereas
+    u0 + j du would carry the rounding of u0 (up to 3e-13 of max |P| for a
+    10 mm rect pupil on the default x' grid).  The rect pupil's table keeps
+    that cancellation by anchoring each row at its nearest node."""
+    return lambda g, offset, scale: ft(np.add.outer(offset, g.samples()) / scale)
 
-    def apply(self, grid: Grid1D, offset, scale: float, z: np.ndarray) -> np.ndarray:
-        """sum_j P((offset + x_j) / scale) z_j for a complex z on the grid's
-        nodes, one per offset: shape np.shape(offset).
 
-        By default the offsets are taken in blocks of ``ft_grid`` of about
-        _BLOCK_ENTRIES entries; a real block multiplies z's (re, im)
-        columns, since float @ complex would cast the block.
-        """
-        if self._apply is not None:
-            return self._apply(grid, offset, scale, z)
+def _real_block(ft, energy: float, ft_grid) -> Pupil:
+    """A pupil whose real block ft_grid is applied in runs of offsets of
+    about _BLOCK_ENTRIES entries, each multiplying z's (re, im) columns,
+    since float @ complex would cast the block; its energy quadrature is
+    c |P|^2 on the block, weighted."""
 
+    def apply(g, offset, scale, z):
         zz = np.ascontiguousarray(z, dtype=complex).view(float).reshape(-1, 2)
+        return _in_runs(lambda o: (ft_grid(g, o, scale) @ zz).view(complex)[:, 0], offset, g.n_points)
 
-        def rows(o):
-            b = self.ft_grid(grid, o, scale)
-            return b @ z if np.iscomplexobj(b) else (b @ zz).view(complex)[:, 0]
+    def abs2_sum(g, offset, scale, c):
+        p2 = np.abs(ft_grid(g, offset, scale)) ** 2
+        return float(np.dot(g.trapezoid_weights(), c * p2))
 
-        return _in_runs(rows, offset, grid.n_points)
-
-    def abs2_sum(self, grid: Grid1D, offset: float, scale: float, c: float) -> float:
-        """c sum_j w_j |P((offset + x_j) / scale)|^2 with the grid's
-        trapezoid weights w_j; by default c |P|^2 on the block of
-        ``ft_grid``, weighted."""
-        if self._abs2_sum is not None:
-            return c * self._abs2_sum(grid, offset, scale)
-        p2 = np.abs(self.ft_grid(grid, offset, scale)) ** 2
-        return float(np.dot(grid.trapezoid_weights(), c * p2))
+    return Pupil(ft, energy, ft_grid, apply, abs2_sum)
 
 
 def _exact_nodes(g: Grid1D) -> bool:
@@ -301,6 +290,8 @@ def rect_pupil(D: float) -> Pupil:
     def ft(u):
         return D * np.sinc(D * np.asarray(u, dtype=float))
 
+    pointwise = _pointwise(ft)
+
     @lru_cache(maxsize=1)
     def table(g, scale):
         """_angle_table's b_k, cos b_k and sin b_k, each as its windows of
@@ -313,7 +304,7 @@ def rect_pupil(D: float) -> Pupil:
     def ft_grid(g, offset, scale):
         views = table(g, scale)
         if views is None:
-            return ft(np.add.outer(offset, g.samples()) / scale)
+            return pointwise(g, offset, scale)
         o = np.asarray(offset, dtype=float).ravel()
         # fmin and fmax drop a NaN: a non-finite offset still picks a node,
         # and its row comes out non-finite for the caller to refuse
@@ -333,7 +324,7 @@ def rect_pupil(D: float) -> Pupil:
         num[peak, jr[peak]] = D
         return num.reshape(np.shape(offset) + (g.n_points,))
 
-    return Pupil(ft=ft, energy=D, _ft_grid=ft_grid)
+    return _real_block(ft, D, ft_grid)
 
 
 def gaussian_pupil(sigma: float) -> Pupil:
@@ -345,7 +336,7 @@ def gaussian_pupil(sigma: float) -> Pupil:
         u = np.asarray(u, dtype=float)
         return sigma * np.sqrt(np.pi) * np.exp(-np.pi**2 * sigma**2 * u**2)
 
-    return Pupil(ft=ft, energy=sigma * np.sqrt(np.pi / 2.0))
+    return _real_block(ft, sigma * np.sqrt(np.pi / 2.0), _pointwise(ft))
 
 
 def tabulated_pupil(grid: Grid1D, values: np.ndarray) -> Pupil:
@@ -360,7 +351,8 @@ def tabulated_pupil(grid: Grid1D, values: np.ndarray) -> Pupil:
     Z_k = sum_j z_j exp(-2 pi i xi_k x_j / s) formed once for every o.
     Its energy quadrature is sum_j w_j |P(u_j)|^2 = sum_m c_m K_m, with c_m
     the autocorrelation of a and K_m the trapezoid sum of
-    exp(-2 pi i u_j h m) over the grid in closed form.
+    exp(-2 pi i u_j h m) over the grid in closed form.  Its block
+    ``ft_grid``, which no quadrature takes, is the pointwise transform.
     """
     values = np.asarray(values, dtype=complex)
     if values.shape != (grid.n_points,):
@@ -384,7 +376,7 @@ def tabulated_pupil(grid: Grid1D, values: np.ndarray) -> Pupil:
         fine = np.exp(-2j * np.pi * np.multiply.outer(grid.step * np.arange(m), x))
         return ft(np.divide(offset, scale), wv * (coarse @ fine.T).ravel()[: xs.size])
 
-    def abs2_sum(g, offset, scale):
+    def abs2_sum(g, offset, scale, c):
         # K_m = g.step exp(-2 pi i u_c h m) sin(n r) / tan(r) over n panels,
         # with u_c the grid centre's u and r = pi du h m, each reduced by
         # its period (1/h and pi) first; its limit at r = 0 is n.  c_{-m}
@@ -394,9 +386,10 @@ def tabulated_pupil(grid: Grid1D, values: np.ndarray) -> Pupil:
         n, lap = g.n_points - 1, np.rint(t)
         kernel = n * np.cos(np.pi * (t - lap)) * np.sinc(n * (t - lap)) / np.sinc(t - lap)
         terms = acf * np.exp(-2j * np.pi * (tc - np.rint(tc)) * k) * (-1.0) ** (n * lap) * kernel
-        return g.step * (2.0 * terms.real.sum() - terms[0].real)
+        return c * (g.step * (2.0 * terms.real.sum() - terms[0].real))
 
-    return Pupil(ft, float(np.vdot(wv, wv).real) / grid.step, _apply=apply, _abs2_sum=abs2_sum)
+    energy = float(np.vdot(wv, wv).real) / grid.step
+    return Pupil(ft, energy, _pointwise(ft), apply, abs2_sum)
 
 
 def load_pupil_csv(path) -> Pupil:
@@ -410,19 +403,21 @@ def load_pupil_csv(path) -> Pupil:
 class ImpulseResponse:
     """Complex kernel h(x_out, x_in) of one optical arm.
 
-    ``sample_in`` returns kernel samples over an input-plane grid for
-    quadrature, applying cell-averaging for sharp-edged components;
-    ``apply_in`` applies them to a vector of the grid's nodes and
-    ``energy_in`` is the trapezoid quadrature of |h(x_out, .)|^2 over the
-    grid.  ``evaluate`` is the pointwise kernel, ``energy`` the exact
-    int |h(x_out, x)|^2 dx and ``support`` an interval [lo, hi] of x_in
-    outside which h = 0, or None.
+    Each arm sets the grid hook of its role in the amplitude.  The test
+    arm's ``sample_in`` returns its kernel samples over an x grid, applying
+    cell-averaging for sharp-edged components, for the inner integral to
+    reduce against the state; the reference arm's ``apply_in`` applies its
+    kernel to a vector of an x' grid's nodes, one value per x_out.
+    ``energy_in``, set by both, is the trapezoid quadrature of
+    |h(x_out, .)|^2 over the grid.  ``evaluate`` is the pointwise kernel,
+    ``energy`` the exact int |h(x_out, x)|^2 dx and ``support`` an
+    interval [lo, hi] of x_in outside which h = 0, or None.
     """
 
     evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
     energy: float
-    _sample_in: Callable[[float, Grid1D], np.ndarray] = field(repr=False)
     _energy_in: Callable[[float, Grid1D], float] = field(repr=False)
+    _sample_in: Optional[Callable[[float, Grid1D], np.ndarray]] = field(default=None, repr=False)
     _apply_in: Optional[Callable] = field(default=None, repr=False)
     support: Optional[tuple] = None
 
@@ -433,12 +428,8 @@ class ImpulseResponse:
         return self._energy_in(x_out, grid)
 
     def apply_in(self, x_out, grid: Grid1D, v: np.ndarray) -> np.ndarray:
-        """sum_j h(x_out, x_j) v_j over the grid nodes x_j, one per x_out;
-        an arm without an ``_apply_in`` of its own is sampled one x_out at a
-        time, so that its memory stays bounded."""
-        if self._apply_in is not None:
-            return self._apply_in(x_out, grid, v)
-        return np.reshape([self.sample_in(x, grid) @ v for x in np.ravel(x_out)], np.shape(x_out))
+        """sum_j h(x_out, x_j) v_j over the grid nodes x_j, one per x_out."""
+        return self._apply_in(x_out, grid, v)
 
 
 def _arm_scale(lam: float, f: float, arm: str) -> float:
@@ -492,21 +483,20 @@ def fourier_arm(lam: float, f: float, t: Transmission) -> ImpulseResponse:
         t2 = t.cell_mean(g.samples(), g.step) if t.cell_mean else t.evaluate(g.samples()) ** 2
         return float(np.dot(g.trapezoid_weights(), t2 / lf**2))
 
-    return ImpulseResponse(evaluate, t.energy / lf**2, sample_in, energy_in, support=t.support)
+    return ImpulseResponse(evaluate, t.energy / lf**2, energy_in, sample_in, support=t.support)
 
 
 def two_f_arm(lam: float, f: float, p: Pupil) -> ImpulseResponse:
     """Reference-arm kernel: lens of pupil p at 2f from source and detector.
 
-    On a grid the kernel is sampled as exp(i pi x_r^2 / (2 lam f)) times
-    the grid's amp exp(i pi x'^2 / (2 lam f)) vector (built once per grid)
-    times P on the uniform u grid; its squared modulus is amp^2 |P|^2, whose
-    integral over x' is p's energy / (8 lam^3 f^3) by Parseval.  The grid
-    sampler takes an array of x_r too and returns one row per x_r.  Applied
-    to a vector v, the two chirps stay outside: the x' chirp is folded into
-    v, the pupil applies itself to the product (:meth:`Pupil.apply`) and the
-    x_r chirp scales the result.  The energy quadrature is amp^2 times the
-    pupil's (:meth:`Pupil.abs2_sum`), with no chirp.
+    On a grid the kernel is exp(i pi x_r^2 / (2 lam f)) times
+    amp exp(i pi x'^2 / (2 lam f)) times P on the uniform u grid; its
+    squared modulus is amp^2 |P|^2, whose integral over x' is p's
+    energy / (8 lam^3 f^3) by Parseval.  Applied to a vector v, for one x_r
+    or an array of them, the two chirps stay outside: the x' chirp is folded
+    into v, the pupil applies itself to the product (``Pupil.apply``) and
+    the x_r chirp scales the result.  The energy quadrature is amp^2 times
+    the pupil's (``Pupil.abs2_sum``), with no chirp.
     """
     lf = _arm_scale(lam, f, "reference arm")
     amp = 1.0 / (4.0 * lf**2)
@@ -517,21 +507,11 @@ def two_f_arm(lam: float, f: float, p: Pupil) -> ImpulseResponse:
         xp = np.asarray(xp, dtype=float)
         return amp * p.ft((x_r + xp) / (2.0 * lf)) * np.exp(1j * chirp * (x_r**2 + xp**2))
 
-    @lru_cache(maxsize=1)
-    def input_chirp(grid):
-        chirped = amp * np.exp(1j * chirp * grid.samples() ** 2)
-        chirped.flags.writeable = False  # memoized: shared by every caller
-        return chirped
-
-    def sample_in(x_r, grid):
-        row_chirp = np.expand_dims(np.exp(1j * chirp * np.square(x_r)), -1)
-        return row_chirp * input_chirp(grid) * p.ft_grid(grid, x_r, 2.0 * lf)
-
     def apply_in(x_r, grid, v):
-        z = input_chirp(grid) * v
+        z = amp * np.exp(1j * chirp * grid.samples() ** 2) * v
         return np.exp(1j * chirp * np.square(x_r)) * p.apply(grid, x_r, 2.0 * lf, z)
 
     def energy_in(x_r, grid):
         return p.abs2_sum(grid, x_r, 2.0 * lf, amp**2)
 
-    return ImpulseResponse(evaluate, p.energy / (8.0 * lf**3), sample_in, energy_in, apply_in)
+    return ImpulseResponse(evaluate, p.energy / (8.0 * lf**3), energy_in, _apply_in=apply_in)

@@ -91,7 +91,7 @@ def test_separable_state_amplitude_factorizes():
     w = g.trapezoid_weights()
     x = g.samples()
     left = complex(np.dot(w, np.exp(-(x**2)) * h_t.sample_in(x_t, g)))
-    right = complex(np.dot(w, np.exp(-(x**2) / 2.0) * h_r.sample_in(x_r, g)))
+    right = complex(np.dot(w, np.exp(-(x**2) / 2.0) * h_r.evaluate(x_r, x)))
     assert amplitude(setup, h_r, x_r)[0] == pytest.approx(left * right, rel=1e-12)
 
 
@@ -123,12 +123,13 @@ def test_scan_parity_for_symmetric_setup():
 def test_separable_and_direct_methods_agree():
     # reference: the dense double sum of w_i h_t(x_t, x_i) phi(x_i, x'_j)
     # w'_j h_r(x_r, x'_j) over every node pair, with no band and no window
+    # and h_r the pointwise kernel
     setup, h_r = small_gaussian_setup(n_x=513, n_xp=1025, x_t=0.1)
     x, xp = setup.gx.samples(), setup.gxp.samples()
     phi = setup.state.evaluate(x[:, np.newaxis], xp[np.newaxis, :])
     left = setup.gx.trapezoid_weights() * setup.h_t.sample_in(0.1, setup.gx)
     for x_r in (-0.4, 0.0, 0.7):
-        right = setup.gxp.trapezoid_weights() * h_r.sample_in(x_r, setup.gxp)
+        right = setup.gxp.trapezoid_weights() * h_r.evaluate(x_r, xp)
         direct = complex((left[:, np.newaxis] * phi * right[np.newaxis, :]).sum())
         assert amplitude(setup, h_r, x_r)[0] == pytest.approx(direct, rel=1e-10)
 
@@ -370,10 +371,10 @@ def _nonzero_run(u):
 
 def _assert_window_matches_full_grid(setup, h_r, xr):
     """Amplitudes over the reference window, in blocks of x_r rows, against
-    the sum over every gxp node at each x_r alone, to 1e-13 of their
+    the pointwise kernel summed over every gxp node, to 1e-13 of their
     maximum."""
     wu = setup.gxp.trapezoid_weights() * setup.inner_integral()
-    full = np.array([np.dot(wu, h_r.sample_in(x, setup.gxp)) for x in xr])
+    full = np.dot(h_r.evaluate(np.expand_dims(xr, -1), setup.gxp.samples()), wu)
     got = amplitude(setup, h_r, xr)
     assert np.abs(full).max() > 0.0
     assert np.abs(got - full).max() <= 1e-13 * np.abs(full).max()
@@ -489,7 +490,7 @@ def test_all_zero_inner_integral_scans_without_sampling():
 
     setup = replace(setup, h_t=fourier_arm(LAM, F, dark))
     assert setup.window is None and setup.v.size == 0
-    h_r = replace(h_r, _sample_in=never, _apply_in=never)
+    h_r = replace(h_r, _apply_in=never)
     result = scan_reference(ScanConfig(setup=setup, h_r=h_r, n_xr=11))
     assert list(result.columns()["flags"]) == ["zero_g2"] * 11
     assert np.all(result.g2 == 0.0) and np.all(result.snr == 0.0)

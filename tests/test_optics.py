@@ -225,15 +225,13 @@ def _offsets(kind, g):
 
 @pytest.mark.parametrize("kind", sorted(SAMPLER_PUPILS))
 def test_two_f_arm_grid_sampler_matches_pointwise_kernel(kind):
+    # the energy quadrature at each x_r against the pointwise kernel's, to
+    # 1e-13 of the exact energy; apply_in is checked against it below
     h = two_f_arm(LAM, F, SAMPLER_PUPILS[kind]())
     for g in SAMPLER_GRIDS:
         for x_r in _offsets(kind, g):
             ref = h.evaluate(np.expand_dims(x_r, -1), g.samples())
-            got = h.sample_in(x_r, g)
-            assert got.shape == ref.shape == np.shape(x_r) + (g.n_points,)
-            # each row to 1e-13 of its own maximum
-            assert np.all(np.abs(got - ref).max(-1) <= 1e-13 * np.abs(ref).max(-1))
-            # the energy quadrature at each x_r, to 1e-13 of the exact energy
+            assert ref.shape == np.shape(x_r) + (g.n_points,)
             w = g.trapezoid_weights()
             for x, row in zip(np.ravel(x_r), np.reshape(ref, (-1, g.n_points))):
                 assert abs(h.energy_in(x, g) - np.dot(w, np.abs(row) ** 2)) <= 1e-13 * h.energy
@@ -329,17 +327,18 @@ APPLY_OFFSETS = (0.7, [0.7], np.linspace(-2.0, 2.0, 21), np.linspace(-2.0, 2.0, 
 
 @pytest.mark.parametrize("kind", sorted(SAMPLER_PUPILS))
 def test_two_f_arm_apply_in_matches_the_sampled_block(kind):
-    # the chirps folded out of the block, and for a table the sums taken in
-    # its own plane, change only the rounding: each entry to 1e-13 of
-    # sum_j |h_j| |v_j|, its own scale.  A table's sampled block on the
-    # default grid takes the 4-row array, a scalar and a one-row list
+    # against the pointwise kernel sampled on the grid's nodes: the chirps
+    # folded out of the block, the rect pupil's table, and for a table the
+    # sums taken in its own plane, change only the rounding: each entry to
+    # 1e-13 of sum_j |h_j| |v_j|, its own scale.  A table's sampled block on
+    # the default grid takes the 4-row array, a scalar and a one-row list
     h = two_f_arm(LAM, F, SAMPLER_PUPILS[kind]())
     rng = np.random.default_rng(7)
     for g in SAMPLER_GRIDS:
         v = rng.standard_normal(g.n_points) + 1j * rng.standard_normal(g.n_points)
         extra = APPLY_OFFSETS[:2] if kind == "tabulated" and g.n_points > 2000 else APPLY_OFFSETS
         for x_r in _offsets(kind, g) + extra:
-            block = h.sample_in(x_r, g)
+            block = h.evaluate(np.expand_dims(x_r, -1), g.samples())
             got = h.apply_in(x_r, g, v)
             assert got.shape == np.shape(x_r)
             assert np.all(np.abs(got - block @ v) <= 1e-13 * (np.abs(block) @ np.abs(v)))
@@ -354,12 +353,12 @@ def test_one_amplitude_call_builds_the_table_sums_once():
 
     def counted(*args):
         calls.append(args)
-        return p._apply(*args)
+        return p.apply(*args)
 
     h_t = fourier_arm(LAM, F, double_slit(0.05, 1.0))
     setup = build_setup(gaussian_wavefunction(2.0, 0.05), h_t)
     x_r = np.linspace(-2.0, 2.0, 201)
-    got = amplitude(setup, two_f_arm(LAM, F, replace(p, _apply=counted)), x_r)
+    got = amplitude(setup, two_f_arm(LAM, F, replace(p, apply=counted)), x_r)
     assert len(calls) == 1
     np.testing.assert_array_equal(got, amplitude(setup, two_f_arm(LAM, F, p), x_r))
 
@@ -451,33 +450,37 @@ def test_tabulated_energy_quadrature_takes_the_limit_on_whole_lags(n_grid):
 
 
 def _assert_sampled_alike_under_contention(make_pupil, jobs):
-    """sample_in and apply_in (to the grid's nodes as v) over (x_r, grid)
-    jobs from 8 threads with a short switch interval equal a fresh arm's
-    taken one by one."""
+    """apply_in (to the grid's nodes as v) over (x_r, grid) jobs from 8
+    threads with a short switch interval equals a fresh arm's taken one by
+    one, which is within 1e-13 of sum_j |h_j| |v_j| of the pointwise
+    kernel's product."""
 
-    def both(h, x_r, g):
-        return h.sample_in(x_r, g), h.apply_in(x_r, g, g.samples() + 0j)
+    def apply(h, x_r, g):
+        return h.apply_in(x_r, g, g.samples() + 0j)
 
     ref = two_f_arm(LAM, F, make_pupil())
-    expected = [both(ref, x_r, g) for x_r, g in jobs]
+    expected = [apply(ref, x_r, g) for x_r, g in jobs]
+    for (x_r, g), a in zip(jobs, expected):
+        block, v = ref.evaluate(np.expand_dims(x_r, -1), g.samples()), g.samples()
+        assert np.all(np.abs(a - block @ v) <= 1e-13 * (np.abs(block) @ np.abs(v)))
     h = two_f_arm(LAM, F, make_pupil())
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(both, h, x_r, g) for x_r, g in jobs]
+            futures = [pool.submit(apply, h, x_r, g) for x_r, g in jobs]
             got = [f.result(timeout=60) for f in futures]
     finally:
         sys.setswitchinterval(interval)
     for a, b in zip(got, expected):
-        np.testing.assert_array_equal(a[0], b[0])
-        np.testing.assert_array_equal(a[1], b[1])
+        np.testing.assert_array_equal(a, b)
 
 
 def test_two_f_arm_grid_sampler_is_thread_safe():
-    # threads alternate between two grids, so the arm's per-grid chirp is
-    # refilled under contention; a stale or torn cache entry changes a
-    # sample or a product.  The tabulated pupil itself caches nothing
+    # threads alternate between two grids under contention; neither the 2f
+    # arm nor the tabulated pupil caches anything per grid, so a product
+    # that differs from the sequential one is state shared between threads.
+    # The rect pupil's per-grid table is raced below
     grids = SAMPLER_GRIDS[:2]
     jobs = [(x_r, grids[k % 2]) for k, x_r in enumerate(np.linspace(-2.0, 2.0, 64))]
     _assert_sampled_alike_under_contention(_chirped_table_pupil, jobs)
@@ -541,15 +544,19 @@ def test_widths_whose_square_leaves_the_float_range_are_refused(make, over_budge
 
 
 def test_scaled_arm_scales_samples():
-    h = fourier_arm(LAM, F, gaussian_transmission(1.0))
+    # a test arm's samples and a reference arm's product, each arm's energy
+    # quadrature and exact energy
+    c = 2.0 - 1j
     g = make_grid(0.0, 2.0, 65)
-    s = scaled_arm(h, 2.0 - 1j)
-    np.testing.assert_allclose(s.sample_in(0.1, g), (2.0 - 1j) * h.sample_in(0.1, g), rtol=1e-14)
-    assert s.energy_in(0.1, g) == pytest.approx(abs(2.0 - 1j) ** 2 * h.energy_in(0.1, g), rel=1e-14)
+    h_t = fourier_arm(LAM, F, gaussian_transmission(1.0))
+    h_r = two_f_arm(LAM, F, gaussian_pupil(1.5))
+    s_t, s_r = scaled_arm(h_t, c), scaled_arm(h_r, c)
+    np.testing.assert_allclose(s_t.sample_in(0.1, g), c * h_t.sample_in(0.1, g), rtol=1e-14)
     v = np.linspace(-1.0, 1.0, g.n_points) + 0.5j
-    scaled = (2.0 - 1j) * h.apply_in(0.1, g, v)
-    np.testing.assert_allclose(s.apply_in(0.1, g, v), scaled, rtol=1e-14)
-    assert s.energy == pytest.approx(abs(2.0 - 1j) ** 2 * h.energy, rel=1e-15)
+    np.testing.assert_allclose(s_r.apply_in(0.1, g, v), c * h_r.apply_in(0.1, g, v), rtol=1e-14)
+    for h, s in ((h_t, s_t), (h_r, s_r)):
+        assert s.energy_in(0.1, g) == pytest.approx(abs(c) ** 2 * h.energy_in(0.1, g), rel=1e-14)
+        assert s.energy == pytest.approx(abs(c) ** 2 * h.energy, rel=1e-15)
 
 
 def test_double_slit_arm_energy_matches_closed_form():
