@@ -17,9 +17,9 @@ is applied to a vector on the x' grid (``apply_in``).  The reference arm
 asks the pupil for P at the uniform grid of pupil arguments in two forms
 only, applied to a vector (``Pupil.apply``, with the two chirps folded
 out) and in the energy quadrature (``Pupil.abs2_sum``).  The rect and
-Gaussian pupils form a real block of P (the rect pupil's from a per-grid
-table by angle addition where the grid's nodes are exact); a tabulated
-pupil works in its own plane, as sums over its table nodes.
+Gaussian pupils apply a real block of P (the rect pupil's from a per-grid
+table by angle addition) and sample |P|^2 pointwise for the energy; a
+tabulated pupil works in its own plane, as sums over its table nodes.
 Pointwise ``evaluate`` keeps the sharp-edged definition.
 Transmissions, pupils and arms carry their exact energies, which scans
 check their arm-energy quadratures against, and compact objects and their
@@ -216,8 +216,9 @@ class Pupil:
     c sum_j w_j |P(u_j)|^2 with the grid's trapezoid weights w_j; both
     return one value per offset.  ``ft_grid(grid, offset, scale)`` is the
     block P(u_j), one row per offset: shape offset.shape + (grid.n_points,).
-    The rect and Gaussian pupils apply their real block (:func:`_real_block`);
-    a tabulated pupil works in its own plane.
+    The rect and Gaussian pupils apply their real block and sum the
+    pointwise |P|^2 row (:func:`_real_block`); a tabulated pupil works in
+    its own plane.
     """
 
     ft: Callable[[np.ndarray], np.ndarray]
@@ -239,27 +240,19 @@ def _pointwise(ft) -> Callable:
 def _real_block(ft, energy: float, ft_grid) -> Pupil:
     """A pupil whose real block ft_grid is applied in runs of offsets of
     about _BLOCK_ENTRIES entries, each multiplying z's (re, im) columns,
-    since float @ complex would cast the block; its energy quadrature is
-    c |P|^2 on the block, weighted."""
+    since float @ complex would cast the block; its energy quadrature, at
+    one offset per call, is c |P|^2 on the pointwise row, weighted."""
+    row = _pointwise(ft)
 
     def apply(g, offset, scale, z):
         zz = np.ascontiguousarray(z, dtype=complex).view(float).reshape(-1, 2)
         return _in_runs(lambda o: (ft_grid(g, o, scale) @ zz).view(complex)[:, 0], offset, g.n_points)
 
     def abs2_sum(g, offset, scale, c):
-        p2 = np.abs(ft_grid(g, offset, scale)) ** 2
+        p2 = np.abs(row(g, offset, scale)) ** 2
         return float(np.dot(g.trapezoid_weights(), c * p2))
 
     return Pupil(ft, energy, ft_grid, apply, abs2_sum)
-
-
-def _exact_nodes(g: Grid1D) -> bool:
-    """Whether g's samples are exactly lo + j h: lo and h lie on a binary
-    lattice 2^-m whose multiples up to max(|lo|, |hi|) fit in 52 bits, and
-    the last node lo + h (n - 1) is hi."""
-    m = max(g.lo.as_integer_ratio()[1], g.step.as_integer_ratio()[1])
-    fits = max(abs(g.lo), abs(g.hi)) < 2.0 ** (53 - m.bit_length())
-    return fits and g.lo + g.step * (g.n_points - 1) == g.hi
 
 
 def _angle_table(g: Grid1D, c: float) -> list:
@@ -273,8 +266,8 @@ def _angle_table(g: Grid1D, c: float) -> list:
 def rect_pupil(D: float) -> Pupil:
     """Hard aperture of width D; P(u) = D sinc(pi D u), real.
 
-    On a grid whose nodes are exactly lo + j h, the block is computed by
-    angle addition.  With c = pi D / scale, j_r the node nearest -o_r
+    The block is computed by angle addition at the nodes x_j = lo + j h.
+    With c = pi D / scale, j_r the node nearest -o_r
     (clipped to the grid), a_r = c (o_r + x_{j_r}) and b_k = c h k for
     k = j - j_r, each entry is
     D (sin a_r cos b_k + cos a_r sin b_k) / (a_r + b_k): a sine and a cosine
@@ -282,29 +275,21 @@ def rect_pupil(D: float) -> Pupil:
     (grid, scale).  Nothing cancels: for an interior j_r, |a_r| <= c h / 2
     <= |b_k| / 2 for k != 0, and for a clipped one a_r and every b_k share
     a sign.  The one zero denominator, a_r = 0 at k = 0, is P's peak D.
-    The grid alone picks the path: on it every call, a single offset too,
-    takes the table, and other grids take the pointwise ``ft``.
+    Every grid's block takes the table; the energy quadrature, one offset
+    per call, samples the pointwise ``ft`` instead (:func:`_real_block`).
     """
     check_width(D, "aperture size D")
 
     def ft(u):
         return D * np.sinc(D * np.asarray(u, dtype=float))
 
-    pointwise = _pointwise(ft)
-
     @lru_cache(maxsize=1)
     def table(g, scale):
         """_angle_table's b_k, cos b_k and sin b_k, each as its windows of
-        n entries (window i starts at k = i + 1 - n), or None off the
-        lattice."""
-        if not _exact_nodes(g):
-            return None
+        n entries (window i starts at k = i + 1 - n)."""
         return [sliding_window_view(t, g.n_points) for t in _angle_table(g, np.pi * D / scale)]
 
     def ft_grid(g, offset, scale):
-        views = table(g, scale)
-        if views is None:
-            return pointwise(g, offset, scale)
         o = np.asarray(offset, dtype=float).ravel()
         # fmin and fmax drop a NaN: a non-finite offset still picks a node,
         # and its row comes out non-finite for the caller to refuse
@@ -313,7 +298,7 @@ def rect_pupil(D: float) -> Pupil:
         # b_k, cos b_k and sin b_k at each row's k, gathered by fancy
         # indexing (np.take would copy all n windows), then turned in place
         # into a + b and D sin(a + b)
-        den, num, term = (t[g.n_points - 1 - jr] for t in views)
+        den, num, term = (t[g.n_points - 1 - jr] for t in table(g, scale))
         num *= D * np.sin(a)[:, np.newaxis]
         term *= D * np.cos(a)[:, np.newaxis]
         num += term

@@ -27,6 +27,7 @@ from ghostsim import (
     gaussian_transmission,
     gaussian_wavefunction,
     make_grid,
+    optics,
     rect_pupil,
     scan_reference,
     tabulated_pupil,
@@ -37,7 +38,7 @@ from ghostsim import (
 from ghostsim.analytic import all_gaussian_amplitude, gaussian_norm_constant
 from ghostsim.cli import preset_path
 from ghostsim.config import build_scan_config, load_config
-from ghostsim.optics import _BLOCK_ENTRIES, Transmission, _exact_nodes
+from ghostsim.optics import _BLOCK_ENTRIES, Transmission
 from ghostsim.source import default_certification_grid
 from ghostsim.validate import run_validation_suite
 from helpers import (
@@ -441,32 +442,53 @@ def test_non_finite_amplitude_names_its_x_r():
 
 
 def test_a_nan_x_r_in_a_rect_table_block_is_a_numeric_error():
-    # the window lies on the lattice, so the two-row block takes the rect
-    # pupil's table; the NaN row must reach the guard, not index the table
+    # the two-row block takes the rect pupil's table, as every block does;
+    # the NaN row must reach the guard, not index the table
     setup, h_r = slit_setup(make_grid(0.0, 8.0, 4097))
-    assert _exact_nodes(setup.window)
     with pytest.raises(NumericDomainError, match=re.escape("(x_t=0.0, x_r=nan)")):
         amplitude(setup, h_r, [0.0, np.nan])
 
 
 def test_one_row_blocks_take_the_rect_table(monkeypatch):
-    # a Gaussian object on the default grids: u(x') has no exact zeros, so
-    # the window holds 16384 or more nodes and each block one row, which
-    # the rect pupil's table computes with no np.sinc call
+    # a Gaussian object on the default grids, and on +/- 8.3 mm, whose
+    # samples round the nodes lo + j h: u(x') has no exact zeros, so the
+    # window holds more than _BLOCK_ENTRIES / 2 nodes and each block one
+    # row, which the rect pupil's table computes with no np.sinc call on
+    # either grid
     state = gaussian_wavefunction(2.0, 0.05)
-    setup = build_setup(state, fourier_arm(LAM, F, gaussian_transmission(0.5)))
     h_r = two_f_arm(LAM, F, rect_pupil(10.0))
-    assert setup.window.n_points >= _BLOCK_ENTRIES and _exact_nodes(setup.window)
     x_r = np.linspace(-1.0, 1.0, 11)
-    xp = setup.window.samples()
-    full = np.array([h_r.evaluate(x, xp) @ setup.v for x in x_r])
 
     def no_sinc(*args, **kwargs):
         raise AssertionError("np.sinc called for a one-row block")
 
-    monkeypatch.setattr(np, "sinc", no_sinc)
-    got = amplitude(setup, h_r, x_r)
-    assert np.abs(got - full).max() <= 1e-13 * np.abs(full).max()
+    for window_mm in (8.0, 8.3):
+        setup = build_setup(
+            state, fourier_arm(LAM, F, gaussian_transmission(0.5)), window_mm=window_mm
+        )
+        assert _BLOCK_ENTRIES // setup.window.n_points == 1
+        xp = setup.window.samples()
+        full = np.array([h_r.evaluate(x, xp) @ setup.v for x in x_r])
+        with monkeypatch.context() as m:
+            m.setattr(np, "sinc", no_sinc)
+            got = amplitude(setup, h_r, x_r)
+        assert np.abs(got - full).max() <= 1e-13 * np.abs(full).max()
+
+
+def test_a_fig2_scan_builds_one_angle_table(monkeypatch):
+    # the amplitude over the reference window takes the rect pupil's table;
+    # the four I_r probes on the whole x' grid sample |P|^2 pointwise and
+    # build none
+    calls, angle_table = [], optics._angle_table
+
+    def counted(g, c):
+        calls.append(g)
+        return angle_table(g, c)
+
+    monkeypatch.setattr(optics, "_angle_table", counted)
+    config = build_scan_config(load_config(preset_path("fig2")))
+    scan_reference(config)
+    assert calls == [config.setup.window]
 
 
 @pytest.mark.parametrize("case", ["slit", "tabulated_object", "dense_gaussian"])
