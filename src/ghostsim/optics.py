@@ -17,9 +17,12 @@ is applied to a vector on the x' grid (``apply_in``).  The reference arm
 asks the pupil for P at the uniform grid of pupil arguments in two forms
 only, applied to a vector (``Pupil.apply``, with the two chirps folded
 out) and in the energy quadrature (``Pupil.abs2_sum``).  The rect and
-Gaussian pupils apply a real block of P (the rect pupil's from a per-grid
-table by angle addition) and sample |P|^2 pointwise for the energy; a
-tabulated pupil works in its own plane, as sums over its table nodes.
+Gaussian pupils apply a real block of P.  The rect pupil forms P by angle
+addition from each row's nearest node: its block from a per-grid table,
+with the rows' anchors formed once per call, and its energy row from
+about 2 sqrt(n) sines and cosines of split angles.  The Gaussian pupil
+samples P pointwise, and a tabulated pupil works in its own plane, as sums
+over its table nodes.
 Pointwise ``evaluate`` keeps the sharp-edged definition.
 Transmissions, pupils and arms carry their exact energies, which scans
 check their arm-energy quadratures against, and compact objects and their
@@ -216,9 +219,10 @@ class Pupil:
     c sum_j w_j |P(u_j)|^2 with the grid's trapezoid weights w_j; both
     return one value per offset.  ``ft_grid(grid, offset, scale)`` is the
     block P(u_j), one row per offset: shape offset.shape + (grid.n_points,).
-    The rect and Gaussian pupils apply their real block and sum the
-    pointwise |P|^2 row (:func:`_real_block`); a tabulated pupil works in
-    its own plane.
+    The rect and Gaussian pupils apply their real block
+    (:func:`_apply_real`) and sum |P|^2 over a row, the rect pupil's formed
+    by angle addition (:func:`rect_pupil`); a tabulated pupil works in its
+    own plane.
     """
 
     ft: Callable[[np.ndarray], np.ndarray]
@@ -237,22 +241,13 @@ def _pointwise(ft) -> Callable:
     return lambda g, offset, scale: ft(np.add.outer(offset, g.samples()) / scale)
 
 
-def _real_block(ft, energy: float, ft_grid) -> Pupil:
-    """A pupil whose real block ft_grid is applied in runs of offsets of
-    about _BLOCK_ENTRIES entries, each multiplying z's (re, im) columns,
-    since float @ complex would cast the block; its energy quadrature, at
-    one offset per call, is c |P|^2 on the pointwise row, weighted."""
-    row = _pointwise(ft)
-
-    def apply(g, offset, scale, z):
-        zz = np.ascontiguousarray(z, dtype=complex).view(float).reshape(-1, 2)
-        return _in_runs(lambda o: (ft_grid(g, o, scale) @ zz).view(complex)[:, 0], offset, g.n_points)
-
-    def abs2_sum(g, offset, scale, c):
-        p2 = np.abs(row(g, offset, scale)) ** 2
-        return float(np.dot(g.trapezoid_weights(), c * p2))
-
-    return Pupil(ft, energy, ft_grid, apply, abs2_sum)
+def _apply_real(rows, offset, width: int, z) -> np.ndarray:
+    """sum_j B_ij z_j for a real block B over runs of the flattened offsets,
+    rows(run) being B's rows at a run of about _BLOCK_ENTRIES // width
+    offsets; each multiplies z's (re, im) columns, since float @ complex
+    would cast the block."""
+    zz = np.ascontiguousarray(z, dtype=complex).view(float).reshape(-1, 2)
+    return _in_runs(lambda o: (rows(o) @ zz).view(complex)[:, 0], offset, width)
 
 
 def _angle_table(g: Grid1D, c: float) -> list:
@@ -266,17 +261,24 @@ def _angle_table(g: Grid1D, c: float) -> list:
 def rect_pupil(D: float) -> Pupil:
     """Hard aperture of width D; P(u) = D sinc(pi D u), real.
 
-    The block is computed by angle addition at the nodes x_j = lo + j h.
-    With c = pi D / scale, j_r the node nearest -o_r
-    (clipped to the grid), a_r = c (o_r + x_{j_r}) and b_k = c h k for
-    k = j - j_r, each entry is
-    D (sin a_r cos b_k + cos a_r sin b_k) / (a_r + b_k): a sine and a cosine
-    per row, and b_k, cos b_k and sin b_k from a table built once per
-    (grid, scale).  Nothing cancels: for an interior j_r, |a_r| <= c h / 2
-    <= |b_k| / 2 for k != 0, and for a clipped one a_r and every b_k share
-    a sign.  The one zero denominator, a_r = 0 at k = 0, is P's peak D.
-    Every grid's block takes the table; the energy quadrature, one offset
-    per call, samples the pointwise ``ft`` instead (:func:`_real_block`).
+    On a grid P is computed by angle addition at the nodes x_j = lo + j h.
+    With c = pi D / scale, j_r the node nearest -o_r (clipped to the grid),
+    a_r = c (o_r + x_{j_r}) and b_k = c h k for k = j - j_r, each entry is
+    D sin(a_r + b_k) / (a_r + b_k).  Nothing cancels in a_r + b_k: for an
+    interior j_r, |a_r| <= c h / 2 <= |b_k| / 2 for k != 0, and for a
+    clipped one a_r and every b_k share a sign.  The one zero denominator,
+    a_r = 0 at k = 0, is P's peak D.
+
+    The block, one row per offset, is
+    D (sin a_r cos b_k + cos a_r sin b_k) / (a_r + b_k), with b_k, cos b_k
+    and sin b_k from a table built once per (grid, scale); ``apply`` forms
+    j_r, a_r, D sin a_r and D cos a_r for all its offsets at once, and each
+    run of rows only gathers its table windows.  The energy quadrature has
+    one row and no table: with q = ceil(sqrt(n)), j = q m + r and
+    j_r = q m_r + r_r, a_r + b_k = A_m + beta_r for A_m = a_r + c h q (m - m_r)
+    and beta_r = c h (r - r_r), whose sines and cosines, 2 (q + ceil(n / q))
+    of them, give sin(a_r + b_k) by two outer products.  At j = j_r,
+    A = a_r and beta = 0 exactly, so the peak keeps its precision.
     """
     check_width(D, "aperture size D")
 
@@ -289,39 +291,85 @@ def rect_pupil(D: float) -> Pupil:
         n entries (window i starts at k = i + 1 - n)."""
         return [sliding_window_view(t, g.n_points) for t in _angle_table(g, np.pi * D / scale)]
 
-    def ft_grid(g, offset, scale):
+    def anchors(g, offset, scale):
+        """j_r and a_r for each of the flattened offsets."""
         o = np.asarray(offset, dtype=float).ravel()
         # fmin and fmax drop a NaN: a non-finite offset still picks a node,
         # and its row comes out non-finite for the caller to refuse
         jr = np.fmax(np.fmin(np.rint((-o - g.lo) / g.step), g.n_points - 1), 0).astype(np.intp)
-        a = (np.pi * D / scale) * (o + (g.lo + g.step * jr))
+        return jr, (np.pi * D / scale) * (o + (g.lo + g.step * jr))
+
+    def block(g, scale, jr, a, dsin, dcos):
+        """The rows at anchors j_r and a_r, given D sin a_r and D cos a_r."""
         # b_k, cos b_k and sin b_k at each row's k, gathered by fancy
         # indexing (np.take would copy all n windows), then turned in place
         # into a + b and D sin(a + b)
         den, num, term = (t[g.n_points - 1 - jr] for t in table(g, scale))
-        num *= D * np.sin(a)[:, np.newaxis]
-        term *= D * np.cos(a)[:, np.newaxis]
+        num *= dsin[:, np.newaxis]
+        term *= dcos[:, np.newaxis]
         num += term
         den += a[:, np.newaxis]
         peak = np.flatnonzero(a == 0.0)
         den[peak, jr[peak]] = 1.0
         num /= den
         num[peak, jr[peak]] = D
-        return num.reshape(np.shape(offset) + (g.n_points,))
+        return num
 
-    return _real_block(ft, D, ft_grid)
+    def ft_grid(g, offset, scale):
+        jr, a = anchors(g, offset, scale)
+        rows = block(g, scale, jr, a, D * np.sin(a), D * np.cos(a))
+        return rows.reshape(np.shape(offset) + (g.n_points,))
+
+    def apply(g, offset, scale, z):
+        jr, a = anchors(g, offset, scale)
+        rows = (jr, a, D * np.sin(a), D * np.cos(a))
+        index = np.arange(jr.size).reshape(np.shape(offset))
+        return _apply_real(lambda i: block(g, scale, *(r[i] for r in rows)), index, g.n_points, z)
+
+    def abs2_sum(g, offset, scale, c):
+        (jr,), (a,) = anchors(g, offset, scale)
+        n, ch = g.n_points, np.pi * D / scale * g.step
+        q = int(np.sqrt(n - 1)) + 1
+        mr, rr = divmod(int(jr), q)
+        big = ch * (q * (np.arange(-(-n // q)) - mr)) + a
+        small = ch * (np.arange(q) - rr)
+        # the two outer products as one (m, 2) @ (2, q) product, whose row
+        # is turned in place into (sin / den)^2: on the default grid each
+        # fresh array of the row's length costs about as much as the
+        # arithmetic on it
+        s = (np.stack([np.sin(big), np.cos(big)], 1) @ [np.cos(small), np.sin(small)]).ravel()[:n]
+        den = (np.pi * D / scale) * (g.step * np.arange(-jr, n - jr, dtype=float)) + a
+        if a == 0.0:  # the peak, 0 / 0, is P = D
+            den[jr] = s[jr] = 1.0
+        s /= den
+        s *= s
+        return float(np.dot(g.trapezoid_weights(), s) * (c * D * D))
+
+    return Pupil(ft, D, ft_grid, apply, abs2_sum)
 
 
 def gaussian_pupil(sigma: float) -> Pupil:
     """Soft aperture p(x) = exp(-x^2 / sigma^2);
-    P(u) = sigma sqrt(pi) exp(-pi^2 sigma^2 u^2), real."""
+    P(u) = sigma sqrt(pi) exp(-pi^2 sigma^2 u^2), real.
+
+    Its block is the pointwise transform, applied in runs of offsets
+    (:func:`_apply_real`); its energy quadrature, one offset per call, sums
+    the pointwise |P|^2 row."""
     check_width(sigma, "gaussian pupil width sigma")
 
     def ft(u):
         u = np.asarray(u, dtype=float)
         return sigma * np.sqrt(np.pi) * np.exp(-np.pi**2 * sigma**2 * u**2)
 
-    return _real_block(ft, sigma * np.sqrt(np.pi / 2.0), _pointwise(ft))
+    row = _pointwise(ft)
+
+    def apply(g, offset, scale, z):
+        return _apply_real(lambda o: row(g, o, scale), offset, g.n_points, z)
+
+    def abs2_sum(g, offset, scale, c):
+        return float(np.dot(g.trapezoid_weights(), c * np.abs(row(g, offset, scale)) ** 2))
+
+    return Pupil(ft, sigma * np.sqrt(np.pi / 2.0), row, apply, abs2_sum)
 
 
 def tabulated_pupil(grid: Grid1D, values: np.ndarray) -> Pupil:

@@ -38,6 +38,7 @@ from ghostsim import (
 from ghostsim.analytic import all_gaussian_amplitude, gaussian_norm_constant
 from ghostsim.cli import preset_path
 from ghostsim.config import build_scan_config, load_config
+from ghostsim.correlator import gated_energy
 from ghostsim.optics import _BLOCK_ENTRIES, Transmission
 from ghostsim.source import default_certification_grid
 from ghostsim.validate import run_validation_suite
@@ -477,8 +478,8 @@ def test_one_row_blocks_take_the_rect_table(monkeypatch):
 
 def test_a_fig2_scan_builds_one_angle_table(monkeypatch):
     # the amplitude over the reference window takes the rect pupil's table;
-    # the four I_r probes on the whole x' grid sample |P|^2 pointwise and
-    # build none
+    # the four I_r probes on the whole x' grid split their row's angles by
+    # sqrt(n) and build none
     calls, angle_table = [], optics._angle_table
 
     def counted(g, c):
@@ -489,6 +490,67 @@ def test_a_fig2_scan_builds_one_angle_table(monkeypatch):
     config = build_scan_config(load_config(preset_path("fig2")))
     scan_reference(config)
     assert calls == [config.setup.window]
+
+
+def _trig_calls(monkeypatch, names=("sin", "cos")):
+    """{name: [entries per call]} for numpy's functions of those names,
+    filled as they are called."""
+    calls = {}
+    for name in names:
+        fn = getattr(np, name)
+
+        def counted(x, *args, _fn=fn, _calls=calls.setdefault(name, []), **kwargs):
+            _calls.append(np.size(x))
+            return _fn(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, name, counted)
+    return calls
+
+
+def test_a_fig2_scan_calls_no_sinc(monkeypatch):
+    # neither the amplitude's table nor the four I_r probes sample the
+    # pointwise sinc
+    def no_sinc(*args, **kwargs):
+        raise AssertionError("np.sinc called in a rect-pupil scan")
+
+    config = build_scan_config(load_config(preset_path("fig2")))
+    monkeypatch.setattr(np, "sinc", no_sinc)
+    assert np.all(np.isfinite(scan_reference(config).noise))
+
+
+def test_a_fig2_amplitude_takes_two_sines(monkeypatch):
+    # one for the table of the 1735-node window, built for k >= 0, and one
+    # for all 201 row anchors, though the call applies the pupil in 23 runs
+    config = build_scan_config(load_config(preset_path("fig2")))
+    assert config.setup.window.n_points == 1735 and config.n_xr == 201
+    assert -(-config.n_xr // (_BLOCK_ENTRIES // 1735)) == 23
+    xr = np.linspace(config.xr_min, config.xr_max, config.n_xr)
+    calls = _trig_calls(monkeypatch)
+    amplitude(config.setup, config.h_r, xr)
+    assert sorted(calls["sin"]) == [201, 1735] and sorted(calls["cos"]) == [201, 1735]
+
+
+@pytest.mark.parametrize("D", [2.0, 10.0])
+def test_rect_energy_quadrature_takes_sqrt_n_trigonometry(monkeypatch, D):
+    # on the default x' grid each sine or cosine call inside energy_in
+    # spans at most 2 (ceil(sqrt(16385)) + 1) entries, and none samples the
+    # sinc; at 0, +/- 2 mm, half a step, a clipped anchor and 1e3 mm
+    g = make_grid(0.0, 8.0, 16385)
+    h_r = two_f_arm(LAM, F, rect_pupil(D))
+    calls = _trig_calls(monkeypatch, ("sin", "cos", "sinc"))
+    for x_r in (0.0, 2.0, -2.0, 0.5 * g.step, 9.0, 1e3):
+        h_r.energy_in(x_r, g)
+    assert calls["sin"] and calls["cos"] and not calls["sinc"]
+    assert max(calls["sin"] + calls["cos"]) <= 2 * (129 + 1)
+    assert sum(calls["sin"]) == 6 * (129 + 128)
+
+
+def test_a_nan_x_r_reaches_the_energy_gate_as_a_numeric_error():
+    # the rect pupil's energy row anchors a NaN x_r at a node, and the NaN
+    # reaches the gate instead of indexing the split
+    h_r = two_f_arm(LAM, F, rect_pupil(10.0))
+    with pytest.raises(NumericDomainError, match="non-finite reference-arm energy nan"):
+        gated_energy(h_r, np.nan, make_grid(0.0, 8.0, 16385), "reference-arm", "n_xp")
 
 
 @pytest.mark.parametrize("case", ["slit", "tabulated_object", "dense_gaussian"])

@@ -33,7 +33,7 @@ from ghostsim.analytic import (
     gaussian_two_f_arm_energy,
     rect_two_f_arm_energy,
 )
-from ghostsim.optics import _angle_table
+from ghostsim.optics import _BLOCK_ENTRIES, _angle_table
 from ghostsim.validate import rect_energy_grid
 from helpers import scaled_arm
 
@@ -324,6 +324,49 @@ def test_rect_table_block_allocates_rows_not_the_square():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * block.nbytes
+
+
+@pytest.mark.parametrize("D", [2.0, 10.0])
+def test_rect_apply_runs_the_block_of_ft_grid(D):
+    # a fig2 window and 201 offsets, 23 runs of 9 rows: apply forms every
+    # row's anchor once, then each run's rows by ft_grid's block function,
+    # so that each run's (re, im) product is ft_grid's bit for bit
+    p = rect_pupil(D)
+    offsets = np.linspace(-2.0, 2.0, 201)
+    run = _BLOCK_ENTRIES // FIG2_WINDOW.n_points
+    assert -(-offsets.size // run) == 23
+    n = FIG2_WINDOW.n_points
+    z = np.linspace(1.0, 2.0, n) * np.exp(1j * np.linspace(0.0, 40.0, n))
+    zz = z.view(float).reshape(-1, 2)
+    block = p.ft_grid(FIG2_WINDOW, offsets, 2.0 * LF)
+    runs = [(block[i : i + run] @ zz).view(complex)[:, 0] for i in range(0, offsets.size, run)]
+    np.testing.assert_array_equal(p.apply(FIG2_WINDOW, offsets, 2.0 * LF, z), np.concatenate(runs))
+
+
+# the sampler grids, +/- 8.3 mm, whose samples round the nodes lo + j h,
+# and the two smallest grids, of one sqrt(n) block or two
+RECT_ENERGY_GRIDS = SAMPLER_GRIDS + [
+    make_grid(0.0, 8.3, 16385),
+    make_grid(0.1, 0.3, 2),
+    make_grid(0.1, 0.3, 3),
+]
+
+
+@pytest.mark.parametrize("D", [2.0, 10.0])
+@pytest.mark.parametrize("g", RECT_ENERGY_GRIDS, ids=lambda g: f"{g.half_width}-{g.n_points}")
+def test_rect_energy_quadrature_matches_the_pointwise_kernel(D, g):
+    # the row's angles split by sqrt(n) against the pointwise quadrature, to
+    # 1e-13 of the arm's exact energy: on a node (a = 0 exactly); one ulp
+    # off it, where a is tiny and the split must give sin a at the anchor
+    # exactly; half a step off it; beyond either end of the grid (the
+    # anchor clipped); and at +/- 1e3 mm
+    h = two_f_arm(LAM, F, rect_pupil(D))
+    node = g.lo + g.step * (g.n_points // 3)
+    offsets = (-node, np.nextafter(-node, np.inf), -node - 0.5 * g.step, 1.0 - g.lo, -1.0 - g.hi)
+    w = g.trapezoid_weights()
+    for x_r in offsets + (1e3, -1e3):
+        ref = np.dot(w, np.abs(h.evaluate(x_r, g.samples())) ** 2)
+        assert abs(h.energy_in(x_r, g) - ref) <= 1e-13 * h.energy, x_r
 
 
 # a scalar, a one-row list, and 21 and 201 rows, more than one run of
