@@ -1,5 +1,6 @@
 """Per-module lines of src/ghostsim and code lines (not docstrings, comments
-or blanks) as a Markdown table, the last row the totals.
+or blanks) as a Markdown table, then their totals, then the totals of
+tests/, so that code moved between the library and its tests shows.
 
     python3 .github/src_lines.py
 
@@ -21,12 +22,16 @@ def code_lines(src):
     return sum(1 for i, s in lines if i not in docs and s.strip() and not s.lstrip().startswith("#"))
 
 
+def counts(path):
+    src = path.read_text(encoding="utf-8")
+    return len(src.splitlines()), code_lines(src)
+
+
 print("| src/ghostsim | lines | code lines |")
 print("|---|---:|---:|")
-total_lines = total_code = 0
-for path in sorted(Path("src/ghostsim").glob("*.py")):
-    src = path.read_text(encoding="utf-8")
-    n, code = len(src.splitlines()), code_lines(src)
-    total_lines, total_code = total_lines + n, total_code + code
+rows = [(path, *counts(path)) for path in sorted(Path("src/ghostsim").glob("*.py"))]
+for path, n, code in rows:
     print(f"| {path} | {n} | {code} |")
-print(f"| total | {total_lines} | {total_code} |")
+print(f"| total | {sum(r[1] for r in rows)} | {sum(r[2] for r in rows)} |")
+tests = [counts(path) for path in sorted(Path("tests").glob("*.py"))]
+print(f"| tests total | {sum(r[0] for r in tests)} | {sum(r[1] for r in tests)} |")

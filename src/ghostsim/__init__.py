@@ -33,11 +33,6 @@ from .optics import (
     tabulated_transmission,
     two_f_arm,
 )
-from .source import (
-    TwoPhotonState,
-    default_certification_grid,
-    gaussian_wavefunction,
-    normalize,
-)
+from .source import TwoPhotonState, gaussian_wavefunction, normalize
 
 __version__ = "0.1.0"

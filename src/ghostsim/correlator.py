@@ -29,6 +29,7 @@ a scan gates I_r.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import log, pi, sqrt
 
 import numpy as np
 
@@ -53,6 +54,11 @@ RADICAND_CLAMP = 1e-12
 # energy: <S^2> = G2 I_t I_r carries the offset into Delta G2 and the SNR
 ENERGY_RTOL = 1e-2
 
+# on a lattice of step h the trapezoid sum of the ridge exp(-d^2 / b^2) is
+# off its integral by at most 2 exp(-pi^2 b^2 / h^2), at any offset (Poisson
+# summation); a step of at most RIDGE_STEPS * b keeps that below 1e-6
+RIDGE_STEPS = pi / sqrt(log(2.0 / 1e-6))
+
 
 @dataclass(frozen=True)
 class CorrelatorSetup:
@@ -60,8 +66,12 @@ class CorrelatorSetup:
     test-detector position x_t, and the reference window they give.
 
     gx discretizes the test-arm source coordinate x, gxp the reference-arm
-    source coordinate x'.  The state must carry a certification (see
-    :func:`ghostsim.source.normalize`) whose grids gx and gxp cover.
+    source coordinate x'.  The state must carry an extent (see
+    :func:`ghostsim.source.normalize`), which gx and gxp must cover, and
+    each grid's step must be at most RIDGE_STEPS times the state's
+    ``ridge_width``, so that the grid resolves the entanglement ridge; a
+    step over it is refused, naming ``numerics.n_x`` or ``numerics.n_xp``,
+    before anything is sampled.
 
     ``rows`` is the slice of gx nodes that the test arm is sampled on: the
     nodes whose cells meet h_t's support, with one node of margin on each
@@ -92,14 +102,17 @@ class CorrelatorSetup:
     i_t: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.state.certification is None:
-            raise InvalidArgumentError(
-                "correlator requires a norm-certified two-photon state"
-            )
-        for g, cert in zip((self.gx, self.gxp), self.state.certification):
-            if g.lo > cert.lo or g.hi < cert.hi:
+        if self.state.extent is None:
+            raise InvalidArgumentError("correlator requires a norm-certified two-photon state")
+        width = self.state.ridge_width
+        for g, (lo, hi), key in zip((self.gx, self.gxp), self.state.extent, ("n_x", "n_xp")):
+            if g.lo > lo or g.hi < hi:
+                raise InvalidArgumentError("quadrature grids must cover the state's extent")
+            if g.step > RIDGE_STEPS * width:
                 raise InvalidArgumentError(
-                    "quadrature grids must cover the state's certification domain"
+                    f"the grid step {g.step:.4g} mm exceeds {RIDGE_STEPS:.3g} of the "
+                    f"entanglement width {width:g} mm and does not resolve the ridge; "
+                    f"raise numerics.{key}"
                 )
         object.__setattr__(self, "rows", self._support_rows())
         window, v = self._window(self.inner_integral())

@@ -143,12 +143,13 @@ def build_setup(
     """Assemble a correlator setup for a norm-certified state, test arm and
     test-detector position x_t.
 
-    The quadrature window is widened to cover the state's certification
-    grids when necessary; ``CorrelatorSetup`` refuses an uncertified state
-    and, for the Fourier test arm, an x_t beyond the x grid's Nyquist limit.
+    The quadrature window, centred on 0, is widened to cover the state's
+    extent when necessary; ``CorrelatorSetup`` refuses a state without an
+    extent, grids that do not resolve its ridge and, for the Fourier test
+    arm, an x_t beyond the x grid's Nyquist limit.
     """
-    for cert in state.certification or ():
-        window_mm = max(window_mm, cert.half_width)
+    for lo, hi in state.extent or ():
+        window_mm = max(window_mm, -lo, hi)
     gx = make_grid(0.0, window_mm, n_x)
     gxp = make_grid(0.0, window_mm, n_xp)
     return CorrelatorSetup(state=state, h_t=h_t, gx=gx, gxp=gxp, x_t=x_t)

@@ -7,11 +7,10 @@ sets the source size, ``b`` the entanglement width.  A separable state has
 R = 1 (``ridge`` is None).
 
 :func:`normalize` sets ``c_norm`` from the quadrature of |phi|^2 and records
-its grids as the state's ``certification``.  :func:`gaussian_wavefunction`
-needs no quadrature: its ``c_norm`` is the closed form, and its certification
-is :func:`default_certification_grid`, the window [-4a, 4a] outside which
-|phi|^2 is below e^-32 of its peak.  Every other state must be normalized
-explicitly.  Both :func:`normalize` and
+its grids' ends as the state's ``extent``.  :func:`gaussian_wavefunction`
+needs no quadrature: its ``c_norm`` is the closed form, and its extent is
+[-4a, 4a] in x and x', outside which |phi|^2 is below e^-32 of its peak.
+Every other state must be normalized explicitly.  Both :func:`normalize` and
 :meth:`TwoPhotonState.reduce` fold f into the left vector, reduce R with
 :func:`ghostsim.grid.reduce_rows` over the band where R is above RIDGE_EPS
 of its peak, and multiply the result by g.
@@ -26,13 +25,12 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericDomainError, TruncationError
-from .grid import MAX_NODES, Grid1D, check_width, make_grid, reduce_rows
+from .grid import Grid1D, check_width, reduce_rows
 
 __all__ = [
     "TwoPhotonState",
     "gaussian_wavefunction",
     "normalize",
-    "default_certification_grid",
 ]
 
 # |phi|^2 at the window edge must be below this fraction of the peak for a
@@ -64,8 +62,8 @@ class TwoPhotonState:
 
     ``f``, ``g`` and ``ridge`` (R, or None for R = 1) broadcast over numpy
     arrays; |R(d)| <= peak * exp(-d^2 / ridge_width^2) (``inf``: no bound).
-    ``certification`` holds the grids (gx, gxp) on which :func:`normalize`
-    made |phi|^2 integrate to 1; None until it is set.
+    ``extent`` holds the intervals ((lo, hi) in x, (lo, hi) in x') over which
+    |phi|^2 integrates to 1; None until the state is known to be unit-norm.
     """
 
     f: Callable
@@ -73,7 +71,7 @@ class TwoPhotonState:
     c_norm: complex = 1.0
     ridge: Callable | None = None
     ridge_width: float = inf
-    certification: tuple[Grid1D, Grid1D] | None = None
+    extent: tuple[tuple[float, float], tuple[float, float]] | None = None
 
     def evaluate(self, x, xp) -> np.ndarray:
         """phi(x, x'), broadcast over numpy arrays."""
@@ -93,14 +91,9 @@ class TwoPhotonState:
 
 
 def gaussian_wavefunction(a: float, b: float) -> TwoPhotonState:
-    """The Gaussian source, unit-norm by its closed-form ``c_norm`` and
-    certified on ``default_certification_grid(a, b)``.
-
-    A width that is not > 0 is refused, then a certification grid over the
-    node budget (its message names the remedy), then a width whose square
-    leaves the floating-point range.
-    """
-    cert = default_certification_grid(a, b)
+    """The Gaussian source, unit-norm by its closed-form ``c_norm`` over its
+    extent [-4a, 4a] in x and x'.  A width that is not > 0, or whose square
+    leaves the floating-point range, is refused."""
     check_width(a, "source size a")
     check_width(b, "entanglement width b")
 
@@ -113,22 +106,8 @@ def gaussian_wavefunction(a: float, b: float) -> TwoPhotonState:
     # int int |phi / c_norm|^2 = pi a^2 b / (2 hypot(b, sqrt(2) a)), inverted in
     # a form that stays finite and positive for every width check_width admits
     c_norm = sqrt(2.0 * hypot(b, sqrt(2.0) * a) / pi) / (a * sqrt(b))
-    return TwoPhotonState(envelope, envelope, c_norm, ridge, float(b), (cert, cert))
-
-
-def default_certification_grid(a: float, b: float) -> Grid1D:
-    """Window [-4a, 4a] with a step fine enough to resolve the (x - x')
-    entanglement ridge of width ~b, refused over MAX_NODES nodes."""
-    if not (a > 0.0 and b > 0.0):
-        raise InvalidArgumentError(f"source widths must be > 0, got a = {a}, b = {b}")
-    half_width = 4.0 * a
-    n = np.ceil(2.0 * half_width / (b / 6.0)) + 1.0
-    if not (n <= MAX_NODES):
-        raise InvalidArgumentError(
-            f"the certification grid for a = {a:g}, b = {b:g} needs {n:.3g} nodes, over "
-            f"the budget of {MAX_NODES}; lower a or raise b"
-        )
-    return make_grid(0.0, half_width, max(int(n), 257))
+    extent = (-4.0 * a, 4.0 * a)
+    return TwoPhotonState(envelope, envelope, c_norm, ridge, float(b), (extent, extent))
 
 
 def _norm_integral(state: TwoPhotonState, gx: Grid1D, gxp: Grid1D) -> float:
@@ -170,7 +149,7 @@ def normalize(state: TwoPhotonState, gx: Grid1D, gxp: Grid1D) -> TwoPhotonState:
 
     A non-finite norm (a NaN or inf envelope or ridge value, or an
     overflowing quadrature) is a numeric error.  The returned state carries
-    the rescaled amplitude ``c_norm`` and ``certification=(gx, gxp)``.
+    the rescaled amplitude ``c_norm`` and the grids' ends as its ``extent``.
     """
     _check_support_coverage(state, gx, gxp)
     norm = _norm_integral(state, gx, gxp)
@@ -178,4 +157,5 @@ def normalize(state: TwoPhotonState, gx: Grid1D, gxp: Grid1D) -> TwoPhotonState:
         raise NumericDomainError(f"wavefunction norm {norm} on the given grids is not finite")
     if norm <= 0.0:
         raise InvalidArgumentError("wavefunction has zero norm on the given grids")
-    return replace(state, c_norm=state.c_norm / sqrt(norm), certification=(gx, gxp))
+    extent = ((gx.lo, gx.hi), (gxp.lo, gxp.hi))
+    return replace(state, c_norm=state.c_norm / sqrt(norm), extent=extent)

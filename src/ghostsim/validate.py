@@ -2,11 +2,11 @@
 
 Runs the analytic oracles against the quadrature code paths without any
 configuration file: Gaussian normalization constants (the source's closed
-form and the norm quadrature), the closed-form arm energies, the
-all-Gaussian coincidence amplitude and the Cauchy-Schwarz bound on the
-variance radicand.  Each check returns (passed, detail); the
-suite, which the ``validate`` CLI command executes, reports a check that
-raises a ghostsim error as failed with the error as its detail.
+form and, independently, the norm quadrature on a grid the check builds),
+the closed-form arm energies, the all-Gaussian coincidence amplitude and the
+Cauchy-Schwarz bound on the variance radicand.  Each check returns (passed,
+detail); the suite, which the ``validate`` CLI command executes, reports a
+check that raises a ghostsim error as failed with the error as its detail.
 """
 
 from __future__ import annotations
@@ -45,6 +45,13 @@ class CheckResult:
     detail: str
 
 
+def _norm_grid(a: float, b: float):
+    """The Gaussian source's extent [-4a, 4a] at a step of at most b / 6,
+    which resolves the ridge, and at least 257 nodes."""
+    n = int(np.ceil(8.0 * a / (b / 6.0))) + 1
+    return make_grid(0.0, 4.0 * a, max(n, 257))
+
+
 def _check_gaussian_normalization() -> tuple[bool, str]:
     rng = np.random.default_rng(20240501)
     errors = []
@@ -52,9 +59,10 @@ def _check_gaussian_normalization() -> tuple[bool, str]:
         a = rng.uniform(0.5, 5.0)
         b = float(np.exp(rng.uniform(np.log(0.02), np.log(1.0))))
         # the constructor's closed form and, independently, the quadrature of
-        # |phi|^2 on its certification grid, started from c_norm = 1
+        # |phi|^2 on the norm grid, started from c_norm = 1
         state = gaussian_wavefunction(a, b)
-        quadrature = normalize(replace(state, c_norm=1.0), *state.certification)
+        grid = _norm_grid(a, b)
+        quadrature = normalize(replace(state, c_norm=1.0), grid, grid)
         c_ref = analytic.gaussian_norm_constant(a, b)
         errors += [abs(s.c_norm - c_ref) / c_ref for s in (state, quadrature)]
     worst = np.max(errors)  # NaN-propagating, unlike max(): a NaN error fails

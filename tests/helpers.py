@@ -42,7 +42,7 @@ def statistics_at(setup, h_r: ImpulseResponse, x_r: float) -> SimpleNamespace:
 def corrupt_validation_states(patch, factor: float) -> None:
     """Multiply c_norm of every state the validation suite builds (the
     Gaussian sources as constructed, the matched states after
-    normalization) by factor, keeping the certificate: a correct suite must
+    normalization) by factor, keeping the extent: a correct suite must
     detect it.  ``patch`` is ``monkeypatch.setattr`` in a test, ``setattr``
     in a fresh process."""
     make, norm = validate.gaussian_wavefunction, validate.normalize

@@ -356,10 +356,6 @@ _LIMITED_SCAN = (
 @pytest.mark.parametrize(
     "section, key, value",
     [
-        ("source", "a_mm", 1e6),
-        ("source", "a_mm", 1e300),
-        ("source", "b_mm", 1e-9),
-        ("source", "b_mm", 1e-300),
         ("numerics", "n_x", 1e300),
         ("numerics", "n_xp", MAX_NODES + 1),
         ("scan", "n_points", 1e300),
@@ -587,6 +583,40 @@ def test_test_detector_beyond_the_nyquist_limit_of_the_x_grid_exits_2(tmp_path):
         assert not out.exists()
 
 
+def test_scan_grids_must_resolve_the_entanglement_ridge(tmp_path):
+    # a grid step over RIDGE_STEPS entanglement widths b is refused before
+    # anything is sampled, naming the grid's numerics key.  Unrefused, the
+    # b_mm rows from 1e-4 to 3.5e-3 exit 0 with g2 off by 1.2% to 15.6x
+    fig2, small = load_config(preset_path("fig2")), load_config(small_config(tmp_path))
+    cases = [
+        (fig2, {"b_mm": 2e-5}, {}, "n_x"),
+        (fig2, {"b_mm": 1e-4}, {}, "n_x"),  # g2 max 1.91x off
+        (small, {"b_mm": 1.5e-4}, {}, "n_x"),
+        (small, {"b_mm": 3.3e-4}, {}, "n_x"),
+        (small, {"b_mm": 5e-4}, {"n_xp": 4328}, "n_x"),
+        (small, {"b_mm": 3.5e-3}, {}, "n_xp"),  # 1.2% off
+        # extent [-4e6, 4e6] mm: the window widens to it, and the step with it
+        (small, {"a_mm": 1e6}, {}, "n_x"),
+        (small, {"b_mm": 1e-9}, {}, "n_x"),
+    ]
+    jobs = []
+    for k, (base, source, numerics, _) in enumerate(cases):
+        data = json.loads(json.dumps(base))
+        data["source"].update(source)
+        data["numerics"].update(numerics)
+        cfg, out = tmp_path / f"ridge{k}.json", tmp_path / f"ridge{k}.csv"
+        cfg.write_text(json.dumps(data))
+        jobs.append([str(cfg), str(out)])
+    for (_, source, _, key), (_, out), (code, err) in zip(cases, jobs, _run_scans(jobs)):
+        assert code == 2, (source, err)
+        assert len(err.splitlines()) == 1, (source, err)
+        assert err.startswith("ghostsim: config error: the grid step "), (source, err)
+        b = source.get("b_mm", 0.05)
+        assert f"of the entanglement width {b:g} mm" in err, (source, err)
+        assert err.rstrip().endswith(f"raise numerics.{key}"), (source, err)
+        assert not Path(out).exists()
+
+
 def test_exit_0_runs_write_nothing_to_stderr(tmp_path):
     runs = [
         ["validate"],
@@ -610,6 +640,8 @@ def test_exit_0_runs_write_nothing_to_stderr(tmp_path):
     "path, value",
     [
         ("source.a_mm", 1e-300),
+        ("source.a_mm", 1e300),
+        ("source.b_mm", 1e-300),
         ("test_arm.object.gaussian.w_mm", 1e-300),
         ("test_arm.object.gaussian.w_mm", 1e300),
         ("reference_arm.pupil.rect.D_mm", 1e300),

@@ -38,9 +38,8 @@ from ghostsim import (
 from ghostsim.analytic import all_gaussian_amplitude, gaussian_norm_constant
 from ghostsim.cli import preset_path
 from ghostsim.config import build_scan_config, load_config
-from ghostsim.correlator import gated_energy
+from ghostsim.correlator import RIDGE_STEPS, gated_energy
 from ghostsim.optics import _BLOCK_ENTRIES, Transmission
-from ghostsim.source import default_certification_grid
 from ghostsim.validate import run_validation_suite
 from helpers import (
     corrupt_validation_states,
@@ -84,7 +83,7 @@ def test_separable_state_amplitude_factorizes():
     state = TwoPhotonState(
         f=lambda x: np.exp(-(x**2)) + 0j,
         g=lambda xp: np.exp(-(xp**2) / 2.0),
-        certification=(g, g),
+        extent=((-4.0, 4.0), (-4.0, 4.0)),
     )
     h_t = fourier_arm(LAM, F, gaussian_transmission(1.0))
     h_r = two_f_arm(LAM, F, gaussian_pupil(1.0))
@@ -252,9 +251,10 @@ def test_statistics_name_the_first_non_finite_point():
 
 
 def test_setup_requires_certified_state():
-    raw = replace(gaussian_wavefunction(1.0, 0.2), certification=None)
+    # a state without an extent is not known to be unit-norm
+    raw = replace(gaussian_wavefunction(1.0, 0.2), extent=None)
     g = make_grid(0.0, 4.0, 257)
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(InvalidArgumentError, match="norm-certified"):
         CorrelatorSetup(
             state=raw,
             h_t=fourier_arm(LAM, F, gaussian_transmission(0.5)),
@@ -264,9 +264,9 @@ def test_setup_requires_certified_state():
 
 
 def test_setup_grids_must_cover_certification_domain():
-    state = gaussian_wavefunction(2.0, 0.2)  # certified on a window of 8 mm
+    state = gaussian_wavefunction(2.0, 0.2)  # unit-norm over the extent [-8, 8]
     small = make_grid(0.0, 4.0, 257)
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(InvalidArgumentError, match="must cover the state's extent"):
         CorrelatorSetup(
             state=state,
             h_t=fourier_arm(LAM, F, gaussian_transmission(0.5)),
@@ -275,14 +275,38 @@ def test_setup_grids_must_cover_certification_domain():
         )
 
 
+@pytest.mark.parametrize("key", ["n_x", "n_xp"])
+def test_grid_step_over_ridge_steps_widths_is_refused(key):
+    # a step of RIDGE_STEPS * b is accepted and the next float above it
+    # refused, on either grid, before anything is sampled; the other grid
+    # is fine.  2^11 * step is exact, so the 4097-node grid has that step
+    b = 0.01
+    state = gaussian_wavefunction(0.25, b)  # extent [-1, 1]
+    h_t = fourier_arm(LAM, F, gaussian_transmission(0.2))
+    fine = make_grid(0.0, 1.0, 4097)
+    edge = RIDGE_STEPS * b
+    for step in (edge, np.nextafter(edge, np.inf)):
+        coarse = make_grid(0.0, 2048.0 * step, 4097)
+        assert coarse.step == step
+        grids = {"gx": coarse, "gxp": fine} if key == "n_x" else {"gx": fine, "gxp": coarse}
+        if step == edge:
+            assert np.abs(CorrelatorSetup(state, h_t, **grids).v).max() > 0.0
+            continue
+        h_refused = replace(h_t, _sample_in=None)  # sampling it would raise
+        with pytest.raises(InvalidArgumentError) as exc:
+            CorrelatorSetup(state, h_refused, **grids)
+        msg = str(exc.value)
+        assert f"grid step {step:.4g} mm" in msg and f"width {b:g} mm" in msg
+        assert msg.endswith(f"raise numerics.{key}")
+
+
 def test_corrupted_certified_state_scales_the_inner_integral():
-    # the validation suite's fault injection keeps the certificate and
-    # scales c_norm; the banded reduction must carry that factor through
+    # the validation suite's fault injection keeps the extent and scales
+    # c_norm; the banded reduction must carry that factor through
     a, b = 2.0, 0.2
-    cert = default_certification_grid(a, b)
     clean = gaussian_wavefunction(a, b)
     corrupt = replace(clean, c_norm=2.0 * clean.c_norm)
-    assert corrupt.certification == clean.certification == (cert, cert)
+    assert corrupt.extent == clean.extent == ((-8.0, 8.0), (-8.0, 8.0))
     assert corrupt.c_norm == 2.0 * clean.c_norm
     h_t = fourier_arm(LAM, F, double_slit(0.05, 1.0))
     g, gp = make_grid(0.0, 8.0, 8193), make_grid(0.0, 8.0, 2049)
@@ -589,7 +613,7 @@ def test_single_nonzero_inner_integral_widens_the_window(node):
     state = TwoPhotonState(
         f=lambda x: np.exp(-(x**2)),
         g=lambda xp: np.where(xp == xp0, 1.0, 0.0),
-        certification=(g, g),
+        extent=((g.lo, g.hi), (g.lo, g.hi)),
     )
     h_t = fourier_arm(LAM, F, gaussian_transmission(1.0))
     # a narrow pupil: P stays far from underflow across the whole window

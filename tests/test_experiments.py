@@ -34,7 +34,7 @@ from ghostsim.config import build_scan_config, load_config, resolve_config
 from ghostsim.experiments import _PEAK_FLOOR, _PEAK_SEPARATION, find_peaks, summarize
 from ghostsim.grid import MAX_NODES, make_grid
 from ghostsim.optics import load_transmission_csv
-from ghostsim.source import TwoPhotonState, default_certification_grid
+from ghostsim.source import TwoPhotonState, normalize
 
 LAM = 650e-6
 F = 100.0
@@ -61,10 +61,25 @@ def fake_result(x, g2, n_pairs=100):
 
 def test_build_setup_normalizes_gaussian_state():
     config = slit_scan_config(n_x=4097, n_xp=2049)
-    cert = default_certification_grid(2.0, 0.05)
-    assert config.setup.state.certification == (cert, cert)
-    # default 8 mm window already covers the 4a = 8 mm certification window
+    assert config.setup.state.extent == ((-8.0, 8.0), (-8.0, 8.0))
+    # default 8 mm window already covers the 4a = 8 mm extent
     assert config.setup.gx.half_width == 8.0
+    # a wider extent widens the window, in x and x'
+    state = gaussian_wavefunction(2.5, 0.05)
+    setup = build_setup(state, config.setup.h_t, n_x=8193, n_xp=4097)
+    assert setup.gx.half_width == setup.gxp.half_width == 10.0
+
+
+def test_build_setup_widens_the_window_to_an_off_center_extent():
+    # a state normalized on [-2, 4]: a window of 2 mm about 0 widens to 4,
+    # not to the normalization grid's half-width 3, which leaves 3 < x <= 4 out
+    g = make_grid(1.0, 3.0, 4097)
+    state = normalize(gaussian_wavefunction(0.5, 0.2), g, g)
+    assert state.extent == ((-2.0, 4.0), (-2.0, 4.0))
+    h_t = fourier_arm(LAM, F, double_slit(0.05, 1.0))
+    setup = build_setup(state, h_t, n_x=4097, n_xp=2049, window_mm=2.0)
+    assert setup.gx.half_width == setup.gxp.half_width == 4.0
+    assert setup.gx.center == setup.gxp.center == 0.0
 
 
 def test_preset_scan_runs_no_norm_quadrature(monkeypatch):
@@ -89,7 +104,8 @@ def test_build_setup_rejects_uncertified_table():
 
     tab = TwoPhotonState(f=box, g=box)
     h_t = fourier_arm(LAM, F, double_slit(0.05, 1.0))
-    # only the Gaussian source is certified by its constructor
+    # only the Gaussian source is certified unit-norm, over its extent, by
+    # its constructor
     for state in (tab, replace(tab, ridge_width=1.0)):
         with pytest.raises(InvalidArgumentError, match="norm-certified"):
             build_setup(state, h_t, n_x=257, n_xp=257)

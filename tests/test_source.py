@@ -22,7 +22,8 @@ from ghostsim import (
 from ghostsim import grid
 from ghostsim.analytic import gaussian_norm_constant
 from ghostsim.grid import MAX_NODES, reduce_rows
-from ghostsim.source import RIDGE_EPS, _band, _norm_integral, default_certification_grid
+from ghostsim.source import RIDGE_EPS, _band, _norm_integral
+from ghostsim.validate import _norm_grid
 
 
 def test_gaussian_origin_value_and_symmetry():
@@ -48,10 +49,12 @@ def test_gaussian_parameter_validation():
             gaussian_wavefunction(a, b)
 
 
-def _quadrature_c_norm(state):
-    """c_norm from the norm quadrature on the state's certification grids,
-    started from c_norm = 1 rather than from the state's own value."""
-    return normalize(replace(state, c_norm=1.0), *state.certification).c_norm
+def _quadrature_c_norm(state, a, b):
+    """c_norm from the norm quadrature on the validation suite's norm grid
+    for the Gaussian source (a, b), started from c_norm = 1 rather than from
+    the state's own value."""
+    grid = _norm_grid(a, b)
+    return normalize(replace(state, c_norm=1.0), grid, grid).c_norm
 
 
 def test_normalize_matches_analytic_constant():
@@ -59,7 +62,7 @@ def test_normalize_matches_analytic_constant():
     state = gaussian_wavefunction(a, b)
     c = abs(state.evaluate(0.0, 0.0))
     assert c == state.c_norm
-    for got in (c, _quadrature_c_norm(state)):
+    for got in (c, _quadrature_c_norm(state, a, b)):
         assert got == pytest.approx(gaussian_norm_constant(a, b), rel=1e-9)
     # the published configuration normalizes to about 3.00
     assert c == pytest.approx(3.0, abs=0.01)
@@ -71,13 +74,13 @@ def test_normalize_random_parameters_match_analytic():
         a = rng.uniform(0.5, 5.0)
         b = float(np.exp(rng.uniform(np.log(0.01), np.log(1.0))))
         state = gaussian_wavefunction(a, b)
-        for got in (abs(state.evaluate(0.0, 0.0)), _quadrature_c_norm(state)):
+        for got in (abs(state.evaluate(0.0, 0.0)), _quadrature_c_norm(state, a, b)):
             assert got == pytest.approx(gaussian_norm_constant(a, b), rel=1e-6)
     # the constructor's closed form against the quadrature, from b = a / 40
-    # down to a / 2000 (a 96001-node certification grid)
+    # down to a / 2000 (a 96001-node norm grid)
     for a, b in ((2.0, 0.05), (2.0, 0.5), (1.0, 0.2), (2.0, 1e-3), (0.5, 0.3)):
         state = gaussian_wavefunction(a, b)
-        assert state.c_norm == pytest.approx(_quadrature_c_norm(state), rel=2e-15, abs=0.0)
+        assert state.c_norm == pytest.approx(_quadrature_c_norm(state, a, b), rel=2e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("a, b", [(1.0, 1.0), (2.0, 0.05)])
@@ -94,7 +97,7 @@ def test_closed_form_c_norm_scales_inversely_with_the_widths(a, b, scale):
 
 def test_normalize_is_idempotent():
     a, b = 1.0, 0.2
-    grid = default_certification_grid(a, b)
+    grid = _norm_grid(a, b)
     once = gaussian_wavefunction(a, b)
     twice = normalize(once, grid, grid)
     assert abs(twice.evaluate(0.0, 0.0)) == pytest.approx(
@@ -103,14 +106,16 @@ def test_normalize_is_idempotent():
 
 
 def test_normalize_records_certificate():
-    # the Gaussian source is certified by its constructor
+    # the Gaussian source is certified unit-norm over [-4a, 4a] by its
+    # constructor; normalize certifies a state over its grids' ends
     a, b = 1.0, 0.2
-    grid = default_certification_grid(a, b)
     state = gaussian_wavefunction(a, b)
-    assert state.certification == (grid, grid)
+    assert state.extent == ((-4.0, 4.0), (-4.0, 4.0))
     assert state.c_norm == pytest.approx(gaussian_norm_constant(a, b), rel=1e-9)
     g = make_grid(0.0, 6.0, 1025)
-    assert normalize(state, g, g).certification == (g, g)
+    assert normalize(state, g, g).extent == ((-6.0, 6.0), (-6.0, 6.0))
+    gx, gxp = make_grid(1.0, 6.0, 1025), make_grid(1.0, 6.0, 2049)
+    assert normalize(state, gx, gxp).extent == ((-5.0, 7.0), (-5.0, 7.0))
 
 
 def test_weak_entanglement_limit():
@@ -201,10 +206,12 @@ def test_normalize_rejects_non_finite_table(bad):
 
 
 def test_certification_grid_resolves_entanglement_ridge():
-    g = default_certification_grid(2.0, 0.05)
-    assert g.half_width == 8.0
+    # the grid on which the validation suite checks the closed-form c_norm
+    # by quadrature: the source's extent at a step resolving the ridge
+    g = _norm_grid(2.0, 0.05)
+    assert (g.lo, g.hi) == gaussian_wavefunction(2.0, 0.05).extent[0] == (-8.0, 8.0)
     assert g.step <= 0.05 / 6.0
-    assert default_certification_grid(0.1, 10.0).n_points >= 257
+    assert _norm_grid(0.1, 10.0).n_points >= 257
 
 
 def _counting(ridge):
@@ -448,7 +455,7 @@ def test_banded_norm_integral_matches_dense_and_analytic():
     for _ in range(6):
         a = rng.uniform(0.5, 5.0)
         b = float(np.exp(rng.uniform(np.log(0.02), np.log(1.0))))
-        grid = default_certification_grid(a, b)
+        grid = _norm_grid(a, b)
         state = replace(gaussian_wavefunction(a, b), c_norm=1.0)
         banded = _norm_integral(state, grid, grid)
         x = grid.samples()
@@ -460,7 +467,7 @@ def test_banded_norm_integral_matches_dense_and_analytic():
 
 def test_scaled_state_normalizes_to_the_same_c_norm():
     a, b = 2.0, 0.05
-    grid = default_certification_grid(a, b)
+    grid = _norm_grid(a, b)
     state = gaussian_wavefunction(a, b)
     clean = normalize(state, grid, grid)
     doubled = normalize(replace(state, c_norm=2.0 * state.c_norm), grid, grid)
