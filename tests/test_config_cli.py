@@ -595,10 +595,27 @@ def test_scan_grids_must_resolve_the_entanglement_ridge(tmp_path):
         (small, {"b_mm": 3.3e-4}, {}, "n_x"),
         (small, {"b_mm": 5e-4}, {"n_xp": 4328}, "n_x"),
         (small, {"b_mm": 3.5e-3}, {}, "n_xp"),  # 1.2% off
-        # extent [-4e6, 4e6] mm: the window widens to it, and the step with it
-        (small, {"a_mm": 1e6}, {}, "n_x"),
-        (small, {"b_mm": 1e-9}, {}, "n_x"),
     ]
+    _assert_ridge_refusals(tmp_path, cases)
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        # extent [-4e6, 4e6] mm: the window widens to it, and the step with it
+        ("source", "a_mm", 1e6),
+        ("source", "b_mm", 1e-9),
+    ],
+)
+def test_source_widths_past_the_ridge_step_name_the_grid_key(tmp_path, section, key, value):
+    # a source width that puts the grid step over RIDGE_STEPS entanglement
+    # widths is refused by the ridge rule, naming numerics.n_x
+    _assert_ridge_refusals(tmp_path, [(load_config(small_config(tmp_path)), {key: value}, {}, "n_x")])
+
+
+def _assert_ridge_refusals(tmp_path, cases):
+    """Each (config, source update, numerics update, key) scan exits 2 with
+    the one-line ridge message that names numerics.<key>, writing nothing."""
     jobs = []
     for k, (base, source, numerics, _) in enumerate(cases):
         data = json.loads(json.dumps(base))
