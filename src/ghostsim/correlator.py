@@ -14,13 +14,14 @@ u(x') = int dx phi(x, x') h_t(x_t, x) (the state's row reduction).  A
 the test-detector position x_t, and computes u and its window when it is
 built; it does not hold h_r, which ``amplitude`` takes per call.  The
 setup samples h_t only on the run of x nodes that meets the object's
-support (every node for an object without one), with the x grid's
-trapezoid weights.  On the grids the amplitudes of a whole scan are one
-``ImpulseResponse.apply_in`` call, h_r(x_r, x'_j) applied to v = w u: the
-2f arm folds its chirps out and leaves the sum over P to the pupil, which
-takes the x_r rows in blocks of bounded size (a rect or Gaussian pupil) or
-sums over its own table (a tabulated one).  I_r integrates over the whole
-x' grid and I_t over the run, where h_t vanishes beyond it, and
+support (every node for an object without one), with the run's own
+trapezoid weights, which are the x grid's (to the ulps of the run's step)
+wherever h_t is nonzero.  On the grids the amplitudes of a whole scan are
+one ``ImpulseResponse.apply_in`` call, h_r(x_r, x'_j) applied to v = w u:
+the 2f arm folds its chirps out and leaves the sum over P to the pupil,
+which takes the x_r rows in blocks of bounded size (a rect or Gaussian
+pupil) or sums over its own table (a tabulated one).  I_r integrates over
+the whole x' grid and I_t over the run, where h_t vanishes beyond it, and
 ``gated_energy`` refuses one that is not within ENERGY_RTOL of the arm's
 exact energy, naming the whole grid: the setup gates I_t when it is built,
 a scan gates I_r.
@@ -73,9 +74,11 @@ class CorrelatorSetup:
     step over it is refused, naming ``numerics.n_x`` or ``numerics.n_xp``,
     before anything is sampled.
 
-    ``rows`` is the slice of gx nodes that the test arm is sampled on: the
-    nodes whose cells meet h_t's support, with one node of margin on each
-    side (so its end nodes have h_t = 0 unless they are gx's), and every
+    ``run`` is the run of gx nodes that the test arm is sampled on, as a
+    Grid1D: the nodes whose cells meet h_t's support, with one node of
+    margin on each side (so its end nodes have h_t = 0 unless they are
+    gx's, and the run's own trapezoid weights are gx's wherever h_t is
+    nonzero, to the ulps of its step; see :meth:`Grid1D.run`), and every
     node where h_t has no support.  An end of the support beyond gx, even
     an infinite one, is clipped to gx's end.
 
@@ -86,7 +89,7 @@ class CorrelatorSetup:
     neighbour (a grid needs two nodes; there u = 0).  An all-zero u gives
     window None and an empty v.  Both are computed when the setup is built,
     and every scan point and every reference arm shares them.  So is
-    ``i_t``, the test-arm energy I_t over gx's ``rows`` at x_t, refused by
+    ``i_t``, the test-arm energy I_t over the ``run`` at x_t, refused by
     ``gated_energy`` unless gx captures the arm; it is computed after u, so
     an x_t beyond the x grid's Nyquist limit is refused first.
     """
@@ -96,7 +99,7 @@ class CorrelatorSetup:
     gx: Grid1D
     gxp: Grid1D
     x_t: float = 0.0
-    rows: slice = field(init=False, repr=False, compare=False)
+    run: Grid1D = field(init=False, repr=False, compare=False)
     window: Grid1D | None = field(init=False, repr=False, compare=False)
     v: np.ndarray = field(init=False, repr=False, compare=False)
     i_t: float = field(init=False, repr=False, compare=False)
@@ -114,16 +117,15 @@ class CorrelatorSetup:
                     f"entanglement width {width:g} mm and does not resolve the ridge; "
                     f"raise numerics.{key}"
                 )
-        object.__setattr__(self, "rows", self._support_rows())
+        object.__setattr__(self, "run", self._support_run())
         window, v = self._window(self.inner_integral())
         object.__setattr__(self, "window", window)
         object.__setattr__(self, "v", v)
-        run = self.gx.run(self.rows.start, self.rows.stop)
-        i_t = gated_energy(self.h_t, self.x_t, self.gx, "test-arm", "n_x", run)
+        i_t = gated_energy(self.h_t, self.x_t, self.gx, "test-arm", "n_x", self.run)
         object.__setattr__(self, "i_t", i_t)
 
-    def _support_rows(self) -> slice:
-        """``rows``, widened to two nodes where fewer meet the support."""
+    def _support_run(self) -> Grid1D:
+        """``run``, widened to two nodes where fewer meet the support."""
         n = self.gx.n_points
         # the support's ends [a, b] as k_a, k_b gx steps from gx.lo: node i's
         # cell meets them where k_a - 1/2 < i < k_b + 1/2, and the node just
@@ -133,19 +135,18 @@ class CorrelatorSetup:
         ends = np.clip([np.floor(k[0] - 0.5), np.ceil(k[1] + 0.5) + 1.0], 0, n)
         i0, i1 = ends.astype(int).tolist()
         i0 = min(i0, n - 2)
-        return slice(i0, max(i1, i0 + 2))
+        return self.gx.run(i0, max(i1, i0 + 2))
 
     def inner_integral(self) -> np.ndarray:
         """u(x') = int dx phi(x, x') h_t(x_t, x), sampled on gxp.
 
         Only the run of gx nodes on the object's support is sampled, with
-        gx's trapezoid weights, and only its nonzero rows contribute, which
-        makes compact objects cheap, and a Gaussian source only within its
-        ridge band.
+        the run's trapezoid weights, and only its nonzero rows contribute,
+        which makes compact objects cheap, and a Gaussian source only within
+        its ridge band.
         """
-        run = self.gx.run(self.rows.start, self.rows.stop)
-        left = self.gx.trapezoid_weights()[self.rows] * self.h_t.sample_in(self.x_t, run)
-        return self.state.reduce(left, run, self.gxp)
+        left = self.run.trapezoid_weights() * self.h_t.sample_in(self.x_t, self.run)
+        return self.state.reduce(left, self.run, self.gxp)
 
     def _window(self, u: np.ndarray) -> tuple:
         nz = np.flatnonzero(u)

@@ -16,13 +16,13 @@ over each grid cell, which integrates them exactly), and the reference arm
 is applied to a vector on the x' grid (``apply_in``).  The reference arm
 asks the pupil for P at the uniform grid of pupil arguments in two forms
 only, applied to a vector (``Pupil.apply``, with the two chirps folded
-out) and in the energy quadrature (``Pupil.abs2_sum``).  The rect and
-Gaussian pupils apply a real block of P.  The rect pupil forms P by angle
-addition from each row's nearest node: its block from a per-grid table,
-with the rows' anchors formed once per call, and its energy row from
-about 2 sqrt(n) sines and cosines of split angles.  The Gaussian pupil
-samples P pointwise, and a tabulated pupil works in its own plane, as sums
-over its table nodes.
+out) and in the energy quadrature (``Pupil.abs2_sum``); a pupil has no
+other grid hook.  The rect and Gaussian pupils apply a real block of P.
+The rect pupil forms P by angle addition from each row's nearest node: its
+block from a table built once per ``apply`` call, with the rows' anchors
+formed once per call, and its energy row from about 2 sqrt(n) sines and
+cosines of split angles.  The Gaussian pupil samples P pointwise, and a
+tabulated pupil works in its own plane, as sums over its table nodes.
 Pointwise ``evaluate`` keeps the sharp-edged definition.
 Transmissions, pupils and arms carry their exact energies, which scans
 check their arm-energy quadratures against, and compact objects and their
@@ -32,7 +32,6 @@ test arms the interval outside which they vanish.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -217,28 +216,17 @@ class Pupil:
     ``apply(grid, offset, scale, z)`` = sum_j P(u_j) z_j, and in its energy
     quadrature, ``abs2_sum(grid, offset, scale, c)`` =
     c sum_j w_j |P(u_j)|^2 with the grid's trapezoid weights w_j; both
-    return one value per offset.  ``ft_grid(grid, offset, scale)`` is the
-    block P(u_j), one row per offset: shape offset.shape + (grid.n_points,).
-    The rect and Gaussian pupils apply their real block
-    (:func:`_apply_real`) and sum |P|^2 over a row, the rect pupil's formed
-    by angle addition (:func:`rect_pupil`); a tabulated pupil works in its
-    own plane.
+    return one value per offset; these are the pupil's only grid hooks.
+    The rect and Gaussian pupils apply their real block of P(u_j), one row
+    per offset (:func:`_apply_real`), and sum |P|^2 over a row, the rect
+    pupil's formed by angle addition (:func:`rect_pupil`); a tabulated
+    pupil works in its own plane.
     """
 
     ft: Callable[[np.ndarray], np.ndarray]
     energy: float
-    ft_grid: Callable = field(repr=False)
     apply: Callable = field(repr=False)
     abs2_sum: Callable = field(repr=False)
-
-
-def _pointwise(ft) -> Callable:
-    """ft_grid from the pointwise transform, with the argument formed from
-    the grid samples: near P's peak offset + x_j cancels exactly, whereas
-    u0 + j du would carry the rounding of u0 (up to 3e-13 of max |P| for a
-    10 mm rect pupil on the default x' grid).  The rect pupil's table keeps
-    that cancellation by anchoring each row at its nearest node."""
-    return lambda g, offset, scale: ft(np.add.outer(offset, g.samples()) / scale)
 
 
 def _apply_real(rows, offset, width: int, z) -> np.ndarray:
@@ -271,10 +259,10 @@ def rect_pupil(D: float) -> Pupil:
 
     The block, one row per offset, is
     D (sin a_r cos b_k + cos a_r sin b_k) / (a_r + b_k), with b_k, cos b_k
-    and sin b_k from a table built once per (grid, scale); ``apply`` forms
-    j_r, a_r, D sin a_r and D cos a_r for all its offsets at once, and each
-    run of rows only gathers its table windows.  The energy quadrature has
-    one row and no table: with q = ceil(sqrt(n)), j = q m + r and
+    and sin b_k from a table that ``apply`` builds once per call, when it
+    forms j_r, a_r, D sin a_r and D cos a_r for all its offsets at once;
+    each run of rows only gathers its table windows.  The energy quadrature
+    has one row and no table: with q = ceil(sqrt(n)), j = q m + r and
     j_r = q m_r + r_r, a_r + b_k = A_m + beta_r for A_m = a_r + c h q (m - m_r)
     and beta_r = c h (r - r_r), whose sines and cosines, 2 (q + ceil(n / q))
     of them, give sin(a_r + b_k) by two outer products.  At j = j_r,
@@ -285,12 +273,6 @@ def rect_pupil(D: float) -> Pupil:
     def ft(u):
         return D * np.sinc(D * np.asarray(u, dtype=float))
 
-    @lru_cache(maxsize=1)
-    def table(g, scale):
-        """_angle_table's b_k, cos b_k and sin b_k, each as its windows of
-        n entries (window i starts at k = i + 1 - n)."""
-        return [sliding_window_view(t, g.n_points) for t in _angle_table(g, np.pi * D / scale)]
-
     def anchors(g, offset, scale):
         """j_r and a_r for each of the flattened offsets."""
         o = np.asarray(offset, dtype=float).ravel()
@@ -299,12 +281,12 @@ def rect_pupil(D: float) -> Pupil:
         jr = np.fmax(np.fmin(np.rint((-o - g.lo) / g.step), g.n_points - 1), 0).astype(np.intp)
         return jr, (np.pi * D / scale) * (o + (g.lo + g.step * jr))
 
-    def block(g, scale, jr, a, dsin, dcos):
+    def block(g, table, jr, a, dsin, dcos):
         """The rows at anchors j_r and a_r, given D sin a_r and D cos a_r."""
         # b_k, cos b_k and sin b_k at each row's k, gathered by fancy
         # indexing (np.take would copy all n windows), then turned in place
         # into a + b and D sin(a + b)
-        den, num, term = (t[g.n_points - 1 - jr] for t in table(g, scale))
+        den, num, term = (t[g.n_points - 1 - jr] for t in table)
         num *= dsin[:, np.newaxis]
         term *= dcos[:, np.newaxis]
         num += term
@@ -315,16 +297,14 @@ def rect_pupil(D: float) -> Pupil:
         num[peak, jr[peak]] = D
         return num
 
-    def ft_grid(g, offset, scale):
-        jr, a = anchors(g, offset, scale)
-        rows = block(g, scale, jr, a, D * np.sin(a), D * np.cos(a))
-        return rows.reshape(np.shape(offset) + (g.n_points,))
-
     def apply(g, offset, scale, z):
         jr, a = anchors(g, offset, scale)
         rows = (jr, a, D * np.sin(a), D * np.cos(a))
+        # _angle_table's b_k, cos b_k and sin b_k, each as its windows of n
+        # entries (window i starts at k = i + 1 - n)
+        table = [sliding_window_view(t, g.n_points) for t in _angle_table(g, np.pi * D / scale)]
         index = np.arange(jr.size).reshape(np.shape(offset))
-        return _apply_real(lambda i: block(g, scale, *(r[i] for r in rows)), index, g.n_points, z)
+        return _apply_real(lambda i: block(g, table, *(r[i] for r in rows)), index, g.n_points, z)
 
     def abs2_sum(g, offset, scale, c):
         (jr,), (a,) = anchors(g, offset, scale)
@@ -345,7 +325,7 @@ def rect_pupil(D: float) -> Pupil:
         s *= s
         return float(np.dot(g.trapezoid_weights(), s) * (c * D * D))
 
-    return Pupil(ft, D, ft_grid, apply, abs2_sum)
+    return Pupil(ft, D, apply, abs2_sum)
 
 
 def gaussian_pupil(sigma: float) -> Pupil:
@@ -361,7 +341,13 @@ def gaussian_pupil(sigma: float) -> Pupil:
         u = np.asarray(u, dtype=float)
         return sigma * np.sqrt(np.pi) * np.exp(-np.pi**2 * sigma**2 * u**2)
 
-    row = _pointwise(ft)
+    def row(g, offset, scale):
+        """P at u_j, one row per offset, its argument formed from the grid
+        samples: near P's peak offset + x_j cancels exactly, whereas
+        u0 + j du would carry the rounding of u0 (up to 3e-13 of max |P| for
+        a 10 mm rect pupil on the default x' grid).  The rect pupil's table
+        keeps that cancellation by anchoring each row at its nearest node."""
+        return ft(np.add.outer(offset, g.samples()) / scale)
 
     def apply(g, offset, scale, z):
         return _apply_real(lambda o: row(g, o, scale), offset, g.n_points, z)
@@ -369,7 +355,7 @@ def gaussian_pupil(sigma: float) -> Pupil:
     def abs2_sum(g, offset, scale, c):
         return float(np.dot(g.trapezoid_weights(), c * np.abs(row(g, offset, scale)) ** 2))
 
-    return Pupil(ft, sigma * np.sqrt(np.pi / 2.0), row, apply, abs2_sum)
+    return Pupil(ft, sigma * np.sqrt(np.pi / 2.0), apply, abs2_sum)
 
 
 def tabulated_pupil(grid: Grid1D, values: np.ndarray) -> Pupil:
@@ -384,8 +370,7 @@ def tabulated_pupil(grid: Grid1D, values: np.ndarray) -> Pupil:
     Z_k = sum_j z_j exp(-2 pi i xi_k x_j / s) formed once for every o.
     Its energy quadrature is sum_j w_j |P(u_j)|^2 = sum_m c_m K_m, with c_m
     the autocorrelation of a and K_m the trapezoid sum of
-    exp(-2 pi i u_j h m) over the grid in closed form.  Its block
-    ``ft_grid``, which no quadrature takes, is the pointwise transform.
+    exp(-2 pi i u_j h m) over the grid in closed form.
     """
     values = np.asarray(values, dtype=complex)
     if values.shape != (grid.n_points,):
@@ -422,7 +407,7 @@ def tabulated_pupil(grid: Grid1D, values: np.ndarray) -> Pupil:
         return c * (g.step * (2.0 * terms.real.sum() - terms[0].real))
 
     energy = float(np.vdot(wv, wv).real) / grid.step
-    return Pupil(ft, energy, _pointwise(ft), apply, abs2_sum)
+    return Pupil(ft, energy, apply, abs2_sum)
 
 
 def load_pupil_csv(path) -> Pupil:

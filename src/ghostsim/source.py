@@ -125,7 +125,9 @@ def _norm_integral(state: TwoPhotonState, gx: Grid1D, gxp: Grid1D) -> float:
 def _check_support_coverage(state: TwoPhotonState, gx: Grid1D, gxp: Grid1D) -> None:
     x = gx.samples()
     xp = gxp.samples()
-    # sample the four boundary lines and the diagonal through the bulk
+    # sample the four boundary lines, and for the peak the diagonal through
+    # the bulk and the line x' = x over the grids' overlap, where the ridge
+    # peaks whether or not the grids share a centre
     edges = [
         np.abs(state.evaluate(np.full_like(xp, gx.lo), xp)),
         np.abs(state.evaluate(np.full_like(xp, gx.hi), xp)),
@@ -134,7 +136,9 @@ def _check_support_coverage(state: TwoPhotonState, gx: Grid1D, gxp: Grid1D) -> N
     ]
     edge_peak = max(float(e.max()) for e in edges)
     bulk = np.abs(state.evaluate(x, np.linspace(gxp.lo, gxp.hi, x.size)))
-    peak = float(bulk.max())
+    lo, hi = max(gx.lo, gxp.lo), min(gx.hi, gxp.hi)
+    s = np.linspace(lo, hi, x.size if lo <= hi else 0)
+    peak = max(float(bulk.max()), float(np.abs(state.evaluate(s, s)).max(initial=0.0)))
     if peak == 0.0:
         return  # zero norm is reported separately
     if edge_peak**2 > EDGE_FRACTION * peak**2:

@@ -8,7 +8,9 @@ from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
-from ghostsim import validate
+import numpy as np
+
+from ghostsim import optics, validate
 from ghostsim.correlator import amplitude, arm_energy, coincidence_statistics
 from ghostsim.optics import ImpulseResponse
 
@@ -25,6 +27,34 @@ def scaled_arm(h: ImpulseResponse, c: complex) -> ImpulseResponse:
         _sample_in=sample_in and (lambda x_out, grid: c * sample_in(x_out, grid)),
         _apply_in=apply_in and (lambda x_out, grid, v: c * apply_in(x_out, grid, v)),
     )
+
+
+def applied_runs(patch, pupil, g, offset, scale, z=None) -> tuple:
+    """(pupil.apply(g, offset, scale, z), runs): the value, and the list of
+    real row blocks that ``apply`` handed to ``optics._apply_real``, one per
+    run of offsets, which are exactly the rows the amplitude multiplies
+    (none for a pupil that does not apply a real block).  z defaults to
+    zeros; ``patch`` is ``monkeypatch``."""
+    runs, apply_real = [], optics._apply_real
+
+    def capture(rows, *args):
+        def kept(o):
+            runs.append(rows(o))
+            return runs[-1]
+
+        return apply_real(kept, *args)
+
+    z = np.zeros(g.n_points, dtype=complex) if z is None else z
+    with patch.context() as m:
+        m.setattr(optics, "_apply_real", capture)
+        value = pupil.apply(g, offset, scale, z)
+    return value, runs
+
+
+def pupil_block(patch, pupil, g, offset, scale) -> np.ndarray:
+    """The real block that ``pupil.apply(g, offset, scale, z)`` multiplies
+    into z, one row per offset: shape (size of offset, g.n_points)."""
+    return np.concatenate(applied_runs(patch, pupil, g, offset, scale)[1])
 
 
 def statistics_at(setup, h_r: ImpulseResponse, x_r: float) -> SimpleNamespace:

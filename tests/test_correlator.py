@@ -18,6 +18,7 @@ from ghostsim import (
     ScanConfig,
     TwoPhotonState,
     amplitude,
+    aperture_sweep,
     arm_energy,
     build_setup,
     coincidence_statistics,
@@ -501,9 +502,10 @@ def test_one_row_blocks_take_the_rect_table(monkeypatch):
 
 
 def test_a_fig2_scan_builds_one_angle_table(monkeypatch):
-    # the amplitude over the reference window takes the rect pupil's table;
+    # the amplitude over the reference window takes the rect pupil's table,
+    # built once per apply call, not once per run of its 23 runs of rows;
     # the four I_r probes on the whole x' grid split their row's angles by
-    # sqrt(n) and build none
+    # sqrt(n) and build none.  A 5-aperture sweep builds one per aperture
     calls, angle_table = [], optics._angle_table
 
     def counted(g, c):
@@ -511,9 +513,14 @@ def test_a_fig2_scan_builds_one_angle_table(monkeypatch):
         return angle_table(g, c)
 
     monkeypatch.setattr(optics, "_angle_table", counted)
-    config = build_scan_config(load_config(preset_path("fig2")))
+    cfg = load_config(preset_path("fig2"))
+    config = build_scan_config(cfg)
     scan_reference(config)
     assert calls == [config.setup.window]
+    calls.clear()
+    lam, f = cfg["reference_arm"]["lambda_nm"] * 1e-6, cfg["reference_arm"]["f_mm"]
+    aperture_sweep(config, [2.0, 4.0, 6.0, 8.0, 10.0], lam, f)
+    assert calls == [config.setup.window] * 5
 
 
 def _trig_calls(monkeypatch, names=("sin", "cos")):
@@ -649,11 +656,11 @@ def test_support_run_matches_every_node(case):
         setup, _ = tabulated_object_setup()
     else:
         setup = _straddling_slit_setup()
-        assert setup.rows.start == 0
+        assert setup.run.lo == setup.gx.lo
     # a copy whose test arm samples every gx node
     full = replace(setup, h_t=replace(setup.h_t, support=None))
-    assert full.rows == slice(0, setup.gx.n_points)
-    assert 2 < setup.rows.stop - setup.rows.start < setup.gx.n_points
+    assert full.run == setup.gx
+    assert 2 < setup.run.n_points < setup.gx.n_points
     u, u_full = setup.inner_integral(), full.inner_integral()
     assert np.abs(u_full).max() > 0.0
     assert np.abs(u - u_full).max() <= 1e-15 * np.abs(u_full).max()
@@ -678,8 +685,13 @@ def test_fig2_setup_samples_the_object_on_its_support_run():
     setup = replace(scan.setup, h_t=h_t)
     assert nodes == [4303, 4303]
     tv = t.cell_mean(setup.gx.samples(), setup.gx.step)
-    rows = setup.rows
-    # the run is tight: zero end nodes, each next to a node on the support
+    run = setup.run
+    assert run.n_points == 4303
+    # the run is gx's nodes i0..i1-1, and tight: zero end nodes, each next
+    # to a node on the support
+    i0 = round((run.lo - setup.gx.lo) / setup.gx.step)
+    rows = slice(i0, i0 + run.n_points)
+    np.testing.assert_array_equal(run.samples(), setup.gx.samples()[rows])
     assert tv[rows.start] == tv[rows.stop - 1] == 0.0
     assert tv[rows.start + 1] > 0.0 and tv[rows.stop - 2] > 0.0
     assert np.count_nonzero(tv[rows]) == np.count_nonzero(tv)

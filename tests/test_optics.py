@@ -22,6 +22,7 @@ from ghostsim import (
     gaussian_transmission,
     gaussian_wavefunction,
     make_grid,
+    optics,
     rect_pupil,
     tabulated_pupil,
     tabulated_transmission,
@@ -35,7 +36,7 @@ from ghostsim.analytic import (
 )
 from ghostsim.optics import _BLOCK_ENTRIES, _angle_table
 from ghostsim.validate import rect_energy_grid
-from helpers import scaled_arm
+from helpers import applied_runs, pupil_block, scaled_arm
 
 LAM = 650e-6
 F = 100.0
@@ -237,24 +238,17 @@ def test_two_f_arm_grid_sampler_matches_pointwise_kernel(kind):
                 assert abs(h.energy_in(x, g) - np.dot(w, np.abs(row) ** 2)) <= 1e-13 * h.energy
 
 
-def test_pupil_grid_transform_matches_pointwise_transform():
-    # the tabulated and Gaussian pupils have no grid path of their own:
-    # their blocks are the pointwise transform.  The rect pupil's table is
-    # checked against the sinc below
-    p = _chirped_table_pupil()
-    for g in SAMPLER_GRIDS[:2]:
-        for offset in SAMPLER_OFFSETS:
-            got = p.ft_grid(g, offset, 2.0 * LF)
-            assert got.shape == np.shape(offset) + (g.n_points,)
-            ref = p.ft((np.expand_dims(offset, -1) + g.samples()) / (2.0 * LF))
-            np.testing.assert_array_equal(got, ref)
-    g = SAMPLER_GRIDS[1]
+def test_pupil_grid_transform_matches_pointwise_transform(monkeypatch):
+    # the Gaussian pupil has no grid path of its own: the block its apply
+    # multiplies is the pointwise transform, bit for bit.  The rect pupil's
+    # table is checked against the sinc below
     pupil = gaussian_pupil(1.5)
-    for offset in (0.4, np.array([-0.4, 0.0, 0.4])):
-        np.testing.assert_array_equal(
-            pupil.ft_grid(g, offset, 2.0 * LF),
-            pupil.ft((np.expand_dims(offset, -1) + g.samples()) / (2.0 * LF)),
-        )
+    for g in SAMPLER_GRIDS[:2]:
+        for offset in SAMPLER_OFFSETS + (0.4, np.array([-0.4, 0.0, 0.4])):
+            got = pupil_block(monkeypatch, pupil, g, offset, 2.0 * LF)
+            assert got.shape == (np.size(offset), g.n_points)
+            ref = pupil.ft(np.add.outer(np.atleast_1d(offset), g.samples()) / (2.0 * LF))
+            np.testing.assert_array_equal(got, ref)
 
 
 # the fig2 reference window on the default x' grid: nodes exactly lo + j h
@@ -266,15 +260,15 @@ OFF_LATTICE_GRIDS = (SAMPLER_GRIDS[0], SAMPLER_GRIDS[1], make_grid(0.0, 8.3, 163
 
 
 @pytest.mark.parametrize("D", [2.0, 10.0])
-def test_rect_block_from_the_table_matches_the_sinc(D):
-    # the peak -offset inside the grid, beyond it (the row's anchor node
-    # clipped to an end) and on nodes; a scalar offset, a one-row list and
-    # an on-node scalar take the table too.  On the lattice grids the block
-    # is within 1e-15 D of the sinc at the samples, and exactly D on nodes.
-    # Off them the table works at the nodes lo + j h, which the samples
-    # round: against P there in long double, its largest error over a
-    # grid's inputs is at most the pointwise sinc's at the samples, plus
-    # 1e-15 D
+def test_rect_block_from_the_table_matches_the_sinc(D, monkeypatch):
+    # the block that apply multiplies, at the peak -offset inside the grid,
+    # beyond it (the row's anchor node clipped to an end) and on nodes; a
+    # scalar offset, a one-row list and an on-node scalar take the table
+    # too.  On the lattice grids the block is within 1e-15 D of the sinc at
+    # the samples, and exactly D on nodes.  Off them the table works at the
+    # nodes lo + j h, which the samples round: against P there in long
+    # double, its largest error over a grid's inputs is at most the
+    # pointwise sinc's at the samples, plus 1e-15 D
     p = rect_pupil(D)
     c = np.pi * D / (2.0 * LF)
     for g in LATTICE_GRIDS + OFF_LATTICE_GRIDS:
@@ -287,13 +281,13 @@ def test_rect_block_from_the_table_matches_the_sinc(D):
         nodes = np.array([0, 5, j, g.n_points - 1])
         offsets = np.concatenate([np.linspace(-0.8, 0.8, 37), [-9.0, -0.9, 0.9, 9.0], -x[nodes]])
         inputs = (offsets, 0.4, [0.4], -x[j])
-        blocks = [p.ft_grid(g, offset, 2.0 * LF) for offset in inputs]
+        blocks = [pupil_block(monkeypatch, p, g, offset, 2.0 * LF) for offset in inputs]
         if on_lattice:
             np.testing.assert_array_equal(blocks[0][-nodes.size :][np.arange(nodes.size), nodes], D)
-            assert blocks[-1][j] == D
+            assert blocks[-1][0, j] == D
         table_err = sinc_err = 0.0
         for offset, got in zip(inputs, blocks):
-            assert got.shape == np.shape(offset) + (g.n_points,) and got.dtype == np.float64
+            assert got.shape == (np.size(offset), g.n_points) and got.dtype == np.float64
             ref = p.ft(np.add.outer(offset, x) / (2.0 * LF))
             if on_lattice:
                 assert np.abs(got - ref).max() <= 1e-15 * D
@@ -310,27 +304,32 @@ def test_rect_block_from_the_table_matches_the_sinc(D):
         assert table_err <= (0.0 if on_lattice else sinc_err) + 1e-15 * D
 
 
-def test_rect_table_block_allocates_rows_not_the_square():
+def test_rect_table_block_allocates_rows_not_the_square(monkeypatch):
     # the whole default x' grid, where the table's n x n windows would be
-    # 2.1 GB if a gather copied them all
+    # 2.1 GB if a gather copied them all; apply builds the table, three
+    # arrays of 2n - 1 entries, besides the rows it applies
     g = make_grid(0.0, 8.0, 16385)
     p = rect_pupil(10.0)
     offsets = np.linspace(-1.0, 1.0, 4)
-    p.ft_grid(g, offsets, 2.0 * LF)  # builds the cached table
+    z = np.zeros(g.n_points, dtype=complex)
     tracemalloc.start()
     try:
-        block = p.ft_grid(g, offsets, 2.0 * LF)
+        runs = applied_runs(monkeypatch, p, g, offsets, 2.0 * LF, z)[1]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * block.nbytes
+    block = np.concatenate(runs)
+    assert block.shape == (offsets.size, g.n_points)
+    assert peak <= 4 * block.nbytes + 3 * (2 * g.n_points - 1) * block.itemsize
 
 
 @pytest.mark.parametrize("D", [2.0, 10.0])
-def test_rect_apply_runs_the_block_of_ft_grid(D):
+def test_rect_apply_runs_the_block_of_ft_grid(D, monkeypatch):
     # a fig2 window and 201 offsets, 23 runs of 9 rows: apply forms every
-    # row's anchor once, then each run's rows by ft_grid's block function,
-    # so that each run's (re, im) product is ft_grid's bit for bit
+    # row's anchor and the table once, then each run's rows by one block
+    # function, so that the runs stack bit for bit to the block of a single
+    # run of all 201 rows, and apply's value is each run's (re, im) product
+    # with that block
     p = rect_pupil(D)
     offsets = np.linspace(-2.0, 2.0, 201)
     run = _BLOCK_ENTRIES // FIG2_WINDOW.n_points
@@ -338,9 +337,13 @@ def test_rect_apply_runs_the_block_of_ft_grid(D):
     n = FIG2_WINDOW.n_points
     z = np.linspace(1.0, 2.0, n) * np.exp(1j * np.linspace(0.0, 40.0, n))
     zz = z.view(float).reshape(-1, 2)
-    block = p.ft_grid(FIG2_WINDOW, offsets, 2.0 * LF)
-    runs = [(block[i : i + run] @ zz).view(complex)[:, 0] for i in range(0, offsets.size, run)]
-    np.testing.assert_array_equal(p.apply(FIG2_WINDOW, offsets, 2.0 * LF, z), np.concatenate(runs))
+    got, runs = applied_runs(monkeypatch, p, FIG2_WINDOW, offsets, 2.0 * LF, z)
+    assert [r.shape for r in runs] == [(run, n)] * 22 + [(offsets.size - 22 * run, n)]
+    monkeypatch.setattr(optics, "_BLOCK_ENTRIES", offsets.size * n)
+    (block,) = applied_runs(monkeypatch, p, FIG2_WINDOW, offsets, 2.0 * LF, z)[1]
+    np.testing.assert_array_equal(np.concatenate(runs), block)
+    products = [(block[i : i + run] @ zz).view(complex)[:, 0] for i in range(0, offsets.size, run)]
+    np.testing.assert_array_equal(got, np.concatenate(products))
 
 
 # the sampler grids, +/- 8.3 mm, whose samples round the nodes lo + j h,
@@ -412,19 +415,23 @@ def test_one_amplitude_call_builds_the_table_sums_once():
     np.testing.assert_array_equal(got, amplitude(setup, two_f_arm(LAM, F, p), x_r))
 
 
-def test_analytic_pupil_transforms_are_real():
+def test_analytic_pupil_transforms_are_real(monkeypatch):
     # and their apply multiplies the real block into z's (re, im) columns,
-    # bit for bit: the block is never cast to complex
+    # bit for bit: the block is never cast to complex.  A tabulated pupil's
+    # transform is complex, and its apply hands no real block on
     g = SAMPLER_GRIDS[1]
     z = np.exp(1j * np.linspace(0.0, 3.0, g.n_points))
     offsets = np.linspace(-0.4, 0.4, 3)
     for pupil in (rect_pupil(10.0), gaussian_pupil(1.5)):
         assert pupil.ft(np.array([0.0, 0.3])).dtype == np.float64
-        block = pupil.ft_grid(g, offsets, 2.0 * LF)
+        got, runs = applied_runs(monkeypatch, pupil, g, offsets, 2.0 * LF, z)
+        (block,) = runs
         assert block.dtype == np.float64
         product = (block @ z.view(float).reshape(-1, 2)).view(complex)[:, 0]
-        np.testing.assert_array_equal(pupil.apply(g, offsets, 2.0 * LF, z), product)
-    assert _chirped_table_pupil().ft_grid(g, 0.4, 2.0 * LF).dtype == np.complex128
+        np.testing.assert_array_equal(got, product)
+    table = _chirped_table_pupil()
+    assert table.ft(0.4).dtype == np.complex128
+    assert applied_runs(monkeypatch, table, g, offsets, 2.0 * LF, z)[1] == []
 
 
 def _table(n, kind, rng):

@@ -130,6 +130,26 @@ def test_truncation_error_on_narrow_window():
     small = make_grid(0.0, 1.0, 257)
     with pytest.raises(TruncationError):
         normalize(state, small, small)
+    # off-centre grids that cut the state in x, then in x', are refused too
+    state = gaussian_wavefunction(1.0, 0.2)
+    for gx, gxp in [
+        (make_grid(1.0, 2.0, 1025), make_grid(-0.5, 5.0, 2049)),
+        (make_grid(1.0, 6.0, 1025), make_grid(2.0, 3.5, 2049)),
+    ]:
+        with pytest.raises(TruncationError, match="not negligible at the grid boundary"):
+            normalize(state, gx, gxp)
+
+
+def test_normalize_finds_the_ridge_peak_on_off_centre_grids():
+    # grids of different centres: the corner-to-corner line through the
+    # bulk misses the ridge x = x', whose peak the edges are then compared
+    # with; these hold |phi|^2 to e^-40 of its peak at their edges, and
+    # give the c_norm of centred grids
+    state = gaussian_wavefunction(1.0, 0.2)
+    centred = normalize(state, make_grid(0.0, 6.0, 1025), make_grid(0.0, 5.0, 2049))
+    moved = normalize(state, make_grid(1.0, 6.0, 1025), make_grid(-0.5, 5.0, 2049))
+    assert moved.c_norm == pytest.approx(centred.c_norm, rel=1e-12, abs=0.0)
+    assert moved.extent == ((-5.0, 7.0), (-5.5, 4.5))
 
 
 def tabulated(g, values):
