@@ -17,27 +17,29 @@ setup samples h_t only on the run of x nodes that meets the object's
 support (every node for an object without one), with the run's own
 trapezoid weights, which are the x grid's (to the ulps of the run's step)
 wherever h_t is nonzero.  On the grids the amplitudes of a whole scan are
-one ``ImpulseResponse.apply_in`` call, h_r(x_r, x'_j) applied to v = w u:
+one call of h_r's ``apply_in`` hook, h_r(x_r, x'_j) applied to v = w u:
 the 2f arm folds its chirps out and leaves the sum over P to the pupil,
 which takes the x_r rows in blocks of bounded size (a rect or Gaussian
 pupil) or sums over its own table (a tabulated one).  I_r integrates over
 the whole x' grid and I_t over the run, where h_t vanishes beyond it, and
 ``gated_energy`` refuses one that is not within ENERGY_RTOL of the arm's
 exact energy, naming the whole grid: the setup gates I_t when it is built,
-a scan gates I_r.
+a scan gates I_r.  The ridge rule's RIDGE_STEPS and its check live in
+:mod:`ghostsim.source`, which :func:`ghostsim.source.normalize` shares;
+RIDGE_STEPS is imported here so that ``ghostsim.correlator.RIDGE_STEPS``
+still names it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import log, pi, sqrt
 
 import numpy as np
 
 from .errors import InvalidArgumentError, NormalizationViolationError, NumericDomainError
 from .grid import Grid1D
 from .optics import ImpulseResponse
-from .source import TwoPhotonState
+from .source import RIDGE_STEPS, TwoPhotonState, check_ridge_step
 
 __all__ = [
     "CorrelatorSetup",
@@ -54,11 +56,6 @@ RADICAND_CLAMP = 1e-12
 # largest relative offset of an arm-energy quadrature from the arm's exact
 # energy: <S^2> = G2 I_t I_r carries the offset into Delta G2 and the SNR
 ENERGY_RTOL = 1e-2
-
-# on a lattice of step h the trapezoid sum of the ridge exp(-d^2 / b^2) is
-# off its integral by at most 2 exp(-pi^2 b^2 / h^2), at any offset (Poisson
-# summation); a step of at most RIDGE_STEPS * b keeps that below 1e-6
-RIDGE_STEPS = pi / sqrt(log(2.0 / 1e-6))
 
 
 @dataclass(frozen=True)
@@ -111,12 +108,7 @@ class CorrelatorSetup:
         for g, (lo, hi), key in zip((self.gx, self.gxp), self.state.extent, ("n_x", "n_xp")):
             if g.lo > lo or g.hi < hi:
                 raise InvalidArgumentError("quadrature grids must cover the state's extent")
-            if g.step > RIDGE_STEPS * width:
-                raise InvalidArgumentError(
-                    f"the grid step {g.step:.4g} mm exceeds {RIDGE_STEPS:.3g} of the "
-                    f"entanglement width {width:g} mm and does not resolve the ridge; "
-                    f"raise numerics.{key}"
-                )
+            check_ridge_step(g, width, "entanglement width", f"raise numerics.{key}")
         object.__setattr__(self, "run", self._support_run())
         window, v = self._window(self.inner_integral())
         object.__setattr__(self, "window", window)

@@ -1,8 +1,10 @@
-"""Uniform 1-D grids, composite trapezoid weights and the banded row reduction.
+"""Uniform 1-D grids, the composite trapezoid rule and the banded row reduction.
 
-Every 1-D integral in the package is a dot product with a grid's trapezoid
-weights; the one 2-D quadrature, over the ridge R(x - x') of the two-photon
-state, is :func:`reduce_rows`.  Grids are closed intervals whose step is
+Every 1-D integral in the package is a grid's :meth:`Grid1D.integrate`, a
+numpy sum with no BLAS call, so its bits do not depend on a BLAS thread
+pool; the trapezoid weights serve where a weighted vector is needed.  The
+one 2-D quadrature, over the ridge R(x - x') of the two-photon state, is
+:func:`reduce_rows`.  Grids are closed intervals whose step is
 defined by ``n_points - 1`` panels.  The reduction runs over segments of
 nonzero rows and leaves every column farther than the ridge band from them
 exactly 0; on grids whose steps are in a small integer ratio a segment is
@@ -73,6 +75,12 @@ class Grid1D:
         w[0] *= 0.5
         w[-1] *= 0.5
         return w
+
+    def integrate(self, values: np.ndarray) -> float | complex:
+        """Trapezoid sum of values (real or complex) at the nodes, as one
+        numpy reduction: no weight vector, and no BLAS call whose result
+        would depend on how its thread pool splits the sum."""
+        return self.step * (np.sum(values) - 0.5 * (values[0] + values[-1]))
 
     def run(self, i0: int, i1: int) -> Grid1D:
         """Nodes i0..i1-1 (at least two) as a grid, the grid itself when

@@ -9,20 +9,23 @@ with P the Fourier transform of p under the exp(-2 pi i u x) kernel:
     h_r(x_r, x') = (1 / (4 lam^2 f^2)) P((x_r + x') / (2 lam f))
                    * exp(i pi (x_r^2 + x'^2) / (2 lam f))
 
-Quadratures reach arms only through one grid hook per role, and the
-energy quadrature: the test arm is sampled on the x grid (``sample_in``,
-reading a transmission's ``cell_mean`` where it has one: slits averaged
-over each grid cell, which integrates them exactly), and the reference arm
-is applied to a vector on the x' grid (``apply_in``).  The reference arm
-asks the pupil for P at the uniform grid of pupil arguments in two forms
-only, applied to a vector (``Pupil.apply``, with the two chirps folded
-out) and in the energy quadrature (``Pupil.abs2_sum``); a pupil has no
-other grid hook.  The rect and Gaussian pupils apply a real block of P.
-The rect pupil forms P by angle addition from each row's nearest node: its
-block from a table built once per ``apply`` call, with the rows' anchors
-formed once per call, and its energy row from about 2 sqrt(n) sines and
-cosines of split angles.  The Gaussian pupil samples P pointwise, and a
-tabulated pupil works in its own plane, as sums over its table nodes.
+Quadratures reach arms only through one grid hook per role, and the energy
+quadrature (``energy_in``, which sums a row of |h|^2 with
+:meth:`ghostsim.grid.Grid1D.integrate` where it forms one), all held by
+:class:`ImpulseResponse`: the test arm is sampled on the x grid
+(``sample_in``, reading a transmission's ``cell_mean`` where it has one:
+slits averaged over each grid cell, which integrates them exactly), and
+the reference arm is applied to a vector on the x' grid (``apply_in``).
+The reference arm asks the pupil for P at the uniform grid of pupil
+arguments in two forms only, applied to a vector (``Pupil.apply``, with
+the two chirps folded out) and in the energy quadrature
+(``Pupil.abs2_sum``); a pupil has no other grid hook.  The rect and
+Gaussian pupils apply a real block of P.  The rect pupil forms P by angle
+addition from each row's nearest node: its block from a table built once
+per ``apply`` call, with the rows' anchors formed once per call, and its
+energy row from about 2 sqrt(n) sines and cosines of split angles.  The
+Gaussian pupil samples P pointwise, and a tabulated pupil works in its own
+plane, as sums over its table nodes.
 Pointwise ``evaluate`` keeps the sharp-edged definition.
 Transmissions, pupils and arms carry their exact energies, which scans
 check their arm-energy quadratures against, and compact objects and their
@@ -323,7 +326,7 @@ def rect_pupil(D: float) -> Pupil:
             den[jr] = s[jr] = 1.0
         s /= den
         s *= s
-        return float(np.dot(g.trapezoid_weights(), s) * (c * D * D))
+        return float(g.integrate(s) * (c * D * D))
 
     return Pupil(ft, D, apply, abs2_sum)
 
@@ -353,7 +356,7 @@ def gaussian_pupil(sigma: float) -> Pupil:
         return _apply_real(lambda o: row(g, o, scale), offset, g.n_points, z)
 
     def abs2_sum(g, offset, scale, c):
-        return float(np.dot(g.trapezoid_weights(), c * np.abs(row(g, offset, scale)) ** 2))
+        return float(g.integrate(c * np.abs(row(g, offset, scale)) ** 2))
 
     return Pupil(ft, sigma * np.sqrt(np.pi / 2.0), apply, abs2_sum)
 
@@ -421,33 +424,31 @@ def load_pupil_csv(path) -> Pupil:
 class ImpulseResponse:
     """Complex kernel h(x_out, x_in) of one optical arm.
 
-    Each arm sets the grid hook of its role in the amplitude.  The test
-    arm's ``sample_in`` returns its kernel samples over an x grid, applying
-    cell-averaging for sharp-edged components, for the inner integral to
-    reduce against the state; the reference arm's ``apply_in`` applies its
-    kernel to a vector of an x' grid's nodes, one value per x_out.
-    ``energy_in``, set by both, is the trapezoid quadrature of
-    |h(x_out, .)|^2 over the grid.  ``evaluate`` is the pointwise kernel,
-    ``energy`` the exact int |h(x_out, x)|^2 dx and ``support`` an
-    interval [lo, hi] of x_in outside which h = 0, or None.
+    Each arm sets the grid hook of its role in the amplitude, as a plain
+    field.  The test arm's ``sample_in(x_out, grid)`` returns its kernel
+    samples over an x grid, applying cell-averaging for sharp-edged
+    components, for the inner integral to reduce against the state; the
+    reference arm's ``apply_in(x_out, grid, v)`` is
+    sum_j h(x_out, x_j) v_j over an x' grid's nodes x_j, one value per
+    x_out.  ``energy_in(x_out, grid)``, set by both, is the trapezoid
+    quadrature of |h(x_out, .)|^2 over the grid.  ``evaluate`` is the
+    pointwise kernel, ``energy`` the exact int |h(x_out, x)|^2 dx and
+    ``support`` an interval [lo, hi] of x_in outside which h = 0, or None.
+
+    ``sample_in`` alone stays a method, over the field ``_sample_in``, so
+    that it exists on the class: the benchmark's per-layer trace wraps
+    ``ImpulseResponse.sample_in`` there.
     """
 
     evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
     energy: float
-    _energy_in: Callable[[float, Grid1D], float] = field(repr=False)
+    energy_in: Callable[[float, Grid1D], float] = field(repr=False)
     _sample_in: Optional[Callable[[float, Grid1D], np.ndarray]] = field(default=None, repr=False)
-    _apply_in: Optional[Callable] = field(default=None, repr=False)
+    apply_in: Optional[Callable] = field(default=None, repr=False)
     support: Optional[tuple] = None
 
     def sample_in(self, x_out: float, grid: Grid1D) -> np.ndarray:
         return self._sample_in(x_out, grid)
-
-    def energy_in(self, x_out: float, grid: Grid1D) -> float:
-        return self._energy_in(x_out, grid)
-
-    def apply_in(self, x_out, grid: Grid1D, v: np.ndarray) -> np.ndarray:
-        """sum_j h(x_out, x_j) v_j over the grid nodes x_j, one per x_out."""
-        return self._apply_in(x_out, grid, v)
 
 
 def _arm_scale(lam: float, f: float, arm: str) -> float:
@@ -499,7 +500,7 @@ def fourier_arm(lam: float, f: float, t: Transmission) -> ImpulseResponse:
 
     def energy_in(x_t, g):
         t2 = t.cell_mean(g.samples(), g.step) if t.cell_mean else t.evaluate(g.samples()) ** 2
-        return float(np.dot(g.trapezoid_weights(), t2 / lf**2))
+        return float(g.integrate(t2 / lf**2))
 
     return ImpulseResponse(evaluate, t.energy / lf**2, energy_in, sample_in, support=t.support)
 
@@ -532,4 +533,4 @@ def two_f_arm(lam: float, f: float, p: Pupil) -> ImpulseResponse:
     def energy_in(x_r, grid):
         return p.abs2_sum(grid, x_r, 2.0 * lf, amp**2)
 
-    return ImpulseResponse(evaluate, p.energy / (8.0 * lf**3), energy_in, _apply_in=apply_in)
+    return ImpulseResponse(evaluate, p.energy / (8.0 * lf**3), energy_in, apply_in=apply_in)

@@ -19,13 +19,13 @@ def scaled_arm(h: ImpulseResponse, c: complex) -> ImpulseResponse:
     """The kernel multiplied by a complex constant (gain/attenuation),
     with the grid hooks that h has."""
     c = complex(c)
-    sample_in, apply_in = h._sample_in, h._apply_in
+    sample_in, apply_in = h._sample_in, h.apply_in
     return ImpulseResponse(
         evaluate=lambda x_out, x_in: c * h.evaluate(x_out, x_in),
         energy=abs(c) ** 2 * h.energy,
-        _energy_in=lambda x_out, grid: abs(c) ** 2 * h.energy_in(x_out, grid),
+        energy_in=lambda x_out, grid: abs(c) ** 2 * h.energy_in(x_out, grid),
         _sample_in=sample_in and (lambda x_out, grid: c * sample_in(x_out, grid)),
-        _apply_in=apply_in and (lambda x_out, grid, v: c * apply_in(x_out, grid, v)),
+        apply_in=apply_in and (lambda x_out, grid, v: c * apply_in(x_out, grid, v)),
     )
 
 

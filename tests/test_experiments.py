@@ -403,7 +403,7 @@ def test_aperture_sweep_shares_the_inner_integral(monkeypatch):
     # counted from building the setup onward: one reduction and one
     # test-arm energy quadrature for the sweep
     monkeypatch.setattr(TwoPhotonState, "reduce", counted)
-    setup = replace(config.setup, h_t=replace(h_t, _energy_in=counted_energy))
+    setup = replace(config.setup, h_t=replace(h_t, energy_in=counted_energy))
     swept = aperture_sweep(replace(config, setup=setup), apertures, LAM, F)
     assert len(calls) == 1
     assert len(quadratures) == 1

@@ -22,7 +22,7 @@ from ghostsim import (
 from ghostsim import grid
 from ghostsim.analytic import gaussian_norm_constant
 from ghostsim.grid import MAX_NODES, reduce_rows
-from ghostsim.source import RIDGE_EPS, _band, _norm_integral
+from ghostsim.source import RIDGE_EPS, RIDGE_STEPS, _band, _norm_integral
 from ghostsim.validate import _norm_grid
 
 
@@ -138,6 +138,34 @@ def test_truncation_error_on_narrow_window():
     ]:
         with pytest.raises(TruncationError, match="not negligible at the grid boundary"):
             normalize(state, gx, gxp)
+
+
+def test_normalize_refuses_grids_that_do_not_resolve_the_ridge():
+    # on 129 nodes over [-8, 8] (step 0.125 mm) the ridge of |phi|^2, of
+    # width b / sqrt(2) = 0.0354 mm, falls between the nodes: the quadrature
+    # read c_norm 2.12 against the closed form 3.00, and a scan on that state
+    # half the closed-form g2.  A step over RIDGE_STEPS b / sqrt(2) is
+    # refused, naming the grid; 513 nodes (3.3e-6 off) are refused too
+    closed = gaussian_wavefunction(2.0, 0.05)
+    raw = replace(closed, c_norm=1.0, extent=None)
+    coarse, mid, fine = (make_grid(0.0, 8.0, n) for n in (129, 513, 1025))
+    with pytest.raises(InvalidArgumentError, match=r"grid step 0\.125 mm .*; refine gx$"):
+        normalize(raw, coarse, coarse)
+    with pytest.raises(InvalidArgumentError, match=r"grid step 0\.03125 mm .*; refine gxp$"):
+        normalize(raw, fine, mid)
+    assert normalize(raw, fine, fine).c_norm == pytest.approx(closed.c_norm, rel=1e-15, abs=0.0)
+    # the bound itself is accepted, within the rule's 1e-6 (5.0e-7 measured),
+    # and the next float above it refused; 2^11 * step is exact, so the
+    # 4097-node grid has that step
+    edge = RIDGE_STEPS * 0.05 / np.sqrt(2.0)
+    for step in (edge, np.nextafter(edge, np.inf)):
+        g = make_grid(0.0, 2048.0 * step, 4097)
+        assert g.step == step
+        if step == edge:
+            assert normalize(raw, g, g).c_norm == pytest.approx(closed.c_norm, rel=1e-6)
+        else:
+            with pytest.raises(InvalidArgumentError, match="refine gx$"):
+                normalize(raw, g, fine)
 
 
 def test_normalize_finds_the_ridge_peak_on_off_centre_grids():
