@@ -25,9 +25,7 @@ the whole x' grid and I_t over the run, where h_t vanishes beyond it, and
 ``gated_energy`` refuses one that is not within ENERGY_RTOL of the arm's
 exact energy, naming the whole grid: the setup gates I_t when it is built,
 a scan gates I_r.  The ridge rule's RIDGE_STEPS and its check live in
-:mod:`ghostsim.source`, which :func:`ghostsim.source.normalize` shares;
-RIDGE_STEPS is imported here so that ``ghostsim.correlator.RIDGE_STEPS``
-still names it.
+:mod:`ghostsim.source`, which :func:`ghostsim.source.normalize` shares.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ import numpy as np
 from .errors import InvalidArgumentError, NormalizationViolationError, NumericDomainError
 from .grid import Grid1D
 from .optics import ImpulseResponse
-from .source import RIDGE_STEPS, TwoPhotonState, check_ridge_step
+from .source import TwoPhotonState, check_ridge_step
 
 __all__ = [
     "CorrelatorSetup",
@@ -71,21 +69,24 @@ class CorrelatorSetup:
     step over it is refused, naming ``numerics.n_x`` or ``numerics.n_xp``,
     before anything is sampled.
 
-    ``run`` is the run of gx nodes that the test arm is sampled on, as a
-    Grid1D: the nodes whose cells meet h_t's support, with one node of
-    margin on each side (so its end nodes have h_t = 0 unless they are
-    gx's, and the run's own trapezoid weights are gx's wherever h_t is
-    nonzero, to the ulps of its step; see :meth:`Grid1D.run`), and every
-    node where h_t has no support.  An end of the support beyond gx, even
-    an infinite one, is clipped to gx's end.
+    Both sub-grids of the setup are runs of a grid's nodes i0..i1-1 as a
+    Grid1D (see :meth:`Grid1D.run`), widened to two nodes where fewer are
+    asked for (a grid needs two): i0 = min(i0, n - 2), i1 = max(i1, i0 + 2).
+
+    ``run`` is the run of gx nodes that the test arm is sampled on: the
+    nodes whose cells meet h_t's support, with one node of margin on each
+    side (so its end nodes have h_t = 0 unless they are gx's, and the run's
+    own trapezoid weights are gx's wherever h_t is nonzero, to the ulps of
+    its step), and every node where h_t has no support.  An end of the
+    support beyond gx, even an infinite one, is clipped to gx's end.
 
     ``window`` is the run of gxp nodes j0..j1-1 that holds every nonzero of
-    u(x') as a Grid1D, and ``v`` = (gxp trapezoid weights * u)[j0:j1].  The
-    window's own trapezoid weights would halve its end nodes, where u is
-    nonzero, so v carries gxp's.  A single nonzero is widened by a
-    neighbour (a grid needs two nodes; there u = 0).  An all-zero u gives
-    window None and an empty v.  Both are computed when the setup is built,
-    and every scan point and every reference arm shares them.  So is
+    u(x'), and ``v`` = (gxp trapezoid weights * u)[j0:j1].  The window's
+    own trapezoid weights would halve its end nodes, where u is nonzero, so
+    v carries gxp's.  An all-zero u asks for no nodes, and so gets gxp's
+    first two with v = 0, which every reference arm maps to amplitudes of
+    exactly 0.  Both are computed when the setup is built, and every scan
+    point and every reference arm shares them.  So is
     ``i_t``, the test-arm energy I_t over the ``run`` at x_t, refused by
     ``gated_energy`` unless gx captures the arm; it is computed after u, so
     an x_t beyond the x grid's Nyquist limit is refused first.
@@ -97,7 +98,7 @@ class CorrelatorSetup:
     gxp: Grid1D
     x_t: float = 0.0
     run: Grid1D = field(init=False, repr=False, compare=False)
-    window: Grid1D | None = field(init=False, repr=False, compare=False)
+    window: Grid1D = field(init=False, repr=False, compare=False)
     v: np.ndarray = field(init=False, repr=False, compare=False)
     i_t: float = field(init=False, repr=False, compare=False)
 
@@ -110,24 +111,23 @@ class CorrelatorSetup:
                 raise InvalidArgumentError("quadrature grids must cover the state's extent")
             check_ridge_step(g, width, "entanglement width", f"raise numerics.{key}")
         object.__setattr__(self, "run", self._support_run())
-        window, v = self._window(self.inner_integral())
+        u = self.inner_integral()
+        nz = np.flatnonzero(u)
+        window, nodes = _sub_grid(self.gxp, *((nz[0], nz[-1] + 1) if nz.size else (0, 0)))
         object.__setattr__(self, "window", window)
-        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "v", (self.gxp.trapezoid_weights() * u)[nodes])
         i_t = gated_energy(self.h_t, self.x_t, self.gx, "test-arm", "n_x", self.run)
         object.__setattr__(self, "i_t", i_t)
 
     def _support_run(self) -> Grid1D:
-        """``run``, widened to two nodes where fewer meet the support."""
-        n = self.gx.n_points
+        """``run``, the gx nodes whose cells meet h_t's support."""
         # the support's ends [a, b] as k_a, k_b gx steps from gx.lo: node i's
         # cell meets them where k_a - 1/2 < i < k_b + 1/2, and the node just
         # outside on each side is the margin.  Clipped before int(), so that
         # an infinite end (or no support) takes the whole grid
         k = (np.asarray(self.h_t.support or (-np.inf, np.inf)) - self.gx.lo) / self.gx.step
-        ends = np.clip([np.floor(k[0] - 0.5), np.ceil(k[1] + 0.5) + 1.0], 0, n)
-        i0, i1 = ends.astype(int).tolist()
-        i0 = min(i0, n - 2)
-        return self.gx.run(i0, max(i1, i0 + 2))
+        ends = np.clip([np.floor(k[0] - 0.5), np.ceil(k[1] + 0.5) + 1.0], 0, self.gx.n_points)
+        return _sub_grid(self.gx, *ends)[0]
 
     def inner_integral(self) -> np.ndarray:
         """u(x') = int dx phi(x, x') h_t(x_t, x), sampled on gxp.
@@ -140,24 +140,23 @@ class CorrelatorSetup:
         left = self.run.trapezoid_weights() * self.h_t.sample_in(self.x_t, self.run)
         return self.state.reduce(left, self.run, self.gxp)
 
-    def _window(self, u: np.ndarray) -> tuple:
-        nz = np.flatnonzero(u)
-        if nz.size == 0:
-            return None, u[:0]
-        j0, j1 = int(nz[0]), int(nz[-1]) + 1
-        if j1 - j0 == 1:
-            j0, j1 = (j0, j1 + 1) if j1 < self.gxp.n_points else (j0 - 1, j1)
-        return self.gxp.run(j0, j1), (self.gxp.trapezoid_weights() * u)[j0:j1]
+
+def _sub_grid(g: Grid1D, i0: int, i1: int) -> tuple[Grid1D, slice]:
+    """Nodes i0..i1-1 of g, widened to two nodes where fewer, as a grid and
+    as a slice of g's nodes."""
+    i0 = min(int(i0), g.n_points - 2)
+    i1 = max(int(i1), i0 + 2)
+    return g.run(i0, i1), slice(i0, i1)
 
 
 def amplitude(setup: CorrelatorSetup, h_r: ImpulseResponse, x_r) -> np.ndarray:
     """Coincidence amplitudes A(x_r) = h_r(x_r, window) @ v over the
-    reference window, one per x_r, from one ``apply_in`` call; exactly 0,
-    with no sampling, where u(x') vanishes everywhere.  A non-finite
+    reference window, one per x_r, from one ``apply_in`` call; exactly 0
+    where u(x') vanishes everywhere, since v is then 0.  A non-finite
     amplitude is a numeric error naming the first x_r where one occurs.
     """
     x_r = np.atleast_1d(x_r)
-    a = h_r.apply_in(x_r, setup.window, setup.v) if setup.window else np.zeros(x_r.size, complex)
+    a = h_r.apply_in(x_r, setup.window, setup.v)
     bad = np.flatnonzero(~np.isfinite(a))
     if bad.size:
         raise NumericDomainError(f"non-finite amplitude at (x_t={setup.x_t}, x_r={x_r[bad[0]]})")

@@ -83,12 +83,10 @@ class Grid1D:
         return self.step * (np.sum(values) - 0.5 * (values[0] + values[-1]))
 
     def run(self, i0: int, i1: int) -> Grid1D:
-        """Nodes i0..i1-1 (at least two) as a grid, the grid itself when
-        that is every node.  Its nodes are the grid's to a few ulps, and
-        exactly where the nodes and step are short binary fractions (as on
-        the default grids)."""
-        if i1 - i0 == self.n_points:
-            return self
+        """Nodes i0..i1-1 (at least two) as a grid.  Its nodes are the
+        grid's to a few ulps, and exactly where the nodes and step are short
+        binary fractions (as on the default grids); every node of a grid
+        centred on 0 gives a grid equal to it."""
         # the end nodes as samples() rounds them, without sampling every node
         lo = self.lo + self.step * i0
         hi = self.lo + self.step * (i1 - 1) if i1 < self.n_points else self.hi

@@ -146,8 +146,9 @@ def _norm_integral(state: TwoPhotonState, gx: Grid1D, gxp: Grid1D) -> float:
 def _check_support_coverage(state: TwoPhotonState, gx: Grid1D, gxp: Grid1D) -> None:
     x = gx.samples()
     xp = gxp.samples()
-    # sample the four boundary lines, and for the peak the diagonal through
-    # the bulk and the line x' = x over the grids' overlap, where the ridge
+    # sample the four boundary lines, and for the peak of a separable state
+    # the envelopes' grid maxima; with a ridge, the diagonal through the
+    # bulk and the line x' = x over the grids' overlap, where the ridge
     # peaks whether or not the grids share a centre
     edges = [
         np.abs(state.evaluate(np.full_like(xp, gx.lo), xp)),
@@ -156,10 +157,13 @@ def _check_support_coverage(state: TwoPhotonState, gx: Grid1D, gxp: Grid1D) -> N
         np.abs(state.evaluate(x, np.full_like(x, gxp.hi))),
     ]
     edge_peak = max(float(e.max()) for e in edges)
-    bulk = np.abs(state.evaluate(x, np.linspace(gxp.lo, gxp.hi, x.size)))
-    lo, hi = max(gx.lo, gxp.lo), min(gx.hi, gxp.hi)
-    s = np.linspace(lo, hi, x.size if lo <= hi else 0)
-    peak = max(float(bulk.max()), float(np.abs(state.evaluate(s, s)).max(initial=0.0)))
+    if state.ridge is None:
+        peak = abs(state.c_norm) * float(np.abs(state.f(x)).max() * np.abs(state.g(xp)).max())
+    else:
+        bulk = np.abs(state.evaluate(x, np.linspace(gxp.lo, gxp.hi, x.size)))
+        lo, hi = max(gx.lo, gxp.lo), min(gx.hi, gxp.hi)
+        s = np.linspace(lo, hi, x.size if lo <= hi else 0)
+        peak = max(float(bulk.max()), float(np.abs(state.evaluate(s, s)).max(initial=0.0)))
     if peak == 0.0:
         return  # zero norm is reported separately
     if edge_peak**2 > EDGE_FRACTION * peak**2:

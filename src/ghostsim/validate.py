@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import analytic
+from . import analytic, correlator
 from .correlator import CorrelatorSetup, amplitude, arm_energy, coincidence_statistics
 from .errors import GhostSimError
 from .experiments import build_setup
@@ -161,10 +161,10 @@ def _check_cauchy_schwarz() -> tuple[bool, str]:
             g2[k], m2[k] = (c[0] for c in coincidence_statistics(x_t, x_r, a, i_t, i_r)[:2])
         except GhostSimError as exc:  # name the setup in the suite's FAIL row
             raise type(exc)(f"setup {k}: {exc}") from exc
-    # each radicand passed coincidence_statistics' clamp window, or it raised
     radicand, scale = m2 - g2**2, m2 + g2**2
     worst = np.min(np.divide(radicand, scale, out=np.zeros(_N_SETUPS), where=scale > 0), initial=0)
-    return True, f"{_N_SETUPS} randomized setups, worst negative radicand fraction {worst:.3e}"
+    detail = f"{_N_SETUPS} randomized setups, worst negative radicand fraction {worst:.3e}"
+    return bool(worst >= -correlator.RADICAND_CLAMP), detail
 
 
 def run_validation_suite() -> list[CheckResult]:

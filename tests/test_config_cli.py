@@ -653,6 +653,27 @@ def test_exit_0_runs_write_nothing_to_stderr(tmp_path):
         assert (proc.returncode, proc.stderr) == (0, ""), argv
 
 
+def test_a_source_too_small_to_light_the_object_scans_to_zeros(tmp_path):
+    # fig2 with a = 0.003 mm: the source envelope underflows at the slits, so
+    # G2 is exactly 0 everywhere.  That is a result, not an input error
+    cfg = json.loads(Path(preset_path("fig2")).read_text())
+    cfg["source"]["a_mm"] = 0.003
+    config, out = tmp_path / "dark.json", tmp_path / "dark.csv"
+    config.write_text(json.dumps(cfg))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ghostsim.cli", "scan", "--config", config, "--output", out],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    header, *lines = out.read_text().splitlines()
+    assert header == CSV_HEADER and len(lines) == 201
+    for line in lines:
+        _, *numbers, flags = line.split(",")
+        assert [float(x) for x in numbers] == [0.0] * 7 and flags == "zero_g2"
+
+
 @pytest.mark.parametrize(
     "path, value",
     [

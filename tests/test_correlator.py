@@ -39,8 +39,9 @@ from ghostsim import (
 from ghostsim.analytic import all_gaussian_amplitude, gaussian_norm_constant
 from ghostsim.cli import preset_path
 from ghostsim.config import build_scan_config, load_config
-from ghostsim.correlator import RIDGE_STEPS, gated_energy
+from ghostsim.correlator import gated_energy
 from ghostsim.optics import _BLOCK_ENTRIES, Transmission
+from ghostsim.source import RIDGE_STEPS
 from ghostsim.validate import run_validation_suite
 from helpers import (
     corrupt_validation_states,
@@ -367,6 +368,20 @@ def test_validate_reports_a_check_that_raises_as_a_fail_row():
     assert "non-finite amplitude" in rows[2]
 
 
+def test_cauchy_schwarz_check_fails_on_a_radicand_beyond_the_clamp(monkeypatch):
+    # statistics whose radicand <S^2> - G2^2 is -1/3 of its scale, far
+    # below -RADICAND_CLAMP, make the check's row FAIL
+    def broken(x_t, x_r, a, i_t, i_r):
+        one = np.ones(np.size(x_r))
+        return one, 0.5 * one, 0.0 * one, one
+
+    monkeypatch.setattr(validate, "coincidence_statistics", broken)
+    results = {r.name: r for r in run_validation_suite()}
+    check = results["cauchy_schwarz_radicand"]
+    assert check.passed is False
+    assert check.detail.endswith("worst negative radicand fraction -3.333e-01")
+
+
 def slit_setup(gxp):
     """(setup, h_r): the fig2 double slit on x' grid gxp, and a 10 mm rect
     pupil."""
@@ -600,19 +615,27 @@ def test_windowed_amplitude_matches_full_grid(case):
     _assert_window_matches_full_grid(setup, h_r, np.linspace(-2.0, 2.0, 41))
 
 
-def test_all_zero_inner_integral_scans_without_sampling():
+def test_all_zero_inner_integral_scans_with_a_two_node_zero_window():
+    # an all-zero u gets gxp's first two nodes as its window, with v = 0,
+    # and the reference arm applies that window once for the whole scan
     setup, h_r = small_gaussian_setup(n_x=257)
     dark = Transmission(evaluate=lambda x: np.zeros_like(np.asarray(x, dtype=float)), energy=0.0)
-
-    def never(*args):
-        raise AssertionError("reference arm sampled for an all-zero u")
-
     setup = replace(setup, h_t=fourier_arm(LAM, F, dark))
-    assert setup.window is None and setup.v.size == 0
-    h_r = replace(h_r, apply_in=never)
-    result = scan_reference(ScanConfig(setup=setup, h_r=h_r, n_xr=11))
-    assert list(result.columns()["flags"]) == ["zero_g2"] * 11
-    assert np.all(result.g2 == 0.0) and np.all(result.snr == 0.0)
+    assert setup.window == setup.gxp.run(0, 2) and setup.window.lo == setup.gxp.lo
+    assert setup.v.shape == (2,) and np.all(setup.v == 0.0)
+    calls = []
+
+    def apply_in(x_r, grid, v):
+        calls.append(grid)
+        return h_r.apply_in(x_r, grid, v)
+
+    result = scan_reference(ScanConfig(setup=setup, h_r=replace(h_r, apply_in=apply_in), n_xr=11))
+    assert calls == [setup.window]
+    columns = result.columns()
+    assert list(columns["flags"]) == ["zero_g2"] * 11
+    for name, values in columns.items():
+        if name not in ("x_r_mm", "flags"):
+            assert np.all(np.asarray(values) == 0.0), name
 
 
 @pytest.mark.parametrize("node", [100, 256])

@@ -180,6 +180,17 @@ def test_normalize_finds_the_ridge_peak_on_off_centre_grids():
     assert moved.extent == ((-5.0, 7.0), (-5.5, 4.5))
 
 
+def test_normalize_finds_the_peak_of_a_separable_state_off_the_diagonal():
+    # f peaks at x = 0 and g at x' = 5: no sampled line through the bulk or
+    # along x' = x passes (0, 5), so the peak is the envelopes' grid maxima.
+    # The grid's edge/peak of |phi|^2 is 2.3e-16, and c_norm is the closed
+    # form 1 / sqrt(sqrt(pi / 2) sqrt(pi / 4))
+    g = make_grid(0.0, 8.0, 2049)
+    state = TwoPhotonState(f=lambda x: np.exp(-(x**2)), g=lambda xp: np.exp(-2.0 * (xp - 5.0) ** 2))
+    closed = 1.0 / np.sqrt(np.sqrt(np.pi / 2.0) * np.sqrt(np.pi / 4.0))
+    assert normalize(state, g, g).c_norm == pytest.approx(closed, rel=1e-15, abs=0.0)
+
+
 def tabulated(g, values):
     """Envelope interpolating values on the grid g linearly, zero outside it."""
     values = np.asarray(values)
