@@ -17,10 +17,14 @@ setup samples h_t only on the run of x nodes that meets the object's
 support (every node for an object without one), with the run's own
 trapezoid weights, which are the x grid's (to the ulps of the run's step)
 wherever h_t is nonzero.  On the grids the amplitudes of a whole scan are
-one call of h_r's ``apply_in`` hook, h_r(x_r, x'_j) applied to v = w u:
-the 2f arm folds its chirps out and leaves the sum over P to the pupil,
-which takes the x_r rows in blocks of bounded size (a rect or Gaussian
-pupil) or sums over its own table (a tabulated one).  I_r integrates over
+one call of h_r's ``apply_in`` hook, h_r(x_r, x'_j) applied to v = w u
+over every s-th window node at weight s h: the integrand holds no
+frequency in x' beyond the state's ``band`` plus h_r's ``band_in`` over the
+window, B, and the largest s with s h B <= 1 sums it exactly (s = 1 for a
+state or arm without a band).  The 2f arm folds its chirps out and leaves
+the sum over P to the pupil, which takes the x_r rows in blocks of bounded
+size (a rect or Gaussian pupil) or sums over its own table (a tabulated
+one).  I_r integrates over
 the whole x' grid and I_t over the run, where h_t vanishes beyond it, and
 ``gated_energy`` refuses one that is not within ENERGY_RTOL of the arm's
 exact energy, naming the whole grid: the setup gates I_t when it is built,
@@ -86,7 +90,8 @@ class CorrelatorSetup:
     v carries gxp's.  An all-zero u asks for no nodes, and so gets gxp's
     first two with v = 0, which every reference arm maps to amplitudes of
     exactly 0.  Both are computed when the setup is built, and every scan
-    point and every reference arm shares them.  So is
+    point and every reference arm shares them; ``amplitude`` strides them
+    by each arm's band rule.  So is
     ``i_t``, the test-arm energy I_t over the ``run`` at x_t, refused by
     ``gated_energy`` unless gx captures the arm; it is computed after u, so
     an x_t beyond the x grid's Nyquist limit is refused first.
@@ -149,14 +154,39 @@ def _sub_grid(g: Grid1D, i0: int, i1: int) -> tuple[Grid1D, slice]:
     return g.run(i0, i1), slice(i0, i1)
 
 
+def _strided(setup: CorrelatorSetup, h_r: ImpulseResponse) -> tuple[Grid1D, np.ndarray]:
+    """The reference window at the stride s that the band rule allows, as a
+    grid, and v there, weighted s-fold.
+
+    The integrand u(x') h_r(x_r, x') holds no spatial frequency in x' beyond
+    B, the state's band plus h_r's over the window, so by Poisson summation
+    its sum over every s-th node at weight s h is the integral as long as
+    s h B <= 1.  s is the largest such stride, at most the window's n - 1
+    nodes; the strided run starts at the window's first node and may end
+    up to s - 1 nodes past its last, where v = 0.  A state or arm without a
+    band gives s = 1: the window and v themselves.
+    """
+    window, v = setup.window, setup.v
+    n = window.n_points
+    hb = window.step * (setup.state.band + (h_r.band_in(window) if h_r.band_in else np.inf))
+    s = n - 1 if hb * (n - 1) <= 1.0 else max(1, int(1.0 / hb))
+    if s == 1:
+        return window, v
+    m = (n - 2) // s + 2
+    vs = np.zeros(m, dtype=v.dtype)
+    vs[: (n - 1) // s + 1] = s * v[::s]
+    return window.run(0, (m - 1) * s + 1, s), vs
+
+
 def amplitude(setup: CorrelatorSetup, h_r: ImpulseResponse, x_r) -> np.ndarray:
-    """Coincidence amplitudes A(x_r) = h_r(x_r, window) @ v over the
-    reference window, one per x_r, from one ``apply_in`` call; exactly 0
-    where u(x') vanishes everywhere, since v is then 0.  A non-finite
-    amplitude is a numeric error naming the first x_r where one occurs.
+    """Coincidence amplitudes A(x_r) = h_r(x_r, nodes) @ v over every s-th
+    node of the reference window (:func:`_strided`), one per x_r, from one
+    ``apply_in`` call; exactly 0 where u(x') vanishes everywhere, since v is
+    then 0.  A non-finite amplitude is a numeric error naming the first x_r
+    where one occurs.
     """
     x_r = np.atleast_1d(x_r)
-    a = h_r.apply_in(x_r, setup.window, setup.v)
+    a = h_r.apply_in(x_r, *_strided(setup, h_r))
     bad = np.flatnonzero(~np.isfinite(a))
     if bad.size:
         raise NumericDomainError(f"non-finite amplitude at (x_t={setup.x_t}, x_r={x_r[bad[0]]})")

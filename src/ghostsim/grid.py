@@ -21,6 +21,7 @@ import numpy as np
 from .errors import InvalidArgumentError
 
 __all__ = [
+    "BAND_EPS",
     "Grid1D",
     "MAX_NODES",
     "check_width",
@@ -41,6 +42,11 @@ _RATIO_RTOL = 1e-13
 
 # most nodes a grid may hold; bounds its samples, weights and reductions
 MAX_NODES = 1 << 22
+
+# a band ends where a Gaussian spectrum or profile falls below this fraction
+# of its peak: the x' integrand's bands (the state's, a Gaussian pupil's
+# width) are taken at it, so that the amplitude's strided sum is exact to it
+BAND_EPS = 1e-16
 
 
 @dataclass(frozen=True)
@@ -82,15 +88,17 @@ class Grid1D:
         would depend on how its thread pool splits the sum."""
         return self.step * (np.sum(values) - 0.5 * (values[0] + values[-1]))
 
-    def run(self, i0: int, i1: int) -> Grid1D:
-        """Nodes i0..i1-1 (at least two) as a grid.  Its nodes are the
-        grid's to a few ulps, and exactly where the nodes and step are short
-        binary fractions (as on the default grids); every node of a grid
-        centred on 0 gives a grid equal to it."""
+    def run(self, i0: int, i1: int, stride: int = 1) -> Grid1D:
+        """Nodes i0, i0 + stride, .. i1 - 1 (at least two) as a grid, where
+        stride divides i1 - 1 - i0; a strided run may end past the grid, on
+        its lattice.  Its nodes are the grid's to a few ulps, and exactly
+        where the nodes and step are short binary fractions (as on the
+        default grids); every node of a grid centred on 0 gives a grid
+        equal to it."""
         # the end nodes as samples() rounds them, without sampling every node
         lo = self.lo + self.step * i0
-        hi = self.lo + self.step * (i1 - 1) if i1 < self.n_points else self.hi
-        return Grid1D(0.5 * (lo + hi), 0.5 * (hi - lo), i1 - i0)
+        hi = self.lo + self.step * (i1 - 1) if i1 != self.n_points else self.hi
+        return Grid1D(0.5 * (lo + hi), 0.5 * (hi - lo), (i1 - 1 - i0) // stride + 1)
 
 
 def check_width(w: float, what: str) -> None:

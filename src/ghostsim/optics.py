@@ -15,7 +15,9 @@ quadrature (``energy_in``, which sums a row of |h|^2 with
 :class:`ImpulseResponse`: the test arm is sampled on the x grid
 (``sample_in``, reading a transmission's ``cell_mean`` where it has one:
 slits averaged over each grid cell, which integrates them exactly), and
-the reference arm is applied to a vector on the x' grid (``apply_in``).
+the reference arm is applied to a vector on the x' grid (``apply_in``)
+and bounds its spatial frequencies in x' over a grid (``band_in``, from
+the pupil's ``width`` and the chirp), which sets the amplitude's stride.
 The reference arm asks the pupil for P at the uniform grid of pupil
 arguments in two forms only, applied to a vector (``Pupil.apply``, with
 the two chirps folded out) and in the energy quadrature
@@ -25,7 +27,8 @@ addition from each row's nearest node: its block from a table built once
 per ``apply`` call, with the rows' anchors formed once per call, and its
 energy row from about 2 sqrt(n) sines and cosines of split angles.  The
 Gaussian pupil samples P pointwise, and a tabulated pupil works in its own
-plane, as sums over its table nodes.
+plane, as sums over its table nodes, whose exponentials it forms as
+cos - i sin.
 Pointwise ``evaluate`` keeps the sharp-edged definition.
 Transmissions, pupils and arms carry their exact energies, which scans
 check their arm-energy quadratures against, and compact objects and their
@@ -41,7 +44,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidArgumentError
-from .grid import Grid1D, _fft_size, check_width, make_grid
+from .grid import BAND_EPS, Grid1D, _fft_size, check_width, make_grid
 
 __all__ = [
     "Transmission",
@@ -72,6 +75,18 @@ def _in_runs(fn, offset, width: int) -> np.ndarray:
     o, run = np.ravel(offset), max(1, _BLOCK_ENTRIES // width)
     runs = [fn(o[i : i + run]) for i in range(0, o.size, run)]
     return np.concatenate([np.empty(0, dtype=complex), *runs]).reshape(np.shape(offset))[()]
+
+
+def _cis(t) -> np.ndarray:
+    """exp(-2 pi i t) for real t, written as cos(2 pi t) - i sin(2 pi t) of
+    the real phase into one complex array: no complex exp, and none of the
+    complex temporaries of np.cos(p) - 1j * np.sin(p), which is slower than
+    the complex exp."""
+    phase = (2.0 * np.pi) * np.asarray(t, dtype=float)
+    out = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=out.real)
+    np.negative(np.sin(phase), out=out.imag)
+    return out
 
 
 def _overlap(lo, hi, a, b):
@@ -212,7 +227,13 @@ def load_transmission_csv(path) -> Transmission:
 @dataclass(frozen=True)
 class Pupil:
     """Fourier transform P(u) of an aperture pupil p(x) with kernel
-    exp(-2 pi i u x), the pupil's energy int |p|^2 dx, and its grid hooks.
+    exp(-2 pi i u x), the pupil's energy int |p|^2 dx, its width and its
+    grid hooks.
+
+    ``width`` W bounds the pupil in its own plane: p(x) is 0, or below
+    BAND_EPS of its peak, for |x| > W / 2, so P(u) holds no frequency
+    beyond W / 2.  It is D for a rect pupil, 2 sigma sqrt(ln(1 / BAND_EPS))
+    for a Gaussian one and 2 max(|lo|, |hi|) of a table.
 
     On a uniform grid of nodes x_j, at u_j = (offset + x_j) / scale, the
     reference arm needs P only applied to a complex vector z,
@@ -228,6 +249,7 @@ class Pupil:
 
     ft: Callable[[np.ndarray], np.ndarray]
     energy: float
+    width: float
     apply: Callable = field(repr=False)
     abs2_sum: Callable = field(repr=False)
 
@@ -328,7 +350,7 @@ def rect_pupil(D: float) -> Pupil:
         s *= s
         return float(g.integrate(s) * (c * D * D))
 
-    return Pupil(ft, D, apply, abs2_sum)
+    return Pupil(ft, D, D, apply, abs2_sum)
 
 
 def gaussian_pupil(sigma: float) -> Pupil:
@@ -358,7 +380,8 @@ def gaussian_pupil(sigma: float) -> Pupil:
     def abs2_sum(g, offset, scale, c):
         return float(g.integrate(c * np.abs(row(g, offset, scale)) ** 2))
 
-    return Pupil(ft, sigma * np.sqrt(np.pi / 2.0), apply, abs2_sum)
+    width = 2.0 * sigma * np.sqrt(np.log(1.0 / BAND_EPS))
+    return Pupil(ft, sigma * np.sqrt(np.pi / 2.0), width, apply, abs2_sum)
 
 
 def tabulated_pupil(grid: Grid1D, values: np.ndarray) -> Pupil:
@@ -389,12 +412,12 @@ def tabulated_pupil(grid: Grid1D, values: np.ndarray) -> Pupil:
 
     def ft(u, a=wv):
         """sum_k a_k exp(-2 pi i u xi_k) for each u: P(u) for a = w p."""
-        return _in_runs(lambda uu: np.exp(-2j * np.pi * np.multiply.outer(uu, xs)) @ a, u, xs.size)
+        return _in_runs(lambda uu: _cis(np.multiply.outer(uu, xs)) @ a, u, xs.size)
 
     def apply(g, offset, scale, z):
         x = g.samples() / scale
-        coarse = np.exp(-2j * np.pi * np.multiply.outer(xs[::m], x)) * z
-        fine = np.exp(-2j * np.pi * np.multiply.outer(grid.step * np.arange(m), x))
+        coarse = _cis(np.multiply.outer(xs[::m], x)) * z
+        fine = _cis(np.multiply.outer(grid.step * np.arange(m), x))
         return ft(np.divide(offset, scale), wv * (coarse @ fine.T).ravel()[: xs.size])
 
     def abs2_sum(g, offset, scale, c):
@@ -410,7 +433,7 @@ def tabulated_pupil(grid: Grid1D, values: np.ndarray) -> Pupil:
         return c * (g.step * (2.0 * terms.real.sum() - terms[0].real))
 
     energy = float(np.vdot(wv, wv).real) / grid.step
-    return Pupil(ft, energy, apply, abs2_sum)
+    return Pupil(ft, energy, 2.0 * max(abs(grid.lo), abs(grid.hi)), apply, abs2_sum)
 
 
 def load_pupil_csv(path) -> Pupil:
@@ -430,7 +453,9 @@ class ImpulseResponse:
     components, for the inner integral to reduce against the state; the
     reference arm's ``apply_in(x_out, grid, v)`` is
     sum_j h(x_out, x_j) v_j over an x' grid's nodes x_j, one value per
-    x_out.  ``energy_in(x_out, grid)``, set by both, is the trapezoid
+    x_out, and its ``band_in(grid)`` bounds the spatial frequencies of
+    h(x_out, x') in x' over the grid's span, for every x_out (None: no
+    bound).  ``energy_in(x_out, grid)``, set by both, is the trapezoid
     quadrature of |h(x_out, .)|^2 over the grid.  ``evaluate`` is the
     pointwise kernel, ``energy`` the exact int |h(x_out, x)|^2 dx and
     ``support`` an interval [lo, hi] of x_in outside which h = 0, or None.
@@ -445,6 +470,7 @@ class ImpulseResponse:
     energy_in: Callable[[float, Grid1D], float] = field(repr=False)
     _sample_in: Optional[Callable[[float, Grid1D], np.ndarray]] = field(default=None, repr=False)
     apply_in: Optional[Callable] = field(default=None, repr=False)
+    band_in: Optional[Callable[[Grid1D], float]] = field(default=None, repr=False)
     support: Optional[tuple] = None
 
     def sample_in(self, x_out: float, grid: Grid1D) -> np.ndarray:
@@ -516,6 +542,10 @@ def two_f_arm(lam: float, f: float, p: Pupil) -> ImpulseResponse:
     into v, the pupil applies itself to the product (``Pupil.apply``) and
     the x_r chirp scales the result.  The energy quadrature is amp^2 times
     the pupil's (``Pupil.abs2_sum``), with no chirp.
+
+    Its x' band over a grid is the pupil's, P((x_r + x') / (2 lam f)) holding
+    no frequency beyond W / (4 lam f), plus the chirp's local frequency
+    x' / (2 lam f) at the grid's largest |x'|.
     """
     lf = _arm_scale(lam, f, "reference arm")
     amp = 1.0 / (4.0 * lf**2)
@@ -533,4 +563,9 @@ def two_f_arm(lam: float, f: float, p: Pupil) -> ImpulseResponse:
     def energy_in(x_r, grid):
         return p.abs2_sum(grid, x_r, 2.0 * lf, amp**2)
 
-    return ImpulseResponse(evaluate, p.energy / (8.0 * lf**3), energy_in, apply_in=apply_in)
+    def band_in(grid):
+        return (0.5 * p.width + max(abs(grid.lo), abs(grid.hi))) / (2.0 * lf)
+
+    return ImpulseResponse(
+        evaluate, p.energy / (8.0 * lf**3), energy_in, apply_in=apply_in, band_in=band_in
+    )

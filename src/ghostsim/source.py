@@ -11,8 +11,9 @@ its grids' ends as the state's ``extent``; it first refuses a grid that does
 not resolve the ridge of |phi|^2 by :func:`check_ridge_step`, the rule that
 :class:`ghostsim.correlator.CorrelatorSetup` applies to the state's ridge.
 :func:`gaussian_wavefunction` needs no quadrature: its ``c_norm`` is the
-closed form, and its extent is [-4a, 4a] in x and x', outside which |phi|^2
-is below e^-32 of its peak.
+closed form, its extent is [-4a, 4a] in x and x', outside which |phi|^2
+is below e^-32 of its peak, and its ``band``, the x' frequencies that the
+amplitude's strided sum must resolve, is the closed form of its Gaussians.
 Every other state must be normalized explicitly.  Both :func:`normalize` and
 :meth:`TwoPhotonState.reduce` fold f into the left vector, reduce R with
 :func:`ghostsim.grid.reduce_rows` over the band where R is above RIDGE_EPS
@@ -29,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericDomainError, TruncationError
-from .grid import Grid1D, check_width, reduce_rows
+from .grid import BAND_EPS, Grid1D, check_width, reduce_rows
 
 __all__ = [
     "TwoPhotonState",
@@ -85,6 +86,10 @@ class TwoPhotonState:
     arrays; |R(d)| <= peak * exp(-d^2 / ridge_width^2) (``inf``: no bound).
     ``extent`` holds the intervals ((lo, hi) in x, (lo, hi) in x') over which
     |phi|^2 integrates to 1; None until the state is known to be unit-norm.
+    ``band`` bounds the spatial frequencies in x' of sum_x left(x) phi(x, x')
+    for any left, the ridge's band plus g's, each where its spectrum falls
+    below BAND_EPS of its peak (``inf``: no bound, which keeps every x' node
+    in the amplitude's sum).
     """
 
     f: Callable
@@ -93,6 +98,7 @@ class TwoPhotonState:
     ridge: Callable | None = None
     ridge_width: float = inf
     extent: tuple[tuple[float, float], tuple[float, float]] | None = None
+    band: float = inf
 
     def evaluate(self, x, xp) -> np.ndarray:
         """phi(x, x'), broadcast over numpy arrays."""
@@ -114,7 +120,10 @@ class TwoPhotonState:
 def gaussian_wavefunction(a: float, b: float) -> TwoPhotonState:
     """The Gaussian source, unit-norm by its closed-form ``c_norm`` over its
     extent [-4a, 4a] in x and x'.  A width that is not > 0, or whose square
-    leaves the floating-point range, is refused."""
+    leaves the floating-point range, is refused.  The spectrum of
+    exp(-d^2 / w^2) is below BAND_EPS of its peak beyond sqrt(ln(1 / BAND_EPS))
+    / (pi w), so the state's ``band`` is that for the ridge (w = b) plus
+    that for g (w = a)."""
     check_width(a, "source size a")
     check_width(b, "entanglement width b")
 
@@ -128,7 +137,8 @@ def gaussian_wavefunction(a: float, b: float) -> TwoPhotonState:
     # a form that stays finite and positive for every width check_width admits
     c_norm = sqrt(2.0 * hypot(b, sqrt(2.0) * a) / pi) / (a * sqrt(b))
     extent = (-4.0 * a, 4.0 * a)
-    return TwoPhotonState(envelope, envelope, c_norm, ridge, float(b), (extent, extent))
+    band = sqrt(log(1.0 / BAND_EPS)) / pi * (1.0 / b + 1.0 / a)
+    return TwoPhotonState(envelope, envelope, c_norm, ridge, float(b), (extent, extent), band)
 
 
 def _norm_integral(state: TwoPhotonState, gx: Grid1D, gxp: Grid1D) -> float:
@@ -148,8 +158,9 @@ def _check_support_coverage(state: TwoPhotonState, gx: Grid1D, gxp: Grid1D) -> N
     xp = gxp.samples()
     # sample the four boundary lines, and for the peak of a separable state
     # the envelopes' grid maxima; with a ridge, the diagonal through the
-    # bulk and the line x' = x over the grids' overlap, where the ridge
-    # peaks whether or not the grids share a centre
+    # bulk, the line x' = x over the grids' overlap, where the ridge peaks
+    # whether or not the grids share a centre, and the lines through the
+    # nodes where |f| and |g| peak, where the envelopes do
     edges = [
         np.abs(state.evaluate(np.full_like(xp, gx.lo), xp)),
         np.abs(state.evaluate(np.full_like(xp, gx.hi), xp)),
@@ -160,10 +171,12 @@ def _check_support_coverage(state: TwoPhotonState, gx: Grid1D, gxp: Grid1D) -> N
     if state.ridge is None:
         peak = abs(state.c_norm) * float(np.abs(state.f(x)).max() * np.abs(state.g(xp)).max())
     else:
-        bulk = np.abs(state.evaluate(x, np.linspace(gxp.lo, gxp.hi, x.size)))
         lo, hi = max(gx.lo, gxp.lo), min(gx.hi, gxp.hi)
         s = np.linspace(lo, hi, x.size if lo <= hi else 0)
-        peak = max(float(bulk.max()), float(np.abs(state.evaluate(s, s)).max(initial=0.0)))
+        xf = np.full_like(xp, x[np.argmax(np.abs(state.f(x)))])
+        xg = np.full_like(x, xp[np.argmax(np.abs(state.g(xp)))])
+        lines = ((x, np.linspace(gxp.lo, gxp.hi, x.size)), (s, s), (xf, xp), (x, xg))
+        peak = max(float(np.abs(state.evaluate(*line)).max(initial=0.0)) for line in lines)
     if peak == 0.0:
         return  # zero norm is reported separately
     if edge_peak**2 > EDGE_FRACTION * peak**2:

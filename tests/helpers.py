@@ -26,6 +26,7 @@ def scaled_arm(h: ImpulseResponse, c: complex) -> ImpulseResponse:
         energy_in=lambda x_out, grid: abs(c) ** 2 * h.energy_in(x_out, grid),
         _sample_in=sample_in and (lambda x_out, grid: c * sample_in(x_out, grid)),
         apply_in=apply_in and (lambda x_out, grid, v: c * apply_in(x_out, grid, v)),
+        band_in=h.band_in,
     )
 
 

@@ -22,6 +22,7 @@ from ghostsim import (
     arm_energy,
     build_setup,
     coincidence_statistics,
+    correlator,
     double_slit,
     fourier_arm,
     gaussian_pupil,
@@ -455,10 +456,11 @@ def test_fig2_reference_window_holds_the_slits_ridge_band():
 
 
 def test_amplitude_blocks_bound_the_scan_memory():
-    # 4001 x_r on the fig2 window of 1735 nodes: one block of every row
-    # would hold 4001 * 1735 complex samples, 111 MB
+    # 4001 x_r on the fig2 window of 1735 nodes, which the amplitude sums
+    # at stride 12, over 146 nodes: one block of every row would hold
+    # 4001 * 146 complex samples, 9.3 MB
     scan = build_scan_config(load_config(preset_path("fig2")))
-    assert scan.setup.window.n_points == 1735
+    assert correlator._strided(scan.setup, scan.h_r)[0].n_points == 146
     x_r = np.linspace(-2.0, 2.0, 4001)
     tracemalloc.start()
     try:
@@ -471,11 +473,11 @@ def test_amplitude_blocks_bound_the_scan_memory():
 
 
 def test_non_finite_amplitude_names_its_x_r():
-    # one NaN sample in the middle of a block: the error names that x_r,
-    # not the first x_r of its block
+    # one NaN sample in the middle of a block of the strided window: the
+    # error names that x_r, not the first x_r of its block
     setup, h_r = slit_setup(make_grid(0.0, 8.0, 4097))
-    x_r = np.linspace(-1.0, 1.0, 101)
-    rows = _BLOCK_ENTRIES // setup.window.n_points
+    x_r = np.linspace(-1.0, 1.0, 301)
+    rows = _BLOCK_ENTRIES // correlator._strided(setup, h_r)[0].n_points
     k = rows + rows // 2
     assert rows >= 3 and k < x_r.size
 
@@ -497,10 +499,11 @@ def test_a_nan_x_r_in_a_rect_table_block_is_a_numeric_error():
 def test_one_row_blocks_take_the_rect_table(monkeypatch):
     # a Gaussian object on the default grids, and on +/- 8.3 mm, whose
     # samples round the nodes lo + j h: u(x') has no exact zeros, so the
-    # window holds more than _BLOCK_ENTRIES / 2 nodes and each block one
-    # row, which the rect pupil's table computes with no np.sinc call on
-    # either grid
-    state = gaussian_wavefunction(2.0, 0.05)
+    # window holds more than _BLOCK_ENTRIES / 2 nodes and, for a state
+    # without a band, whose amplitude sums every window node, each block
+    # one row, which the rect pupil's table computes with no np.sinc call
+    # on either grid
+    state = replace(gaussian_wavefunction(2.0, 0.05), band=np.inf)
     h_r = two_f_arm(LAM, F, rect_pupil(10.0))
     x_r = np.linspace(-1.0, 1.0, 11)
 
@@ -521,10 +524,11 @@ def test_one_row_blocks_take_the_rect_table(monkeypatch):
 
 
 def test_a_fig2_scan_builds_one_angle_table(monkeypatch):
-    # the amplitude over the reference window takes the rect pupil's table,
-    # built once per apply call, not once per run of its 23 runs of rows;
-    # the four I_r probes on the whole x' grid split their row's angles by
-    # sqrt(n) and build none.  A 5-aperture sweep builds one per aperture
+    # the amplitude over the reference window, strided by 12 to 146 nodes,
+    # takes the rect pupil's table, built once per apply call, not once per
+    # run of its 2 runs of rows; the four I_r probes on the whole x' grid
+    # split their row's angles by sqrt(n) and build none.  A 5-aperture
+    # sweep builds one per aperture, on the window at its own stride
     calls, angle_table = [], optics._angle_table
 
     def counted(g, c):
@@ -535,11 +539,17 @@ def test_a_fig2_scan_builds_one_angle_table(monkeypatch):
     cfg = load_config(preset_path("fig2"))
     config = build_scan_config(cfg)
     scan_reference(config)
-    assert calls == [config.setup.window]
+    window = config.setup.window
+    assert calls == [window.run(0, 145 * 12 + 1, 12)]
+    assert -(-config.n_xr // (_BLOCK_ENTRIES // 146)) == 2
     calls.clear()
     lam, f = cfg["reference_arm"]["lambda_nm"] * 1e-6, cfg["reference_arm"]["f_mm"]
-    aperture_sweep(config, [2.0, 4.0, 6.0, 8.0, 10.0], lam, f)
-    assert calls == [config.setup.window] * 5
+    apertures = [2.0, 4.0, 6.0, 8.0, 10.0]
+    aperture_sweep(config, apertures, lam, f)
+    assert calls == [
+        correlator._strided(config.setup, two_f_arm(lam, f, rect_pupil(D)))[0] for D in apertures
+    ]
+    assert [round(g.step / window.step) for g in calls] == [19, 16, 14, 13, 12]
 
 
 def _trig_calls(monkeypatch, names=("sin", "cos")):
@@ -569,15 +579,77 @@ def test_a_fig2_scan_calls_no_sinc(monkeypatch):
 
 
 def test_a_fig2_amplitude_takes_two_sines(monkeypatch):
-    # one for the table of the 1735-node window, built for k >= 0, and one
-    # for all 201 row anchors, though the call applies the pupil in 23 runs
+    # one for the table of the 1735-node window at stride 12, 146 nodes,
+    # built for k >= 0, and one for all 201 row anchors, though the call
+    # applies the pupil in 2 runs
     config = build_scan_config(load_config(preset_path("fig2")))
     assert config.setup.window.n_points == 1735 and config.n_xr == 201
-    assert -(-config.n_xr // (_BLOCK_ENTRIES // 1735)) == 23
+    assert correlator._strided(config.setup, config.h_r)[0].n_points == 146
+    assert -(-config.n_xr // (_BLOCK_ENTRIES // 146)) == 2
     xr = np.linspace(config.xr_min, config.xr_max, config.n_xr)
     calls = _trig_calls(monkeypatch)
     amplitude(config.setup, config.h_r, xr)
-    assert sorted(calls["sin"]) == [201, 1735] and sorted(calls["cos"]) == [201, 1735]
+    assert sorted(calls["sin"]) == [146, 201] and sorted(calls["cos"]) == [146, 201]
+
+
+def _tabulated_soft_pupil():
+    """A super-Gaussian aperture of half-width 0.75 mm times a chirp, on a
+    301-node table over +/- 1 mm: its transform's band is the table's."""
+    g = make_grid(0.0, 1.0, 301)
+    x = g.samples()
+    return tabulated_pupil(g, np.exp(-((x / 0.75) ** 8) + 7.3j * x**2))
+
+
+@pytest.mark.parametrize(
+    "pupil",
+    [
+        *(rect_pupil(D) for D in (2.0, 10.0, 20.0, 40.0, 80.0)),
+        *(gaussian_pupil(sigma) for sigma in (1.0, 4.0)),
+        _tabulated_soft_pupil(),
+    ],
+    ids=["rect2", "rect10", "rect20", "rect40", "rect80", "gauss1", "gauss4", "tabulated"],
+)
+def test_the_strided_amplitude_is_the_whole_window_sum(pupil):
+    # on fig2's setup the amplitude sums every s-th window node at weight
+    # s h, s > 1 for every pupil here, and its G2 matches the sum over every
+    # window node to 1e-13 of its max (2.2e-15 measured)
+    setup = build_scan_config(load_config(preset_path("fig2"))).setup
+    h_r = two_f_arm(LAM, F, pupil)
+    grid = correlator._strided(setup, h_r)[0]
+    assert grid.n_points < setup.window.n_points and grid.lo == setup.window.lo
+    xr = np.linspace(-2.0, 2.0, 201)
+    g2 = np.abs(amplitude(setup, h_r, xr)) ** 2
+    dense = np.abs(h_r.apply_in(xr, setup.window, setup.v)) ** 2
+    assert np.abs(g2 - dense).max() <= 1e-13 * dense.max()
+
+
+def test_the_strided_window_holds_every_s_th_node_and_pads_with_zeros():
+    # fig2's 1735 window nodes at stride 12: 145 of them, nodes 0, 12, ..
+    # 1728, and one node past the window's end, where v = 0
+    config = build_scan_config(load_config(preset_path("fig2")))
+    setup = config.setup
+    grid, v = correlator._strided(setup, config.h_r)
+    assert grid.n_points == 146
+    np.testing.assert_array_equal(grid.samples()[:145], setup.window.samples()[::12])
+    assert grid.hi == setup.window.lo + 1740 * setup.window.step
+    np.testing.assert_array_equal(v, np.r_[12.0 * setup.v[::12], 0.0])
+
+
+def test_a_state_without_a_band_sums_every_window_node():
+    # the Cauchy-Schwarz check's matched state carries h_r's chirp in g and
+    # no band: its amplitude is exactly the sum over every window node
+    h_t = fourier_arm(LAM, F, gaussian_transmission(0.5))
+    h_r = two_f_arm(LAM, F, gaussian_pupil(2.0))
+    gx, gxp = make_grid(0.0, 8.0, 2049), make_grid(0.0, 8.0, 4097)
+    state = validate._matched_state(h_t, h_r, 0.0, 0.3, gx, gxp)
+    assert state.band == np.inf
+    setup = CorrelatorSetup(state=state, h_t=h_t, gx=gx, gxp=gxp)
+    window, v = correlator._strided(setup, h_r)
+    assert window is setup.window and v is setup.v
+    xr = np.linspace(-1.0, 1.0, 21)
+    np.testing.assert_array_equal(
+        amplitude(setup, h_r, xr), h_r.apply_in(xr, setup.window, setup.v)
+    )
 
 
 @pytest.mark.parametrize("D", [2.0, 10.0])

@@ -139,3 +139,17 @@ def test_grid_node_budget():
     for n in (MAX_NODES + 1, 1e300, np.inf, np.nan):
         with pytest.raises(InvalidArgumentError, match="budget"):
             make_grid(0.0, 1.0, n)
+
+
+@pytest.mark.parametrize("stride", [1, 12, 48])
+def test_a_strided_run_holds_every_stride_th_node_and_may_end_past_the_grid(stride):
+    # the default x' grid's nodes are short binary fractions, so a strided
+    # run's nodes are exactly the grid's, and past its end those of its
+    # lattice lo + j h
+    g = make_grid(0.0, 8.0, 16385)
+    k = 16284 // stride + 1
+    run = g.run(100, 100 + k * stride + 1, stride)
+    assert run.n_points == k + 1 and run.step == stride * g.step
+    nodes = g.lo + g.step * np.arange(100, 100 + k * stride + 1, stride)
+    np.testing.assert_array_equal(run.samples(), nodes)
+    assert run.hi > g.hi

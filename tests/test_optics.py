@@ -120,6 +120,30 @@ def test_gaussian_pupil_transform_matches_quadrature():
         assert p.ft(u) == pytest.approx(direct, rel=1e-10)
 
 
+def test_pupils_state_their_width_and_the_2f_arm_its_band():
+    # W bounds the pupil in its own plane: D, the Gaussian's 2 sigma
+    # sqrt(ln(1e16)), and twice the table's farthest node from 0; the 2f
+    # arm's x' band over a grid adds the chirp's at its largest |x'|
+    assert rect_pupil(3.0).width == 3.0
+    assert gaussian_pupil(2.0).width == pytest.approx(4.0 * np.sqrt(np.log(1e16)), rel=1e-15)
+    assert tabulated_pupil(make_grid(0.5, 1.5, 31), np.ones(31)).width == 4.0
+    band = two_f_arm(LAM, F, rect_pupil(10.0)).band_in(make_grid(-0.1, 0.9, 101))
+    assert band == pytest.approx(10.0 / (4.0 * LF) + 1.0 / (2.0 * LF), rel=1e-15)
+    assert fourier_arm(LAM, F, double_slit(0.05, 1.0)).band_in is None
+
+
+def test_tabulated_transform_matches_the_complex_exponential_sum():
+    # ft forms exp(-2 pi i u xi) as cos - i sin: against numpy's complex
+    # exp it agrees to 1e-13 of max |P| at |u| up to 70 /mm
+    g = make_grid(0.0, 1.0, 301)
+    x = g.samples()
+    values = np.exp(-((x / 0.75) ** 8) + 7.3j * x**2)
+    u = np.linspace(-70.0, 70.0, 541)
+    direct = np.exp(-2j * np.pi * np.multiply.outer(u, x)) @ (g.trapezoid_weights() * values)
+    got = tabulated_pupil(g, values).ft(u)
+    assert np.abs(got - direct).max() <= 1e-13 * np.abs(direct).max()
+
+
 def test_tabulated_pupil_matches_analytic_transform():
     sigma = 1.0
     ref = gaussian_pupil(sigma)

@@ -191,6 +191,26 @@ def test_normalize_finds_the_peak_of_a_separable_state_off_the_diagonal():
     assert normalize(state, g, g).c_norm == pytest.approx(closed, rel=1e-15, abs=0.0)
 
 
+def test_normalize_finds_the_peak_of_a_ridge_state_off_the_diagonal():
+    # the same envelopes under a wide ridge R = exp(-d^2 / 400): the peak,
+    # near (0, 5), lies on neither the corner-to-corner line nor x' = x but
+    # on the line through argmax |g|.  The grid's edge/peak of |phi|^2 is
+    # 1.9e-16, and c_norm is the Gaussian closed form: with z = (x, x' - 5),
+    # |phi / c_norm|^2 = exp(-(z A z - 2 b z + c)) integrates to
+    # pi exp(b A^-1 b - c) / sqrt(det A)
+    g = make_grid(0.0, 8.0, 2049)
+    state = TwoPhotonState(
+        f=lambda x: np.exp(-(x**2)),
+        g=lambda xp: np.exp(-2.0 * (xp - 5.0) ** 2),
+        ridge=lambda d: np.exp(-(d**2) / 400.0),
+        ridge_width=20.0,
+    )
+    a = np.array([[2.0, 0.0], [0.0, 4.0]]) + np.array([[1.0, -1.0], [-1.0, 1.0]]) / 200.0
+    b = np.array([0.025, -0.025])
+    norm = np.pi * np.exp(b @ np.linalg.solve(a, b) - 0.125) / np.sqrt(np.linalg.det(a))
+    assert normalize(state, g, g).c_norm == pytest.approx(norm**-0.5, rel=1e-14, abs=0.0)
+
+
 def tabulated(g, values):
     """Envelope interpolating values on the grid g linearly, zero outside it."""
     values = np.asarray(values)
